@@ -3,12 +3,13 @@ reduction of local mean orders, the adjacent-clique relation, and the
 climb from major cliques to better ones.
 
 For a k-tree T and a k-clique C, the characteristic tree T'_C lives on
-{C-node} union (V(T) \\ V(C)).  It is built from any construction order of
-T starting at C: a vertex's parent is the clique node when its attachment
-lies inside C, otherwise the latest-added vertex of the attachment outside
-C.  The C-to-v path then spells the unique elimination sequence of v, which
-`elimination_sequence` also derives independently (greedy peel) and checks
-against its defining conditions.
+{C-node} union (V(T) \\ V(C)).  It is built from `construction_from`, the
+order of T starting at C that the k-leaf peeler of `core` gives: a vertex's
+parent is the clique node when its attachment lies inside C, otherwise the
+latest-added vertex of the attachment outside C (`isomorphism` uses the same
+rule).  The C-to-v path then spells the unique elimination sequence of v,
+which `elimination_sequence` also derives independently (greedy peel) and
+checks against its defining conditions.
 """
 
 from __future__ import annotations
@@ -19,12 +20,14 @@ from fractions import Fraction
 from .core import (
     _bit,
     _mask_vertices,
+    _peel_k_leaves,
     adjacent_cliques,
     clique_degree,
     k_cliques,
     require_k_clique,
 )
 from .errors import (
+    KTreeError,
     NotAClique,
     NotAdjacentCliques,
     NotKTree,
@@ -111,32 +114,28 @@ def construction_from(T, C):
     then reversing.  Attachments are the peel-time neighborhoods.
     """
     C = require_k_clique(T, C)
-    cmask = T.clique_mask(C)
-    work = list(T.masks)
-    alive = (1 << T.n) - 1
-    peeled = []
-    for _ in range(T.n - T.k):
-        found = None
-        m = alive & ~cmask
-        while m:
-            low = m & -m
-            v = low.bit_length()
-            if work[v].bit_count() == T.k:
-                found = v
-                break
-            m ^= low
-        if found is None:
-            raise NotKTree("no k-leaf outside the clique; host is not a k-tree")
-        nb = work[found]
-        peeled.append((found, nb))
-        rest = nb
-        while rest:
-            low = rest & -rest
-            work[low.bit_length()] &= ~_bit(found)
-            rest ^= low
-        work[found] = 0
-        alive &= ~_bit(found)
-    return [(v, tuple(_mask_vertices(nb))) for v, nb in reversed(peeled)]
+    peeled = _peel_k_leaves(T.k, list(T.masks), T.clique_mask(C))
+    if len(peeled) != T.n - T.k:
+        raise NotKTree("no k-leaf outside the clique; host is not a k-tree")
+    return peeled[::-1]
+
+
+def _construction_with_parents(T, C):
+    """Yield (vertex, attachment, parent) along `construction_from(T, C)`.
+
+    The parent is the latest-added vertex of the attachment outside C, or
+    None (the clique node) when the attachment lies inside C.
+    """
+    steps = construction_from(T, C)
+    cset = set(C)
+    pos = {}
+    for i, (v, attach) in enumerate(steps):
+        pos[v] = i
+        parent = None
+        for u in attach:
+            if u not in cset and (parent is None or pos[u] > pos[parent]):
+                parent = u
+        yield v, attach, parent
 
 
 def char_parents(T, C):
@@ -146,17 +145,7 @@ def char_parents(T, C):
     clique node when the attachment is contained in C.
     """
     C = require_k_clique(T, C)
-    cmask = T.clique_mask(C)
-    parents = {}
-    pos = {}
-    for i, (v, attach) in enumerate(construction_from(T, C)):
-        pos[v] = i
-        best = None
-        for u in attach:
-            if not cmask & _bit(u) and (best is None or pos[u] > pos[best]):
-                best = u
-        parents[v] = best
-    return parents
+    return {v: p for v, _, p in _construction_with_parents(T, C)}
 
 
 def characteristic_tree(T, C):
@@ -183,28 +172,10 @@ def elimination_sequence(T, C, v):
     if not 1 <= v <= T.n:
         raise NotAClique(f"vertex {v} outside host")
     cmask = T.clique_mask(C)
-    keep = cmask | _bit(v)
     work = list(T.masks)
-    alive = (1 << T.n) - 1
     # peel k-leaves that are neither v nor in C, lowest id first
-    changed = True
-    while changed:
-        changed = False
-        m = alive & ~keep
-        while m:
-            low = m & -m
-            x = low.bit_length()
-            if work[x].bit_count() == T.k:
-                rest = work[x]
-                while rest:
-                    lw = rest & -rest
-                    work[lw.bit_length()] &= ~_bit(x)
-                    rest ^= lw
-                work[x] = 0
-                alive &= ~_bit(x)
-                changed = True
-                break
-            m ^= low
+    peeled = _peel_k_leaves(T.k, work, cmask | _bit(v))
+    alive = (1 << T.n) - 1 - sum(_bit(x) for x, _ in peeled)
     # read the peeling order of what is left: v first, then forced steps
     seq = []
     while alive != cmask:
@@ -221,11 +192,8 @@ def elimination_sequence(T, C, v):
             x = candidates[0]
         else:
             raise NotKTree("peeling order is not forced; reduction failed")
-        rest = work[x]
-        while rest:
-            lw = rest & -rest
-            work[lw.bit_length()] &= ~_bit(x)
-            rest ^= lw
+        for u in _mask_vertices(work[x]):
+            work[u] &= ~_bit(x)
         work[x] = 0
         alive &= ~_bit(x)
         seq.append(x)
@@ -374,7 +342,7 @@ def verify_adjacent_reduction(T, C1, C2, cache=None):
     moved = tuple(sorted(ctx.far))
     try:
         shifted = partial_kelmans(t1.adj, ctx.solo2, t1.clique_node, moved)
-    except Exception as exc:  # a failed precondition refutes the relation
+    except KTreeError as exc:  # a failed precondition refutes the relation
         return ReductionReport(ctx.clique1, ctx.clique2, moved, False, str(exc))
 
     relabel = {t1.clique_node: ctx.solo1, ctx.solo2: t2.clique_node}

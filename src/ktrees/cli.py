@@ -14,7 +14,7 @@ import sys
 from pathlib import Path
 
 from . import chartree, core, oracle, polynomials, verify
-from .errors import KTreeError
+from .errors import BadK, KTreeError
 from .kelmans_ops import kelmans as apply_kelmans, partial_kelmans
 from .polynomials import format_rational
 
@@ -131,10 +131,13 @@ def cmd_oracle(args):
 
 
 def _parse_ks(spec):
-    if "-" in spec:
-        lo, hi = spec.split("-", 1)
-        return tuple(range(int(lo), int(hi) + 1))
-    return tuple(int(x) for x in spec.split(","))
+    try:
+        if "-" in spec:
+            lo, hi = spec.split("-", 1)
+            return tuple(range(int(lo), int(hi) + 1))
+        return tuple(int(x) for x in spec.split(","))
+    except ValueError:
+        raise BadK(f"bad k spec {spec!r}; expected e.g. 2 or 1-3 or 2,3") from None
 
 
 def cmd_verify(args):

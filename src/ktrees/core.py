@@ -16,6 +16,7 @@ from itertools import combinations
 
 from .errors import (
     AttachmentNotClique,
+    BadK,
     BadVertexOrder,
     Disconnected,
     FormatError,
@@ -45,6 +46,50 @@ def _mask_vertices(mask):
         out.append(low.bit_length())
         mask ^= low
     return out
+
+
+def _peel_k_leaves(k, work, keep):
+    """Peel simplicial degree-k vertices outside the mask `keep`, always the
+    lowest id first, until none is left.
+
+    `work` holds the adjacency masks and is updated in place.  Returns the
+    (vertex, sorted neighbours at peel time) pairs in peel order.
+    """
+    # Degrees only fall, so a vertex is a candidate from the peel that brings
+    # its degree to k until the next one that touches it.  Its neighbourhood
+    # cannot change in between, so a failed clique test drops it for good.
+    cand = 0
+    for v in range(1, len(work)):
+        if work[v].bit_count() == k:
+            cand |= 1 << (v - 1)
+    cand &= ~keep
+    peeled = []
+    while cand:
+        low = cand & -cand
+        cand ^= low
+        v = low.bit_length()
+        nb = work[v]
+        nbs = []
+        rest = nb
+        while rest:
+            lw = rest & -rest
+            u = lw.bit_length()
+            if work[u] & nb != nb ^ lw:
+                break
+            nbs.append(u)
+            rest ^= lw
+        if rest:
+            continue
+        peeled.append((v, tuple(nbs)))
+        work[v] = 0
+        for u in nbs:
+            work[u] ^= low
+            if work[u].bit_count() == k:
+                cand |= 1 << (u - 1)
+            else:
+                cand &= ~(1 << (u - 1))
+        cand &= ~keep
+    return peeled
 
 
 @dataclass(frozen=True)
@@ -106,9 +151,9 @@ class KTree:
             amask = 0
             for u in attach:
                 amask |= _bit(u)
-            if len(attach) != k or amask & present != amask:
+            if amask.bit_count() != k or amask & present != amask:
                 raise AttachmentNotClique(
-                    f"attachment {attach} for vertex {v} not present"
+                    f"attachment {attach} for vertex {v} is not {k} present vertices"
                 )
             if validate:
                 for u in attach:
@@ -250,6 +295,8 @@ def recognize_ktree(edges, k, n=None):
     is a clique; succeeds when K_k remains.  Returns a KTree carrying the
     reconstructed build sequence.
     """
+    if k < 1:
+        raise BadK(f"k must be at least 1, got {k}")
     n, pairs = _neighbor_dict_from_edges(edges, n)
     if n < k:
         raise NotKTree(f"order {n} below k={k}")
@@ -276,37 +323,16 @@ def recognize_ktree(edges, k, n=None):
         raise NotKTree(
             f"edge count {len(pairs)} != {k * n - k * (k + 1) // 2} required for a k-tree"
         )
-    work = list(masks)
-    alive = (1 << n) - 1
-    peeled = []
-    for _ in range(n - k):
-        found = None
-        m = alive
-        while m:
-            low = m & -m
-            v = low.bit_length()
-            m ^= low
-            nb = work[v]
-            if nb.bit_count() == k and all(
-                work[u] & nb == nb & ~_bit(u) for u in _mask_vertices(nb)
-            ):
-                found = v
-                break
-        if found is None:
-            raise NotKTree(
-                f"no simplicial degree-{k} vertex among {_mask_vertices(alive)}"
-            )
-        nb = work[found]
-        peeled.append((found, tuple(_mask_vertices(nb))))
-        for u in _mask_vertices(nb):
-            work[u] &= ~_bit(found)
-        work[found] = 0
-        alive &= ~_bit(found)
+    peeled = _peel_k_leaves(k, list(masks), 0)
+    alive = (1 << n) - 1 - sum(_bit(v) for v, _ in peeled)
+    if len(peeled) != n - k:
+        raise NotKTree(
+            f"no simplicial degree-{k} vertex among {_mask_vertices(alive)}"
+        )
     rest = _mask_vertices(alive)
-    rest_mask = alive
-    if not all(masks[v] & rest_mask == rest_mask & ~_bit(v) for v in rest):
+    if not all(masks[v] & alive == alive & ~_bit(v) for v in rest):
         raise NotKTree(f"residue {rest} is not K_{k}")
-    return KTree.from_parts(k, rest, list(reversed(peeled)), validate=False)
+    return KTree.from_parts(k, rest, peeled[::-1], validate=False)
 
 
 def k_cliques(T):
@@ -436,6 +462,16 @@ def random_ktree(k, n, seed):
 KT_VERSION = 1
 
 
+def _ints(tokens, line):
+    try:
+        out = [int(x) for x in tokens]
+    except ValueError:
+        raise FormatError(f"non-integer token in {line!r}") from None
+    if any(x < 1 for x in out):
+        raise FormatError(f"vertex ids must be positive in {line!r}")
+    return out
+
+
 def parse_kt(text):
     """Parse the line-oriented .kt construction format."""
     lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
@@ -448,10 +484,12 @@ def parse_kt(text):
         n = int(lines[2].removeprefix("n "))
     except ValueError as exc:
         raise FormatError(f"bad k/n header: {exc}") from None
+    if k < 1:
+        raise BadK(f"k must be at least 1, got {k}")
     base_parts = lines[3].split()
     if base_parts[0] != "base":
         raise FormatError("fourth line must list the base clique")
-    base = [int(x) for x in base_parts[1:]]
+    base = _ints(base_parts[1:], lines[3])
     if base != list(range(1, k + 1)):
         raise FormatError(f"base must be 1..{k}, got {base}")
     adds = []
@@ -459,7 +497,8 @@ def parse_kt(text):
         parts = ln.split()
         if parts[0] != "add" or len(parts) != k + 2:
             raise FormatError(f"bad add line: {ln!r}")
-        adds.append((int(parts[1]), tuple(int(x) for x in parts[2:])))
+        v, *attach = _ints(parts[1:], ln)
+        adds.append((v, tuple(attach)))
     if len(adds) != n - k:
         raise FormatError(f"expected {n - k} add lines, got {len(adds)}")
     return build_from_construction(k, adds)

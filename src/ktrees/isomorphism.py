@@ -9,13 +9,16 @@ all rooted codes of the second; the canonical code is the minimum over all
 roots and orderings.  A plain shape code of the clique incidence tree is
 NOT enough: non-isomorphic k-trees can share it, which is why the labels
 carry the attachment data.
+
+Class enumeration keeps one set of rooted codes per level: a candidate is
+new iff its first rooted code is missing, and then all of its codes join.
 """
 
 from __future__ import annotations
 
 from itertools import permutations
 
-from .chartree import construction_from
+from .chartree import _construction_with_parents
 from .core import KTree, build_from_construction, k_cliques, kp1_cliques
 from .errors import SizeTooSmall, TooLarge
 
@@ -24,25 +27,18 @@ ISO_ENUM_GUARD = 13  # max n - k for class enumeration
 
 def _rooted_structure(T, C):
     """Children lists and per-vertex attachment labels for root clique C."""
-    steps = construction_from(T, C)
     cset = set(C)
-    pos = {}
-    depth = {}
+    depth = {None: 0}
     children = {None: []}
     info = {}
-    for i, (v, attach) in enumerate(steps):
-        pos[v] = i
-        best = None
-        for u in attach:
-            if u not in cset and (best is None or pos[u] > pos[best]):
-                best = u
-        d = 1 if best is None else depth[best] + 1
+    for v, attach, parent in _construction_with_parents(T, C):
+        d = depth[parent] + 1
         depth[v] = d
         offsets = tuple(sorted(d - depth[u] for u in attach if u not in cset))
         cmem = tuple(u for u in attach if u in cset)
         info[v] = (offsets, cmem)
         children[v] = []
-        children[best].append(v)
+        children[parent].append(v)
     return children, info
 
 
@@ -135,17 +131,14 @@ def enumerate_ktrees_up_to_iso(k, n):
         raise TooLarge(f"class enumeration capped at n - k <= {ISO_ENUM_GUARD}")
     level = [build_from_construction(k, [])]
     for _ in range(k + 1, n + 1):
-        buckets = {}
+        seen = set()  # every rooted code of every class kept at this level
         nxt = []
         for T in level:
             for C in k_cliques(T):
                 cand = _extend(T, C)
-                inv = _cheap_invariant(cand)
-                entries = buckets.setdefault(inv, [])
-                probe = rooted_code(cand, k_cliques(cand)[0])
-                if any(probe in codes for codes in entries):
+                if rooted_code(cand, k_cliques(cand)[0]) in seen:
                     continue
-                entries.append(rooted_code_set(cand))
+                seen |= rooted_code_set(cand)
                 nxt.append(cand)
         level = nxt
     return level

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .core import _bit, _mask_vertices, k_cliques, recognize_ktree
-from .errors import NotASubKTree, TooLarge
+from .errors import KTreeError, NotASubKTree, TooLarge
 from .polynomials import IntPolynomial
 
 DEFAULT_CAP = 16
@@ -116,7 +116,7 @@ def is_sub_ktree(T, S):
     edges = [(idx[u], idx[v]) for u, v in T.edges() if u in idx and v in idx]
     try:
         recognize_ktree(edges, T.k, n=len(S))
-    except Exception:
+    except KTreeError:
         return False
     return True
 
@@ -156,13 +156,6 @@ def oracle_argmax_cliques(T, cap=DEFAULT_CAP):
     means = oracle_all_clique_means(T, cap=cap)
     best = max(means.values())
     return sorted(C for C, m in means.items() if m == best), best
-
-
-def require_sub_ktree(T, S):
-    S = tuple(sorted(set(S)))
-    if not is_sub_ktree(T, S):
-        raise NotASubKTree(f"{S} does not induce a sub-k-tree")
-    return S
 
 
 __all__ = [

@@ -125,6 +125,8 @@ class SuiteConfig:
     jobs: int = 1
 
     def validate(self):
+        if not self.ks or min(self.ks) < 1:
+            raise BadK(f"need at least one k and every k >= 1, got {self.ks}")
         if self.mode not in ("exhaustive", "random"):
             raise UnknownSuite(f"unknown mode {self.mode!r}")
         if self.mode == "random" and self.trials < 1:
@@ -150,16 +152,28 @@ class SuiteConfig:
         return d
 
 
+def _random_ktrees(ks, min_n, max_n, count, seed):
+    """Yield (k, s, random_ktree(k, n, s)) for `count` seeded draws.
+
+    Draw i takes k = ks[i % len(ks)], an order n drawn uniformly from
+    max(min_n, k + 1)..max_n, and the host seed s = seed + i.
+    """
+    lo = max(min_n, max(ks) + 1)
+    if lo > max_n:
+        raise SizeTooSmall(f"random k-trees need max_n >= {lo}, got {max_n}")
+    for i in range(count):
+        k = ks[i % len(ks)]
+        n = _random.Random(seed * 1_000_003 + i).randint(max(min_n, k + 1), max_n)
+        yield k, seed + i, random_ktree(k, n, seed + i)
+
+
 def iter_corpus(cfg):
     """Yield (instance_id, KTree) pairs for a validated config."""
     if cfg.mode == "random":
-        for i in range(cfg.trials):
-            k = cfg.ks[i % len(cfg.ks)]
-            lo = max(cfg.min_n, k + 1)
-            n = _random.Random(cfg.seed * 1_000_003 + i).randint(
-                lo, max(lo, cfg.max_n)
-            )
-            yield f"k{k}-n{n}-r{cfg.seed + i}", random_ktree(k, n, cfg.seed + i)
+        for k, s, T in _random_ktrees(
+            cfg.ks, cfg.min_n, cfg.max_n, cfg.trials, cfg.seed
+        ):
+            yield f"k{k}-n{T.n}-r{s}", T
         return
     for k in cfg.ks:
         lo = max(cfg.min_n, k)
@@ -205,7 +219,7 @@ def check_jamison_ratio(T, cfg):
                     "predicted_equality": predicted,
                 }
             )
-    return violations, tallies, []
+    return violations, tallies
 
 
 def check_global_mean_bound(T, cfg):
@@ -226,7 +240,7 @@ def check_global_mean_bound(T, cfg):
                 "predicted_equality": is_path,
             }
         )
-    return violations, tallies, []
+    return violations, tallies
 
 
 def _ordered_adjacent_pairs(adj):
@@ -249,7 +263,7 @@ def check_kelmans_suite(T, cfg):
         tallies["equality" if mono.equality else "strict"] += 1
         if not mono.ok:
             violations.append(_bad(mono.claim, mono))
-    return violations, tallies, []
+    return violations, tallies
 
 
 def check_partial_kelmans_suite(T, cfg):
@@ -264,7 +278,7 @@ def check_partial_kelmans_suite(T, cfg):
                 tallies["equality" if rep.equality else "strict"] += 1
                 if not rep.ok:
                     violations.append(_bad(rep.claim, rep))
-    return violations, tallies, []
+    return violations, tallies
 
 
 def check_leaf_dominance(T, cfg):
@@ -279,7 +293,7 @@ def check_leaf_dominance(T, cfg):
         tallies["equality" if rep.equality else "strict"] += 1
         if not rep.ok:
             violations.append(_bad(rep.claim, rep))
-    return violations, tallies, []
+    return violations, tallies
 
 
 def check_local_mean_reduction(T, cfg):
@@ -311,7 +325,7 @@ def check_local_mean_reduction(T, cfg):
                     "rhs": fraction_str(slow_mu),
                 }
             )
-    return violations, tallies, []
+    return violations, tallies
 
 
 def check_chartree_adjacency(T, cfg):
@@ -330,7 +344,7 @@ def check_chartree_adjacency(T, cfg):
                             "detail": f"C1={a} C2={b} moved={rep.moved} {rep.detail}",
                         }
                     )
-    return violations, tallies, []
+    return violations, tallies
 
 
 def check_nonmajor_max(T, cfg):
@@ -361,7 +375,7 @@ def check_nonmajor_max(T, cfg):
                         "detail": f"C={C} mu={fraction_str(means[C])}",
                     }
                 )
-    return violations, tallies, []
+    return violations, tallies
 
 
 def check_end_clique_dominance(T, cfg):
@@ -392,7 +406,7 @@ def check_end_clique_dominance(T, cfg):
                         "predicted_equality": predicted,
                     }
                 )
-    return violations, tallies, []
+    return violations, tallies
 
 
 _CHECKERS = {
@@ -425,7 +439,7 @@ def _run_chunk(payload):
     tallies = Counter()
     for inst_id, k, base, build in specs:
         T = KTree.from_parts(k, base, build, validate=False)
-        v, t, _ = checker(T, cfg)
+        v, t = checker(T, cfg)
         for item in v:
             item["instance"] = inst_id
         violations.extend(v)
@@ -501,7 +515,7 @@ def run_suite(cfg):
         instances = 0
         if cfg.jobs <= 1:
             for inst_id, T in iter_corpus(cfg):
-                v, t, _ = checker(T, cfg)
+                v, t = checker(T, cfg)
                 for item in v:
                     item["instance"] = inst_id
                 violations.extend(v)
@@ -585,15 +599,8 @@ def search_degree2_witness(
         if not budget or budget < 1:
             raise TooLarge("random mode requires a positive budget")
         corpus = (
-            (
-                f"k{k}-r{seed + i}",
-                random_ktree(
-                    k,
-                    _random.Random(seed * 1_000_003 + i).randint(k + 1, max_n),
-                    seed + i,
-                ),
-            )
-            for i in range(budget)
+            (f"k{k}-r{s}", T)
+            for _, s, T in _random_ktrees((k,), k + 1, max_n, budget, seed)
         )
     else:
         raise UnknownSuite(f"unknown mode {mode!r}")
@@ -603,8 +610,9 @@ def search_degree2_witness(
         means = all_clique_means(T)
         best = max(means.values())
         arg = sorted(C for C, m in means.items() if m == best)
-        degs = {C: clique_degree(T, C).degree for C in means}
-        kinds = sorted({_kind_of(degs[C]) for C in arg})
+        infos = {C: clique_degree(T, C) for C in means}
+        degs = {C: info.degree for C, info in infos.items()}
+        kinds = sorted({infos[C].kind for C in arg})
         tallies["argmax:" + "+".join(kinds)] += 1
 
         end_best = max((m for C, m in means.items() if degs[C] == 1), default=None)
@@ -680,16 +688,6 @@ def search_degree2_witness(
         },
         "runtime_ms": int((time.monotonic() - t0) * 1000),
     }
-
-
-def _kind_of(degree):
-    if degree == 0:
-        return "isolated"
-    if degree == 1:
-        return "end"
-    if degree == 2:
-        return "degree2"
-    return "major"
 
 
 def _build_str(T):

@@ -125,7 +125,7 @@ def test_criterion_03_max_at_nonmajor():
     def run(T):
         nonlocal instances
         instances += 1
-        v, _, _ = V.check_nonmajor_max(T, None)
+        v, _ = V.check_nonmajor_max(T, None)
         violations.extend(v)
 
     for _, T in _labeled_corpus((2,), 8):
@@ -278,7 +278,7 @@ def test_criterion_08_end_clique_taxonomy():
         corpus.append(core.build_from_construction(k, [(k + 1, tuple(range(1, k + 1)))]))
     for T in corpus:
         hosts += 1
-        v, _, _ = V.check_end_clique_dominance(T, None)
+        v, _ = V.check_end_clique_dominance(T, None)
         bad.extend(v)
     ok = not bad and hosts > 10
     line = _emit(

@@ -194,3 +194,65 @@ def test_search_rejects_k1(capsys):
 def test_bad_arguments_exit_2(capsys):
     assert run(capsys, "mean-order")[0] == 2
     assert run(capsys, "no-such-command")[0] == 2
+
+
+BAD_INPUTS = {
+    "base-token": ("kt", "ktree 1\nk 2\nn 3\nbase 1 x\nadd 3 1 2\n"),
+    "add-token": ("kt", "ktree 1\nk 2\nn 3\nbase 1 2\nadd 3 1 x\n"),
+    "add-vertex-0": ("kt", "ktree 1\nk 2\nn 3\nbase 1 2\nadd 3 0 1\n"),
+    "add-repeated": ("kt", "ktree 1\nk 2\nn 3\nbase 1 2\nadd 3 1 1\n"),
+    "kt-k0": ("kt", "ktree 1\nk 0\nn 0\nbase\n"),
+    "edges-k0": ("edges", "--k", "0"),
+    "verify-empty-k-random": (
+        "verify", "--suite", "nonmajor-max", "--k", "3-1", "--mode", "random",
+        "--trials", "2",
+    ),
+    "verify-empty-k-exhaustive": ("verify", "--suite", "nonmajor-max", "--k", "3-1"),
+    "verify-k-token": ("verify", "--suite", "nonmajor-max", "--k", "two"),
+    "verify-random-max-n-at-k": (
+        "verify", "--suite", "nonmajor-max", "--k", "3", "--max-n", "3",
+        "--mode", "random", "--trials", "2",
+    ),
+    "search-random-max-n-at-k": (
+        "search", "--k", "3", "--max-n", "3", "--mode", "random", "--budget", "2",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_INPUTS))
+def test_bad_input_exits_2(case, tmp_path, capsys):
+    spec = BAD_INPUTS[case]
+    if spec[0] == "kt":
+        p = tmp_path / "bad.kt"
+        p.write_text(spec[1])
+        argv = ["validate", str(p)]
+    elif spec[0] == "edges":
+        p = tmp_path / "one.edges"
+        p.write_text("")
+        argv = ["validate", str(p), "--n", "1", *spec[1:]]
+    else:
+        argv = list(spec)
+    code, _, err = run(capsys, *argv)
+    assert code == 2
+    assert err.startswith("error:")
+
+
+def test_random_modes_are_deterministic(tmp_path, capsys):
+    runs = {
+        "verify": ["verify", "--suite", "nonmajor-max", "--k", "2,3", "--min-n", "4",
+                   "--max-n", "9", "--mode", "random", "--trials", "5", "--seed", "3"],
+        "search": ["search", "--k", "2", "--max-n", "9", "--mode", "random",
+                   "--budget", "5", "--seed", "5"],
+    }
+    for name, argv in runs.items():
+        texts = []
+        for i in range(2):
+            out = tmp_path / f"{name}{i}.json"
+            assert run(capsys, *argv, "--out", str(out))[0] == 0
+            report = json.loads(out.read_text())
+            assert report["instances"] == 5
+            report.pop("runtime_ms")
+            texts.append(report)
+        assert texts[0] == texts[1]
+    near = [x["instance"] for x in texts[1]["tallies"]["near_misses"]]
+    assert near == ["k2-r5", "k2-r7", "k2-r8"]

@@ -70,6 +70,14 @@ def test_recognize_rejects_p3_as_two_tree():
         core.recognize_ktree([(1, 2), (2, 3)], 2)
 
 
+def test_recognize_rejects_nonsimplicial_degree_k_vertex():
+    # 5 is the only vertex of degree 2, and its neighbours 1 and 4 are not
+    # adjacent, although the graph is connected with 2n - 3 edges.
+    edges = [(1, 2), (2, 3), (3, 4), (4, 5), (5, 1), (1, 3), (2, 4)]
+    with pytest.raises(NotKTree):
+        core.recognize_ktree(edges, 2)
+
+
 def test_recognize_k4_minus_edge():
     T = core.recognize_ktree([(1, 2), (1, 3), (1, 4), (2, 3), (3, 4)], 2)
     assert T.n == 4

@@ -81,6 +81,8 @@ def test_class_counts_match_known_sequences():
     assert trees == [1, 1, 1, 2, 3, 6, 11, 23, 47, 106]
     two_trees = [len(ktree_classes(2, n)) for n in range(2, 11)]
     assert two_trees == [1, 1, 1, 2, 5, 12, 39, 136, 529]
+    three_trees = [len(ktree_classes(3, n)) for n in range(3, 10)]
+    assert three_trees == [1, 1, 1, 2, 5, 15, 58]  # OEIS A078792
 
 
 def test_class_enumeration_agrees_with_labeled_dedup():

@@ -150,6 +150,15 @@ def test_search_small_exhaustive():
     assert _strip_runtime(again) == _strip_runtime(report)
 
 
+def test_random_corpus_ids_are_pinned():
+    cfg = V.SuiteConfig(
+        suite="nonmajor-max", ks=(2, 3), min_n=4, max_n=9, mode="random",
+        trials=5, seed=3,
+    ).validate()
+    ids = [inst for inst, _ in V.iter_corpus(cfg)]
+    assert ids == ["k2-n4-r3", "k3-n8-r4", "k2-n8-r5", "k3-n8-r6", "k2-n8-r7"]
+
+
 def test_search_random_mode():
     report = V.search_degree2_witness(2, 9, mode="random", budget=15, seed=4)
     assert report["instances"] == 15
