@@ -10,12 +10,18 @@ latest-added vertex of the attachment outside C (`isomorphism` uses the same
 rule).  The C-to-v path then spells the unique elimination sequence of v,
 which `elimination_sequence` also derives independently (greedy peel) and
 checks against its defining conditions.
+
+The reduction mu(T;C) = mu(T'_C;C) + k - 1 reads only phi(1) and phi'(1) of
+phi_{T'_C,C}, so `local_mean_order_clique` folds that integer pair over T'_C
+and never builds the polynomial; `local_poly_clique` keeps the dense
+polynomial for callers that need its coefficients.  Clique degrees, adjacent
+cliques and common neighbours come from `core`, read off one common-neighbour
+mask.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .core import (
     _bit,
@@ -23,6 +29,7 @@ from .core import (
     _peel_k_leaves,
     adjacent_cliques,
     clique_degree,
+    common_neighbors,
     k_cliques,
     require_k_clique,
 )
@@ -34,7 +41,7 @@ from .errors import (
     VertexInClique,
 )
 from .kelmans_ops import partial_kelmans
-from .polynomials import subtree_poly_at_vertex
+from .polynomials import local_mean_order_vertex, subtree_poly_at_vertex
 
 
 @dataclass(frozen=True)
@@ -240,10 +247,9 @@ def local_poly_clique(T, C):
 
 
 def local_mean_order_clique(T, C):
-    """Average order of the sub-k-trees containing C, via T'_C."""
+    """Average order of the sub-k-trees containing C: mu(T'_C; C) + k - 1."""
     tc = characteristic_tree(T, C)
-    phi = subtree_poly_at_vertex(tc.adj, tc.clique_node)
-    return Fraction(phi.derivative()(1), phi(1)) + (T.k - 1)
+    return local_mean_order_vertex(tc.adj, tc.clique_node) + (T.k - 1)
 
 
 def all_clique_means(T):
@@ -281,14 +287,6 @@ class AdjacencyContext:
     nbrs2: frozenset
     u_q: frozenset
     far: frozenset
-
-
-def common_neighbors(T, C):
-    """Vertices outside C adjacent to every vertex of C."""
-    m = (1 << T.n) - 1
-    for v in C:
-        m &= T.masks[v]
-    return frozenset(_mask_vertices(m))
 
 
 def adjacency_context(T, C1, C2):

@@ -352,14 +352,27 @@ def require_k_clique(T, C):
     return C
 
 
+def _common_mask(T, C):
+    """Mask of the vertices outside C adjacent to every vertex of C.
+
+    In a k-tree the (k+1)-cliques containing a k-clique C are exactly
+    C + x for the vertices x of this mask.
+    """
+    m = (1 << T.n) - 1
+    for v in C:
+        m &= T.masks[v]
+    return m
+
+
+def common_neighbors(T, C):
+    """Vertices outside C adjacent to every vertex of C."""
+    return frozenset(_mask_vertices(_common_mask(T, C)))
+
+
 def clique_degree(T, C):
     """Number of (k+1)-cliques containing C, with the class it implies."""
     C = require_k_clique(T, C)
-    cm = T.clique_mask(C)
-    deg = 0
-    for q in T._kp1_cliques:
-        if T.clique_mask(q) & cm == cm:
-            deg += 1
+    deg = _common_mask(T, C).bit_count()
     if deg == 0:
         kind = ISOLATED
     elif deg == 1:
@@ -381,13 +394,10 @@ def k_leaves(T):
 def adjacent_cliques(T, C):
     """k-cliques sharing a (k+1)-clique with C, sorted; count k*deg(C)."""
     C = require_k_clique(T, C)
-    cm = T.clique_mask(C)
-    out = set()
-    for q in T._kp1_cliques:
-        if T.clique_mask(q) & cm == cm:
-            (x,) = [v for v in q if not cm & _bit(v)]
-            for c in C:
-                out.add(tuple(sorted((set(C) - {c}) | {x})))
+    out = []
+    for x in _mask_vertices(_common_mask(T, C)):
+        for i in range(len(C)):
+            out.append(tuple(sorted(C[:i] + C[i + 1 :] + (x,))))
     return sorted(out)
 
 

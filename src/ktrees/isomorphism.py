@@ -19,14 +19,22 @@ from __future__ import annotations
 from itertools import permutations
 
 from .chartree import _construction_with_parents
-from .core import KTree, build_from_construction, k_cliques, kp1_cliques
+from .core import KTree, _common_mask, build_from_construction, k_cliques
 from .errors import SizeTooSmall, TooLarge
 
 ISO_ENUM_GUARD = 13  # max n - k for class enumeration
 
 
+def _require_codable(T):
+    """Codes spend one byte on a clique position and two on n; refuse
+    hosts whose k or n would not fit."""
+    if T.k > 255 or T.n > 65535:
+        raise TooLarge(f"codes need k <= 255 and n <= 65535, got k={T.k}, n={T.n}")
+
+
 def _rooted_structure(T, C):
     """Children lists and per-vertex attachment labels for root clique C."""
+    _require_codable(T)
     cset = set(C)
     depth = {None: 0}
     children = {None: []}
@@ -35,6 +43,8 @@ def _rooted_structure(T, C):
         d = depth[parent] + 1
         depth[v] = d
         offsets = tuple(sorted(d - depth[u] for u in attach if u not in cset))
+        if offsets and offsets[-1] > 255:
+            raise TooLarge(f"ancestor offset {offsets[-1]} exceeds one code byte")
         cmem = tuple(u for u in attach if u in cset)
         info[v] = (offsets, cmem)
         children[v] = []
@@ -82,7 +92,12 @@ def rooted_code_set(T):
 
 
 def canonical_code(T):
-    """Equal for two k-trees iff they are isomorphic."""
+    """Equal for two k-trees iff they are isomorphic.
+
+    The code spends one byte on k and on each ancestor offset and two bytes
+    on n; a host beyond those limits raises TooLarge.
+    """
+    _require_codable(T)
     header = bytes([T.k]) + T.n.to_bytes(2, "big")
     if T.n == T.k:
         return header
@@ -91,12 +106,8 @@ def canonical_code(T):
 
 def _cheap_invariant(T):
     degs = tuple(sorted(T.degree(v) for v in T.vertices))
-    cm = [T.clique_mask(q) for q in kp1_cliques(T)]
-    cliq = []
-    for C in k_cliques(T):
-        m = T.clique_mask(C)
-        cliq.append(sum(1 for q in cm if q & m == m))
-    return degs, tuple(sorted(cliq))
+    cliq = sorted(_common_mask(T, C).bit_count() for C in k_cliques(T))
+    return degs, tuple(cliq)
 
 
 def isomorphic(T1, T2):

@@ -3,7 +3,10 @@
 Trees are adjacency mappings {node: set-of-neighbors} over arbitrary
 hashable node labels (plain 1..n vertices, or a characteristic tree whose
 root is a clique node).  All arithmetic is exact: integer coefficient
-polynomials and reduced fractions; no floating point is ever compared.
+polynomials, integer pairs (phi(1), phi'(1)) and reduced fractions; no
+floating point is ever compared.  A mean order needs only the pair, so the
+means fold pairs up the tree and only the callers that read coefficients
+build the dense polynomial.
 """
 
 from __future__ import annotations
@@ -153,64 +156,97 @@ def as_tree_adj(tree):
     return adj
 
 
+def _bfs_tree(adj, root, forbidden):
+    """BFS order of the component of `root` avoiding `forbidden`, and the
+    position of each node's parent in that order (-1 at the root)."""
+    order = [root]
+    up = [-1]
+    seen = {root}
+    for i, u in enumerate(order):
+        for w in adj[u]:
+            if w not in seen and w not in forbidden:
+                seen.add(w)
+                order.append(w)
+                up.append(i)
+    return order, up
+
+
 def _phi_poly(adj, root, forbidden=frozenset()):
     """phi_{T,root}(x) of the component of `root` avoiding `forbidden`."""
-    order = [root]
-    parent = {root: None}
-    i = 0
-    while i < len(order):
-        u = order[i]
-        i += 1
-        for w in adj[u]:
-            if w not in parent and w not in forbidden:
-                parent[w] = u
-                order.append(w)
-    poly = {}
+    order, up = _bfs_tree(adj, root, forbidden)
     one = IntPolynomial.const(1)
-    x = IntPolynomial.x()
-    for u in reversed(order):
-        acc = x
-        for w in adj[u]:
-            if parent.get(w) == u:
-                acc = acc * (one + poly[w])
-        poly[u] = acc
-    return poly[root]
+    poly = [IntPolynomial.x()] * len(order)
+    for i in range(len(order) - 1, 0, -1):
+        poly[up[i]] = poly[up[i]] * (one + poly[i])
+    return poly[0]
+
+
+def _phi_pair(adj, root, forbidden=frozenset()):
+    """(phi(1), phi'(1)) of `_phi_poly(adj, root, forbidden)`, in integers.
+
+    A node's phi is x times the product of (1 + phi_w) over its children w,
+    so each child folds into its parent's (count, total) by the product
+    rule: count * (1 + c_w), and total * (1 + c_w) + count * t_w.
+    """
+    order, up = _bfs_tree(adj, root, forbidden)
+    count = [1] * len(order)
+    total = [1] * len(order)
+    for i in range(len(order) - 1, 0, -1):
+        p = up[i]
+        c = 1 + count[i]
+        total[p] = total[p] * c + count[p] * total[i]
+        count[p] *= c
+    return count[0], total[0]
+
+
+def _tree_at(tree, u):
+    """`as_tree_adj(tree)`, checked to contain the vertex u."""
+    adj = as_tree_adj(tree)
+    if u not in adj:
+        raise NotATree(f"vertex {u} not in the tree")
+    return adj
+
+
+def _prefix_roots(adj):
+    """Yield (v, earlier vertices) over a fixed vertex order.
+
+    Restricting v's term to the component left after deleting the earlier
+    vertices counts every subtree exactly once, at its first vertex.
+    """
+    gone = set()
+    for v in sorted(adj, key=node_key):
+        yield v, gone
+        gone.add(v)
 
 
 def subtree_poly_at_vertex(tree, u):
     """Generating polynomial of the subtrees containing u, by order."""
-    adj = as_tree_adj(tree)
-    if u not in adj:
-        raise NotATree(f"vertex {u} not in the tree")
-    return _phi_poly(adj, u)
+    return _phi_poly(_tree_at(tree, u), u)
 
 
 def local_mean_order_vertex(tree, u):
     """Average order of the subtrees containing u, exact."""
-    phi = subtree_poly_at_vertex(tree, u)
-    return Fraction(phi.derivative()(1), phi(1))
+    count, total = _phi_pair(_tree_at(tree, u), u)
+    return Fraction(total, count)
 
 
 def global_subtree_poly(tree):
-    """Generating polynomial of all subtrees, by order.
-
-    Sums phi over a fixed vertex order, restricting each term to the
-    component left after deleting the earlier vertices, so every subtree is
-    counted exactly once at its first vertex.
-    """
+    """Generating polynomial of all subtrees, by order."""
     adj = as_tree_adj(tree)
-    nodes = sorted(adj, key=node_key)
     total = IntPolynomial()
-    gone = set()
-    for v in nodes:
-        total = total + _phi_poly(adj, v, forbidden=frozenset(gone))
-        gone.add(v)
+    for v, gone in _prefix_roots(adj):
+        total = total + _phi_poly(adj, v, gone)
     return total
 
 
 def global_mean_order_tree(tree):
-    phi = global_subtree_poly(tree)
-    return Fraction(phi.derivative()(1), phi(1))
+    adj = as_tree_adj(tree)
+    count = total = 0
+    for v, gone in _prefix_roots(adj):
+        c, t = _phi_pair(adj, v, gone)
+        count += c
+        total += t
+    return Fraction(total, count)
 
 
 # -- two-vertex branch decomposition ------------------------------------------
@@ -302,12 +338,13 @@ def branch_decomposition(tree, u, v):
     if u not in adj or v not in adj or v not in adj[u]:
         raise NotAdjacent(f"{u} and {v} are not adjacent")
 
+    uv = frozenset((u, v))
+
     def side(x, other):
-        out = []
-        for w in sorted(adj[x] - {other}, key=node_key):
-            phi = _phi_poly(adj, w, forbidden=frozenset((u, v)))
-            out.append((w, phi(1), phi.derivative()(1)))
-        return tuple(out)
+        return tuple(
+            (w, *_phi_pair(adj, w, uv))
+            for w in sorted(adj[x] - {other}, key=node_key)
+        )
 
     return BranchDecomposition(u, v, side(u, v), side(v, u))
 
@@ -321,9 +358,7 @@ def local_mean_via_branches(d, side):
 
 def jamison_ratio_check(tree, u):
     """(lhs, rhs, tight) for phi'/(1+phi) <= phi/2 at vertex u."""
-    adj = as_tree_adj(tree)
-    phi = _phi_poly(adj, u)
-    p1 = phi(1)
-    lhs = Fraction(phi.derivative()(1), 1 + p1)
+    p1, dp1 = _phi_pair(_tree_at(tree, u), u)
+    lhs = Fraction(dp1, 1 + p1)
     rhs = Fraction(p1, 2)
     return lhs, rhs, lhs == rhs

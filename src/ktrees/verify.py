@@ -22,6 +22,7 @@ from fractions import Fraction
 from .chartree import (
     all_clique_means,
     argmax_cliques,
+    local_mean_order_clique,
     local_poly_clique,
     verify_adjacent_reduction,
 )
@@ -131,6 +132,11 @@ class SuiteConfig:
             raise UnknownSuite(f"unknown mode {self.mode!r}")
         if self.mode == "random" and self.trials < 1:
             raise TooLarge("random mode requires trials >= 1")
+        lo = max(self.min_n, _lowest_order(self.suite, self.ks))
+        if lo > self.max_n:
+            raise SizeTooSmall(
+                f"suite {self.suite!r} has no host of order {lo}..{self.max_n}"
+            )
         for k in self.ks:
             if self.mode == "exhaustive":
                 if k == 2 and self.max_n > 11:
@@ -313,8 +319,8 @@ def check_local_mean_reduction(T, cfg):
                 }
             )
             continue
-        # mean equality follows from the polynomial identity; spot-check it
-        fast_mu = Fraction(fast.derivative()(1), fast(1))
+        # the mean follows from the polynomial; spot-check the shipped path
+        fast_mu = local_mean_order_clique(T, C)
         slow_mu = full.restricted(C).mean()
         if fast_mu != slow_mu:
             violations.append(
@@ -421,7 +427,18 @@ _CHECKERS = {
     "end-clique-dominance": (check_end_clique_dominance, "ktrees"),
 }
 
-_FAMILY_SUITES = ("double-broom", "bristled-star")
+# family suite -> smallest order its generator accepts
+_FAMILY_SUITES = {"double-broom": 1, "bristled-star": 3}
+
+
+def _lowest_order(suite, ks):
+    """Smallest host order in the corpus of `suite`: 1 for tree suites and
+    for an unknown name (rejected later), the family's least order, else k."""
+    if suite in _FAMILY_SUITES:
+        return _FAMILY_SUITES[suite]
+    if suite in _CHECKERS and _CHECKERS[suite][1] == "ktrees":
+        return min(ks)
+    return 1
 
 
 def suite_names():
@@ -451,8 +468,8 @@ def _run_family_suite(cfg):
     violations = []
     tallies = Counter()
     instances = 0
+    lo = max(cfg.min_n, _FAMILY_SUITES[cfg.suite])
     if cfg.suite == "double-broom":
-        lo = max(cfg.min_n, 1)
         for n in range(lo, cfg.max_n + 1):
             T = gen_double_broom(n)
             adj = tree_adjacency(T)
@@ -478,9 +495,8 @@ def _run_family_suite(cfg):
                         "detail": f"argmax={arg}",
                     }
                 )
-    elif cfg.suite == "bristled-star":
+    else:  # bristled-star
         for k in cfg.ks:
-            lo = max(cfg.min_n, 3)
             for n in range(lo, cfg.max_n + 1):
                 T = gen_bristled_star(k, n)
                 arg, best = argmax_cliques(T)
@@ -495,8 +511,6 @@ def _run_family_suite(cfg):
                             "detail": f"argmax={arg} degrees={degrees}",
                         }
                     )
-    else:
-        raise UnknownSuite(cfg.suite)
     return violations, tallies, instances
 
 

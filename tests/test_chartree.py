@@ -114,6 +114,13 @@ def test_reduction_matches_oracle_small():
                     assert CT.local_poly_clique(T, C) == full.restricted(C).poly()
 
 
+def test_all_clique_means_match_oracle_on_every_small_class():
+    for k in (1, 2, 3):
+        for n in range(k, 8):
+            for T in ktree_classes(k, n):
+                assert CT.all_clique_means(T) == oracle.oracle_all_clique_means(T)
+
+
 def test_adjacency_context_partition():
     for k in (2, 3):
         for n in range(k + 1, 7):

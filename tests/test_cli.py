@@ -208,6 +208,12 @@ BAD_INPUTS = {
         "--trials", "2",
     ),
     "verify-empty-k-exhaustive": ("verify", "--suite", "nonmajor-max", "--k", "3-1"),
+    "verify-order-range-below-k": (
+        "verify", "--suite", "nonmajor-max", "--max-n", "-5",
+    ),
+    "verify-min-n-above-max-n": (
+        "verify", "--suite", "nonmajor-max", "--k", "2", "--min-n", "8", "--max-n", "6",
+    ),
     "verify-k-token": ("verify", "--suite", "nonmajor-max", "--k", "two"),
     "verify-random-max-n-at-k": (
         "verify", "--suite", "nonmajor-max", "--k", "3", "--max-n", "3",

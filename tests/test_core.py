@@ -150,6 +150,34 @@ def test_adjacent_cliques():
     assert core.adjacent_cliques(trivial, (1, 2, 3)) == []
 
 
+def _scan_clique_incidence(T, C):
+    """Degree and adjacent cliques of C by scanning every (k+1)-clique."""
+    deg = 0
+    adjacent = set()
+    for q in core.kp1_cliques(T):
+        if set(C) <= set(q):
+            deg += 1
+            (x,) = set(q) - set(C)
+            for c in C:
+                adjacent.add(tuple(sorted((set(C) - {c}) | {x})))
+    return deg, sorted(adjacent)
+
+
+def test_clique_queries_match_a_scan_of_the_kp1_cliques():
+    hosts = [core.build_from_construction(k, []) for k in (1, 2, 3, 4)]
+    hosts += [core.random_ktree(k, n, seed) for k in (1, 2, 3, 4)
+              for n, seed in ((k + 1, 1), (k + 9, 2), (k + 30, 3))]
+    for T in hosts:
+        for C in core.k_cliques(T):
+            deg, adjacent = _scan_clique_incidence(T, C)
+            assert core.clique_degree(T, C).degree == deg
+            assert core.adjacent_cliques(T, C) == adjacent
+            assert core.common_neighbors(T, C) == {
+                x for x in T.vertices
+                if x not in C and all(T.has_edge(x, u) for u in C)
+            }
+
+
 def test_adjacent_cliques_symmetric_and_counted():
     for T in ktree_classes(2, 6) + ktree_classes(3, 6):
         for C in core.k_cliques(T):

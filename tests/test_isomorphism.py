@@ -2,6 +2,7 @@
 
 import itertools
 import random
+from types import SimpleNamespace
 
 import pytest
 
@@ -89,6 +90,22 @@ def test_class_enumeration_agrees_with_labeled_dedup():
     for k, n in [(1, 6), (2, 6), (3, 7)]:
         labeled = {I.canonical_code(t) for t in V.enumerate_labeled_ktrees(k, n)}
         assert len(labeled) == len(ktree_classes(k, n))
+
+
+def test_canonical_code_limits_raise_too_large():
+    with pytest.raises(TooLarge):
+        I.canonical_code(core.gen_star_type(256, 0))
+    star = core.gen_star_type(256, 1)
+    with pytest.raises(TooLarge):
+        I.isomorphic(star, star)
+    with pytest.raises(TooLarge):  # k and n are checked before anything is read
+        I.canonical_code(SimpleNamespace(k=1, n=65536))
+    # a fan: v >= 5 joins (3, v - 1), so rooted at (1, 2) v is v - 3 below 3
+    fan = core.build_from_construction(
+        2, [(3, (1, 2)), (4, (1, 3))] + [(v, (3, v - 1)) for v in range(5, 300)]
+    )
+    with pytest.raises(TooLarge):
+        I.canonical_code(fan)
 
 
 def test_class_enumeration_guard():

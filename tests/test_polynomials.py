@@ -1,5 +1,6 @@
 """Subtree polynomials, branch decompositions, and the ratio inequality."""
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -69,6 +70,8 @@ def test_not_a_tree_errors():
         P.global_subtree_poly({1: {2}, 2: {1}, 3: set()})  # disconnected
     with pytest.raises(NotATree):
         P.subtree_poly_at_vertex({1: {2}, 2: {1, 3}, 3: {2}}, 9)  # missing vertex
+    with pytest.raises(NotATree):
+        P.jamison_ratio_check({1: {2}, 2: {1, 3}, 3: {2}}, 9)
 
 
 def test_branch_decomposition_examples():
@@ -177,3 +180,44 @@ def test_random_tree_properties(n, seed):
     for u in adj:
         lhs, rhs, _ = P.jamison_ratio_check(adj, u)
         assert lhs <= rhs
+
+
+def _poly_pair(adj, r, forbidden=frozenset()):
+    p = P._phi_poly(adj, r, forbidden)
+    return p(1), p.derivative()(1)
+
+
+def test_phi_pair_matches_dense_polynomial_on_small_rooted_trees(small_trees):
+    for T in small_trees:
+        adj = tree_adjacency(T)
+        for r in adj:
+            assert P._phi_pair(adj, r) == _poly_pair(adj, r)
+            for w in adj[r]:  # the component of r once a neighbour is cut off
+                cut = frozenset((w,))
+                assert P._phi_pair(adj, r, cut) == _poly_pair(adj, r, cut)
+
+
+def test_phi_pair_matches_dense_polynomial_on_random_trees():
+    rng = random.Random(20240)
+    for seed in range(30):
+        n = rng.randint(2, 60)
+        adj = tree_adjacency(core.random_ktree(1, n, seed))
+        for r in rng.sample(sorted(adj), min(n, 6)):
+            assert P._phi_pair(adj, r) == _poly_pair(adj, r)
+            others = [v for v in adj if v != r]
+            forbidden = frozenset(rng.sample(others, rng.randint(0, len(others))))
+            assert P._phi_pair(adj, r, forbidden) == _poly_pair(adj, r, forbidden)
+
+
+def test_means_from_pairs_match_dense_polynomials(small_trees):
+    for T in small_trees:
+        adj = tree_adjacency(T)
+        glob = P.global_subtree_poly(adj)
+        assert P.global_mean_order_tree(adj) == Fraction(glob.derivative()(1), glob(1))
+        for u in adj:
+            phi = P.subtree_poly_at_vertex(adj, u)
+            mean = Fraction(phi.derivative()(1), phi(1))
+            assert P.local_mean_order_vertex(adj, u) == mean
+            lhs, rhs, _ = P.jamison_ratio_check(adj, u)
+            assert (lhs, rhs) == (Fraction(phi.derivative()(1), 1 + phi(1)),
+                                  Fraction(phi(1), 2))

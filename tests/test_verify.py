@@ -133,6 +133,27 @@ def test_family_suites():
     assert star["instances"] == 2
 
 
+def test_empty_order_range_is_rejected():
+    empty = [
+        dict(suite="nonmajor-max", ks=(2, 3), max_n=1),
+        dict(suite="nonmajor-max", ks=(2,), min_n=8, max_n=6),
+        dict(suite="jamison-ratio", ks=(1,), max_n=0),
+        dict(suite="bristled-star", ks=(2,), max_n=2),
+        dict(suite="double-broom", max_n=0),
+    ]
+    for kw in empty:
+        with pytest.raises(SizeTooSmall):
+            V.SuiteConfig(**kw).validate()
+    # the least order of each kind still runs
+    assert V.run_suite(V.SuiteConfig(suite="nonmajor-max", ks=(2, 3), max_n=2))[
+        "instances"
+    ] == 1
+    assert V.run_suite(V.SuiteConfig(suite="double-broom", max_n=1))["instances"] == 1
+    assert V.run_suite(V.SuiteConfig(suite="bristled-star", max_n=3))["instances"] == 1
+    with pytest.raises(SizeTooSmall):
+        V.search_degree2_witness(2, 2)
+
+
 def test_search_rejects_k1():
     with pytest.raises(BadK):
         V.search_degree2_witness(1, 6)
