@@ -11,10 +11,15 @@ rule).  The C-to-v path then spells the unique elimination sequence of v,
 which `elimination_sequence` also derives independently (greedy peel) and
 checks against its defining conditions.
 
-The reduction mu(T;C) = mu(T'_C;C) + k - 1 reads only phi(1) and phi'(1) of
-phi_{T'_C,C}, so `local_mean_order_clique` folds that integer pair over T'_C
-and never builds the polynomial; `local_poly_clique` keeps the dense
-polynomial for callers that need its coefficients.  Clique degrees, adjacent
+A `CharTree` stores T'_C as the data the folds read: `labels`, the C-node
+followed by the vertices in construction order, and `up`, the position of
+each node's parent (-1 at the C-node).  The order is parents-first, so the
+reduction mu(T;C) = mu(T'_C;C) + k - 1 folds the integer pair
+(phi(1), phi'(1)) of phi_{T'_C,C} straight over `up`
+(`local_mean_order_clique`), and `local_poly_clique` folds the dense
+polynomial over the same array; neither builds an adjacency.  Only the edge
+readers (`nodes`, `edges`, `to_dot`, the adjacent-clique check) use the
+adjacency mapping, built once on first read.  Clique degrees, adjacent
 cliques and common neighbours come from `core`, read off one common-neighbour
 mask.
 """
@@ -22,6 +27,8 @@ mask.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
+from functools import cached_property
 
 from .core import (
     _bit,
@@ -41,7 +48,7 @@ from .errors import (
     VertexInClique,
 )
 from .kelmans_ops import partial_kelmans
-from .polynomials import local_mean_order_vertex, subtree_poly_at_vertex
+from .polynomials import _phi_pair, _phi_poly
 
 
 @dataclass(frozen=True)
@@ -74,20 +81,33 @@ class ElimSequence:
 @dataclass(frozen=True)
 class CharTree:
     """A tree on {C-node} union (V(T) \\ V(C)) carrying all local mean-order
-    information of the host at C."""
+    information of the host at C.
+
+    `labels[0]` is the C-node and `labels[1:]` the vertices in construction
+    order; `up[i]` is the position of the parent of `labels[i]`, with
+    `up[0] = -1` and `up[i] < i`.
+    """
 
     clique_node: CliqueNode
-    adj: dict
-    host_k: int
-    host_n: int
+    labels: tuple
+    up: tuple
 
     @property
     def order(self):
-        return len(self.adj)
+        return len(self.labels)
+
+    @cached_property
+    def adj(self):
+        """{node: frozenset(neighbours)}, for the readers of edges."""
+        adj = {self.clique_node: set()}
+        for v, i in zip(self.labels[1:], self.up[1:]):
+            q = self.labels[i]
+            adj.setdefault(v, set()).add(q)
+            adj.setdefault(q, set()).add(v)
+        return {a: frozenset(b) for a, b in adj.items()}
 
     def nodes(self):
-        out = sorted(n for n in self.adj if isinstance(n, int))
-        return [self.clique_node] + out
+        return [self.clique_node] + sorted(self.labels[1:])
 
     def edges(self):
         seen = set()
@@ -159,12 +179,14 @@ def characteristic_tree(T, C):
     """The characteristic 1-tree T'_C; K_1 for the trivial host."""
     C = require_k_clique(T, C)
     node = CliqueNode(C)
-    adj = {node: set()}
-    for v, p in char_parents(T, C).items():
-        q = node if p is None else p
-        adj.setdefault(v, set()).add(q)
-        adj.setdefault(q, set()).add(v)
-    return CharTree(node, {a: frozenset(b) for a, b in adj.items()}, T.k, T.n)
+    labels = [node]
+    up = [-1]
+    at = {None: 0}  # at[p] fails unless p is already placed, so up[i] < i
+    for v, _, p in _construction_with_parents(T, C):
+        up.append(at[p])
+        at[v] = len(labels)
+        labels.append(v)
+    return CharTree(node, tuple(labels), tuple(up))
 
 
 # -- elimination sequences -----------------------------------------------------
@@ -241,15 +263,13 @@ def _verify_elimination(T, seq):
 
 def local_poly_clique(T, C):
     """phi_{T,C}(x) = x^(k-1) * phi_{T'_C, C-node}(x)."""
-    tc = characteristic_tree(T, C)
-    phi = subtree_poly_at_vertex(tc.adj, tc.clique_node)
-    return phi.shift(T.k - 1)
+    return _phi_poly(characteristic_tree(T, C).up).shift(T.k - 1)
 
 
 def local_mean_order_clique(T, C):
     """Average order of the sub-k-trees containing C: mu(T'_C; C) + k - 1."""
-    tc = characteristic_tree(T, C)
-    return local_mean_order_vertex(tc.adj, tc.clique_node) + (T.k - 1)
+    count, total = _phi_pair(characteristic_tree(T, C).up)
+    return Fraction(total, count) + (T.k - 1)
 
 
 def all_clique_means(T):

@@ -247,8 +247,6 @@ def build_parser():
     sp.set_defaults(func=cmd_verify)
 
     sp = sub.add_parser("search", help="hunt for degree-2-only maximizers")
-    sp.add_argument("--problem", choices=("degree2-witness",),
-                    default="degree2-witness")
     sp.add_argument("--k", type=int, required=True)
     sp.add_argument("--max-n", type=int, required=True)
     sp.add_argument("--mode", choices=("exhaustive", "random"), default="exhaustive")

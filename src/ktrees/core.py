@@ -300,6 +300,8 @@ def recognize_ktree(edges, k, n=None):
     n, pairs = _neighbor_dict_from_edges(edges, n)
     if n < k:
         raise NotKTree(f"order {n} below k={k}")
+    if len(pairs) < n - 1:  # before any allocation sized by n
+        raise Disconnected(f"{len(pairs)} edges cannot connect {n} vertices")
     masks = [0] * (n + 1)
     for u, v in pairs:
         masks[u] |= _bit(v)
@@ -500,7 +502,7 @@ def parse_kt(text):
     if base_parts[0] != "base":
         raise FormatError("fourth line must list the base clique")
     base = _ints(base_parts[1:], lines[3])
-    if base != list(range(1, k + 1)):
+    if len(base) != k or base != list(range(1, k + 1)):
         raise FormatError(f"base must be 1..{k}, got {base}")
     adds = []
     for ln in lines[4:]:

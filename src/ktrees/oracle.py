@@ -25,7 +25,6 @@ class SubKTreeSet:
 
     host: object
     masks: tuple
-    required: tuple = ()
 
     def vertex_sets(self):
         return [tuple(_mask_vertices(m)) for m in self.masks]
@@ -39,7 +38,7 @@ class SubKTreeSet:
         for v in required:
             req |= _bit(v)
         kept = tuple(m for m in self.masks if m & req == req)
-        return SubKTreeSet(self.host, kept, tuple(sorted(required)))
+        return SubKTreeSet(self.host, kept)
 
     def poly(self):
         """Generating polynomial: coefficient of x^i counts members of order i."""

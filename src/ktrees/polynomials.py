@@ -1,12 +1,16 @@
 """Exact subtree polynomials and mean orders for trees.
 
-Trees are adjacency mappings {node: set-of-neighbors} over arbitrary
-hashable node labels (plain 1..n vertices, or a characteristic tree whose
-root is a clique node).  All arithmetic is exact: integer coefficient
-polynomials, integer pairs (phi(1), phi'(1)) and reduced fractions; no
-floating point is ever compared.  A mean order needs only the pair, so the
-means fold pairs up the tree and only the callers that read coefficients
-build the dense polynomial.
+The public functions take trees as adjacency mappings {node: set-of-neighbors}
+over arbitrary hashable node labels and validate them with `as_tree_adj`.
+The folds `_phi_poly` and `_phi_pair` read only a rooted tree's parent
+positions: `up[0] = -1` at the root and `up[i] < i`, so every node folds
+into its parent after all of its children.  `_bfs_tree` gives that array for
+a vertex tree; `chartree` stores it for a characteristic tree, whose
+construction order is already parents-first.  All arithmetic is exact:
+integer coefficient polynomials, integer pairs (phi(1), phi'(1)) and reduced
+fractions; no floating point is ever compared.  A mean order needs only the
+pair, so the means fold pairs up the tree and only the callers that read
+coefficients build the dense polynomial.
 """
 
 from __future__ import annotations
@@ -156,9 +160,9 @@ def as_tree_adj(tree):
     return adj
 
 
-def _bfs_tree(adj, root, forbidden):
-    """BFS order of the component of `root` avoiding `forbidden`, and the
-    position of each node's parent in that order (-1 at the root)."""
+def _bfs_tree(adj, root, forbidden=frozenset()):
+    """Parent positions of the component of `root` avoiding `forbidden`,
+    listed in BFS order from `root` (-1 at the root)."""
     order = [root]
     up = [-1]
     seen = {root}
@@ -168,30 +172,28 @@ def _bfs_tree(adj, root, forbidden):
                 seen.add(w)
                 order.append(w)
                 up.append(i)
-    return order, up
+    return up
 
 
-def _phi_poly(adj, root, forbidden=frozenset()):
-    """phi_{T,root}(x) of the component of `root` avoiding `forbidden`."""
-    order, up = _bfs_tree(adj, root, forbidden)
+def _phi_poly(up):
+    """phi_{T,root}(x) of the rooted tree with parent positions `up`."""
     one = IntPolynomial.const(1)
-    poly = [IntPolynomial.x()] * len(order)
-    for i in range(len(order) - 1, 0, -1):
+    poly = [IntPolynomial.x()] * len(up)
+    for i in range(len(up) - 1, 0, -1):
         poly[up[i]] = poly[up[i]] * (one + poly[i])
     return poly[0]
 
 
-def _phi_pair(adj, root, forbidden=frozenset()):
-    """(phi(1), phi'(1)) of `_phi_poly(adj, root, forbidden)`, in integers.
+def _phi_pair(up):
+    """(phi(1), phi'(1)) of `_phi_poly(up)`, in integers.
 
     A node's phi is x times the product of (1 + phi_w) over its children w,
     so each child folds into its parent's (count, total) by the product
     rule: count * (1 + c_w), and total * (1 + c_w) + count * t_w.
     """
-    order, up = _bfs_tree(adj, root, forbidden)
-    count = [1] * len(order)
-    total = [1] * len(order)
-    for i in range(len(order) - 1, 0, -1):
+    count = [1] * len(up)
+    total = [1] * len(up)
+    for i in range(len(up) - 1, 0, -1):
         p = up[i]
         c = 1 + count[i]
         total[p] = total[p] * c + count[p] * total[i]
@@ -221,12 +223,12 @@ def _prefix_roots(adj):
 
 def subtree_poly_at_vertex(tree, u):
     """Generating polynomial of the subtrees containing u, by order."""
-    return _phi_poly(_tree_at(tree, u), u)
+    return _phi_poly(_bfs_tree(_tree_at(tree, u), u))
 
 
 def local_mean_order_vertex(tree, u):
     """Average order of the subtrees containing u, exact."""
-    count, total = _phi_pair(_tree_at(tree, u), u)
+    count, total = _phi_pair(_bfs_tree(_tree_at(tree, u), u))
     return Fraction(total, count)
 
 
@@ -235,7 +237,7 @@ def global_subtree_poly(tree):
     adj = as_tree_adj(tree)
     total = IntPolynomial()
     for v, gone in _prefix_roots(adj):
-        total = total + _phi_poly(adj, v, gone)
+        total = total + _phi_poly(_bfs_tree(adj, v, gone))
     return total
 
 
@@ -243,7 +245,7 @@ def global_mean_order_tree(tree):
     adj = as_tree_adj(tree)
     count = total = 0
     for v, gone in _prefix_roots(adj):
-        c, t = _phi_pair(adj, v, gone)
+        c, t = _phi_pair(_bfs_tree(adj, v, gone))
         count += c
         total += t
     return Fraction(total, count)
@@ -342,7 +344,7 @@ def branch_decomposition(tree, u, v):
 
     def side(x, other):
         return tuple(
-            (w, *_phi_pair(adj, w, uv))
+            (w, *_phi_pair(_bfs_tree(adj, w, uv)))
             for w in sorted(adj[x] - {other}, key=node_key)
         )
 
@@ -358,7 +360,7 @@ def local_mean_via_branches(d, side):
 
 def jamison_ratio_check(tree, u):
     """(lhs, rhs, tight) for phi'/(1+phi) <= phi/2 at vertex u."""
-    p1, dp1 = _phi_pair(_tree_at(tree, u), u)
+    p1, dp1 = _phi_pair(_bfs_tree(_tree_at(tree, u), u))
     lhs = Fraction(dp1, 1 + p1)
     rhs = Fraction(p1, 2)
     return lhs, rhs, lhs == rhs

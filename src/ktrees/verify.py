@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import os
 import random as _random
 import time
 from collections import Counter
@@ -537,7 +538,8 @@ def run_suite(cfg):
                 instances += 1
         else:
             payloads = _chunk_payloads(cfg)
-            with ProcessPoolExecutor(max_workers=cfg.jobs) as pool:
+            workers = min(cfg.jobs, os.cpu_count() or 1)
+            with ProcessPoolExecutor(max_workers=workers) as pool:
                 for v, t, c in pool.map(_run_chunk, payloads):
                     violations.extend(v)
                     tallies.update(t)

@@ -6,7 +6,14 @@ import pytest
 
 from ktrees import chartree as CT, core, oracle
 from ktrees.errors import NotAClique, NotAdjacentCliques, VertexInClique
-from ktrees.polynomials import IntPolynomial, local_mean_order_vertex
+from ktrees.polynomials import (
+    IntPolynomial,
+    _bfs_tree,
+    _phi_pair,
+    _phi_poly,
+    as_tree_adj,
+    local_mean_order_vertex,
+)
 from ktrees.verify import tree_adjacency
 
 from conftest import ktree_classes
@@ -86,6 +93,23 @@ def test_order_formula_and_path_labels():
                             path.append(x)
                             x = parents[x]
                         assert tuple(reversed(path)) == es.labels
+
+
+def test_parent_array_folds_like_the_bfs_tree():
+    for k in (1, 2, 3):
+        for n in range(k, 8):
+            for T in ktree_classes(k, n):
+                for C in core.k_cliques(T):
+                    ct = CT.characteristic_tree(T, C)
+                    assert ct.up[0] == -1
+                    assert all(0 <= p < i for i, p in enumerate(ct.up) if i)
+                    bfs = _bfs_tree(as_tree_adj(ct.adj), ct.clique_node)
+                    assert _phi_pair(ct.up) == _phi_pair(bfs)
+                    assert _phi_poly(ct.up) == _phi_poly(bfs)
+                    parents = CT.char_parents(T, C)
+                    assert list(parents) == list(ct.labels[1:])
+                    for v, p in zip(ct.labels[1:], ct.up[1:]):
+                        assert parents[v] == (None if p == 0 else ct.labels[p])
 
 
 def test_k1_chartree_is_the_tree_itself():

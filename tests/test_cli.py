@@ -202,7 +202,9 @@ BAD_INPUTS = {
     "add-vertex-0": ("kt", "ktree 1\nk 2\nn 3\nbase 1 2\nadd 3 0 1\n"),
     "add-repeated": ("kt", "ktree 1\nk 2\nn 3\nbase 1 2\nadd 3 1 1\n"),
     "kt-k0": ("kt", "ktree 1\nk 0\nn 0\nbase\n"),
-    "edges-k0": ("edges", "--k", "0"),
+    "edges-k0": ("edges", "", "--n", "1", "--k", "0"),
+    "edges-id-1e15": ("edges", "1 1000000000000000\n", "--k", "1"),
+    "kt-k-1e15": ("kt", "ktree 1\nk 1000000000000000\nn 1000000000000000\nbase 1\n"),
     "verify-empty-k-random": (
         "verify", "--suite", "nonmajor-max", "--k", "3-1", "--mode", "random",
         "--trials", "2",
@@ -233,9 +235,9 @@ def test_bad_input_exits_2(case, tmp_path, capsys):
         p.write_text(spec[1])
         argv = ["validate", str(p)]
     elif spec[0] == "edges":
-        p = tmp_path / "one.edges"
-        p.write_text("")
-        argv = ["validate", str(p), "--n", "1", *spec[1:]]
+        p = tmp_path / "bad.edges"
+        p.write_text(spec[1])
+        argv = ["validate", str(p), *spec[2:]]
     else:
         argv = list(spec)
     code, _, err = run(capsys, *argv)

@@ -9,6 +9,7 @@ from ktrees.errors import (
     BadVertexOrder,
     Disconnected,
     FormatError,
+    KTreeError,
     NotAClique,
     NotKTree,
     SizeTooSmall,
@@ -309,3 +310,72 @@ def test_parse_edge_list():
 def test_validate_table():
     table = four_vertex().validate()
     assert all(got == want for got, want in table.values())
+
+
+_TOKEN = st.one_of(
+    st.integers(-1, 9).map(str),
+    st.sampled_from(["ktree", "k", "n", "base", "add", "x", "#"]),
+)
+
+
+@st.composite
+def _mutated(draw, lines):
+    """`lines` (lists of tokens) after a few drops, repeats, cuts and
+    token edits, joined into text."""
+    lines = [list(ln) for ln in lines]
+    for _ in range(draw(st.integers(0, 3))):
+        if not lines:
+            break
+        i = draw(st.integers(0, len(lines) - 1))
+        edit = draw(st.sampled_from(["drop", "repeat", "cut", "token"]))
+        if edit == "drop":
+            del lines[i]
+        elif edit == "repeat":
+            lines.insert(i, list(lines[i]))
+        elif edit == "cut":
+            del lines[i][-1:]
+        else:
+            j = draw(st.integers(0, len(lines[i])))
+            lines[i][j:j + draw(st.integers(0, 1))] = [draw(_TOKEN)]
+    return "\n".join(" ".join(ln) for ln in lines) + "\n"
+
+
+_HOSTS = st.builds(
+    lambda k, extra, seed: core.random_ktree(k, k + extra, seed),
+    st.integers(1, 3),
+    st.integers(0, 5),
+    st.integers(0, 99),
+)
+_ANY_TEXT = st.text(alphabet="ktreabsdn 0123456789-x#\n", max_size=60)
+_KT_TEXT = st.one_of(
+    _HOSTS.flatmap(
+        lambda T: _mutated([ln.split() for ln in core.format_kt(T)[0].splitlines()])
+    ),
+    _ANY_TEXT,
+)
+_EDGE_TEXT = st.one_of(
+    _HOSTS.flatmap(lambda T: _mutated([list(map(str, e)) for e in T.edges()])),
+    _ANY_TEXT,
+)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(text=_KT_TEXT)
+def test_parse_kt_parses_or_raises_ktree_error(text):
+    try:
+        core.parse_kt(text)
+    except KTreeError:
+        pass
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(
+    text=_EDGE_TEXT,
+    k=st.integers(-1, 4),
+    n=st.one_of(st.none(), st.integers(-1, 9)),
+)
+def test_parse_edge_list_parses_or_raises_ktree_error(text, k, n):
+    try:
+        core.parse_edge_list(text, k, n=n)
+    except KTreeError:
+        pass

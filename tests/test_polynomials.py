@@ -183,7 +183,7 @@ def test_random_tree_properties(n, seed):
 
 
 def _poly_pair(adj, r, forbidden=frozenset()):
-    p = P._phi_poly(adj, r, forbidden)
+    p = P._phi_poly(P._bfs_tree(adj, r, forbidden))
     return p(1), p.derivative()(1)
 
 
@@ -191,10 +191,10 @@ def test_phi_pair_matches_dense_polynomial_on_small_rooted_trees(small_trees):
     for T in small_trees:
         adj = tree_adjacency(T)
         for r in adj:
-            assert P._phi_pair(adj, r) == _poly_pair(adj, r)
+            assert P._phi_pair(P._bfs_tree(adj, r)) == _poly_pair(adj, r)
             for w in adj[r]:  # the component of r once a neighbour is cut off
                 cut = frozenset((w,))
-                assert P._phi_pair(adj, r, cut) == _poly_pair(adj, r, cut)
+                assert P._phi_pair(P._bfs_tree(adj, r, cut)) == _poly_pair(adj, r, cut)
 
 
 def test_phi_pair_matches_dense_polynomial_on_random_trees():
@@ -203,10 +203,12 @@ def test_phi_pair_matches_dense_polynomial_on_random_trees():
         n = rng.randint(2, 60)
         adj = tree_adjacency(core.random_ktree(1, n, seed))
         for r in rng.sample(sorted(adj), min(n, 6)):
-            assert P._phi_pair(adj, r) == _poly_pair(adj, r)
+            assert P._phi_pair(P._bfs_tree(adj, r)) == _poly_pair(adj, r)
             others = [v for v in adj if v != r]
             forbidden = frozenset(rng.sample(others, rng.randint(0, len(others))))
-            assert P._phi_pair(adj, r, forbidden) == _poly_pair(adj, r, forbidden)
+            assert P._phi_pair(P._bfs_tree(adj, r, forbidden)) == _poly_pair(
+                adj, r, forbidden
+            )
 
 
 def test_means_from_pairs_match_dense_polynomials(small_trees):

@@ -1,6 +1,7 @@
 """Suite drivers, labeled enumeration, reports, and the witness search."""
 
 import json
+import os
 
 import pytest
 
@@ -107,6 +108,32 @@ def test_parallel_matches_serial():
     parallel = V.run_suite(V.SuiteConfig(**base, jobs=2))
     for key in ("instances", "violations", "witnesses", "tallies"):
         assert serial[key] == parallel[key]
+
+
+def test_jobs_are_clamped_to_the_cpu_count(monkeypatch):
+    seen = []
+
+    class InProcessPool:  # records the worker count and starts no process
+        def __init__(self, max_workers):
+            seen.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(V, "ProcessPoolExecutor", InProcessPool)
+    base = dict(suite="kelmans", ks=(1,), max_n=6)
+    pooled = V.run_suite(V.SuiteConfig(**base, jobs=100000))
+    assert seen == [os.cpu_count() or 1]
+    assert pooled["config"]["jobs"] == 100000
+    serial = V.run_suite(V.SuiteConfig(**base, jobs=1))
+    for key in ("instances", "violations", "tallies"):
+        assert pooled[key] == serial[key]
 
 
 def test_unknown_suite_and_bad_configs():
