@@ -49,7 +49,6 @@ from .chartree import (
     local_poly_clique,
     all_clique_means,
     argmax_cliques,
-    adjacency_context,
     verify_adjacent_reduction,
     climb_to_nonmajor,
 )
@@ -66,7 +65,6 @@ from .isomorphism import (
     canonical_code,
     isomorphic,
     enumerate_ktrees_up_to_iso,
-    enumerate_trees_up_to_iso,
 )
 
 __version__ = "0.1.0"

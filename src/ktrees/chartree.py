@@ -17,11 +17,12 @@ each node's parent (-1 at the C-node).  The order is parents-first, so the
 reduction mu(T;C) = mu(T'_C;C) + k - 1 folds the integer pair
 (phi(1), phi'(1)) of phi_{T'_C,C} straight over `up`
 (`local_mean_order_clique`), and `local_poly_clique` folds the dense
-polynomial over the same array; neither builds an adjacency.  Only the edge
-readers (`nodes`, `edges`, `to_dot`, the adjacent-clique check) use the
-adjacency mapping, built once on first read.  Clique degrees, adjacent
-cliques and common neighbours come from `core`, read off one common-neighbour
-mask.
+polynomial over the same array; neither builds an adjacency.  The
+adjacent-clique check reads the common-neighbour masks of `core` and `up`;
+the adjacency mapping `adj`, built once on first read, serves only the
+partial move and the edge readers (`nodes`, `edges`, `to_dot`).  Clique
+degrees and adjacent cliques also come from `core`, read off one
+common-neighbour mask.
 """
 
 from __future__ import annotations
@@ -32,11 +33,11 @@ from functools import cached_property
 
 from .core import (
     _bit,
+    _common_mask,
     _mask_vertices,
     _peel_k_leaves,
     adjacent_cliques,
     clique_degree,
-    common_neighbors,
     k_cliques,
     require_k_clique,
 )
@@ -165,16 +166,6 @@ def _construction_with_parents(T, C):
         yield v, attach, parent
 
 
-def char_parents(T, C):
-    """Parent map of T'_C: vertex -> parent vertex, or None for the C-node.
-
-    The parent is the latest-added vertex of the attachment outside C; the
-    clique node when the attachment is contained in C.
-    """
-    C = require_k_clique(T, C)
-    return {v: p for v, _, p in _construction_with_parents(T, C)}
-
-
 def characteristic_tree(T, C):
     """The characteristic 1-tree T'_C; K_1 for the trivial host."""
     C = require_k_clique(T, C)
@@ -289,49 +280,6 @@ def argmax_cliques(T, means=None):
 
 
 @dataclass(frozen=True)
-class AdjacencyContext:
-    """Vertex bookkeeping around two adjacent k-cliques C1, C2.
-
-    q is the (k+1)-clique they span; solo1/solo2 the vertices private to
-    each; nbrs1/nbrs2 the vertices adjacent to all of C1 (resp. C2); u_q
-    everyone outside q adjacent to all of some k-clique of q; far the part
-    of u_q adjacent to neither C1 nor C2 entirely.
-    """
-
-    clique1: tuple
-    clique2: tuple
-    q: tuple
-    solo1: int
-    solo2: int
-    nbrs1: frozenset
-    nbrs2: frozenset
-    u_q: frozenset
-    far: frozenset
-
-
-def adjacency_context(T, C1, C2):
-    C1 = require_k_clique(T, C1)
-    C2 = require_k_clique(T, C2)
-    shared = set(C1) & set(C2)
-    union = tuple(sorted(set(C1) | set(C2)))
-    if len(shared) != T.k - 1 or len(union) != T.k + 1 or not T.is_clique(union):
-        raise NotAdjacentCliques(f"{C1} and {C2} do not span a (k+1)-clique")
-    (solo1,) = set(C1) - shared
-    (solo2,) = set(C2) - shared
-    qmask = T.clique_mask(union)
-    u_q = set()
-    for v in T.vertices:
-        if not qmask & _bit(v) and (T.masks[v] & qmask).bit_count() >= T.k:
-            u_q.add(v)
-    nbrs1 = common_neighbors(T, C1)
-    nbrs2 = common_neighbors(T, C2)
-    far = frozenset(u_q - nbrs1 - nbrs2)
-    return AdjacencyContext(
-        C1, C2, union, solo1, solo2, nbrs1, nbrs2, frozenset(u_q), far
-    )
-
-
-@dataclass(frozen=True)
 class ReductionReport:
     """Outcome of checking that T'_C2 arises from T'_C1 by the partial
     move of `moved` from solo2 to the C1-node."""
@@ -346,34 +294,45 @@ class ReductionReport:
 def verify_adjacent_reduction(T, C1, C2, cache=None):
     """Build both characteristic trees and check the partial-move relation.
 
-    `cache` maps clique -> CharTree; pass a per-host dict when checking
-    many pairs of the same host.
+    C1 and C2 are adjacent when C2 = C1 - solo1 + solo2 for a common
+    neighbour solo2 of C1; they span q = C1 + solo2.  The moved vertices are
+    those outside q joined to a face of q other than C1 and C2 (in a k-tree
+    a vertex outside q is joined to at most one face).  `cache` maps
+    clique -> CharTree; pass a per-host dict when checking many pairs of
+    the same host.
     """
-    ctx = adjacency_context(T, C1, C2)
+    C1 = require_k_clique(T, C1)
+    C2 = require_k_clique(T, C2)
+    m1, m2 = T.clique_mask(C1), T.clique_mask(C2)
+    x2 = m2 & ~m1
+    if x2.bit_count() != 1 or not x2 & _common_mask(T, C1):
+        raise NotAdjacentCliques(f"{C1} and {C2} do not span a (k+1)-clique")
+    solo1, solo2 = (m1 & ~m2).bit_length(), x2.bit_length()
+    q = C1 + (solo2,)
+    far = 0
+    for x in C1:
+        if x != solo1:
+            far |= _common_mask(T, [v for v in q if v != x])
+    moved = tuple(_mask_vertices(far & ~(m1 | x2)))
     if cache is None:
         cache = {}
-    for C in (ctx.clique1, ctx.clique2):
+    for C in (C1, C2):
         if C not in cache:
             cache[C] = characteristic_tree(T, C)
-    t1 = cache[ctx.clique1]
-    t2 = cache[ctx.clique2]
-    moved = tuple(sorted(ctx.far))
+    t1 = cache[C1]
+    t2 = cache[C2]
     try:
-        shifted = partial_kelmans(t1.adj, ctx.solo2, t1.clique_node, moved)
+        shifted = partial_kelmans(t1.adj, solo2, t1.clique_node, moved)
     except KTreeError as exc:  # a failed precondition refutes the relation
-        return ReductionReport(ctx.clique1, ctx.clique2, moved, False, str(exc))
-
-    relabel = {t1.clique_node: ctx.solo1, ctx.solo2: t2.clique_node}
-
-    def f(x):
-        return relabel.get(x, x)
-
-    image = {frozenset((f(a), f(b))) for a in shifted for b in shifted[a]}
-    target = {frozenset((a, b)) for a in t2.adj for b in t2.adj[a]}
-    ok = image == target
+        return ReductionReport(C1, C2, moved, False, str(exc))
+    # T'_C2 on the nodes of T'_C1 under the canonical relabeling; both trees
+    # have n - k edges, so an image holding each parent edge equals T'_C2
+    back = {solo1: t1.clique_node, t2.clique_node: solo2}
+    nodes = [back.get(v, v) for v in t2.labels]
+    ok = all(nodes[p] in shifted[v] for v, p in zip(nodes[1:], t2.up[1:]))
     return ReductionReport(
-        ctx.clique1,
-        ctx.clique2,
+        C1,
+        C2,
         moved,
         ok,
         "" if ok else "edge sets differ under the canonical relabeling",

@@ -134,10 +134,14 @@ def _parse_ks(spec):
     try:
         if "-" in spec:
             lo, hi = spec.split("-", 1)
-            return tuple(range(int(lo), int(hi) + 1))
-        return tuple(int(x) for x in spec.split(","))
+            ks = range(int(lo), int(hi) + 1)
+        else:
+            ks = [int(x) for x in spec.split(",")]
     except ValueError:
         raise BadK(f"bad k spec {spec!r}; expected e.g. 2 or 1-3 or 2,3") from None
+    if ks[255:]:  # bounded before expanding; codes take k <= 255
+        raise BadK(f"k spec {spec!r} names more than 255 values")
+    return tuple(ks)
 
 
 def cmd_verify(args):
@@ -234,7 +238,8 @@ def build_parser():
 
     sp = sub.add_parser("verify", help="run a verification suite")
     sp.add_argument("--suite", required=True, choices=verify.suite_names())
-    sp.add_argument("--k", default="2", help="k values, e.g. 2 or 1-3 or 2,3")
+    sp.add_argument("--k", default="2",
+                    help="at most 255 k values, e.g. 2 or 1-3 or 2,3")
     sp.add_argument("--min-n", type=int, default=0)
     sp.add_argument("--max-n", type=int, default=6)
     sp.add_argument("--mode", choices=("exhaustive", "random"), default="exhaustive")

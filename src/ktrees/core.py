@@ -366,11 +366,6 @@ def _common_mask(T, C):
     return m
 
 
-def common_neighbors(T, C):
-    """Vertices outside C adjacent to every vertex of C."""
-    return frozenset(_mask_vertices(_common_mask(T, C)))
-
-
 def clique_degree(T, C):
     """Number of (k+1)-cliques containing C, with the class it implies."""
     C = require_k_clique(T, C)

@@ -61,10 +61,6 @@ class NotAdjacentCliques(KTreeError):
     """The two k-cliques do not share a (k+1)-clique."""
 
 
-class NotEndClique(KTreeError):
-    """Clique was expected to have degree 1."""
-
-
 class NotASubKTree(KTreeError):
     """Vertex set does not induce a sub-k-tree of the host."""
 

@@ -153,8 +153,3 @@ def enumerate_ktrees_up_to_iso(k, n):
                 nxt.append(cand)
         level = nxt
     return level
-
-
-def enumerate_trees_up_to_iso(n):
-    """One representative per isomorphism class of trees of order n."""
-    return enumerate_ktrees_up_to_iso(1, n)

@@ -6,6 +6,7 @@ import pytest
 
 from ktrees import chartree as CT, core, oracle
 from ktrees.errors import NotAClique, NotAdjacentCliques, VertexInClique
+from ktrees.kelmans_ops import partial_kelmans
 from ktrees.polynomials import (
     IntPolynomial,
     _bfs_tree,
@@ -84,14 +85,13 @@ def test_order_formula_and_path_labels():
                 for C in core.k_cliques(T):
                     ct = CT.characteristic_tree(T, C)
                     assert ct.order == T.n - T.k + 1
-                    parents = CT.char_parents(T, C)
                     leaves = set(T.k_leaf_set()) - set(C) if T.n > T.k else set()
                     for v in sorted(leaves):
                         es = CT.elimination_sequence(T, C, v)
-                        path, x = [], v
-                        while x is not None:
-                            path.append(x)
-                            x = parents[x]
+                        path, i = [], ct.labels.index(v)
+                        while i > 0:
+                            path.append(ct.labels[i])
+                            i = ct.up[i]
                         assert tuple(reversed(path)) == es.labels
 
 
@@ -106,10 +106,13 @@ def test_parent_array_folds_like_the_bfs_tree():
                     bfs = _bfs_tree(as_tree_adj(ct.adj), ct.clique_node)
                     assert _phi_pair(ct.up) == _phi_pair(bfs)
                     assert _phi_poly(ct.up) == _phi_poly(bfs)
-                    parents = CT.char_parents(T, C)
-                    assert list(parents) == list(ct.labels[1:])
-                    for v, p in zip(ct.labels[1:], ct.up[1:]):
-                        assert parents[v] == (None if p == 0 else ct.labels[p])
+                    # the parent rule: the latest-added attachment vertex
+                    # outside C, else the C-node
+                    steps = CT.construction_from(T, C)
+                    assert [v for v, _ in steps] == list(ct.labels[1:])
+                    for i, (_, attach) in enumerate(steps, 1):
+                        outside = [ct.labels.index(u) for u in attach if u not in C]
+                        assert ct.up[i] == max(outside, default=0)
 
 
 def test_k1_chartree_is_the_tree_itself():
@@ -145,31 +148,55 @@ def test_all_clique_means_match_oracle_on_every_small_class():
                 assert CT.all_clique_means(T) == oracle.oracle_all_clique_means(T)
 
 
-def test_adjacency_context_partition():
-    for k in (2, 3):
-        for n in range(k + 1, 7):
+def _ordered_adjacent_pairs(T):
+    for q in core.kp1_cliques(T):
+        subs = [tuple(sorted(set(q) - {x})) for x in q]
+        for C1 in subs:
+            for C2 in subs:
+                if C1 != C2:
+                    yield q, C1, C2
+
+
+def test_adjacent_reduction_moves_the_far_vertices():
+    # reference: vertices outside q joined to >= k vertices of q, but not to
+    # all of C1 or all of C2
+    for k in (1, 2, 3):
+        for n in range(k + 1, 8):
             for T in ktree_classes(k, n):
-                for q in core.kp1_cliques(T):
-                    subs = [
-                        tuple(sorted(set(q) - {x})) for x in q
-                    ]
-                    C1, C2 = subs[0], subs[1]
-                    ctx = CT.adjacency_context(T, C1, C2)
-                    parts = [
-                        ctx.nbrs1 - {ctx.solo2},
-                        ctx.nbrs2 - {ctx.solo1},
-                        ctx.far,
-                    ]
-                    assert frozenset().union(*parts) == ctx.u_q
-                    assert sum(len(p) for p in parts) == len(ctx.u_q)
+                cache = {}
+                for q, C1, C2 in _ordered_adjacent_pairs(T):
+                    far = tuple(
+                        v for v in T.vertices
+                        if v not in q
+                        and sum(T.has_edge(v, u) for u in q) >= k
+                        and not all(T.has_edge(v, u) for u in C1)
+                        and not all(T.has_edge(v, u) for u in C2)
+                    )
+                    rep = CT.verify_adjacent_reduction(T, C1, C2, cache)
+                    assert rep.moved == far, (T.edges(), C1, C2)
+                    assert rep.isomorphic and rep.detail == ""
 
 
-def test_adjacency_context_rejects_non_adjacent():
+def test_adjacent_reduction_rejects_non_adjacent():
     T = core.gen_path_type(2, 6)
     with pytest.raises(NotAdjacentCliques):
-        CT.adjacency_context(T, (1, 2), (1, 2))
+        CT.verify_adjacent_reduction(T, (1, 2), (1, 2))
     with pytest.raises(NotAdjacentCliques):
-        CT.adjacency_context(T, (1, 2), (4, 5))
+        CT.verify_adjacent_reduction(T, (1, 2), (4, 5))
+
+
+def test_adjacent_reduction_fails_when_the_move_drops_a_vertex(monkeypatch):
+    def drop_one(graph, v, u, moved):
+        return partial_kelmans(graph, v, u, moved[1:])
+
+    monkeypatch.setattr(CT, "partial_kelmans", drop_one)
+    failed = 0
+    for T in ktree_classes(2, 6) + ktree_classes(3, 7):
+        for _, C1, C2 in _ordered_adjacent_pairs(T):
+            rep = CT.verify_adjacent_reduction(T, C1, C2)
+            assert rep.isomorphic == (rep.moved == ())
+            failed += not rep.isomorphic
+    assert failed
 
 
 def test_adjacent_reduction_examples():

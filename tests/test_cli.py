@@ -217,6 +217,9 @@ BAD_INPUTS = {
         "verify", "--suite", "nonmajor-max", "--k", "2", "--min-n", "8", "--max-n", "6",
     ),
     "verify-k-token": ("verify", "--suite", "nonmajor-max", "--k", "two"),
+    "verify-k-range-1e12": (
+        "verify", "--suite", "nonmajor-max", "--k", "1-1000000000000", "--max-n", "5",
+    ),
     "verify-random-max-n-at-k": (
         "verify", "--suite", "nonmajor-max", "--k", "3", "--max-n", "3",
         "--mode", "random", "--trials", "2",

@@ -173,10 +173,10 @@ def test_clique_queries_match_a_scan_of_the_kp1_cliques():
             deg, adjacent = _scan_clique_incidence(T, C)
             assert core.clique_degree(T, C).degree == deg
             assert core.adjacent_cliques(T, C) == adjacent
-            assert core.common_neighbors(T, C) == {
+            assert core._mask_vertices(core._common_mask(T, C)) == [
                 x for x in T.vertices
                 if x not in C and all(T.has_edge(x, u) for u in C)
-            }
+            ]
 
 
 def test_adjacent_cliques_symmetric_and_counted():

@@ -77,6 +77,30 @@ def test_code_separates_sampled_n7():
             assert got == brute_isomorphic(ts[i], ts[j])
 
 
+def test_codes_agree_with_networkx_on_sampled_pairs():
+    nx = pytest.importorskip("networkx")
+
+    def graph(T):
+        G = nx.Graph(T.edges())
+        G.add_nodes_from(T.vertices)
+        return G
+
+    rng = random.Random(23)
+    seen = set()
+    for k in (1, 2, 3):
+        for n in range(k, 10):
+            for _ in range(12):
+                T1 = core.random_ktree(k, n, rng.randrange(10**9))
+                T2 = core.random_ktree(k, n, rng.randrange(10**9))
+                if rng.random() < 0.3:
+                    T2 = relabeled(T2, rng)
+                want = nx.is_isomorphic(graph(T1), graph(T2))
+                assert (I.canonical_code(T1) == I.canonical_code(T2)) == want
+                assert I.isomorphic(T1, T2) == want
+                seen.add(want)
+    assert seen == {True, False}
+
+
 def test_class_counts_match_known_sequences():
     trees = [len(ktree_classes(1, n)) for n in range(1, 11)]
     assert trees == [1, 1, 1, 2, 3, 6, 11, 23, 47, 106]
