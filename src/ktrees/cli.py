@@ -118,13 +118,13 @@ def cmd_oracle(args):
     T = _load(args)
     if args.clique:
         S = _parse_clique(args.clique)
-        poly = oracle.oracle_local_poly(T, S, cap=args.cap)
-        mu = oracle.oracle_local_mean(T, S, cap=args.cap)
+        members = oracle._local_members(T, S, args.cap)
+        poly, mu = members.poly(), members.mean()
         print(f"phi(T;{_clique_label(S)}) = {poly}")
         print(f"mu(T;{_clique_label(S)}) = {format_rational(mu)}")
     else:
-        poly = oracle.oracle_global_poly(T, cap=args.cap)
-        mu = oracle.oracle_global_mean(T, cap=args.cap)
+        members = oracle.enumerate_sub_ktrees(T, cap=args.cap)
+        poly, mu = members.poly(), members.mean()
         print(f"Phi(T) = {poly}")
         print(f"mu(T) = {format_rational(mu)}")
     return 0

@@ -348,10 +348,23 @@ def kp1_cliques(T):
 
 
 def require_k_clique(T, C):
+    """C as a sorted tuple; NotAClique unless it is k distinct, pairwise
+    adjacent vertices of T.  One pass over C on the adjacency masks."""
     C = tuple(sorted(C))
-    if len(C) != T.k or not all(1 <= v <= T.n for v in C) or not T.is_clique(C):
-        raise NotAClique(f"{C} is not a {T.k}-clique of the host")
-    return C
+    if len(C) == T.k:
+        masks = T.masks
+        m = 0
+        common = -1  # vertices adjacent or equal to every vertex seen so far
+        for v in C:
+            if not 1 <= v <= T.n:
+                break
+            b = 1 << (v - 1)
+            m |= b
+            common &= masks[v] | b
+        else:
+            if m.bit_count() == T.k and common & m == m:
+                return C
+    raise NotAClique(f"{C} is not a {T.k}-clique of the host")
 
 
 def _common_mask(T, C):

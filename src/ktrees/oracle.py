@@ -4,6 +4,14 @@ Sub-k-trees are identified with their vertex sets (induced semantics).
 Enumeration grows from every k-clique by attaching one vertex at a time to
 a k-clique of the current set, deduplicating by vertex bitmask, so only
 genuine sub-k-tree states are ever visited.
+
+Each state S on the stack carries its frontier: the vertices outside S with
+a neighbour in S.  Adding v makes the child's frontier
+`(front | masks[v]) & ~(S | v)`, so no state rescans its own vertices.  A
+frontier vertex v attaches when `masks[v] & S` is a k-clique of the host.
+That test reads only the adjacency masks, never the construction records,
+and its verdict is kept per host by intersection mask, since many states
+share one attachment set.
 """
 
 from __future__ import annotations
@@ -12,7 +20,7 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .core import _bit, _mask_vertices, k_cliques, recognize_ktree
+from .core import _mask_vertices, k_cliques, recognize_ktree
 from .errors import KTreeError, NotASubKTree, TooLarge
 from .polynomials import IntPolynomial
 
@@ -34,15 +42,17 @@ class SubKTreeSet:
 
     def restricted(self, required):
         """Members containing every vertex of `required`."""
+        n = self.host.n
         req = 0
         for v in required:
-            req |= _bit(v)
-        kept = tuple(m for m in self.masks if m & req == req)
-        return SubKTreeSet(self.host, kept)
+            if not 1 <= v <= n:
+                raise NotASubKTree(f"vertex {v} is not a vertex 1..{n} of the host")
+            req |= 1 << (v - 1)
+        return SubKTreeSet(self.host, tuple([m for m in self.masks if m & req == req]))
 
     def poly(self):
         """Generating polynomial: coefficient of x^i counts members of order i."""
-        hist = Counter(m.bit_count() for m in self.masks)
+        hist = Counter(map(int.bit_count, self.masks))
         if not hist:
             return IntPolynomial()
         out = [0] * (max(hist) + 1)
@@ -51,46 +61,52 @@ class SubKTreeSet:
         return IntPolynomial(out)
 
     def mean(self):
-        total = sum(m.bit_count() for m in self.masks)
-        return Fraction(total, len(self.masks))
+        if not self.masks:
+            raise KTreeError("the mean order of an empty set of sub-k-trees")
+        return Fraction(sum(map(int.bit_count, self.masks)), len(self.masks))
 
 
 def _grow_all(T):
     """Bitmasks of every sub-k-tree of T, via attachment growth."""
     k = T.k
     masks = T.masks
+    attaches = {}  # intersection mask -> is it a k-clique of T
     seen = set()
-    stack = []
+    stack = []  # flat (S, frontier of S) pairs
     for C in T._k_cliques:
-        m = T.clique_mask(C)
-        if m not in seen:
-            seen.add(m)
-            stack.append(m)
+        S = T.clique_mask(C)
+        if S not in seen:
+            seen.add(S)
+            front = 0
+            for v in C:
+                front |= masks[v]
+            stack.append(S)
+            stack.append(front & ~S)
     while stack:
+        front = stack.pop()
         S = stack.pop()
-        cand = 0
-        rest = S
-        while rest:
-            low = rest & -rest
-            cand |= masks[low.bit_length()]
-            rest ^= low
-        cand &= ~S
+        cand = front
         while cand:
             low = cand & -cand
-            v = low.bit_length()
             cand ^= low
+            S2 = S | low
+            if S2 in seen:
+                continue
+            v = low.bit_length()
             inter = masks[v] & S
-            if inter.bit_count() == k:
-                ok = True
-                for u in _mask_vertices(inter):
-                    if masks[u] & inter != inter & ~_bit(u):
-                        ok = False
-                        break
-                if ok:
-                    S2 = S | low
-                    if S2 not in seen:
-                        seen.add(S2)
-                        stack.append(S2)
+            ok = attaches.get(inter)
+            if ok is None:
+                ok = inter.bit_count() == k
+                rest = inter
+                while ok and rest:
+                    b = rest & -rest
+                    ok = masks[b.bit_length()] & inter == inter ^ b
+                    rest ^= b
+                attaches[inter] = ok
+            if ok:
+                seen.add(S2)
+                stack.append(S2)
+                stack.append((front | masks[v]) & ~S2)
     return tuple(sorted(seen))
 
 
@@ -128,25 +144,30 @@ def oracle_global_mean(T, cap=DEFAULT_CAP):
     return enumerate_sub_ktrees(T, cap=cap).mean()
 
 
-def oracle_local_poly(T, S, cap=DEFAULT_CAP):
-    """Generating polynomial of sub-k-trees containing the sub-k-tree S."""
+def _local_members(T, S, cap):
+    """Members containing S, after checking that S is itself a sub-k-tree."""
     if not is_sub_ktree(T, S):
         raise NotASubKTree(f"{tuple(S)} does not induce a sub-k-tree")
-    return enumerate_sub_ktrees(T, cap=cap).restricted(S).poly()
+    return enumerate_sub_ktrees(T, required=S, cap=cap)
+
+
+def oracle_local_poly(T, S, cap=DEFAULT_CAP):
+    """Generating polynomial of sub-k-trees containing the sub-k-tree S."""
+    return _local_members(T, S, cap).poly()
 
 
 def oracle_local_mean(T, S, cap=DEFAULT_CAP):
-    if not is_sub_ktree(T, S):
-        raise NotASubKTree(f"{tuple(S)} does not induce a sub-k-tree")
-    return enumerate_sub_ktrees(T, cap=cap).restricted(S).mean()
+    return _local_members(T, S, cap).mean()
 
 
 def oracle_all_clique_means(T, cap=DEFAULT_CAP):
     """Exact map clique -> mean order over all sub-k-trees containing it."""
-    full = enumerate_sub_ktrees(T, cap=cap)
+    masks = enumerate_sub_ktrees(T, cap=cap).masks
     out = {}
     for C in k_cliques(T):
-        out[C] = full.restricted(C).mean()
+        req = T.clique_mask(C)
+        kept = [m for m in masks if m & req == req]
+        out[C] = Fraction(sum(map(int.bit_count, kept)), len(kept))
     return out
 
 

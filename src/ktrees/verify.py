@@ -310,7 +310,8 @@ def check_local_mean_reduction(T, cfg):
     full = enumerate_sub_ktrees(T, cap=cfg.cap)
     for C in k_cliques(T):
         fast = local_poly_clique(T, C)
-        slow = full.restricted(C).poly()
+        local = full.restricted(C)
+        slow = local.poly()
         tallies["cliques"] += 1
         if fast != slow:
             violations.append(
@@ -322,7 +323,7 @@ def check_local_mean_reduction(T, cfg):
             continue
         # the mean follows from the polynomial; spot-check the shipped path
         fast_mu = local_mean_order_clique(T, C)
-        slow_mu = full.restricted(C).mean()
+        slow_mu = local.mean()
         if fast_mu != slow_mu:
             violations.append(
                 {

@@ -56,6 +56,13 @@ def test_mean_order_clique(tri_kt, capsys):
     assert "5/2 (2.500000)" in out
 
 
+def test_clique_with_a_repeated_vertex_exits_2(tri_kt, four_kt, capsys):
+    code, _, err = run(capsys, "mean-order", tri_kt, "--clique", "1,1")
+    assert code == 2 and "not a 2-clique" in err
+    code, _, err = run(capsys, "char-tree", four_kt, "--clique", "4,4")
+    assert code == 2 and "not a 2-clique" in err
+
+
 def test_mean_order_global_path(p4_kt, capsys):
     code, out, _ = run(capsys, "mean-order", p4_kt, "--global")
     assert code == 0

@@ -1,5 +1,7 @@
 """k-tree construction, recognition, cliques, generators, and text formats."""
 
+from itertools import product
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -131,6 +133,21 @@ def test_clique_degree_classes():
 def test_clique_degree_rejects_non_clique():
     with pytest.raises(NotAClique):
         core.clique_degree(four_vertex(), (2, 4))
+
+
+def test_require_k_clique_accepts_exactly_the_k_cliques():
+    """Non-cliques, repeated vertices and ids outside 1..n give NotAClique."""
+    for T in (four_vertex(), core.random_ktree(3, 7, 2), core.gen_star_type(1, 3)):
+        cliques = set(core.k_cliques(T))
+        for C in product(range(-1, T.n + 2), repeat=T.k):
+            if tuple(sorted(C)) in cliques:
+                assert core.require_k_clique(T, C) == tuple(sorted(C))
+            else:
+                with pytest.raises(NotAClique):
+                    core.require_k_clique(T, C)
+        for C in ((), tuple(range(1, T.k + 2))):
+            with pytest.raises(NotAClique):
+                core.require_k_clique(T, C)
 
 
 def test_k_leaves():

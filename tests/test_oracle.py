@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 from ktrees import core, oracle as O
-from ktrees.errors import NotASubKTree, TooLarge
+from ktrees.errors import KTreeError, NotASubKTree, TooLarge
 from ktrees.polynomials import IntPolynomial
 
 from conftest import ktree_classes
@@ -128,3 +128,58 @@ def test_cap_guard():
     with pytest.raises(TooLarge):
         O.enumerate_sub_ktrees(T)
     assert len(O.enumerate_sub_ktrees(T, cap=17)) > 0
+
+
+def _subset_is_sub_ktree(T, S):
+    """Subset filter for the completeness test, apart from `core`'s
+    recognition: peel simplicial degree-k vertices of the subgraph induced
+    by the mask S until k vertices are left, which must form a clique."""
+    k, masks = T.k, T.masks
+    if S.bit_count() < k:
+        return False
+    while S.bit_count() > k:
+        rest = S
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            nb = masks[low.bit_length()] & S
+            if nb.bit_count() == k and all(
+                masks[u] & nb == nb & ~(1 << (u - 1))
+                for u in range(1, T.n + 1)
+                if nb >> (u - 1) & 1
+            ):
+                S ^= low
+                break
+        else:
+            return False
+    return all(
+        masks[u] & S == S & ~(1 << (u - 1)) for u in range(1, T.n + 1) if S >> (u - 1) & 1
+    )
+
+
+def _completeness_hosts():
+    for k in (1, 2, 3):
+        yield core.gen_star_type(k, 12 - k)
+        yield core.gen_path_type(k, 12)
+        for n, seed in ((k, 0), (k + 1, 1), (7, 2), (10, 3), (11, 4), (12, 5), (12, 6)):
+            yield core.random_ktree(k, n, seed)
+
+
+def test_enumeration_finds_every_sub_ktree():
+    """Every vertex subset that passes the peel filter is enumerated, and
+    nothing else is."""
+    for T in _completeness_hosts():
+        want = tuple(S for S in range(1, 1 << T.n) if _subset_is_sub_ktree(T, S))
+        assert O.enumerate_sub_ktrees(T).masks == want, (T.k, T.n)
+
+
+def test_required_outside_the_host_is_rejected():
+    T = four_vertex()
+    for bad in ((0,), (T.n + 1,), (1, -2)):
+        with pytest.raises(NotASubKTree):
+            O.enumerate_sub_ktrees(T, required=bad)
+        with pytest.raises(NotASubKTree):
+            O.enumerate_sub_ktrees(T).restricted(bad)
+    with pytest.raises(KTreeError):
+        O.SubKTreeSet(T, ()).mean()
+    assert O.SubKTreeSet(T, ()).poly() == IntPolynomial()
