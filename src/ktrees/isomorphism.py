@@ -3,15 +3,18 @@
 A rooted code fixes a k-clique C and an ordering of its vertices, rebuilds
 the host from C, and serializes the rooted characteristic-tree shape where
 every vertex is labeled by (a) the ancestor offsets of its attachment
-outside C and (b) the ordered positions of its attachment inside C.  Two
-k-trees are isomorphic iff any one rooted code of the first appears among
-all rooted codes of the second; the canonical code is the minimum over all
-roots and orderings.  A plain shape code of the clique incidence tree is
-NOT enough: non-isomorphic k-trees can share it, which is why the labels
-carry the attachment data.
+outside C and (b) the ordered positions of its attachment inside C.  The
+code is folded bottom-up over the parent positions of the construction
+order, so its cost does not depend on the depth of the host.  A plain shape
+code of the clique incidence tree is NOT enough: non-isomorphic k-trees can
+share it, which is why the labels carry the attachment data.
 
-Class enumeration keeps one set of rooted codes per level: a candidate is
-new iff its first rooted code is missing, and then all of its codes join.
+The clique-incidence tree (k-cliques joined to the (k+1)-cliques that
+contain them) has a centre that every isomorphism fixes.  The canonical
+code is the minimum rooted code over the centre's k-cliques and their
+orderings, at most (k+1) * k! of them, so two k-trees are isomorphic iff
+their canonical codes are equal.  Class enumeration keeps one canonical
+code per class and level.
 """
 
 from __future__ import annotations
@@ -19,7 +22,14 @@ from __future__ import annotations
 from itertools import permutations
 
 from .chartree import _construction_with_parents
-from .core import KTree, _common_mask, build_from_construction, k_cliques
+from .core import (
+    KTree,
+    _bit,
+    _common_mask,
+    _mask_vertices,
+    build_from_construction,
+    k_cliques,
+)
 from .errors import SizeTooSmall, TooLarge
 
 ISO_ENUM_GUARD = 13  # max n - k for class enumeration
@@ -33,41 +43,49 @@ def _require_codable(T):
 
 
 def _rooted_structure(T, C):
-    """Children lists and per-vertex attachment labels for root clique C."""
+    """Parent positions (`up[i] < i`, position 0 the clique node) and, per
+    vertex, its ancestor-offset label head and attachment inside C."""
     _require_codable(T)
     cset = set(C)
-    depth = {None: 0}
-    children = {None: []}
-    info = {}
+    up = [-1]
+    depth = [0]
+    labels = [None]
+    at = {None: 0}
     for v, attach, parent in _construction_with_parents(T, C):
-        d = depth[parent] + 1
-        depth[v] = d
-        offsets = tuple(sorted(d - depth[u] for u in attach if u not in cset))
+        d = depth[at[parent]] + 1
+        offsets = sorted(d - depth[at[u]] for u in attach if u not in cset)
         if offsets and offsets[-1] > 255:
             raise TooLarge(f"ancestor offset {offsets[-1]} exceeds one code byte")
-        cmem = tuple(u for u in attach if u in cset)
-        info[v] = (offsets, cmem)
-        children[v] = []
-        children[parent].append(v)
-    return children, info
+        cmem = [u for u in attach if u in cset]
+        head = bytes([len(offsets), *offsets, len(cmem)])
+        at[v] = len(up)
+        up.append(at[parent])
+        depth.append(d)
+        labels.append((head, cmem))
+    return up, labels
 
 
-def _code_with_order(children, info, cindex):
-    def code_of(v):
-        if v is None:
-            label = b"R"
-        else:
-            offs, cmem = info[v]
-            label = (
-                bytes([len(offs)])
-                + bytes(offs)
-                + bytes([len(cmem)])
-                + bytes(sorted(cindex[u] for u in cmem))
-            )
-        subs = sorted(code_of(w) for w in children[v])
-        return b"(" + label + b"".join(subs) + b")"
+def _code_with_order(up, labels, cindex):
+    """Fold child codes into their parents, last position first, so every
+    node's children are complete before it is."""
+    subs = [[] for _ in up]
+    for i in range(len(up) - 1, 0, -1):
+        head, cmem = labels[i]
+        kids = subs[i]
+        kids.sort()
+        subs[up[i]].append(
+            b"(" + head + bytes(sorted(cindex[u] for u in cmem)) + b"".join(kids) + b")"
+        )
+    subs[0].sort()
+    return b"(R" + b"".join(subs[0]) + b")"
 
-    return code_of(None)
+
+def _codes(T, roots):
+    """Rooted codes of T over the given root cliques and all their orderings."""
+    for C in roots:
+        up, labels = _rooted_structure(T, C)
+        for order in permutations(C):
+            yield _code_with_order(up, labels, {v: i + 1 for i, v in enumerate(order)})
 
 
 def rooted_code(T, C, order=None):
@@ -75,20 +93,45 @@ def rooted_code(T, C, order=None):
     C = tuple(sorted(C))
     if order is None:
         order = C
-    children, info = _rooted_structure(T, C)
-    cindex = {v: i + 1 for i, v in enumerate(order)}
-    return _code_with_order(children, info, cindex)
+    up, labels = _rooted_structure(T, C)
+    return _code_with_order(up, labels, {v: i + 1 for i, v in enumerate(order)})
 
 
 def rooted_code_set(T):
     """Every rooted code of T, over all root cliques and orderings."""
-    out = set()
-    for C in k_cliques(T):
-        children, info = _rooted_structure(T, C)
-        for order in permutations(C):
-            cindex = {v: i + 1 for i, v in enumerate(order)}
-            out.add(_code_with_order(children, info, cindex))
-    return frozenset(out)
+    return frozenset(_codes(T, k_cliques(T)))
+
+
+def _centre_roots(T):
+    """The k-cliques at the centre of the clique-incidence tree.
+
+    A (k+1)-clique has k+1 faces, so every leaf is a k-clique, every
+    leaf-to-leaf path has even length, and stripping all leaves round by
+    round ends at a single node.  The roots are that node if it is a
+    k-clique, else its k+1 faces.
+    """
+    common = {T.clique_mask(C): _common_mask(T, C) for C in k_cliques(T)}
+
+    def neighbours(a):
+        # a k-clique gains a common neighbour, a (k+1)-clique drops a vertex
+        return [a ^ _bit(x) for x in _mask_vertices(common.get(a, a))]
+
+    degree = {q: T.k + 1 for a in common for q in neighbours(a)}
+    degree.update((a, m.bit_count()) for a, m in common.items())
+    leaves = [a for a, d in degree.items() if d == 1]
+    while len(degree) > 1:
+        nxt = []
+        for a in leaves:
+            del degree[a]
+            for b in neighbours(a):
+                if b in degree:
+                    degree[b] -= 1
+                    if degree[b] == 1:
+                        nxt.append(b)
+        leaves = nxt
+    (centre,) = degree
+    faces = [centre] if centre in common else neighbours(centre)
+    return [tuple(_mask_vertices(f)) for f in faces]
 
 
 def canonical_code(T):
@@ -101,25 +144,12 @@ def canonical_code(T):
     header = bytes([T.k]) + T.n.to_bytes(2, "big")
     if T.n == T.k:
         return header
-    return header + min(rooted_code_set(T))
-
-
-def _cheap_invariant(T):
-    degs = tuple(sorted(T.degree(v) for v in T.vertices))
-    cliq = sorted(_common_mask(T, C).bit_count() for C in k_cliques(T))
-    return degs, tuple(cliq)
+    return header + min(_codes(T, _centre_roots(T)))
 
 
 def isomorphic(T1, T2):
     """Exact k-tree isomorphism test."""
-    if T1.k != T2.k or T1.n != T2.n:
-        return False
-    if _cheap_invariant(T1) != _cheap_invariant(T2):
-        return False
-    if T1.n == T1.k:
-        return True
-    probe = rooted_code(T1, k_cliques(T1)[0])
-    return probe in rooted_code_set(T2)
+    return canonical_code(T1) == canonical_code(T2)
 
 
 def _extend(T, C):
@@ -132,7 +162,7 @@ def enumerate_ktrees_up_to_iso(k, n):
     """One representative per isomorphism class of k-trees of order n.
 
     Builds levels k..n; at each level every representative is extended at
-    every clique and duplicates are dropped by rooted-code membership.
+    every clique and a candidate is kept iff its canonical code is new.
     Every class at level m+1 has a parent class at level m (delete any
     k-leaf), so extending representatives alone reaches every class.
     """
@@ -142,14 +172,10 @@ def enumerate_ktrees_up_to_iso(k, n):
         raise TooLarge(f"class enumeration capped at n - k <= {ISO_ENUM_GUARD}")
     level = [build_from_construction(k, [])]
     for _ in range(k + 1, n + 1):
-        seen = set()  # every rooted code of every class kept at this level
-        nxt = []
+        classes = {}  # canonical code -> first candidate with it
         for T in level:
             for C in k_cliques(T):
                 cand = _extend(T, C)
-                if rooted_code(cand, k_cliques(cand)[0]) in seen:
-                    continue
-                seen |= rooted_code_set(cand)
-                nxt.append(cand)
-        level = nxt
+                classes.setdefault(canonical_code(cand), cand)
+        level = list(classes.values())
     return level

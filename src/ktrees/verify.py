@@ -46,7 +46,7 @@ from .kelmans_ops import (
     check_partial_kelmans_monotone,
     path_with_leaf_predicate,
 )
-from .oracle import DEFAULT_CAP, enumerate_sub_ktrees, oracle_all_clique_means
+from .oracle import DEFAULT_CAP, enumerate_sub_ktrees, oracle_argmax_cliques
 from .polynomials import (
     fraction_str,
     format_decimal,
@@ -450,20 +450,29 @@ def suite_names():
 # -- drivers -------------------------------------------------------------------
 
 
-def _run_chunk(payload):
-    suite, cfg_dict, specs = payload
-    cfg = SuiteConfig(**cfg_dict)
-    checker, _ = _CHECKERS[suite]
+def _check_hosts(checker, cfg, hosts):
+    """Run `checker` over (instance_id, KTree) pairs; return the tagged
+    violations, the summed tallies and the number of hosts."""
     violations = []
     tallies = Counter()
-    for inst_id, k, base, build in specs:
-        T = KTree.from_parts(k, base, build, validate=False)
+    instances = 0
+    for inst_id, T in hosts:
         v, t = checker(T, cfg)
         for item in v:
             item["instance"] = inst_id
         violations.extend(v)
         tallies.update(t)
-    return violations, tallies, len(specs)
+        instances += 1
+    return violations, tallies, instances
+
+
+def _run_chunk(payload):
+    suite, cfg_dict, specs = payload
+    hosts = (
+        (inst_id, KTree.from_parts(k, base, build, validate=False))
+        for inst_id, k, base, build in specs
+    )
+    return _check_hosts(_CHECKERS[suite][0], SuiteConfig(**cfg_dict), hosts)
 
 
 def _run_family_suite(cfg):
@@ -526,18 +535,13 @@ def run_suite(cfg):
         checker, kind = _CHECKERS[cfg.suite]
         if kind == "trees" and tuple(cfg.ks) != (1,):
             cfg.ks = (1,)
-        violations = []
-        tallies = Counter()
-        instances = 0
         if cfg.jobs <= 1:
-            for inst_id, T in iter_corpus(cfg):
-                v, t = checker(T, cfg)
-                for item in v:
-                    item["instance"] = inst_id
-                violations.extend(v)
-                tallies.update(t)
-                instances += 1
+            hosts = iter_corpus(cfg)
+            violations, tallies, instances = _check_hosts(checker, cfg, hosts)
         else:
+            violations = []
+            tallies = Counter()
+            instances = 0
             payloads = _chunk_payloads(cfg)
             workers = min(cfg.jobs, os.cpu_count() or 1)
             with ProcessPoolExecutor(max_workers=workers) as pool:
@@ -625,8 +629,7 @@ def search_degree2_witness(
     for inst_id, T in corpus:
         instances += 1
         means = all_clique_means(T)
-        best = max(means.values())
-        arg = sorted(C for C, m in means.items() if m == best)
+        arg, best = argmax_cliques(T, means)
         infos = {C: clique_degree(T, C) for C in means}
         degs = {C: info.degree for C, info in infos.items()}
         kinds = sorted({infos[C].kind for C in arg})
@@ -666,11 +669,7 @@ def search_degree2_witness(
                 "mu_decimal": format_decimal(best),
             }
             try:
-                oracle_means = oracle_all_clique_means(T, cap=max(cap, T.n))
-                oracle_best = max(oracle_means.values())
-                oracle_arg = sorted(
-                    C for C, m in oracle_means.items() if m == oracle_best
-                )
+                oracle_arg, oracle_best = oracle_argmax_cliques(T, cap=max(cap, T.n))
                 entry["oracle_confirms"] = oracle_arg == arg and oracle_best == best
             except TooLarge:
                 entry["oracle_confirms"] = None

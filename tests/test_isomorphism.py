@@ -47,12 +47,40 @@ def test_path_vs_star_codes_differ():
 
 def test_relabeling_preserves_code():
     rng = random.Random(17)
-    for k in (1, 2, 3, 4):
-        for n in range(k, 10):
-            T = core.random_ktree(k, n, rng.randrange(10**9))
-            T2 = relabeled(T, rng)
-            assert I.canonical_code(T) == I.canonical_code(T2)
-            assert I.isomorphic(T, T2)
+    hosts = [
+        core.random_ktree(k, n, rng.randrange(10**9))
+        for k in (1, 2, 3, 4)
+        for n in [*range(k, 10), *rng.sample(range(20, 81), 3)]
+    ]
+    hosts += [core.gen_star_type(k, m) for k in (1, 2, 3) for m in (1, 2, 7)]
+    hosts += [core.gen_bristled_star(k, n) for k in (2, 3) for n in (3, 4, 9)]
+    for T in hosts:
+        T2 = relabeled(T, rng)
+        assert I.canonical_code(T) == I.canonical_code(T2)
+        assert I.isomorphic(T, T2)
+
+
+def test_centre_code_agrees_with_all_roots_reference():
+    """Centre codes decide isomorphism exactly as one rooted code probed
+    against every rooted code of the other host does."""
+    rng = random.Random(29)
+    pairs = 0
+    for k in (1, 2, 3):
+        for n in range(k + 1, 9):
+            hosts = list(ktree_classes(k, n))
+            hosts += [relabeled(T, rng) for T in hosts]
+            codes = [I.canonical_code(T) for T in hosts]
+            probes = [I.rooted_code(T, core.k_cliques(T)[0]) for T in hosts]
+            sets = [I.rooted_code_set(T) for T in hosts]
+            same = 0
+            for i in range(len(hosts)):
+                for j in range(len(hosts)):
+                    want = probes[i] in sets[j]
+                    assert (codes[i] == codes[j]) == want
+                    pairs += 1
+                    same += want
+            assert same == 2 * len(hosts)  # itself and its relabeled twin
+    assert pairs > 10000
 
 
 def test_code_separates_iff_isomorphic():
@@ -129,7 +157,36 @@ def test_canonical_code_limits_raise_too_large():
         2, [(3, (1, 2)), (4, (1, 3))] + [(v, (3, v - 1)) for v in range(5, 300)]
     )
     with pytest.raises(TooLarge):
-        I.canonical_code(fan)
+        I.rooted_code(fan, (1, 2))
+    I.canonical_code(fan)  # the centre (3, 150) contains the hub
+    # two fans back to back: hub 1 over 3..m+2, hub m+2 over m+3..2m+2;
+    # rooted at the centre (m+1, m+2), hub 1 is about m levels above v = 3
+    def double_fan(m):
+        h = m + 2
+        adds = [(3, (1, 2))] + [(v, (1, v - 1)) for v in range(4, h + 1)]
+        adds += [(h + 1, (h - 1, h))]
+        adds += [(v, (h, v - 1)) for v in range(h + 2, 2 * h - 1)]
+        return core.build_from_construction(2, adds)
+
+    big = double_fan(300)
+    assert big.n == 602
+    with pytest.raises(TooLarge):
+        I.canonical_code(big)
+    with pytest.raises(TooLarge):
+        I.isomorphic(big, big)
+    small = double_fan(150)
+    assert small.n == 302 and I.isomorphic(small, small)
+
+
+def test_deep_hosts_are_coded_without_recursion():
+    """Codes fold in a loop, so a host's depth is bounded by n alone."""
+    path = core.gen_path_type(2, 600)
+    assert I.canonical_code(path)
+    assert I.isomorphic(path, path)
+    deep = core.gen_path_type(3, 2000)
+    copy = relabeled(deep, random.Random(3))
+    assert I.canonical_code(deep) == I.canonical_code(copy)
+    assert I.isomorphic(deep, copy)
 
 
 def test_class_enumeration_guard():

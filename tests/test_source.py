@@ -18,3 +18,49 @@ def test_no_broad_except():
             if any(t is None or getattr(t, "id", None) in BROAD for t in types):
                 broad.append(f"{path.name}:{node.lineno}")
     assert not broad, f"broad except clauses: {broad}"
+
+
+# The labeled build enumerator recurses once per added vertex, so its depth
+# is n - k, and LABELED_GUARD keeps that at about 10.
+RECURSION_ALLOWED = {"verify.enumerate_labeled_ktrees.rec"}
+
+
+def _callee(node):
+    """The name a call invokes: `f(...)`, `self.f(...)` or `cls.f(...)`."""
+    if not isinstance(node, ast.Call):
+        return None
+    f = node.func
+    if isinstance(f, ast.Name):
+        return f.id
+    if isinstance(f, ast.Attribute) and getattr(f.value, "id", None) in ("self", "cls"):
+        return f.attr
+    return None
+
+
+def _self_calls(tree, module):
+    """Qualified names of the functions that call themselves by name."""
+    found = []
+    stack = [(tree, module)]
+    while stack:
+        node, prefix = stack.pop()
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                name = f"{prefix}.{child.name}"
+                if not isinstance(child, ast.ClassDef) and child.name in map(
+                    _callee, ast.walk(child)
+                ):
+                    found.append(name)
+                stack.append((child, name))
+            else:
+                stack.append((child, prefix))
+    return found
+
+
+def test_no_self_recursion():
+    """Host depth can reach n, far past Python's recursion limit; fold in a
+    loop instead."""
+    recursive = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        recursive += _self_calls(tree, path.stem)
+    assert set(recursive) <= RECURSION_ALLOWED, f"self-recursive: {recursive}"
