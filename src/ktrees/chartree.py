@@ -32,6 +32,7 @@ from fractions import Fraction
 from functools import cached_property
 
 from .core import (
+    MAJOR,
     _bit,
     _common_mask,
     _mask_vertices,
@@ -351,7 +352,7 @@ def climb_to_nonmajor(T, C_start):
     C = require_k_clique(T, C_start)
     means = all_clique_means(T)
     trace = [(C, means[C])]
-    while clique_degree(T, C).degree >= 3:
+    while clique_degree(T, C).kind == MAJOR:
         best = None
         for C2 in adjacent_cliques(T, C):
             if means[C2] > means[C]:

@@ -461,20 +461,26 @@ def gen_double_broom(n):
     return build_from_construction(1, adds)
 
 
+def grow_ktree(k, picks):
+    """The k-tree grown from the base 1..k by attaching vertex k + 1 + i at
+    the picks[i]-th of the 1 + k*i k-cliques made so far.  Attaching v at C
+    appends C - c + v for each c of C, in order."""
+    cliques = [tuple(range(1, k + 1))]
+    adds = []
+    for v, i in enumerate(picks, k + 1):
+        C = cliques[i]
+        adds.append((v, C))
+        # v exceeds every vertex of C, so each new clique stays sorted
+        cliques += (C[:j] + C[j + 1 :] + (v,) for j in range(k))
+    return KTree.from_parts(k, cliques[0], adds, validate=False)
+
+
 def random_ktree(k, n, seed):
     """Uniform attachment-clique choice at each growth step; deterministic."""
     if n < k:
         raise SizeTooSmall(f"need n >= k, got n={n}, k={k}")
     rng = _random.Random(seed)
-    base = tuple(range(1, k + 1))
-    cliques = [base]
-    adds = []
-    for v in range(k + 1, n + 1):
-        attach = cliques[rng.randrange(len(cliques))]
-        adds.append((v, attach))
-        for c in attach:
-            cliques.append(tuple(sorted((set(attach) - {c}) | {v})))
-    return build_from_construction(k, adds)
+    return grow_ktree(k, (rng.randrange(1 + k * i) for i in range(n - k)))
 
 
 # -- text formats -------------------------------------------------------------

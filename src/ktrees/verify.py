@@ -1,17 +1,19 @@
-"""Verification suites over exhaustive or random corpora, and the search
-for k-trees whose maximum local mean order avoids every end clique.
+"""Verification suites over exhaustive, random or family corpora, and the
+search for k-trees whose maximum local mean order avoids every end clique.
 
-Each suite replays one exact claim over a corpus of trees or k-trees and
-reports violations; a violation is a build failure, not a logged warning.
-Exhaustive corpora iterate labeled construction sequences, optionally
-deduplicated by isomorphism class (every checked claim is invariant under
-relabeling, so one representative per class gives the same verdict).
+Each suite (a row of `SUITES`) replays one exact claim over a corpus of
+trees, k-trees or one named family and reports violations; a violation is a
+build failure, not a logged warning.  Exhaustive corpora iterate labeled
+construction sequences, optionally deduplicated by isomorphism class (every
+checked claim is invariant under relabeling, so one representative per
+class gives the same verdict).
 """
 
 from __future__ import annotations
 
 import itertools
 import json
+import math
 import os
 import random as _random
 import time
@@ -28,11 +30,15 @@ from .chartree import (
     verify_adjacent_reduction,
 )
 from .core import (
+    DEGREE2,
+    END,
+    MAJOR,
     KTree,
     adjacent_cliques,
     clique_degree,
     gen_bristled_star,
     gen_double_broom,
+    grow_ktree,
     k_cliques,
     kp1_cliques,
     random_ktree,
@@ -58,40 +64,23 @@ from .polynomials import (
 SCHEMA_VERIFY = "ktree-verify/1"
 SCHEMA_SEARCH = "ktree-search/1"
 LABELED_GUARD = 2_000_000
+FAMILY_GUARD = 1000  # max family parameter n
 
 
 def labeled_count(k, n):
     """Number of labeled construction sequences: product of (1 + k*j)."""
-    out = 1
-    for j in range(n - k):
-        out *= 1 + k * j
-    return out
+    return math.prod(1 + k * j for j in range(n - k))
 
 
 def enumerate_labeled_ktrees(k, n, guard=LABELED_GUARD):
-    """Yield every labeled build sequence of order-n k-trees."""
+    """Yield every labeled build sequence of order-n k-trees, in the
+    lexicographic order of their clique picks."""
     if n < k:
         raise SizeTooSmall(f"need n >= k, got {n}")
     if labeled_count(k, n) > guard:
         raise TooLarge(f"{labeled_count(k, n)} labeled builds exceed guard {guard}")
-    base = tuple(range(1, k + 1))
-    adds = []
-    cliques = [base]
-
-    def rec(v):
-        if v > n:
-            yield KTree.from_parts(k, base, list(adds), validate=False)
-            return
-        for i in range(len(cliques)):
-            C = cliques[i]
-            adds.append((v, C))
-            for c in C:
-                cliques.append(tuple(sorted((set(C) - {c}) | {v})))
-            yield from rec(v + 1)
-            del cliques[-k:]
-            adds.pop()
-
-    return rec(k + 1)
+    picks = itertools.product(*(range(1 + k * i) for i in range(n - k)))
+    return (grow_ktree(k, p) for p in picks)
 
 
 def tree_adjacency(T):
@@ -127,30 +116,38 @@ class SuiteConfig:
     jobs: int = 1
 
     def validate(self):
+        """Check the config against its suite's row and return it.  A tree
+        suite runs at k = 1, so its ks become (1,)."""
+        suite = SUITES.get(self.suite)
+        if suite is None:
+            raise UnknownSuite(f"no suite named {self.suite!r}; try {suite_names()}")
         if not self.ks or min(self.ks) < 1:
             raise BadK(f"need at least one k and every k >= 1, got {self.ks}")
+        if suite.trees:
+            self.ks = (1,)
         if self.mode not in ("exhaustive", "random"):
             raise UnknownSuite(f"unknown mode {self.mode!r}")
         if self.mode == "random" and self.trials < 1:
             raise TooLarge("random mode requires trials >= 1")
-        lo = max(self.min_n, _lowest_order(self.suite, self.ks))
+        lo = max(self.min_n, suite.least if suite.family else min(self.ks))
         if lo > self.max_n:
             raise SizeTooSmall(
                 f"suite {self.suite!r} has no host of order {lo}..{self.max_n}"
             )
+        if suite.family and self.max_n > FAMILY_GUARD:
+            raise TooLarge(f"family suites are capped at n <= {FAMILY_GUARD}")
+        if suite.family or self.mode == "random":
+            return self
         for k in self.ks:
-            if self.mode == "exhaustive":
-                if k == 2 and self.max_n > 11:
-                    raise TooLarge("exhaustive k=2 corpora are capped at n <= 11")
-                if self.dedupe and self.max_n - k > ISO_ENUM_GUARD:
-                    raise TooLarge(
-                        f"class enumeration capped at n - k <= {ISO_ENUM_GUARD}"
-                    )
-                if not self.dedupe and labeled_count(k, self.max_n) > LABELED_GUARD:
-                    raise TooLarge(
-                        f"labeled corpus for k={k}, n={self.max_n} exceeds "
-                        f"{LABELED_GUARD} builds"
-                    )
+            if k == 2 and self.max_n > 11:
+                raise TooLarge("exhaustive k=2 corpora are capped at n <= 11")
+            if self.dedupe and self.max_n - k > ISO_ENUM_GUARD:
+                raise TooLarge(f"class enumeration capped at n - k <= {ISO_ENUM_GUARD}")
+            if not self.dedupe and labeled_count(k, self.max_n) > LABELED_GUARD:
+                raise TooLarge(
+                    f"labeled corpus for k={k}, n={self.max_n} exceeds "
+                    f"{LABELED_GUARD} builds"
+                )
         return self
 
     def as_dict(self):
@@ -176,6 +173,11 @@ def _random_ktrees(ks, min_n, max_n, count, seed):
 
 def iter_corpus(cfg):
     """Yield (instance_id, KTree) pairs for a validated config."""
+    suite = SUITES[cfg.suite]
+    if suite.family:
+        ns = range(max(cfg.min_n, suite.least), cfg.max_n + 1)
+        yield from suite.family(cfg.ks, ns)
+        return
     if cfg.mode == "random":
         for k, s, T in _random_ktrees(
             cfg.ks, cfg.min_n, cfg.max_n, cfg.trials, cfg.seed
@@ -355,25 +357,32 @@ def check_chartree_adjacency(T, cfg):
     return violations, tallies
 
 
-def check_nonmajor_max(T, cfg):
-    """Maximum sits at degree <= 2; every major clique has a better neighbor."""
-    violations = []
-    tallies = Counter()
+def _argmax_classes(T):
+    """Every clique mean, the argmax cliques and their mean, each clique's
+    CliqueInfo, and the tally key naming the classes in the argmax."""
     means = all_clique_means(T)
     arg, best = argmax_cliques(T, means)
-    degs = {C: clique_degree(T, C) for C in means}
-    if not any(degs[C].degree <= 2 for C in arg):
+    infos = {C: clique_degree(T, C) for C in means}
+    key = "argmax:" + "+".join(sorted({infos[C].kind for C in arg}))
+    return means, arg, best, infos, key
+
+
+def check_nonmajor_max(T, cfg):
+    """Maximum sits at a non-major clique; every major clique has a better
+    neighbor."""
+    means, arg, best, infos, key = _argmax_classes(T)
+    violations = []
+    tallies = Counter([key])
+    if all(infos[C].kind == MAJOR for C in arg):
         violations.append(
             {
                 "claim": "argmax contains a clique of degree <= 2",
-                "detail": f"argmax={arg} degrees={[degs[C].degree for C in arg]}",
+                "detail": f"argmax={arg} degrees={[infos[C].degree for C in arg]}",
                 "lhs": fraction_str(best),
             }
         )
-    kinds = sorted({degs[C].kind for C in arg})
-    tallies["argmax:" + "+".join(kinds)] += 1
-    for C, info in degs.items():
-        if info.degree >= 3:
+    for C, info in infos.items():
+        if info.kind == MAJOR:
             better = [D for D in adjacent_cliques(T, C) if means[D] > means[C]]
             tallies["major_cliques"] += 1
             if not better:
@@ -391,16 +400,16 @@ def check_end_clique_dominance(T, cfg):
     violations = []
     tallies = Counter()
     means = all_clique_means(T)
-    degs = {C: clique_degree(T, C).degree for C in means}
+    kinds = {C: clique_degree(T, C).kind for C in means}
     pt = path_type_predicate(T)
     leafset = set(T.k_leaf_set()) if T.n > T.k else set()
-    for C1, d in degs.items():
-        if d != 1:
+    for C1, kind in kinds.items():
+        if kind != END:
             continue
         c1_has_leaf = any(v in leafset for v in C1)
         for C2 in adjacent_cliques(T, C1):
             lhs, rhs = means[C1], means[C2]
-            predicted = degs[C2] == 1 or (pt and c1_has_leaf)
+            predicted = kinds[C2] == END or (pt and c1_has_leaf)
             tallies["equality" if lhs == rhs else "strict"] += 1
             if lhs < rhs or (lhs == rhs) != predicted:
                 violations.append(
@@ -417,52 +426,113 @@ def check_end_clique_dominance(T, cfg):
     return violations, tallies
 
 
-_CHECKERS = {
-    "jamison-ratio": (check_jamison_ratio, "trees"),
-    "global-mean-bound": (check_global_mean_bound, "trees"),
-    "kelmans": (check_kelmans_suite, "trees"),
-    "partial-kelmans": (check_partial_kelmans_suite, "trees"),
-    "leaf-dominance": (check_leaf_dominance, "trees"),
-    "local-mean-reduction": (check_local_mean_reduction, "ktrees"),
-    "chartree-adjacency": (check_chartree_adjacency, "ktrees"),
-    "nonmajor-max": (check_nonmajor_max, "ktrees"),
-    "end-clique-dominance": (check_end_clique_dominance, "ktrees"),
+def check_double_broom(T, cfg):
+    """The double broom of parameter n (order 2n + 5) has its maximum local
+    mean order at a degree-2 vertex for n >= 7 and at a leaf for n <= 2."""
+    n = (T.n - 5) // 2
+    adj = tree_adjacency(T)
+    means = {v: local_mean_order_vertex(adj, v) for v in sorted(adj)}
+    best = max(means.values())
+    arg = sorted(v for v, m in means.items() if m == best)
+    infos = [clique_degree(T, (v,)) for v in arg]
+    degset = sorted({info.degree for info in infos})
+    violations = []
+    if n >= 7 and any(info.kind != DEGREE2 for info in infos):
+        violations.append(
+            {
+                "claim": "argmax vertex has degree 2 for n >= 7",
+                "detail": f"argmax={arg} degrees={degset}",
+            }
+        )
+    if n in (1, 2) and any(info.kind != END for info in infos):
+        violations.append(
+            {"claim": "argmax is a leaf for n in {1,2}", "detail": f"argmax={arg}"}
+        )
+    return violations, Counter([f"n={n}:argmax_degrees={degset}"])
+
+
+def check_bristled_star(T, cfg):
+    """Every maximizer of the bristled star of parameter n (order k + 2n) is
+    an end clique."""
+    n = (T.n - T.k) // 2
+    _, arg, _, infos, _ = _argmax_classes(T)
+    degrees = sorted({infos[C].degree for C in arg})
+    violations = []
+    if any(infos[C].kind != END for C in arg):
+        violations.append(
+            {
+                "claim": "all maximizers are end cliques",
+                "detail": f"argmax={arg} degrees={degrees}",
+            }
+        )
+    return violations, Counter([f"k={T.k},n={n}:argmax_degrees={degrees}"])
+
+
+def _double_brooms(ks, ns):
+    for n in ns:
+        yield f"broom-n{n}", gen_double_broom(n)
+
+
+def _bristled_stars(ks, ns):
+    for k in ks:
+        for n in ns:
+            yield f"bristled-k{k}-n{n}", gen_bristled_star(k, n)
+
+
+@dataclass(frozen=True)
+class Suite:
+    """A suite's checker and its corpus: every k-tree of each order (classes,
+    labeled or random builds) for the configured ks, or for k = 1 when
+    `trees`; or, whatever the mode, the (instance_id, host) pairs
+    family(ks, ns) for the family parameters n from `least` to max_n."""
+
+    checker: object
+    trees: bool = False
+    family: object = None
+    least: int = 1
+
+
+SUITES = {
+    "jamison-ratio": Suite(check_jamison_ratio, trees=True),
+    "global-mean-bound": Suite(check_global_mean_bound, trees=True),
+    "kelmans": Suite(check_kelmans_suite, trees=True),
+    "partial-kelmans": Suite(check_partial_kelmans_suite, trees=True),
+    "leaf-dominance": Suite(check_leaf_dominance, trees=True),
+    "local-mean-reduction": Suite(check_local_mean_reduction),
+    "chartree-adjacency": Suite(check_chartree_adjacency),
+    "nonmajor-max": Suite(check_nonmajor_max),
+    "end-clique-dominance": Suite(check_end_clique_dominance),
+    "double-broom": Suite(check_double_broom, family=_double_brooms),
+    "bristled-star": Suite(check_bristled_star, family=_bristled_stars, least=3),
 }
-
-# family suite -> smallest order its generator accepts
-_FAMILY_SUITES = {"double-broom": 1, "bristled-star": 3}
-
-
-def _lowest_order(suite, ks):
-    """Smallest host order in the corpus of `suite`: 1 for tree suites and
-    for an unknown name (rejected later), the family's least order, else k."""
-    if suite in _FAMILY_SUITES:
-        return _FAMILY_SUITES[suite]
-    if suite in _CHECKERS and _CHECKERS[suite][1] == "ktrees":
-        return min(ks)
-    return 1
 
 
 def suite_names():
-    return sorted(_CHECKERS) + sorted(_FAMILY_SUITES)
+    return sorted(SUITES)
 
 
 # -- drivers -------------------------------------------------------------------
 
 
 def _check_hosts(checker, cfg, hosts):
-    """Run `checker` over (instance_id, KTree) pairs; return the tagged
-    violations, the summed tallies and the number of hosts."""
-    violations = []
-    tallies = Counter()
-    instances = 0
+    """Yield (violations tagged with the instance id, tallies, 1) for each
+    (instance_id, KTree) pair."""
     for inst_id, T in hosts:
         v, t = checker(T, cfg)
         for item in v:
             item["instance"] = inst_id
-        violations.extend(v)
+        yield v, t, 1
+
+
+def _merge(results):
+    """Sum (violations, tallies, instances) triples."""
+    violations = []
+    tallies = Counter()
+    instances = 0
+    for v, t, c in results:
+        violations += v
         tallies.update(t)
-        instances += 1
+        instances += c
     return violations, tallies, instances
 
 
@@ -472,85 +542,20 @@ def _run_chunk(payload):
         (inst_id, KTree.from_parts(k, base, build, validate=False))
         for inst_id, k, base, build in specs
     )
-    return _check_hosts(_CHECKERS[suite][0], SuiteConfig(**cfg_dict), hosts)
-
-
-def _run_family_suite(cfg):
-    violations = []
-    tallies = Counter()
-    instances = 0
-    lo = max(cfg.min_n, _FAMILY_SUITES[cfg.suite])
-    if cfg.suite == "double-broom":
-        for n in range(lo, cfg.max_n + 1):
-            T = gen_double_broom(n)
-            adj = tree_adjacency(T)
-            means = {v: local_mean_order_vertex(adj, v) for v in sorted(adj)}
-            best = max(means.values())
-            arg = sorted(v for v, m in means.items() if m == best)
-            degset = sorted({len(adj[v]) for v in arg})
-            instances += 1
-            tallies[f"n={n}:argmax_degrees={degset}"] += 1
-            if n >= 7 and degset != [2]:
-                violations.append(
-                    {
-                        "instance": f"broom-n{n}",
-                        "claim": "argmax vertex has degree 2 for n >= 7",
-                        "detail": f"argmax={arg} degrees={degset}",
-                    }
-                )
-            if n in (1, 2) and not all(len(adj[v]) == 1 for v in arg):
-                violations.append(
-                    {
-                        "instance": f"broom-n{n}",
-                        "claim": "argmax is a leaf for n in {1,2}",
-                        "detail": f"argmax={arg}",
-                    }
-                )
-    else:  # bristled-star
-        for k in cfg.ks:
-            for n in range(lo, cfg.max_n + 1):
-                T = gen_bristled_star(k, n)
-                arg, best = argmax_cliques(T)
-                degrees = sorted({clique_degree(T, C).degree for C in arg})
-                instances += 1
-                tallies[f"k={k},n={n}:argmax_degrees={degrees}"] += 1
-                if degrees != [1]:
-                    violations.append(
-                        {
-                            "instance": f"bristled-k{k}-n{n}",
-                            "claim": "all maximizers are end cliques",
-                            "detail": f"argmax={arg} degrees={degrees}",
-                        }
-                    )
-    return violations, tallies, instances
+    return _merge(_check_hosts(SUITES[suite].checker, SuiteConfig(**cfg_dict), hosts))
 
 
 def run_suite(cfg):
     """Run one suite and return the versioned JSON-ready report."""
     t0 = time.monotonic()
-    cfg.validate()
-    if cfg.suite in _FAMILY_SUITES:
-        violations, tallies, instances = _run_family_suite(cfg)
-    elif cfg.suite in _CHECKERS:
-        checker, kind = _CHECKERS[cfg.suite]
-        if kind == "trees" and tuple(cfg.ks) != (1,):
-            cfg.ks = (1,)
-        if cfg.jobs <= 1:
-            hosts = iter_corpus(cfg)
-            violations, tallies, instances = _check_hosts(checker, cfg, hosts)
-        else:
-            violations = []
-            tallies = Counter()
-            instances = 0
-            payloads = _chunk_payloads(cfg)
-            workers = min(cfg.jobs, os.cpu_count() or 1)
-            with ProcessPoolExecutor(max_workers=workers) as pool:
-                for v, t, c in pool.map(_run_chunk, payloads):
-                    violations.extend(v)
-                    tallies.update(t)
-                    instances += c
+    checker = SUITES[cfg.validate().suite].checker
+    if cfg.jobs <= 1:
+        found = _merge(_check_hosts(checker, cfg, iter_corpus(cfg)))
     else:
-        raise UnknownSuite(f"no suite named {cfg.suite!r}; try {suite_names()}")
+        workers = min(cfg.jobs, os.cpu_count() or 1)
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            found = _merge(pool.map(_run_chunk, _chunk_payloads(cfg)))
+    violations, tallies, instances = found
     return {
         "schema": SCHEMA_VERIFY,
         "suite": cfg.suite,
@@ -564,14 +569,9 @@ def run_suite(cfg):
 
 
 def _chunk_payloads(cfg, chunk=400):
-    specs = []
-    for inst_id, T in iter_corpus(cfg):
-        specs.append((inst_id, T.k, T.base, T.build))
-        if len(specs) >= chunk:
-            yield (cfg.suite, cfg.as_dict(), specs)
-            specs = []
-    if specs:
-        yield (cfg.suite, cfg.as_dict(), specs)
+    specs = ((inst_id, T.k, T.base, T.build) for inst_id, T in iter_corpus(cfg))
+    while batch := list(itertools.islice(specs, chunk)):
+        yield (cfg.suite, cfg.as_dict(), batch)
 
 
 # -- the open-problem search ---------------------------------------------------
@@ -607,13 +607,7 @@ def search_degree2_witness(
 
     if mode == "exhaustive":
         cfg = SuiteConfig(
-            suite="nonmajor-max",
-            ks=(k,),
-            min_n=k + 1,
-            max_n=max_n,
-            mode="exhaustive",
-            dedupe=dedupe,
-            cap=cap,
+            suite="nonmajor-max", ks=(k,), min_n=k + 1, max_n=max_n, dedupe=dedupe
         ).validate()
         corpus = iter_corpus(cfg)
     elif mode == "random":
@@ -628,15 +622,14 @@ def search_degree2_witness(
 
     for inst_id, T in corpus:
         instances += 1
-        means = all_clique_means(T)
-        arg, best = argmax_cliques(T, means)
-        infos = {C: clique_degree(T, C) for C in means}
-        degs = {C: info.degree for C, info in infos.items()}
-        kinds = sorted({infos[C].kind for C in arg})
-        tallies["argmax:" + "+".join(kinds)] += 1
-
-        end_best = max((m for C, m in means.items() if degs[C] == 1), default=None)
-        deg2_best = max((m for C, m in means.items() if degs[C] == 2), default=None)
+        means, arg, best, infos, key = _argmax_classes(T)
+        tallies[key] += 1
+        end_best = max(
+            (m for C, m in means.items() if infos[C].kind == END), default=None
+        )
+        deg2_best = max(
+            (m for C, m in means.items() if infos[C].kind == DEGREE2), default=None
+        )
         if end_best is not None and deg2_best is not None:
             gap = deg2_best - end_best
             near.append(
@@ -658,7 +651,7 @@ def search_degree2_witness(
             near.sort(key=lambda t: (-t[0], t[1]))
             del near[8:]
 
-        if all(degs[C] == 2 for C in arg):
+        if all(infos[C].kind == DEGREE2 for C in arg):
             entry = {
                 "instance": inst_id,
                 "k": k,

@@ -234,6 +234,10 @@ BAD_INPUTS = {
     "search-random-max-n-at-k": (
         "search", "--k", "3", "--max-n", "3", "--mode", "random", "--budget", "2",
     ),
+    "verify-family-order-1e15": (
+        "verify", "--suite", "double-broom", "--min-n", "1000000000000000",
+        "--max-n", "1000000000000000",
+    ),
 }
 
 

@@ -20,9 +20,7 @@ def test_no_broad_except():
     assert not broad, f"broad except clauses: {broad}"
 
 
-# The labeled build enumerator recurses once per added vertex, so its depth
-# is n - k, and LABELED_GUARD keeps that at about 10.
-RECURSION_ALLOWED = {"verify.enumerate_labeled_ktrees.rec"}
+RECURSION_ALLOWED = set()
 
 
 def _callee(node):

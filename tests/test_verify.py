@@ -103,11 +103,15 @@ def test_random_mode_deterministic():
 
 
 def test_parallel_matches_serial():
-    base = dict(suite="kelmans", ks=(1,), max_n=6)
-    serial = V.run_suite(V.SuiteConfig(**base, jobs=1))
-    parallel = V.run_suite(V.SuiteConfig(**base, jobs=2))
-    for key in ("instances", "violations", "witnesses", "tallies"):
-        assert serial[key] == parallel[key]
+    for base in (
+        dict(suite="kelmans", ks=(1,), max_n=6),
+        dict(suite="double-broom", max_n=9),
+        dict(suite="bristled-star", ks=(2, 3), max_n=6),
+    ):
+        serial = V.run_suite(V.SuiteConfig(**base, jobs=1))
+        parallel = V.run_suite(V.SuiteConfig(**base, jobs=2))
+        for key in ("instances", "violations", "witnesses", "tallies"):
+            assert serial[key] == parallel[key]
 
 
 def test_jobs_are_clamped_to_the_cpu_count(monkeypatch):
@@ -150,14 +154,54 @@ def test_unknown_suite_and_bad_configs():
 
 
 def test_family_suites():
+    # n= is the family parameter, not the host order
     broom = V.run_suite(V.SuiteConfig(suite="double-broom", min_n=1, max_n=7))
     assert broom["violations"] == []
     assert broom["instances"] == 7
+    assert broom["tallies"] == {
+        "n=1:argmax_degrees=[1]": 1,
+        "n=2:argmax_degrees=[1]": 1,
+        "n=3:argmax_degrees=[1]": 1,
+        "n=4:argmax_degrees=[1]": 1,
+        "n=5:argmax_degrees=[1]": 1,
+        "n=6:argmax_degrees=[1]": 1,
+        "n=7:argmax_degrees=[2]": 1,
+    }
     star = V.run_suite(
-        V.SuiteConfig(suite="bristled-star", ks=(3,), min_n=3, max_n=4)
+        V.SuiteConfig(suite="bristled-star", ks=(2, 3), min_n=3, max_n=4)
     )
     assert star["violations"] == []
-    assert star["instances"] == 2
+    assert star["instances"] == 4
+    assert star["tallies"] == {
+        "k=2,n=3:argmax_degrees=[1]": 1,
+        "k=2,n=4:argmax_degrees=[1]": 1,
+        "k=3,n=3:argmax_degrees=[1]": 1,
+        "k=3,n=4:argmax_degrees=[1]": 1,
+    }
+
+
+@pytest.mark.parametrize(
+    "suite,instances",
+    [
+        ("global-mean-bound", 987),  # runs the trees of order 1..12
+        ("double-broom", 12),
+        ("bristled-star", 10),
+    ],
+)
+def test_tree_and_family_suites_pass_the_k2_order_cap(suite, instances):
+    # the k = 2 cap on exhaustive corpora (n <= 11) binds only k-tree suites;
+    # these run at the default ks, (2,)
+    report = V.run_suite(V.SuiteConfig(suite=suite, max_n=12))
+    assert report["violations"] == []
+    assert report["instances"] == instances
+
+
+def test_family_order_is_capped_before_any_host_is_built():
+    with pytest.raises(TooLarge):
+        V.SuiteConfig(
+            suite="double-broom", min_n=V.FAMILY_GUARD + 1, max_n=V.FAMILY_GUARD + 1
+        ).validate()
+    V.SuiteConfig(suite="bristled-star", max_n=V.FAMILY_GUARD).validate()
 
 
 def test_empty_order_range_is_rejected():
