@@ -62,6 +62,11 @@ class TheoremReport:
     equality: bool
     predicted_equality: bool
 
+    @classmethod
+    def at_least(cls, claim, instance, lhs, rhs, predicted):
+        """The report on lhs >= rhs, with equality predicted as given."""
+        return cls(claim, instance, lhs, rhs, lhs >= rhs, lhs == rhs, predicted)
+
     @property
     def consistent(self):
         return self.equality == self.predicted_equality
@@ -121,30 +126,19 @@ def check_kelmans_shift(tree, u, v):
     shifted = kelmans(adj, v, u)
     inst = _describe(adj, (("u", u), ("v", v)))
 
-    lhs2 = local_mean_order_vertex(shifted, v)
-    rhs2 = local_mean_order_vertex(adj, u)
-    pred2 = len(adj[u]) == 1 or (_is_path(adj) and len(adj[v]) == 1)
-    rep2 = TheoremReport(
+    rep2 = TheoremReport.at_least(
         "mu(G(v->u); v) >= mu(T; u)",
         inst,
-        lhs2,
-        rhs2,
-        lhs2 >= rhs2,
-        lhs2 == rhs2,
-        pred2,
+        local_mean_order_vertex(shifted, v),
+        local_mean_order_vertex(adj, u),
+        len(adj[u]) == 1 or (_is_path(adj) and len(adj[v]) == 1),
     )
-
-    lhs3 = local_mean_order_vertex(adj, v)
-    rhs3 = local_mean_order_vertex(shifted, u)
-    pred3 = component_path_predicate(adj, v, u)
-    rep3 = TheoremReport(
+    rep3 = TheoremReport.at_least(
         "mu(T; v) >= mu(G(v->u); u)",
         inst,
-        lhs3,
-        rhs3,
-        lhs3 >= rhs3,
-        lhs3 == rhs3,
-        pred3,
+        local_mean_order_vertex(adj, v),
+        local_mean_order_vertex(shifted, u),
+        component_path_predicate(adj, v, u),
     )
     return rep2, rep3
 
@@ -155,18 +149,12 @@ def check_kelmans_monotone(tree, u, v):
     adj = as_tree_adj(tree)
     if u not in adj or v not in adj[u]:
         raise NotAdjacent(f"{u} and {v} must be adjacent")
-    shifted = kelmans(adj, v, u)
-    lhs = local_mean_order_vertex(shifted, v)
-    rhs = local_mean_order_vertex(adj, v)
-    pred = len(adj[v]) == 1 or (_is_path(adj) and len(adj[u]) == 1)
-    return TheoremReport(
+    return TheoremReport.at_least(
         "mu(G(v->u); v) >= mu(T; v)",
         _describe(adj, (("u", u), ("v", v))),
-        lhs,
-        rhs,
-        lhs >= rhs,
-        lhs == rhs,
-        pred,
+        local_mean_order_vertex(kelmans(adj, v, u), v),
+        local_mean_order_vertex(adj, v),
+        len(adj[v]) == 1 or (_is_path(adj) and len(adj[u]) == 1),
     )
 
 
@@ -182,9 +170,6 @@ def check_partial_kelmans_monotone(tree, u, v, moved):
     moved = frozenset(moved)
     if not moved <= adj[v] - {u}:
         raise BadMoveSet("moved set must lie in N(v) minus u")
-    shifted = partial_kelmans(adj, v, u, moved)
-    lhs = local_mean_order_vertex(shifted, v)
-    rhs = local_mean_order_vertex(adj, v)
     if not moved:
         pred = True
     elif len(adj[u]) == 1 and len(moved) == 1:
@@ -192,11 +177,12 @@ def check_partial_kelmans_monotone(tree, u, v, moved):
         pred = component_path_predicate(adj, v, w)
     else:
         pred = False
-    inst = _describe(
-        adj, (("u", u), ("v", v), ("W", sorted(moved, key=node_key)))
-    )
-    return TheoremReport(
-        "mu(T'; v) >= mu(T; v)", inst, lhs, rhs, lhs >= rhs, lhs == rhs, pred
+    return TheoremReport.at_least(
+        "mu(T'; v) >= mu(T; v)",
+        _describe(adj, (("u", u), ("v", v), ("W", sorted(moved, key=node_key)))),
+        local_mean_order_vertex(partial_kelmans(adj, v, u, moved), v),
+        local_mean_order_vertex(adj, v),
+        pred,
     )
 
 
@@ -208,15 +194,10 @@ def check_leaf_dominates_neighbor(tree, v, u):
         raise NotALeaf(f"{v} is not a leaf")
     if u not in adj[v]:
         raise NotAdjacent(f"{u} is not the neighbor of leaf {v}")
-    lhs = local_mean_order_vertex(adj, v)
-    rhs = local_mean_order_vertex(adj, u)
-    pred = _is_path(adj)
-    return TheoremReport(
+    return TheoremReport.at_least(
         "mu(T; v) >= mu(T; u)",
         _describe(adj, (("v", v), ("u", u))),
-        lhs,
-        rhs,
-        lhs >= rhs,
-        lhs == rhs,
-        pred,
+        local_mean_order_vertex(adj, v),
+        local_mean_order_vertex(adj, u),
+        _is_path(adj),
     )

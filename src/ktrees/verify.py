@@ -7,6 +7,14 @@ build failure, not a logged warning.  Exhaustive corpora iterate labeled
 construction sequences, optionally deduplicated by isomorphism class (every
 checked claim is invariant under relabeling, so one representative per
 class gives the same verdict).
+
+A checker has one of two shapes.  An inequality with a predicted equality
+case (the Jamison ratio, the global bound, the Kelmans moves, leaf and
+end-clique dominance) yields one `TheoremReport` per comparison, and
+`_fold_reports` turns those into tallies and violation records.  Every
+other checker returns (violations, tallies) itself.  `_argmax_classes` is
+the one place the k-tree checkers and the search get clique means, the
+argmax and each clique's degree class.
 """
 
 from __future__ import annotations
@@ -46,6 +54,7 @@ from .core import (
 from .errors import BadK, NotATree, SizeTooSmall, TooLarge, UnknownSuite
 from .isomorphism import enumerate_ktrees_up_to_iso, ISO_ENUM_GUARD
 from .kelmans_ops import (
+    TheoremReport,
     check_kelmans_monotone,
     check_kelmans_shift,
     check_leaf_dominates_neighbor,
@@ -65,6 +74,8 @@ SCHEMA_VERIFY = "ktree-verify/1"
 SCHEMA_SEARCH = "ktree-search/1"
 LABELED_GUARD = 2_000_000
 FAMILY_GUARD = 1000  # max family parameter n
+RANDOM_GUARD = 10_000  # max host order in random mode
+K_GUARD = 255  # max k; canonical codes take k <= 255
 
 
 def labeled_count(k, n):
@@ -121,22 +132,29 @@ class SuiteConfig:
         suite = SUITES.get(self.suite)
         if suite is None:
             raise UnknownSuite(f"no suite named {self.suite!r}; try {suite_names()}")
-        if not self.ks or min(self.ks) < 1:
-            raise BadK(f"need at least one k and every k >= 1, got {self.ks}")
+        if not self.ks or min(self.ks) < suite.least_k or max(self.ks) > K_GUARD:
+            raise BadK(
+                f"suite {self.suite!r} needs at least one k and every k in "
+                f"{suite.least_k}..{K_GUARD}, got {self.ks}"
+            )
         if suite.trees:
             self.ks = (1,)
         if self.mode not in ("exhaustive", "random"):
             raise UnknownSuite(f"unknown mode {self.mode!r}")
         if self.mode == "random" and self.trials < 1:
-            raise TooLarge("random mode requires trials >= 1")
+            raise TooLarge("random mode requires a positive trial count")
         lo = max(self.min_n, suite.least if suite.family else min(self.ks))
         if lo > self.max_n:
             raise SizeTooSmall(
                 f"suite {self.suite!r} has no host of order {lo}..{self.max_n}"
             )
-        if suite.family and self.max_n > FAMILY_GUARD:
-            raise TooLarge(f"family suites are capped at n <= {FAMILY_GUARD}")
-        if suite.family or self.mode == "random":
+        if suite.family:
+            if self.max_n > FAMILY_GUARD:
+                raise TooLarge(f"family suites are capped at n <= {FAMILY_GUARD}")
+            return self
+        if self.mode == "random":
+            if self.max_n > RANDOM_GUARD:
+                raise TooLarge(f"random hosts are capped at n <= {RANDOM_GUARD}")
             return self
         for k in self.ks:
             if k == 2 and self.max_n > 11:
@@ -198,111 +216,72 @@ def iter_corpus(cfg):
 # -- per-instance checkers -----------------------------------------------------
 
 
-def _bad(claim, report):
-    return {
-        "claim": claim,
-        "detail": report.instance,
-        "lhs": fraction_str(report.lhs),
-        "rhs": fraction_str(report.rhs),
-        "equality": report.equality,
-        "predicted_equality": report.predicted_equality,
-    }
-
-
-def check_jamison_ratio(T, cfg):
-    adj = tree_adjacency(T)
+def _fold_reports(reports, equality):
+    """(violations, tallies) of TheoremReports: each report is tallied under
+    the key `equality` or as `strict`, and each one that is not ok becomes a
+    violation."""
     violations = []
     tallies = Counter()
-    for u in sorted(adj):
-        lhs, rhs, tight = jamison_ratio_check(adj, u)
-        predicted = path_with_leaf_predicate(adj, u)
-        tallies["tight" if tight else "strict"] += 1
-        if lhs > rhs or tight != predicted:
+    for rep in reports:
+        tallies[equality if rep.equality else "strict"] += 1
+        if not rep.ok:
             violations.append(
                 {
-                    "claim": "phi'/(1+phi) <= phi/2 with path-leaf tightness",
-                    "detail": f"u={u}",
-                    "lhs": fraction_str(lhs),
-                    "rhs": fraction_str(rhs),
-                    "equality": tight,
-                    "predicted_equality": predicted,
+                    "claim": rep.claim,
+                    "detail": rep.instance,
+                    "lhs": fraction_str(rep.lhs),
+                    "rhs": fraction_str(rep.rhs),
+                    "equality": rep.equality,
+                    "predicted_equality": rep.predicted_equality,
                 }
             )
     return violations, tallies
 
 
+def check_jamison_ratio(T, cfg):
+    adj = tree_adjacency(T)
+    claim = "phi'/(1+phi) <= phi/2 with path-leaf tightness"
+    for u in sorted(adj):
+        lhs, rhs, tight = jamison_ratio_check(adj, u)
+        pred = path_with_leaf_predicate(adj, u)
+        yield TheoremReport(claim, f"u={u}", lhs, rhs, lhs <= rhs, tight, pred)
+
+
 def check_global_mean_bound(T, cfg):
     adj = tree_adjacency(T)
-    mu = global_mean_order_tree(adj)
-    bound = Fraction(T.n + 2, 3)
-    is_path = all(len(vs) <= 2 for vs in adj.values())
-    violations = []
-    tallies = Counter(["equality" if mu == bound else "strict"])
-    if mu < bound or (mu == bound) != is_path:
-        violations.append(
-            {
-                "claim": "mu(T) >= (n+2)/3, equality exactly on paths",
-                "detail": f"n={T.n}",
-                "lhs": fraction_str(mu),
-                "rhs": fraction_str(bound),
-                "equality": mu == bound,
-                "predicted_equality": is_path,
-            }
-        )
-    return violations, tallies
-
-
-def _ordered_adjacent_pairs(adj):
-    for u in sorted(adj):
-        for v in sorted(adj[u]):
-            yield u, v
+    yield TheoremReport.at_least(
+        "mu(T) >= (n+2)/3, equality exactly on paths",
+        f"n={T.n}",
+        global_mean_order_tree(adj),
+        Fraction(T.n + 2, 3),
+        path_type_predicate(T),
+    )
 
 
 def check_kelmans_suite(T, cfg):
     adj = tree_adjacency(T)
-    violations = []
-    tallies = Counter()
-    for u, v in _ordered_adjacent_pairs(adj):
-        rep2, rep3 = check_kelmans_shift(adj, u, v)
-        for rep in (rep2, rep3):
-            tallies["equality" if rep.equality else "strict"] += 1
-            if not rep.ok:
-                violations.append(_bad(rep.claim, rep))
-        mono = check_kelmans_monotone(adj, u, v)
-        tallies["equality" if mono.equality else "strict"] += 1
-        if not mono.ok:
-            violations.append(_bad(mono.claim, mono))
-    return violations, tallies
+    for u in sorted(adj):
+        for v in sorted(adj[u]):
+            yield from check_kelmans_shift(adj, u, v)
+            yield check_kelmans_monotone(adj, u, v)
 
 
 def check_partial_kelmans_suite(T, cfg):
     adj = tree_adjacency(T)
-    violations = []
-    tallies = Counter()
-    for u, v in _ordered_adjacent_pairs(adj):
-        others = sorted(adj[v] - {u})
-        for r in range(len(others) + 1):
-            for W in itertools.combinations(others, r):
-                rep = check_partial_kelmans_monotone(adj, u, v, W)
-                tallies["equality" if rep.equality else "strict"] += 1
-                if not rep.ok:
-                    violations.append(_bad(rep.claim, rep))
-    return violations, tallies
+    for u in sorted(adj):
+        for v in sorted(adj[u]):
+            others = sorted(adj[v] - {u})
+            for r in range(len(others) + 1):
+                for W in itertools.combinations(others, r):
+                    yield check_partial_kelmans_monotone(adj, u, v, W)
 
 
 def check_leaf_dominance(T, cfg):
     adj = tree_adjacency(T)
-    violations = []
-    tallies = Counter()
     for v in sorted(adj):
-        if len(adj[v]) != 1:
-            continue
-        (u,) = adj[v]
-        rep = check_leaf_dominates_neighbor(adj, v, u)
-        tallies["equality" if rep.equality else "strict"] += 1
-        if not rep.ok:
-            violations.append(_bad(rep.claim, rep))
-    return violations, tallies
+        if len(adj[v]) == 1:
+            (u,) = adj[v]
+            yield check_leaf_dominates_neighbor(adj, v, u)
 
 
 def check_local_mean_reduction(T, cfg):
@@ -397,33 +376,22 @@ def check_nonmajor_max(T, cfg):
 
 def check_end_clique_dominance(T, cfg):
     """End cliques dominate their neighbors, with the exact equality cases."""
-    violations = []
-    tallies = Counter()
-    means = all_clique_means(T)
-    kinds = {C: clique_degree(T, C).kind for C in means}
+    means, _, _, infos, _ = _argmax_classes(T)
     pt = path_type_predicate(T)
     leafset = set(T.k_leaf_set()) if T.n > T.k else set()
-    for C1, kind in kinds.items():
-        if kind != END:
+    for C1, info in infos.items():
+        if info.kind != END:
             continue
         c1_has_leaf = any(v in leafset for v in C1)
         for C2 in adjacent_cliques(T, C1):
-            lhs, rhs = means[C1], means[C2]
-            predicted = kinds[C2] == END or (pt and c1_has_leaf)
-            tallies["equality" if lhs == rhs else "strict"] += 1
-            if lhs < rhs or (lhs == rhs) != predicted:
-                violations.append(
-                    {
-                        "claim": "mu(T;C1) >= mu(T;C2) for end C1, equality iff "
-                        "C2 end or path-type with k-leaf in C1",
-                        "detail": f"C1={C1} C2={C2}",
-                        "lhs": fraction_str(lhs),
-                        "rhs": fraction_str(rhs),
-                        "equality": lhs == rhs,
-                        "predicted_equality": predicted,
-                    }
-                )
-    return violations, tallies
+            yield TheoremReport.at_least(
+                "mu(T;C1) >= mu(T;C2) for end C1, equality iff "
+                "C2 end or path-type with k-leaf in C1",
+                f"C1={C1} C2={C2}",
+                means[C1],
+                means[C2],
+                infos[C2].kind == END or (pt and c1_has_leaf),
+            )
 
 
 def check_double_broom(T, cfg):
@@ -484,26 +452,41 @@ class Suite:
     """A suite's checker and its corpus: every k-tree of each order (classes,
     labeled or random builds) for the configured ks, or for k = 1 when
     `trees`; or, whatever the mode, the (instance_id, host) pairs
-    family(ks, ns) for the family parameters n from `least` to max_n."""
+    family(ks, ns) for the family parameters n from `least` to max_n.  Every
+    k lies in least_k..K_GUARD.
+
+    The checker returns (violations, tallies) for a host or, when
+    `equality_key` is set, yields TheoremReports that `_fold_reports` tallies
+    under that key."""
 
     checker: object
     trees: bool = False
     family: object = None
     least: int = 1
+    least_k: int = 1
+    equality_key: str = None
 
 
 SUITES = {
-    "jamison-ratio": Suite(check_jamison_ratio, trees=True),
-    "global-mean-bound": Suite(check_global_mean_bound, trees=True),
-    "kelmans": Suite(check_kelmans_suite, trees=True),
-    "partial-kelmans": Suite(check_partial_kelmans_suite, trees=True),
-    "leaf-dominance": Suite(check_leaf_dominance, trees=True),
+    "jamison-ratio": Suite(check_jamison_ratio, trees=True, equality_key="tight"),
+    "global-mean-bound": Suite(
+        check_global_mean_bound, trees=True, equality_key="equality"
+    ),
+    "kelmans": Suite(check_kelmans_suite, trees=True, equality_key="equality"),
+    "partial-kelmans": Suite(
+        check_partial_kelmans_suite, trees=True, equality_key="equality"
+    ),
+    "leaf-dominance": Suite(check_leaf_dominance, trees=True, equality_key="equality"),
     "local-mean-reduction": Suite(check_local_mean_reduction),
     "chartree-adjacency": Suite(check_chartree_adjacency),
     "nonmajor-max": Suite(check_nonmajor_max),
-    "end-clique-dominance": Suite(check_end_clique_dominance),
+    "end-clique-dominance": Suite(
+        check_end_clique_dominance, equality_key="equality"
+    ),
     "double-broom": Suite(check_double_broom, family=_double_brooms),
-    "bristled-star": Suite(check_bristled_star, family=_bristled_stars, least=3),
+    "bristled-star": Suite(
+        check_bristled_star, family=_bristled_stars, least=3, least_k=2
+    ),
 }
 
 
@@ -514,11 +497,14 @@ def suite_names():
 # -- drivers -------------------------------------------------------------------
 
 
-def _check_hosts(checker, cfg, hosts):
+def _check_hosts(suite, cfg, hosts):
     """Yield (violations tagged with the instance id, tallies, 1) for each
     (instance_id, KTree) pair."""
     for inst_id, T in hosts:
-        v, t = checker(T, cfg)
+        found = suite.checker(T, cfg)
+        if suite.equality_key:
+            found = _fold_reports(found, suite.equality_key)
+        v, t = found
         for item in v:
             item["instance"] = inst_id
         yield v, t, 1
@@ -542,15 +528,15 @@ def _run_chunk(payload):
         (inst_id, KTree.from_parts(k, base, build, validate=False))
         for inst_id, k, base, build in specs
     )
-    return _merge(_check_hosts(SUITES[suite].checker, SuiteConfig(**cfg_dict), hosts))
+    return _merge(_check_hosts(SUITES[suite], SuiteConfig(**cfg_dict), hosts))
 
 
 def run_suite(cfg):
     """Run one suite and return the versioned JSON-ready report."""
     t0 = time.monotonic()
-    checker = SUITES[cfg.validate().suite].checker
+    suite = SUITES[cfg.validate().suite]
     if cfg.jobs <= 1:
-        found = _merge(_check_hosts(checker, cfg, iter_corpus(cfg)))
+        found = _merge(_check_hosts(suite, cfg, iter_corpus(cfg)))
     else:
         workers = min(cfg.jobs, os.cpu_count() or 1)
         with ProcessPoolExecutor(max_workers=workers) as pool:
@@ -589,7 +575,8 @@ def search_degree2_witness(
     """Look for a k-tree whose maximum local mean order is attained only at
     degree-2 cliques (never at an end clique).
 
-    Witnesses are re-validated against the brute-force oracle.  The search
+    Witnesses of order at most `cap` are re-validated against the
+    brute-force oracle; above it `oracle_confirms` is None.  The search
     reports whatever it finds; an empty witness list over an exhaustive
     corpus certifies absence only at those sizes.
     """
@@ -605,20 +592,25 @@ def search_degree2_witness(
     near = []  # (gap, id, info)
     instances = 0
 
-    if mode == "exhaustive":
-        cfg = SuiteConfig(
-            suite="nonmajor-max", ks=(k,), min_n=k + 1, max_n=max_n, dedupe=dedupe
-        ).validate()
-        corpus = iter_corpus(cfg)
-    elif mode == "random":
-        if not budget or budget < 1:
-            raise TooLarge("random mode requires a positive budget")
+    cfg = SuiteConfig(
+        suite="nonmajor-max",
+        ks=(k,),
+        min_n=k + 1,
+        max_n=max_n,
+        mode=mode,
+        trials=budget or 0,
+        seed=seed,
+        dedupe=dedupe,
+    ).validate()
+    if mode == "random":
         corpus = (
             (f"k{k}-r{s}", T)
-            for _, s, T in _random_ktrees((k,), k + 1, max_n, budget, seed)
+            for _, s, T in _random_ktrees(
+                cfg.ks, cfg.min_n, cfg.max_n, cfg.trials, cfg.seed
+            )
         )
     else:
-        raise UnknownSuite(f"unknown mode {mode!r}")
+        corpus = iter_corpus(cfg)
 
     for inst_id, T in corpus:
         instances += 1
@@ -662,7 +654,7 @@ def search_degree2_witness(
                 "mu_decimal": format_decimal(best),
             }
             try:
-                oracle_arg, oracle_best = oracle_argmax_cliques(T, cap=max(cap, T.n))
+                oracle_arg, oracle_best = oracle_argmax_cliques(T, cap=cap)
                 entry["oracle_confirms"] = oracle_arg == arg and oracle_best == best
             except TooLarge:
                 entry["oracle_confirms"] = None

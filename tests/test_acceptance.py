@@ -278,8 +278,8 @@ def test_criterion_08_end_clique_taxonomy():
         corpus.append(core.build_from_construction(k, [(k + 1, tuple(range(1, k + 1)))]))
     for T in corpus:
         hosts += 1
-        v, _ = V.check_end_clique_dominance(T, None)
-        bad.extend(v)
+        bad.extend(rep for rep in V.check_end_clique_dominance(T, None)
+                   if not rep.ok)
     ok = not bad and hosts > 10
     line = _emit(
         8,

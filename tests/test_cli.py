@@ -234,6 +234,20 @@ BAD_INPUTS = {
     "search-random-max-n-at-k": (
         "search", "--k", "3", "--max-n", "3", "--mode", "random", "--budget", "2",
     ),
+    "verify-bristled-k1-after-k3": (
+        "verify", "--suite", "bristled-star", "--k", "3,1", "--max-n", "40",
+    ),
+    "verify-bristled-k-1e12": (
+        "verify", "--suite", "bristled-star", "--k", "1000000000000", "--max-n", "3",
+    ),
+    "verify-random-order-1e12": (
+        "verify", "--suite", "nonmajor-max", "--mode", "random", "--trials", "1",
+        "--max-n", "1000000000000",
+    ),
+    "search-random-order-1e12": (
+        "search", "--k", "2", "--mode", "random", "--budget", "1",
+        "--max-n", "1000000000000",
+    ),
     "verify-family-order-1e15": (
         "verify", "--suite", "double-broom", "--min-n", "1000000000000000",
         "--max-n", "1000000000000000",

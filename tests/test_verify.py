@@ -151,6 +151,20 @@ def test_unknown_suite_and_bad_configs():
         V.SuiteConfig(
             suite="nonmajor-max", ks=(2,), max_n=10, dedupe=False
         ).validate()
+    # class enumeration would build K_256 before canonical_code rejects k > 255
+    k = V.K_GUARD + 1
+    with pytest.raises(BadK):
+        V.SuiteConfig(suite="nonmajor-max", ks=(k,), min_n=k, max_n=k).validate()
+    # the search validates the same config in both modes
+    with pytest.raises(TooLarge):
+        V.search_degree2_witness(2, 9, mode="random")
+    with pytest.raises(UnknownSuite):
+        V.search_degree2_witness(2, 9, mode="sideways")
+    # the bounds themselves are accepted
+    V.SuiteConfig(
+        suite="nonmajor-max", mode="random", trials=1, max_n=V.RANDOM_GUARD
+    ).validate()
+    V.SuiteConfig(suite="bristled-star", ks=(2, V.K_GUARD), max_n=3).validate()
 
 
 def test_family_suites():
@@ -202,6 +216,109 @@ def test_family_order_is_capped_before_any_host_is_built():
             suite="double-broom", min_n=V.FAMILY_GUARD + 1, max_n=V.FAMILY_GUARD + 1
         ).validate()
     V.SuiteConfig(suite="bristled-star", max_n=V.FAMILY_GUARD).validate()
+
+
+# the first violation of each inequality suite when one equality predicate
+# is negated, and the tally keys it keeps
+FORCED = {
+    "jamison-ratio": (
+        (1,), 4, 14, {"strict", "tight"},
+        {
+            "claim": "phi'/(1+phi) <= phi/2 with path-leaf tightness",
+            "detail": "u=1", "lhs": "1/2", "rhs": "1/2", "equality": True,
+            "predicted_equality": False, "instance": "k1-n1-c0",
+        },
+    ),
+    "global-mean-bound": (
+        (1,), 4, 5, {"equality", "strict"},
+        {
+            "claim": "mu(T) >= (n+2)/3, equality exactly on paths",
+            "detail": "n=1", "lhs": "1/1", "rhs": "1/1", "equality": True,
+            "predicted_equality": False, "instance": "k1-n1-c0",
+        },
+    ),
+    "kelmans": (
+        (1,), 4, 32, {"equality", "strict"},
+        {
+            "claim": "mu(T; v) >= mu(G(v->u); u)",
+            "detail": "n=2 edges=[(1, 2)] u=1 v=2", "lhs": "3/2", "rhs": "3/2",
+            "equality": True, "predicted_equality": False, "instance": "k1-n2-c0",
+        },
+    ),
+    "partial-kelmans": (
+        (1,), 4, 10, {"equality", "strict"},
+        {
+            "claim": "mu(T'; v) >= mu(T; v)",
+            "detail": "n=3 edges=[(1, 2), (1, 3)] u=2 v=1 W=[3]",
+            "lhs": "2/1", "rhs": "2/1", "equality": True,
+            "predicted_equality": False, "instance": "k1-n3-c0",
+        },
+    ),
+    "leaf-dominance": (
+        (1,), 4, 9, {"equality", "strict"},
+        {
+            "claim": "mu(T; v) >= mu(T; u)",
+            "detail": "n=2 edges=[(1, 2)] v=1 u=2", "lhs": "3/2", "rhs": "3/2",
+            "equality": True, "predicted_equality": False, "instance": "k1-n2-c0",
+        },
+    ),
+    "end-clique-dominance": (
+        (2,), 5, 14, {"equality", "strict"},
+        {
+            "claim": "mu(T;C1) >= mu(T;C2) for end C1, equality iff C2 end or "
+            "path-type with k-leaf in C1",
+            "detail": "C1=(1, 3) C2=(1, 2)", "lhs": "3/1", "rhs": "3/1",
+            "equality": True, "predicted_equality": False, "instance": "k2-n4-c0",
+        },
+    ),
+}
+
+
+@pytest.mark.parametrize("suite", sorted(FORCED))
+def test_forced_predicates_give_pinned_violation_records(suite, monkeypatch):
+    from ktrees import kelmans_ops
+
+    for mod, name in (
+        (V, "path_with_leaf_predicate"),
+        (V, "path_type_predicate"),
+        (kelmans_ops, "component_path_predicate"),
+        (kelmans_ops, "_is_path"),
+    ):
+        real = getattr(mod, name)
+        monkeypatch.setattr(mod, name, lambda *a, real=real: not real(*a))
+    ks, max_n, count, keys, first = FORCED[suite]
+    report = V.run_suite(V.SuiteConfig(suite=suite, ks=ks, max_n=max_n))
+    assert len(report["violations"]) == count
+    assert report["violations"][0] == first
+    assert set(report["tallies"]) == keys
+
+
+def test_witness_above_the_cap_is_not_rechecked(monkeypatch):
+    from ktrees.core import DEGREE2
+
+    real = V._argmax_classes
+    faked = []
+
+    def degree2_argmax_once(T):
+        # the first host above the cap with a degree-2 clique reads as a
+        # degree-2-only maximizer
+        means, arg, best, infos, key = real(T)
+        deg2 = [C for C in means if infos[C].kind == DEGREE2]
+        if T.n > 6 and deg2 and not faked:
+            faked.append(T.n)
+            arg, best = deg2[:1], means[deg2[0]]
+        return means, arg, best, infos, key
+
+    monkeypatch.setattr(V, "_argmax_classes", degree2_argmax_once)
+    report = V.search_degree2_witness(2, 7, cap=6)
+    assert faked == [7]
+    assert [w["oracle_confirms"] for w in report["witnesses"]] == [None]
+    assert report["violations"] == []
+    # below the cap the oracle runs and refutes the same fake witness
+    faked.clear()
+    report = V.search_degree2_witness(2, 7, cap=7)
+    assert [w["oracle_confirms"] for w in report["witnesses"]] == [False]
+    assert len(report["violations"]) == 1
 
 
 def test_empty_order_range_is_rejected():
