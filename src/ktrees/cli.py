@@ -4,13 +4,14 @@ Subcommands: validate, mean-order, char-tree, kelmans, oracle, verify,
 search.  Inputs are .kt construction files, or edge lists when --k is
 given.  Every numeric result is printed as the exact fraction first and a
 six-digit decimal second.  Exit codes: 0 clean, 1 violation or failed
-cross-check, 2 input/config error.
+cross-check, 2 input/config error, 3 crash (traceback on stderr).
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
+import traceback
 from pathlib import Path
 
 from . import chartree, core, oracle, polynomials, verify
@@ -279,6 +280,9 @@ def main(argv=None):
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except Exception:  # a crash is neither a verdict nor bad input
+        traceback.print_exc()
+        return 3
 
 
 if __name__ == "__main__":

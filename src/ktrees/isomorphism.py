@@ -13,8 +13,14 @@ The clique-incidence tree (k-cliques joined to the (k+1)-cliques that
 contain them) has a centre that every isomorphism fixes.  The canonical
 code is the minimum rooted code over the centre's k-cliques and their
 orderings, at most (k+1) * k! of them, so two k-trees are isomorphic iff
-their canonical codes are equal.  Class enumeration keeps one canonical
-code per class and level.
+their canonical codes are equal.  The centre is found on integer index
+lists read off the construction (each (k+1)-clique lists its k+1 face
+nodes, each k-clique its (k+1)-cliques) by stripping leaves in a loop.
+
+Class enumeration keeps one canonical code per class and level.
+`iso_levels` yields the levels k..n in turn, each built once from the one
+before, so a corpus over a range of orders builds every level once;
+`enumerate_ktrees_up_to_iso` is its last level.
 """
 
 from __future__ import annotations
@@ -25,7 +31,6 @@ from .chartree import _construction_with_parents
 from .core import (
     KTree,
     _bit,
-    _common_mask,
     _mask_vertices,
     build_from_construction,
     k_cliques,
@@ -105,33 +110,52 @@ def rooted_code_set(T):
 def _centre_roots(T):
     """The k-cliques at the centre of the clique-incidence tree.
 
-    A (k+1)-clique has k+1 faces, so every leaf is a k-clique, every
-    leaf-to-leaf path has even length, and stripping all leaves round by
-    round ends at a single node.  The roots are that node if it is a
-    k-clique, else its k+1 faces.
+    The tree is read off the construction as index lists: the base clique
+    is node 0, each step adds its k new faces as the next k-clique nodes,
+    and its (k+1)-clique takes node 1 + k(n-k) + step and lists its k+1
+    face nodes.  A (k+1)-clique has k+1 faces, so every leaf is a
+    k-clique, every leaf-to-leaf path has even length, and stripping all
+    leaves round by round ends at a single node.  The roots are that node
+    if it is a k-clique, else its k+1 faces.
     """
-    common = {T.clique_mask(C): _common_mask(T, C) for C in k_cliques(T)}
-
-    def neighbours(a):
-        # a k-clique gains a common neighbour, a (k+1)-clique drops a vertex
-        return [a ^ _bit(x) for x in _mask_vertices(common.get(a, a))]
-
-    degree = {q: T.k + 1 for a in common for q in neighbours(a)}
-    degree.update((a, m.bit_count()) for a, m in common.items())
-    leaves = [a for a, d in degree.items() if d == 1]
-    while len(degree) > 1:
-        nxt = []
-        for a in leaves:
-            del degree[a]
-            for b in neighbours(a):
-                if b in degree:
-                    degree[b] -= 1
-                    if degree[b] == 1:
-                        nxt.append(b)
-        leaves = nxt
-    (centre,) = degree
-    faces = [centre] if centre in common else neighbours(centre)
-    return [tuple(_mask_vertices(f)) for f in faces]
+    k = T.k
+    base = T.clique_mask(T.base)
+    node = {base: 0}  # k-clique mask -> node
+    masks = [base]  # node -> clique mask, k-cliques first
+    adj = [[]]  # node -> neighbour nodes
+    kp1 = []  # (k+1)-clique masks
+    faces = []  # (k+1)-clique -> its face nodes
+    nk = 1 + k * (T.n - k)
+    for v, attach in T.build:
+        a = T.clique_mask(attach)
+        q = a | _bit(v)
+        fs = [node[a]]
+        for u in attach:
+            f = q ^ _bit(u)
+            node[f] = len(masks)
+            fs.append(len(masks))
+            masks.append(f)
+            adj.append([])
+        for f in fs:
+            adj[f].append(nk + len(kp1))
+        kp1.append(q)
+        faces.append(fs)
+    masks += kp1
+    adj += faces
+    degree = [len(ns) for ns in adj]
+    leaves = [a for a, d in enumerate(degree) if d <= 1]
+    while leaves:
+        last, leaves = leaves, []
+        for a in last:
+            for b in adj[a]:
+                # a node stripped earlier drops from 1 to 0, never to 1
+                degree[b] -= 1
+                if degree[b] == 1:
+                    leaves.append(b)
+    (centre,) = last
+    m = masks[centre]
+    roots = [m] if centre < nk else [m ^ _bit(x) for x in _mask_vertices(m)]
+    return [tuple(_mask_vertices(f)) for f in roots]
 
 
 def canonical_code(T):
@@ -158,24 +182,39 @@ def _extend(T, C):
     return KTree.from_parts(T.k, T.base, adds, validate=False)
 
 
-def enumerate_ktrees_up_to_iso(k, n):
-    """One representative per isomorphism class of k-trees of order n.
-
-    Builds levels k..n; at each level every representative is extended at
-    every clique and a candidate is kept iff its canonical code is new.
-    Every class at level m+1 has a parent class at level m (delete any
-    k-leaf), so extending representatives alone reaches every class.
-    """
-    if n < k:
-        raise SizeTooSmall(f"need n >= k, got n={n}")
-    if n - k > ISO_ENUM_GUARD:
-        raise TooLarge(f"class enumeration capped at n - k <= {ISO_ENUM_GUARD}")
+def _levels(k, n):
     level = [build_from_construction(k, [])]
-    for _ in range(k + 1, n + 1):
+    yield k, level
+    for m in range(k + 1, n + 1):
         classes = {}  # canonical code -> first candidate with it
         for T in level:
             for C in k_cliques(T):
                 cand = _extend(T, C)
                 classes.setdefault(canonical_code(cand), cand)
         level = list(classes.values())
+        yield m, level
+
+
+def iso_levels(k, n):
+    """Yield (m, one representative per isomorphism class of order m) for
+    m = k..n, building each level once from the one before it.
+
+    At each level every representative is extended at every clique and a
+    candidate is kept iff its canonical code is new.  Every class at level
+    m+1 has a parent class at level m (delete any k-leaf), so extending
+    representatives alone reaches every class.  The order range is checked
+    before the first level is built.
+    """
+    if n < k:
+        raise SizeTooSmall(f"need n >= k, got n={n}")
+    if n - k > ISO_ENUM_GUARD:
+        raise TooLarge(f"class enumeration capped at n - k <= {ISO_ENUM_GUARD}")
+    return _levels(k, n)
+
+
+def enumerate_ktrees_up_to_iso(k, n):
+    """One representative per isomorphism class of k-trees of order n: the
+    last level of `iso_levels(k, n)`."""
+    for _, level in iso_levels(k, n):
+        pass
     return level

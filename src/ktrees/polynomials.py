@@ -176,12 +176,22 @@ def _bfs_tree(adj, root, forbidden=frozenset()):
 
 
 def _phi_poly(up):
-    """phi_{T,root}(x) of the rooted tree with parent positions `up`."""
-    one = IntPolynomial.const(1)
-    poly = [IntPolynomial.x()] * len(up)
+    """phi_{T,root}(x) of the rooted tree with parent positions `up`.
+
+    Coefficients fold as plain integer lists.  Every phi is x times a
+    product, so its constant term is 0, and a child w folds into its parent
+    p as p + p * phi_w over the terms of degree >= 1 of both.
+    """
+    poly = [[0, 1] for _ in up]
     for i in range(len(up) - 1, 0, -1):
-        poly[up[i]] = poly[up[i]] * (one + poly[i])
-    return poly[0]
+        a, b = poly[up[i]], poly[i]
+        out = a + [0] * (len(b) - 1)
+        for s in range(1, len(a)):
+            ca = a[s]
+            for j, cb in enumerate(b[1:], s + 1):
+                out[j] += ca * cb
+        poly[up[i]] = out
+    return IntPolynomial(poly[0])
 
 
 def _phi_pair(up):

@@ -52,7 +52,7 @@ from .core import (
     random_ktree,
 )
 from .errors import BadK, NotATree, SizeTooSmall, TooLarge, UnknownSuite
-from .isomorphism import enumerate_ktrees_up_to_iso, ISO_ENUM_GUARD
+from .isomorphism import ISO_ENUM_GUARD, iso_levels
 from .kelmans_ops import (
     TheoremReport,
     check_kelmans_monotone,
@@ -157,8 +157,8 @@ class SuiteConfig:
                 raise TooLarge(f"random hosts are capped at n <= {RANDOM_GUARD}")
             return self
         for k in self.ks:
-            if k == 2 and self.max_n > 11:
-                raise TooLarge("exhaustive k=2 corpora are capped at n <= 11")
+            if k == 2 and self.max_n > 13:
+                raise TooLarge("exhaustive k=2 corpora are capped at n <= 13")
             if self.dedupe and self.max_n - k > ISO_ENUM_GUARD:
                 raise TooLarge(f"class enumeration capped at n - k <= {ISO_ENUM_GUARD}")
             if not self.dedupe and labeled_count(k, self.max_n) > LABELED_GUARD:
@@ -204,11 +204,15 @@ def iter_corpus(cfg):
         return
     for k in cfg.ks:
         lo = max(cfg.min_n, k)
-        for n in range(lo, cfg.max_n + 1):
-            if cfg.dedupe:
-                for i, T in enumerate(enumerate_ktrees_up_to_iso(k, n)):
-                    yield f"k{k}-n{n}-c{i}", T
-            else:
+        if lo > cfg.max_n:
+            continue
+        if cfg.dedupe:
+            for n, level in iso_levels(k, cfg.max_n):
+                if n >= lo:
+                    for i, T in enumerate(level):
+                        yield f"k{k}-n{n}-c{i}", T
+        else:
+            for n in range(lo, cfg.max_n + 1):
                 for i, T in enumerate(enumerate_labeled_ktrees(k, n)):
                     yield f"k{k}-n{n}-L{i}", T
 

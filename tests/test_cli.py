@@ -1,10 +1,11 @@
 """End-to-end coverage of the command-line interface."""
 
 import json
+from dataclasses import replace
 
 import pytest
 
-from ktrees import core
+from ktrees import core, verify
 from ktrees.cli import main
 
 
@@ -190,6 +191,22 @@ def test_search_subcommand(tmp_path, capsys):
     report = json.loads(out_path.read_text())
     assert report["witnesses"] == []
     assert "witnesses: 0" in err
+
+
+def test_crash_exits_3_with_a_traceback_and_no_report(tmp_path, capsys, monkeypatch):
+    def boom(T, cfg):
+        raise RuntimeError("checker bug")
+
+    suite = verify.SUITES["nonmajor-max"]
+    monkeypatch.setitem(verify.SUITES, "nonmajor-max", replace(suite, checker=boom))
+    out_path = tmp_path / "report.json"
+    code, _, err = run(
+        capsys, "verify", "--suite", "nonmajor-max", "--k", "2", "--max-n", "5",
+        "--out", str(out_path),
+    )
+    assert code == 3
+    assert "Traceback" in err and "RuntimeError: checker bug" in err
+    assert not out_path.exists()
 
 
 def test_search_rejects_k1(capsys):

@@ -1,5 +1,6 @@
 """Canonical codes: permutation-invariant, isomorphism-separating."""
 
+import hashlib
 import itertools
 import random
 from types import SimpleNamespace
@@ -7,7 +8,7 @@ from types import SimpleNamespace
 import pytest
 
 from ktrees import core, isomorphism as I, verify as V
-from ktrees.errors import TooLarge
+from ktrees.errors import SizeTooSmall, TooLarge
 
 from conftest import ktree_classes
 
@@ -192,3 +193,72 @@ def test_deep_hosts_are_coded_without_recursion():
 def test_class_enumeration_guard():
     with pytest.raises(TooLarge):
         I.enumerate_ktrees_up_to_iso(1, 15)
+    # the level generator checks its range before the first level is asked for
+    with pytest.raises(TooLarge):
+        I.iso_levels(1, 15)
+    with pytest.raises(SizeTooSmall):
+        I.iso_levels(3, 2)
+
+
+@pytest.mark.parametrize("k, n", [(1, 9), (2, 8), (3, 8)])
+def test_each_level_equals_the_enumeration_of_its_order(k, n):
+    levels = list(I.iso_levels(k, n))
+    assert [m for m, _ in levels] == list(range(k, n + 1))
+    for m, level in levels:
+        want = ktree_classes(k, m)
+        assert [(T.base, T.build) for T in level] == [(T.base, T.build) for T in want]
+
+
+def test_corpus_builds_each_level_once(monkeypatch):
+    calls = []
+    code = I.canonical_code
+
+    def counted(T):
+        calls.append(T.n)
+        return code(T)
+
+    monkeypatch.setattr(I, "canonical_code", counted)
+    cfg = V.SuiteConfig(suite="nonmajor-max", ks=(2,), max_n=8).validate()
+    corpus = list(V.iter_corpus(cfg))
+    in_corpus = len(calls)
+    calls.clear()
+    I.enumerate_ktrees_up_to_iso(2, 8)
+    assert in_corpus == len(calls) > 0
+    want = [
+        (f"k2-n{n}-c{i}", T) for n in range(2, 9) for i, T in enumerate(ktree_classes(2, n))
+    ]
+    assert corpus == want
+
+
+def test_codes_are_pinned_for_every_small_class():
+    """The code bytes of every class with k = 1..3 and n <= 9, in enumeration
+    order; any change to the code format or to the centre shows here."""
+    digest = hashlib.sha256()
+    for k in (1, 2, 3):
+        for n in range(k, 10):
+            for T in ktree_classes(k, n):
+                digest.update(I.canonical_code(T))
+    assert digest.hexdigest() == (
+        "13b066673d403283126195b3a51c2c2616da109d93b7050911208eb59a072bee"
+    )
+
+
+def test_centre_roots_agree_with_networkx_center():
+    nx = pytest.importorskip("networkx")
+    rng = random.Random(41)
+    for k in (1, 2, 3, 4):
+        for _ in range(40):
+            T = core.random_ktree(k, rng.randint(k, 24), rng.randrange(10**9))
+            G = nx.Graph()
+            G.add_nodes_from(core.k_cliques(T))
+            for q in core.kp1_cliques(T):
+                G.add_edges_from((q, f) for f in itertools.combinations(q, k))
+            (centre,) = nx.center(G)
+            faces = [centre] if len(centre) == k else itertools.combinations(centre, k)
+            assert sorted(I._centre_roots(T)) == sorted(faces)
+
+
+def test_centre_of_a_deep_host_is_found_without_recursion():
+    # 2998 (k+1)-cliques in a chain: the centre is the face shared by the
+    # 1499th and 1500th of them
+    assert I._centre_roots(core.gen_path_type(2, 3000)) == [(1500, 1501)]

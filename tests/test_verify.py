@@ -146,7 +146,7 @@ def test_unknown_suite_and_bad_configs():
     with pytest.raises(TooLarge):
         V.SuiteConfig(suite="kelmans", mode="random", trials=0).validate()
     with pytest.raises(TooLarge):
-        V.SuiteConfig(suite="nonmajor-max", ks=(2,), max_n=12).validate()
+        V.SuiteConfig(suite="nonmajor-max", ks=(2,), max_n=14).validate()
     with pytest.raises(TooLarge):
         V.SuiteConfig(
             suite="nonmajor-max", ks=(2,), max_n=10, dedupe=False
@@ -161,6 +161,7 @@ def test_unknown_suite_and_bad_configs():
     with pytest.raises(UnknownSuite):
         V.search_degree2_witness(2, 9, mode="sideways")
     # the bounds themselves are accepted
+    V.SuiteConfig(suite="nonmajor-max", ks=(2,), max_n=13).validate()
     V.SuiteConfig(
         suite="nonmajor-max", mode="random", trials=1, max_n=V.RANDOM_GUARD
     ).validate()
@@ -203,8 +204,9 @@ def test_family_suites():
     ],
 )
 def test_tree_and_family_suites_pass_the_k2_order_cap(suite, instances):
-    # the k = 2 cap on exhaustive corpora (n <= 11) binds only k-tree suites;
+    # the k = 2 cap on exhaustive corpora (n <= 13) binds only k-tree suites;
     # these run at the default ks, (2,)
+    V.SuiteConfig(suite=suite, max_n=14).validate()
     report = V.run_suite(V.SuiteConfig(suite=suite, max_n=12))
     assert report["violations"] == []
     assert report["instances"] == instances
