@@ -3,17 +3,19 @@ reduction of local mean orders, the adjacent-clique relation, and the
 climb from major cliques to better ones.
 
 For a k-tree T and a k-clique C, the characteristic tree T'_C lives on
-{C-node} union (V(T) \\ V(C)).  It is built from `construction_from`, the
-order of T starting at C that the k-leaf peeler of `core` gives: a vertex's
-parent is the clique node when its attachment lies inside C, otherwise the
-latest-added vertex of the attachment outside C (`isomorphism` uses the same
-rule).  The C-to-v path then spells the unique elimination sequence of v,
-which `elimination_sequence` also derives independently (greedy peel) and
-checks against its defining conditions.
+{C-node} union (V(T) \\ V(C)).  It is read off one walk from C over the
+host's clique-incidence index (`core.CliqueIncidence`, built once per
+host): entering a (k+1)-clique through one of its faces adds the vertex
+outside that face, and its parent is the vertex that made the face, or the
+C-node when the face is C.  That is the latest-added vertex of its
+attachment outside C in any construction order from C (`isomorphism`
+reads the same walk).  The C-to-v path then spells the unique elimination
+sequence of v, which `elimination_sequence` derives independently (greedy
+peel) and checks against its defining conditions.
 
 A `CharTree` stores T'_C as the data the folds read: `labels`, the C-node
-followed by the vertices in construction order, and `up`, the position of
-each node's parent (-1 at the C-node).  The order is parents-first, so the
+followed by the vertices in walk order, and `up`, the position of each
+node's parent (-1 at the C-node).  The order is parents-first, so the
 reduction mu(T;C) = mu(T'_C;C) + k - 1 folds the integer pair
 (phi(1), phi'(1)) of phi_{T'_C,C} straight over `up`
 (`local_mean_order_clique`), and `local_poly_clique` folds the dense
@@ -85,8 +87,8 @@ class CharTree:
     """A tree on {C-node} union (V(T) \\ V(C)) carrying all local mean-order
     information of the host at C.
 
-    `labels[0]` is the C-node and `labels[1:]` the vertices in construction
-    order; `up[i]` is the position of the parent of `labels[i]`, with
+    `labels[0]` is the C-node and `labels[1:]` the vertices in walk order;
+    `up[i]` is the position of the parent of `labels[i]`, with
     `up[0] = -1` and `up[i] < i`.
     """
 
@@ -112,15 +114,17 @@ class CharTree:
         return [self.clique_node] + sorted(self.labels[1:])
 
     def edges(self):
-        seen = set()
-        out = []
-        for a in self.nodes():
-            for b in self.adj[a]:
-                key = frozenset((a, b))
-                if key not in seen:
-                    seen.add(key)
-                    out.append((a, b))
-        return out
+        """Every edge once, as (a, b) with a before b in `nodes()`: the C-node
+        first, then the vertices ascending, so the order depends on the tree
+        alone."""
+        nodes = self.nodes()
+        rank = {a: i for i, a in enumerate(nodes)}
+        return [
+            (a, b)
+            for a in nodes
+            for b in sorted(self.adj[a], key=rank.__getitem__)
+            if rank[b] > rank[a]
+        ]
 
     def to_dot(self):
         lines = ["graph chartree {"]
@@ -133,52 +137,84 @@ class CharTree:
         return "\n".join(lines) + "\n"
 
 
-# -- construction orders -------------------------------------------------------
+# -- the walk over the clique-incidence index ----------------------------------
+
+
+def _walk(T, C):
+    """Walk the clique-incidence tree of T from the k-clique C, which the
+    caller has validated.
+
+    Returns (vertices, up, via): the vertices outside C in walk order,
+    parents first; the parent position of every node of T'_C (the C-node
+    at position 0, `up[0] = -1`); and, per vertex, the k-clique node it
+    joins.  Entering a (k+1)-clique Q through its face F adds the one
+    vertex x of Q outside F, and every other face of Q contains x.  So a
+    vertex's parent is the vertex added on entering the (k+1)-clique that
+    made its face, or the C-node when that face is C.
+
+    The (k+1)-cliques on the index path from C up to the base clique are
+    entered through a face they made, so each adds the attachment vertex
+    missing from that face, and they form a chain below the C-node.  Every
+    other step s is entered through attach_s and adds v_s.  Those steps are
+    taken breadth first: the steps below the k faces made by s are one
+    contiguous run of `steps`.
+    """
+    inc = T._incidence
+    k, build, attach_node = inc.k, inc.build, inc.attach_node
+    first, steps = inc.first, inc.steps
+    f = inc.node(C)
+    verts = []
+    up = [-1]
+    via = []
+    down = list(steps[first[f] : first[f + 1]])  # steps entered through attach_s
+    par = [0] * len(down)
+    while f:
+        s = (f - 1) // k
+        low = 1 + k * s
+        i = len(up)
+        verts.append(build[s][1][f - low])
+        up.append(i - 1)
+        via.append(f)
+        for a, b in ((first[low], first[f]), (first[f + 1], first[low + k])):
+            down += steps[a:b]
+            par += [i] * (b - a)
+        f = attach_node[s]
+        for t in steps[first[f] : first[f + 1]]:
+            if t != s:
+                down.append(t)
+                par.append(i)
+    i = len(up)
+    for s in down:  # the list grows as it is read
+        low = 1 + k * s
+        a, b = first[low], first[low + k]
+        if a != b:
+            down += steps[a:b]
+            par += [i] * (b - a)
+        i += 1
+    verts += [build[s][0] for s in down]
+    up += par
+    via += [attach_node[s] for s in down]
+    return verts, up, via
 
 
 def construction_from(T, C):
     """A construction order of T starting at C: list of (vertex, attachment).
 
-    Obtained by peeling the lowest-id k-leaf outside C until C remains,
-    then reversing.  Attachments are the peel-time neighborhoods.
+    The vertices come in the walk order of `characteristic_tree`, each with
+    the sorted k-clique it joins.
     """
     C = require_k_clique(T, C)
-    peeled = _peel_k_leaves(T.k, list(T.masks), T.clique_mask(C))
-    if len(peeled) != T.n - T.k:
-        raise NotKTree("no k-leaf outside the clique; host is not a k-tree")
-    return peeled[::-1]
-
-
-def _construction_with_parents(T, C):
-    """Yield (vertex, attachment, parent) along `construction_from(T, C)`.
-
-    The parent is the latest-added vertex of the attachment outside C, or
-    None (the clique node) when the attachment lies inside C.
-    """
-    steps = construction_from(T, C)
-    cset = set(C)
-    pos = {}
-    for i, (v, attach) in enumerate(steps):
-        pos[v] = i
-        parent = None
-        for u in attach:
-            if u not in cset and (parent is None or pos[u] > pos[parent]):
-                parent = u
-        yield v, attach, parent
+    verts, _, via = _walk(T, C)
+    clique = T._incidence.clique
+    return [(v, clique(j)) for v, j in zip(verts, via)]
 
 
 def characteristic_tree(T, C):
     """The characteristic 1-tree T'_C; K_1 for the trivial host."""
     C = require_k_clique(T, C)
+    verts, up, _ = _walk(T, C)
     node = CliqueNode(C)
-    labels = [node]
-    up = [-1]
-    at = {None: 0}  # at[p] fails unless p is already placed, so up[i] < i
-    for v, _, p in _construction_with_parents(T, C):
-        up.append(at[p])
-        at[v] = len(labels)
-        labels.append(v)
-    return CharTree(node, tuple(labels), tuple(up))
+    return CharTree(node, (node, *verts), tuple(up))
 
 
 # -- elimination sequences -----------------------------------------------------
@@ -343,6 +379,11 @@ def verify_adjacent_reduction(T, C1, C2, cache=None):
 # -- climbing away from major cliques ------------------------------------------
 
 
+def better_neighbors(T, C, means):
+    """The adjacent cliques of C whose mean in `means` exceeds C's, sorted."""
+    return [D for D in adjacent_cliques(T, C) if means[D] > means[C]]
+
+
 def climb_to_nonmajor(T, C_start):
     """Follow strictly improving adjacent cliques until a non-major one.
 
@@ -353,15 +394,11 @@ def climb_to_nonmajor(T, C_start):
     means = all_clique_means(T)
     trace = [(C, means[C])]
     while clique_degree(T, C).kind == MAJOR:
-        best = None
-        for C2 in adjacent_cliques(T, C):
-            if means[C2] > means[C]:
-                if best is None or (means[C2], C2) > (means[best], best):
-                    best = C2
-        if best is None:
+        better = better_neighbors(T, C, means)
+        if not better:
             raise NotKTree(
                 f"no improving neighbor at major clique {C}; claim violated"
             )
-        C = best
+        C = max(better, key=lambda D: (means[D], D))
         trace.append((C, means[C]))
     return C, tuple(trace)

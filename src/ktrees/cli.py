@@ -57,7 +57,7 @@ def cmd_mean_order(args):
               file=sys.stderr)
         return 2
     if args.clique:
-        C = core.require_k_clique(T, _parse_clique(args.clique))
+        C = _parse_clique(args.clique)
         mu = chartree.local_mean_order_clique(T, C)
         print(f"mu(T;{_clique_label(C)}) = {format_rational(mu)}")
     elif args.all_cliques:
@@ -75,7 +75,7 @@ def cmd_mean_order(args):
 
 def cmd_char_tree(args):
     T = _load(args)
-    C = core.require_k_clique(T, _parse_clique(args.clique))
+    C = _parse_clique(args.clique)
     ct = chartree.characteristic_tree(T, C)
     print(f"characteristic tree at {_clique_label(C)}: {ct.order} nodes")
     for a, b in ct.edges():

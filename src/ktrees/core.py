@@ -10,6 +10,7 @@ enumeration-heavy modules operate on.
 from __future__ import annotations
 
 import random as _random
+from array import array
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations
@@ -103,6 +104,61 @@ class CliqueInfo:
 
     degree: int
     kind: str
+
+
+class CliqueIncidence:
+    """The clique-incidence tree of a k-tree (k-cliques joined to the
+    (k+1)-cliques that contain them), as flat integer arrays read off the
+    construction records.
+
+    The (k+1)-cliques are the steps s = 0..n-k-1: step s adds v_s at
+    attach_s and makes Q_s = attach_s + v_s.  k-clique node 0 is the base
+    clique, and node 1 + k*s + t is the face Q_s - attach_s[t], which
+    contains v_s.  `attach_node[s]` is the node of attach_s; the steps
+    attaching at node j are `steps[first[j]:first[j + 1]]`; `step_of[v]` is
+    the step that added v, or -1 for a base vertex.  Every k-clique node
+    but 0 was made by step (j - 1) // k.
+    """
+
+    __slots__ = ("k", "base", "build", "attach_node", "first", "steps", "step_of")
+
+    def __init__(self, T):
+        k, build = T.k, T.build
+        self.k, self.base, self.build = k, T.base, build
+        self.step_of = step_of = array("i", [-1]) * (T.n + 1)
+        self.attach_node = attach_node = array("i", [0]) * len(build)
+        count = array("i", [0]) * (2 + k * len(build))
+        for s, (v, attach) in enumerate(build):
+            j = self.node(attach)
+            attach_node[s] = j
+            count[j + 1] += 1
+            step_of[v] = s
+        for j in range(1, len(count)):
+            count[j] += count[j - 1]
+        self.first = array("i", count)
+        self.steps = steps = array("i", [0]) * len(build)
+        for s, j in enumerate(attach_node):
+            steps[count[j]] = s
+            count[j] += 1
+
+    def node(self, C):
+        """The node of the k-clique C, found from its latest-added vertex.
+        C must be a k-clique of the host."""
+        step_of = self.step_of
+        s = max(step_of[v] for v in C)
+        if s < 0:
+            return 0
+        v, attach = self.build[s]
+        # C is Q_s less one vertex of attach_s
+        return 1 + self.k * s + attach.index(sum(attach) + v - sum(C))
+
+    def clique(self, j):
+        """The sorted vertices of k-clique node j."""
+        if not j:
+            return self.base
+        s, t = divmod(j - 1, self.k)
+        v, attach = self.build[s]
+        return tuple(sorted(attach[:t] + attach[t + 1 :] + (v,)))
 
 
 class KTree:
@@ -219,14 +275,15 @@ class KTree:
 
     @cached_property
     def _k_cliques(self):
-        found = {self.base}
-        for q in self._kp1_cliques:
-            for sub in combinations(q, self.k):
-                found.add(sub)
-        return tuple(sorted(found))
+        inc = self._incidence
+        return tuple(sorted(map(inc.clique, range(1 + self.k * len(self.build)))))
 
     def k_leaf_set(self):
         return tuple(v for v in self.vertices if self.degree(v) == self.k)
+
+    @cached_property
+    def _incidence(self):
+        return CliqueIncidence(self)
 
     # -- identity ----------------------------------------------------------
 
@@ -244,9 +301,11 @@ class KTree:
     def validate(self):
         """Invariant table used by the CLI `validate` verdict."""
         k, n = self.k, self.n
+        # counted from the (k+1)-cliques, not from the index that names them
+        faces = {sub for q in self._kp1_cliques for sub in combinations(q, k)}
         table = {
             "edge_count": (self.edge_count, k * n - k * (k + 1) // 2),
-            "k_cliques": (len(self._k_cliques), 1 + k * (n - k)),
+            "k_cliques": (len(faces | {self.base}), 1 + k * (n - k)),
             "kp1_cliques": (len(self._kp1_cliques), n - k),
         }
         leaves = self.k_leaf_set()

@@ -1,21 +1,22 @@
 """Canonical codes and isomorphism-reduced enumeration of k-trees.
 
-A rooted code fixes a k-clique C and an ordering of its vertices, rebuilds
+A rooted code fixes a k-clique C and an ordering of its vertices, walks
 the host from C, and serializes the rooted characteristic-tree shape where
 every vertex is labeled by (a) the ancestor offsets of its attachment
 outside C and (b) the ordered positions of its attachment inside C.  The
-code is folded bottom-up over the parent positions of the construction
-order, so its cost does not depend on the depth of the host.  A plain shape
-code of the clique incidence tree is NOT enough: non-isomorphic k-trees can
-share it, which is why the labels carry the attachment data.
+code is folded bottom-up over the parent positions of the walk, so its
+cost does not depend on the depth of the host.  A plain shape code of the
+clique incidence tree is NOT enough: non-isomorphic k-trees can share it,
+which is why the labels carry the attachment data.
 
 The clique-incidence tree (k-cliques joined to the (k+1)-cliques that
 contain them) has a centre that every isomorphism fixes.  The canonical
 code is the minimum rooted code over the centre's k-cliques and their
 orderings, at most (k+1) * k! of them, so two k-trees are isomorphic iff
-their canonical codes are equal.  The centre is found on integer index
-lists read off the construction (each (k+1)-clique lists its k+1 face
-nodes, each k-clique its (k+1)-cliques) by stripping leaves in a loop.
+their canonical codes are equal.  The centre is found by stripping leaves
+in a loop on the host's shared incidence index (`core.CliqueIncidence`),
+the same index whose walk from C (`chartree._walk`) gives the rooted
+structure, so no code peels the host.
 
 Class enumeration keeps one canonical code per class and level.
 `iso_levels` yields the levels k..n in turn, each built once from the one
@@ -27,14 +28,8 @@ from __future__ import annotations
 
 from itertools import permutations
 
-from .chartree import _construction_with_parents
-from .core import (
-    KTree,
-    _bit,
-    _mask_vertices,
-    build_from_construction,
-    k_cliques,
-)
+from .chartree import _walk
+from .core import KTree, build_from_construction, k_cliques
 from .errors import SizeTooSmall, TooLarge
 
 ISO_ENUM_GUARD = 13  # max n - k for class enumeration
@@ -51,21 +46,22 @@ def _rooted_structure(T, C):
     """Parent positions (`up[i] < i`, position 0 the clique node) and, per
     vertex, its ancestor-offset label head and attachment inside C."""
     _require_codable(T)
+    verts, up, via = _walk(T, C)
+    clique = T._incidence.clique
     cset = set(C)
-    up = [-1]
-    depth = [0]
+    depth = [0]  # by position
+    at_depth = [0] * (T.n + 1)  # by vertex
     labels = [None]
-    at = {None: 0}
-    for v, attach, parent in _construction_with_parents(T, C):
-        d = depth[at[parent]] + 1
-        offsets = sorted(d - depth[at[u]] for u in attach if u not in cset)
+    for i, (v, j) in enumerate(zip(verts, via), 1):
+        d = depth[up[i]] + 1
+        attach = clique(j)
+        offsets = sorted(d - at_depth[u] for u in attach if u not in cset)
         if offsets and offsets[-1] > 255:
             raise TooLarge(f"ancestor offset {offsets[-1]} exceeds one code byte")
         cmem = [u for u in attach if u in cset]
         head = bytes([len(offsets), *offsets, len(cmem)])
-        at[v] = len(up)
-        up.append(at[parent])
         depth.append(d)
+        at_depth[v] = d
         labels.append((head, cmem))
     return up, labels
 
@@ -110,52 +106,44 @@ def rooted_code_set(T):
 def _centre_roots(T):
     """The k-cliques at the centre of the clique-incidence tree.
 
-    The tree is read off the construction as index lists: the base clique
-    is node 0, each step adds its k new faces as the next k-clique nodes,
-    and its (k+1)-clique takes node 1 + k(n-k) + step and lists its k+1
-    face nodes.  A (k+1)-clique has k+1 faces, so every leaf is a
-    k-clique, every leaf-to-leaf path has even length, and stripping all
-    leaves round by round ends at a single node.  The roots are that node
-    if it is a k-clique, else its k+1 faces.
+    The tree is the host's incidence index (`core.CliqueIncidence`), whose
+    nodes are the k-cliques and the (k+1)-cliques (the steps).  A
+    (k+1)-clique has k+1 faces, so every leaf is a k-clique, every
+    leaf-to-leaf path has even length, and stripping all leaves round by
+    round ends at a single node.  The rounds alternate: k-cliques, then
+    (k+1)-cliques.  The roots are the last node if it is a k-clique, else
+    its k+1 faces.
     """
-    k = T.k
-    base = T.clique_mask(T.base)
-    node = {base: 0}  # k-clique mask -> node
-    masks = [base]  # node -> clique mask, k-cliques first
-    adj = [[]]  # node -> neighbour nodes
-    kp1 = []  # (k+1)-clique masks
-    faces = []  # (k+1)-clique -> its face nodes
-    nk = 1 + k * (T.n - k)
-    for v, attach in T.build:
-        a = T.clique_mask(attach)
-        q = a | _bit(v)
-        fs = [node[a]]
-        for u in attach:
-            f = q ^ _bit(u)
-            node[f] = len(masks)
-            fs.append(len(masks))
-            masks.append(f)
-            adj.append([])
-        for f in fs:
-            adj[f].append(nk + len(kp1))
-        kp1.append(q)
-        faces.append(fs)
-    masks += kp1
-    adj += faces
-    degree = [len(ns) for ns in adj]
-    leaves = [a for a, d in enumerate(degree) if d <= 1]
-    while leaves:
-        last, leaves = leaves, []
-        for a in last:
-            for b in adj[a]:
-                # a node stripped earlier drops from 1 to 0, never to 1
-                degree[b] -= 1
-                if degree[b] == 1:
-                    leaves.append(b)
-    (centre,) = last
-    m = masks[centre]
-    roots = [m] if centre < nk else [m ^ _bit(x) for x in _mask_vertices(m)]
-    return [tuple(_mask_vertices(f)) for f in roots]
+    inc = T._incidence
+    k, attach_node, first, steps = inc.k, inc.attach_node, inc.first, inc.steps
+
+    def faces(s):
+        return (attach_node[s], *range(1 + k * s, 1 + k * s + k))
+
+    kdeg = [first[j + 1] - first[j] + (j > 0) for j in range(len(first) - 1)]
+    sdeg = [k + 1] * len(attach_node)
+    leaves = [j for j, d in enumerate(kdeg) if d <= 1]
+    # a node stripped earlier drops from 1 to 0, never to 1
+    while True:
+        tops = []
+        for j in leaves:
+            made = [(j - 1) // k] if j else []
+            for s in (*steps[first[j] : first[j + 1]], *made):
+                sdeg[s] -= 1
+                if sdeg[s] == 1:
+                    tops.append(s)
+        if not tops:
+            (j,) = leaves
+            return [inc.clique(j)]
+        leaves = []
+        for s in tops:
+            for j in faces(s):
+                kdeg[j] -= 1
+                if kdeg[j] == 1:
+                    leaves.append(j)
+        if not leaves:
+            (s,) = tops
+            return [inc.clique(j) for j in faces(s)]
 
 
 def canonical_code(T):

@@ -33,6 +33,7 @@ from fractions import Fraction
 from .chartree import (
     all_clique_means,
     argmax_cliques,
+    better_neighbors,
     local_mean_order_clique,
     local_poly_clique,
     verify_adjacent_reduction,
@@ -366,9 +367,8 @@ def check_nonmajor_max(T, cfg):
         )
     for C, info in infos.items():
         if info.kind == MAJOR:
-            better = [D for D in adjacent_cliques(T, C) if means[D] > means[C]]
             tallies["major_cliques"] += 1
-            if not better:
+            if not better_neighbors(T, C, means):
                 violations.append(
                     {
                         "claim": "major clique has a strictly better neighbor",

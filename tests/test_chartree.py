@@ -1,6 +1,8 @@
 """Characteristic trees, elimination sequences, and the clique reduction."""
 
+import random
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
@@ -18,6 +20,36 @@ from ktrees.polynomials import (
 from ktrees.verify import tree_adjacency
 
 from conftest import ktree_classes
+
+
+def shuffled_host(k, n, seed):
+    """`random_ktree(k, n, seed)` under a random relabeling, recognised from
+    a shuffled edge list, so its ids do not follow its build order."""
+    rng = random.Random(seed)
+    perm = list(range(1, n + 1))
+    rng.shuffle(perm)
+    edges = [(perm[u - 1], perm[v - 1]) for u, v in core.random_ktree(k, n, seed).edges()]
+    rng.shuffle(edges)
+    return core.recognize_ktree(edges, k, n)
+
+
+def peel_parents(T, C):
+    """{vertex: parent vertex, or None for the C-node} by the peel rule:
+    peel the lowest-id k-leaf outside C until C remains, reverse, and take
+    the latest-added attachment vertex outside C."""
+    steps = core._peel_k_leaves(T.k, list(T.masks), T.clique_mask(C))[::-1]
+    assert len(steps) == T.n - T.k
+    when = {v: i for i, (v, _) in enumerate(steps)}
+    return {
+        v: max((u for u in attach if u not in C), key=when.__getitem__, default=None)
+        for v, attach in steps
+    }
+
+
+def parent_map(ct):
+    return {
+        v: None if p == 0 else ct.labels[p] for v, p in zip(ct.labels[1:], ct.up[1:])
+    }
 
 
 def triangle():
@@ -97,7 +129,7 @@ def test_order_formula_and_path_labels():
 
 def test_parent_array_folds_like_the_bfs_tree():
     for k in (1, 2, 3):
-        for n in range(k, 8):
+        for n in range(k, 9):
             for T in ktree_classes(k, n):
                 for C in core.k_cliques(T):
                     ct = CT.characteristic_tree(T, C)
@@ -113,6 +145,59 @@ def test_parent_array_folds_like_the_bfs_tree():
                     for i, (_, attach) in enumerate(steps, 1):
                         outside = [ct.labels.index(u) for u in attach if u not in C]
                         assert ct.up[i] == max(outside, default=0)
+                    assert parent_map(ct) == peel_parents(T, C)
+
+
+def test_walk_on_hosts_whose_ids_do_not_follow_the_build():
+    for k in (1, 2, 3, 4):
+        for n in (k, k + 1, k + 2, 12, 25):
+            for seed in range(3):
+                T = shuffled_host(k, n, seed)
+                leafset = set(T.k_leaf_set()) if T.n > T.k else set()
+                for C in core.k_cliques(T):
+                    ct = CT.characteristic_tree(T, C)
+                    assert parent_map(ct) == peel_parents(T, C)
+                    assert all(0 <= p < i for i, p in enumerate(ct.up) if i)
+                    for v in sorted(leafset - set(C)):
+                        path, i = [], ct.labels.index(v)
+                        while i > 0:
+                            path.append(ct.labels[i])
+                            i = ct.up[i]
+                        es = CT.elimination_sequence(T, C, v)
+                        assert tuple(reversed(path)) == es.labels
+
+
+def test_walk_from_both_ends_of_a_deep_path_type_host():
+    k, n = 2, 3000
+    T = core.gen_path_type(k, n)
+    for C in ((1, 2), (n - 1, n)):
+        ct = CT.characteristic_tree(T, C)
+        assert ct.up == (-1, *range(n - k))
+        assert CT.local_mean_order_clique(T, C) == k + Fraction(n - k, 2)
+
+
+def test_incidence_index_invariants():
+    hosts = [core.build_from_construction(3, [])]
+    hosts += [shuffled_host(k, n, 1) for k in (1, 2, 3, 4) for n in (k + 1, 9, 20)]
+    for T in hosts:
+        inc = T._incidence
+        k, m = T.k, T.n - T.k
+        nk = 1 + k * m
+        assert len(inc.first) == nk + 1 and inc.first[-1] == len(inc.steps) == m
+        cliques = [inc.clique(j) for j in range(nk)]
+        assert sorted(cliques) == [
+            C for C in combinations(T.vertices, k) if T.is_clique(C)
+        ]
+        assert [inc.node(C) for C in cliques] == list(range(nk))
+        assert cliques[0] == T.base
+        for s, (v, attach) in enumerate(T.build):
+            assert inc.clique(inc.attach_node[s]) == attach
+            assert inc.step_of[v] == s
+            a, b = inc.first[inc.attach_node[s]], inc.first[inc.attach_node[s] + 1]
+            assert s in inc.steps[a:b]
+            for t in range(k):
+                assert v in cliques[1 + k * s + t]
+        assert all(inc.step_of[v] == -1 for v in T.base)
 
 
 def test_k1_chartree_is_the_tree_itself():

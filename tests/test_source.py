@@ -82,3 +82,34 @@ def test_no_self_recursion():
         tree = ast.parse(path.read_text(encoding="utf-8"))
         recursive += _self_calls(tree, path.stem)
     assert set(recursive) <= RECURSION_ALLOWED, f"self-recursive: {recursive}"
+
+
+PEEL_CALLERS = {"core.recognize_ktree", "chartree.elimination_sequence"}
+
+
+def _callers(tree, module, name):
+    """Qualified names of the functions that call `name` directly."""
+    found = set()
+    stack = [(tree, module)]
+    while stack:
+        node, prefix = stack.pop()
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                stack.append((child, f"{prefix}.{child.name}"))
+                continue
+            f = getattr(child, "func", None) if isinstance(child, ast.Call) else None
+            if getattr(f, "id", None) == name or getattr(f, "attr", None) == name:
+                found.add(prefix)
+            stack.append((child, prefix))
+    return found
+
+
+def test_k_leaf_peel_only_in_recognition_and_elimination():
+    """A per-clique peel costs a pass over the whole host; rooted work walks
+    the clique-incidence index instead."""
+    callers = set()
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        callers |= _callers(tree, path.stem, "_peel_k_leaves")
+    assert callers <= PEEL_CALLERS, f"peel callers: {sorted(callers - PEEL_CALLERS)}"
+    assert callers, "the guard found no caller at all; the search is broken"
