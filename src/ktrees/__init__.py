@@ -50,7 +50,6 @@ from .chartree import (
     all_clique_means,
     argmax_cliques,
     verify_adjacent_reduction,
-    climb_to_nonmajor,
 )
 from .oracle import (
     SubKTreeSet,

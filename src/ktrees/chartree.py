@@ -1,6 +1,6 @@
 """Characteristic 1-trees: elimination sequences, the clique-to-tree
 reduction of local mean orders, the adjacent-clique relation, and the
-climb from major cliques to better ones.
+adjacent cliques with a strictly better mean.
 
 For a k-tree T and a k-clique C, the characteristic tree T'_C lives on
 {C-node} union (V(T) \\ V(C)).  It is read off one walk from C over the
@@ -34,13 +34,11 @@ from fractions import Fraction
 from functools import cached_property
 
 from .core import (
-    MAJOR,
     _bit,
     _common_mask,
     _mask_vertices,
     _peel_k_leaves,
     adjacent_cliques,
-    clique_degree,
     k_cliques,
     require_k_clique,
 )
@@ -376,29 +374,9 @@ def verify_adjacent_reduction(T, C1, C2, cache=None):
     )
 
 
-# -- climbing away from major cliques ------------------------------------------
+# -- strictly better neighbours ------------------------------------------------
 
 
 def better_neighbors(T, C, means):
     """The adjacent cliques of C whose mean in `means` exceeds C's, sorted."""
     return [D for D in adjacent_cliques(T, C) if means[D] > means[C]]
-
-
-def climb_to_nonmajor(T, C_start):
-    """Follow strictly improving adjacent cliques until a non-major one.
-
-    Picks the adjacent clique of maximum mean (ties broken by label) at
-    each step; the trace of (clique, mean) pairs is strictly increasing.
-    """
-    C = require_k_clique(T, C_start)
-    means = all_clique_means(T)
-    trace = [(C, means[C])]
-    while clique_degree(T, C).kind == MAJOR:
-        better = better_neighbors(T, C, means)
-        if not better:
-            raise NotKTree(
-                f"no improving neighbor at major clique {C}; claim violated"
-            )
-        C = max(better, key=lambda D: (means[D], D))
-        trace.append((C, means[C]))
-    return C, tuple(trace)

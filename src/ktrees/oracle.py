@@ -1,99 +1,222 @@
 """Independent ground truth by exhaustive sub-k-tree enumeration.
 
-Sub-k-trees are identified with their vertex sets (induced semantics).
-Enumeration grows from every k-clique by attaching one vertex at a time to
-a k-clique of the current set, deduplicating by vertex bitmask, so only
-genuine sub-k-tree states are ever visited.
+Sub-k-trees are identified with their vertex sets (induced semantics).  The
+oracle reads the host only through `T.k`, `T.n` and the adjacency masks
+(`is_sub_ktree` also reads `T.edges()`), never the construction records,
+the clique-incidence index or the characteristic-tree path it checks.
 
-Each state S on the stack carries its frontier: the vertices outside S with
-a neighbour in S.  Adding v makes the child's frontier
-`(front | masks[v]) & ~(S | v)`, so no state rescans its own vertices.  A
-frontier vertex v attaches when `masks[v] & S` is a k-clique of the host.
-That test reads only the adjacency masks, never the construction records,
-and its verdict is kept per host by intersection mask, since many states
-share one attachment set.
+Seeds.  The k-cliques are listed from the masks: each clique is extended
+by the common neighbours above its highest vertex, carrying the common
+mask.
+
+Growth is a reverse search, so each member is reached exactly once and no
+set of seen members is kept.  A k-leaf of a sub-k-tree S of order > k is a
+vertex of degree k inside S; the parent of S is S minus its highest k-leaf,
+and the k-cliques are the roots.  Each state carries S, its frontier (the
+outside vertices with a neighbour in S) and its k-leaf mask.  A frontier
+vertex v gives the child S + v when
+
+- v attaches: `masks[v] & S` is a k-clique of the host, a verdict
+  memoised per host by that intersection mask; and
+- v is the highest k-leaf of S + v: no k-leaf of S that is not adjacent
+  to v lies above v.
+
+The child's frontier is `(front | masks[v]) & ~(S | v)` and its k-leaf mask
+`(leaves & ~masks[v]) | v`; a root clique C passes `C | v`, and only the
+common neighbours above C's highest vertex.  Only frontier vertices above
+the top k-leaf, or adjacent to it, can pass, so no other is tested.
+
+Restriction.  A `SubKTreeSet` keeps each member's order as one byte, so
+hosts have at most 255 vertices here, and builds on first use one
+membership column per vertex: byte i is 1 iff member i contains the vertex,
+held as an int so that columns AND bytewise.  The members containing a
+vertex set are the AND of its columns.  A restricted set takes its orders
+from that selector and spells its masks only when they are read, so
+polynomials, means and sizes count bytes, never members; the all-clique
+means read each clique's count and order total off the columns alone.
 """
 
 from __future__ import annotations
 
-from collections import Counter
-from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
+from itertools import compress, repeat
+from operator import and_, rshift
 
-from .core import _mask_vertices, k_cliques, recognize_ktree
+from .core import _mask_vertices, recognize_ktree
 from .errors import KTreeError, NotASubKTree, TooLarge
 from .polynomials import IntPolynomial
 
 DEFAULT_CAP = 16
+MAX_ORDER = 255  # member orders are stored one byte each
+
+# _BIT_OF[j][b] is bit j of the byte b
+_BIT_OF = tuple(bytes((b >> j) & 1 for b in range(256)) for j in range(8))
 
 
-@dataclass(frozen=True)
+def _required_mask(T, required):
+    """Mask of the vertices of `required`; NotASubKTree unless each is one
+    of the host's vertices 1..n."""
+    n = T.n
+    req = 0
+    for v in required:
+        if not 1 <= v <= n:
+            raise NotASubKTree(f"vertex {v} is not a vertex 1..{n} of the host")
+        req |= 1 << (v - 1)
+    return req
+
+
 class SubKTreeSet:
-    """All sub-k-trees of a host, as bitmasks, optionally filtered."""
+    """All sub-k-trees of a host, as bitmasks, optionally filtered.
 
-    host: object
-    masks: tuple
+    `orders` holds each member's order, one byte each; it is computed from
+    `masks` when not given.  With a `selector` (one byte per mask, 1 for a
+    member) the members are spelled from `masks` only when first read, so a
+    restricted set that only counts never copies them.
+    """
+
+    def __init__(self, host, masks, orders=None, selector=None):
+        self.host = host
+        if selector is None:
+            self.masks = masks
+        else:
+            self._source = (masks, selector)
+        self.orders = bytes(map(int.bit_count, self.masks)) if orders is None else orders
+
+    @cached_property
+    def masks(self):
+        return tuple(compress(*self._source))
+
+    def __eq__(self, other):
+        if not isinstance(other, SubKTreeSet):
+            return NotImplemented
+        return self.host == other.host and self.masks == other.masks
 
     def vertex_sets(self):
         return [tuple(_mask_vertices(m)) for m in self.masks]
 
     def __len__(self):
-        return len(self.masks)
+        return len(self.orders)
+
+    @cached_property
+    def _columns(self):
+        """Membership column of each vertex 1..n (index 0 unused), as an int
+        whose little-endian byte i is 1 iff member i contains the vertex."""
+        n, masks = self.host.n, self.masks
+        cols = [0]
+        for shift in range(0, n, 8):
+            # byte i of the plane holds vertices shift+1..shift+8 of member i
+            plane = bytes(map(and_, map(rshift, masks, repeat(shift)), repeat(255)))
+            for j in range(min(8, n - shift)):
+                cols.append(int.from_bytes(plane.translate(_BIT_OF[j]), "little"))
+        return cols
+
+    @cached_property
+    def _order_column(self):
+        """`orders` as an int, little-endian, so that it ANDs like a column."""
+        return int.from_bytes(self.orders, "little")
+
+    def _selector(self, req):
+        """Bytewise AND of the columns of the vertices of the non-empty mask
+        `req`: byte i is 1 iff member i contains all of them."""
+        cols = self._columns
+        sel = -1
+        while req:
+            low = req & -req
+            req ^= low
+            sel &= cols[low.bit_length()]
+        return sel
 
     def restricted(self, required):
         """Members containing every vertex of `required`."""
-        n = self.host.n
-        req = 0
-        for v in required:
-            if not 1 <= v <= n:
-                raise NotASubKTree(f"vertex {v} is not a vertex 1..{n} of the host")
-            req |= 1 << (v - 1)
-        return SubKTreeSet(self.host, tuple([m for m in self.masks if m & req == req]))
+        req = _required_mask(self.host, required)
+        if not req:
+            return self
+        sel = self._selector(req)
+        size = len(self.orders)
+        # every order is at least 1, so the zero bytes are the members left out
+        orders = (self._order_column & sel * 255).to_bytes(size, "little")
+        return SubKTreeSet(
+            self.host,
+            self.masks,
+            orders.replace(b"\0", b""),
+            sel.to_bytes(size, "little"),
+        )
 
     def poly(self):
         """Generating polynomial: coefficient of x^i counts members of order i."""
-        hist = Counter(map(int.bit_count, self.masks))
-        if not hist:
-            return IntPolynomial()
-        out = [0] * (max(hist) + 1)
-        for order, cnt in hist.items():
-            out[order] = cnt
-        return IntPolynomial(out)
+        return IntPolynomial(list(map(self.orders.count, range(self.host.n + 1))))
 
     def mean(self):
-        if not self.masks:
+        if not self.orders:
             raise KTreeError("the mean order of an empty set of sub-k-trees")
-        return Fraction(sum(map(int.bit_count, self.masks)), len(self.masks))
+        return Fraction(sum(self.orders), len(self.orders))
 
 
-def _grow_all(T):
-    """Bitmasks of every sub-k-tree of T, via attachment growth."""
-    k = T.k
-    masks = T.masks
-    attaches = {}  # intersection mask -> is it a k-clique of T
-    seen = set()
-    stack = []  # flat (S, frontier of S) pairs
-    for C in T._k_cliques:
-        S = T.clique_mask(C)
-        if S not in seen:
-            seen.add(S)
-            front = 0
-            for v in C:
-                front |= masks[v]
-            stack.append(S)
-            stack.append(front & ~S)
+def _clique_seeds(T):
+    """(mask, common-neighbour mask) of every k-clique of T, read off the
+    adjacency masks: a clique grows only by common neighbours above its
+    highest vertex, so each is listed once."""
+    k, masks = T.k, T.masks
+    out = []
+    stack = [(1 << (v - 1), masks[v]) for v in range(1, T.n + 1)]
     while stack:
-        front = stack.pop()
-        S = stack.pop()
-        cand = front
+        C, common = stack.pop()
+        if C.bit_count() == k:
+            out.append((C, common))
+            continue
+        cand = common & -(1 << C.bit_length())
         while cand:
             low = cand & -cand
             cand ^= low
-            S2 = S | low
-            if S2 in seen:
+            stack.append((C | low, common & masks[low.bit_length()]))
+    return out
+
+
+def _cliques(T):
+    """The k-cliques of T as sorted tuples, in lexicographic order."""
+    return sorted(tuple(_mask_vertices(C)) for C, _ in _clique_seeds(T))
+
+
+def _grow_all(T):
+    """Bitmasks of every sub-k-tree of T in ascending order, each grown once
+    from its parent (see the module docstring)."""
+    k = T.k
+    masks = T.masks
+    attaches = {}  # intersection mask -> is it a k-clique of T
+    out = []
+    stack = []  # flat (S, frontier of S, k-leaves of S) triples
+    for C, common in _clique_seeds(T):
+        out.append(C)
+        front = 0
+        rest = C
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            front |= masks[low.bit_length()]
+        cand = common & -(1 << C.bit_length())
+        while cand:
+            low = cand & -cand
+            cand ^= low
+            S2 = C | low
+            out.append(S2)
+            stack.append(S2)
+            stack.append((front | masks[low.bit_length()]) & ~S2)
+            stack.append(S2)
+    while stack:
+        leaves = stack.pop()
+        front = stack.pop()
+        S = stack.pop()
+        top = leaves.bit_length()
+        cand = front & (-(1 << top) | masks[top])
+        while cand:
+            low = cand & -cand
+            cand ^= low
+            mv = masks[low.bit_length()]
+            kept = leaves & ~mv
+            if kept > low:  # a k-leaf of S above v stays a k-leaf
                 continue
-            v = low.bit_length()
-            inter = masks[v] & S
+            inter = mv & S
             ok = attaches.get(inter)
             if ok is None:
                 ok = inter.bit_count() == k
@@ -104,20 +227,22 @@ def _grow_all(T):
                     rest ^= b
                 attaches[inter] = ok
             if ok:
-                seen.add(S2)
+                S2 = S | low
+                out.append(S2)
                 stack.append(S2)
-                stack.append((front | masks[v]) & ~S2)
-    return tuple(sorted(seen))
+                stack.append((front | mv) & ~S2)
+                stack.append(kept | low)
+    out.sort()
+    return tuple(out)
 
 
 def enumerate_sub_ktrees(T, required=(), cap=DEFAULT_CAP):
     """Every sub-k-tree vertex set, optionally filtered to those >= required."""
-    if T.n > cap:
-        raise TooLarge(f"order {T.n} exceeds enumeration cap {cap}")
+    if T.n > min(cap, MAX_ORDER):
+        raise TooLarge(f"order {T.n} exceeds enumeration cap {min(cap, MAX_ORDER)}")
+    _required_mask(T, required)  # reject a bad vertex before growing
     full = SubKTreeSet(T, _grow_all(T))
-    if required:
-        return full.restricted(required)
-    return full
+    return full.restricted(required) if required else full
 
 
 def is_sub_ktree(T, S):
@@ -162,12 +287,13 @@ def oracle_local_mean(T, S, cap=DEFAULT_CAP):
 
 def oracle_all_clique_means(T, cap=DEFAULT_CAP):
     """Exact map clique -> mean order over all sub-k-trees containing it."""
-    masks = enumerate_sub_ktrees(T, cap=cap).masks
+    full = enumerate_sub_ktrees(T, cap=cap)
+    cols = full._columns[1:]
     out = {}
-    for C in k_cliques(T):
-        req = T.clique_mask(C)
-        kept = [m for m in masks if m & req == req]
-        out[C] = Fraction(sum(map(int.bit_count, kept)), len(kept))
+    for C in _cliques(T):
+        sel = full._selector(_required_mask(T, C))
+        # members containing C, and the sum of their orders: one count per vertex
+        out[C] = Fraction(sum((sel & col).bit_count() for col in cols), sel.bit_count())
     return out
 
 

@@ -1,9 +1,11 @@
 """Shared corpora for the test suite, cached per session."""
 
+import random
 from functools import lru_cache
 
 import pytest
 
+from ktrees import core
 from ktrees.isomorphism import enumerate_ktrees_up_to_iso
 
 
@@ -11,6 +13,17 @@ from ktrees.isomorphism import enumerate_ktrees_up_to_iso
 def ktree_classes(k, n):
     """Isomorphism-class representatives of k-trees of order n."""
     return tuple(enumerate_ktrees_up_to_iso(k, n))
+
+
+def shuffled_host(k, n, seed):
+    """`random_ktree(k, n, seed)` under a random relabeling, recognised from
+    a shuffled edge list, so its ids do not follow its build order."""
+    rng = random.Random(seed)
+    perm = list(range(1, n + 1))
+    rng.shuffle(perm)
+    edges = [(perm[u - 1], perm[v - 1]) for u, v in core.random_ktree(k, n, seed).edges()]
+    rng.shuffle(edges)
+    return core.recognize_ktree(edges, k, n)
 
 
 @lru_cache(maxsize=None)

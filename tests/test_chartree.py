@@ -1,6 +1,5 @@
 """Characteristic trees, elimination sequences, and the clique reduction."""
 
-import random
 from fractions import Fraction
 from itertools import combinations
 
@@ -19,18 +18,7 @@ from ktrees.polynomials import (
 )
 from ktrees.verify import tree_adjacency
 
-from conftest import ktree_classes
-
-
-def shuffled_host(k, n, seed):
-    """`random_ktree(k, n, seed)` under a random relabeling, recognised from
-    a shuffled edge list, so its ids do not follow its build order."""
-    rng = random.Random(seed)
-    perm = list(range(1, n + 1))
-    rng.shuffle(perm)
-    edges = [(perm[u - 1], perm[v - 1]) for u, v in core.random_ktree(k, n, seed).edges()]
-    rng.shuffle(edges)
-    return core.recognize_ktree(edges, k, n)
+from conftest import ktree_classes, shuffled_host
 
 
 def peel_parents(T, C):
@@ -309,36 +297,6 @@ def test_adjacent_reduction_exhaustive_small():
                                     T, subs[i], subs[j]
                                 )
                                 assert rep.isomorphic, (T.edges(), subs[i], subs[j])
-
-
-def test_climb_examples():
-    T = four_vertex()
-    C, trace = CT.climb_to_nonmajor(T, (1, 2))  # already an end clique
-    assert C == (1, 2) and len(trace) == 1
-
-    # star K_{1,4}: center has degree 4; the climb must end at a leaf
-    star = core.recognize_ktree([(1, 2), (1, 3), (1, 4), (1, 5)], 1)
-    C, trace = CT.climb_to_nonmajor(star, (1,))
-    assert star.degree(C[0]) == 1
-    mus = [m for _, m in trace]
-    assert all(a < b for a, b in zip(mus, mus[1:]))
-    assert len(trace) >= 2
-
-    # the bristled star's base clique is major; the climb strictly improves
-    B = core.gen_bristled_star(3, 3)
-    C, trace = CT.climb_to_nonmajor(B, (1, 2, 3))
-    assert core.clique_degree(B, C).degree <= 2
-    assert trace[-1][1] > trace[0][1]
-    mus = [m for _, m in trace]
-    assert all(a < b for a, b in zip(mus, mus[1:]))
-
-
-def test_climb_bounded_by_clique_count():
-    for T in ktree_classes(2, 7):
-        for C in core.k_cliques(T):
-            final, trace = CT.climb_to_nonmajor(T, C)
-            assert len(trace) <= len(core.k_cliques(T))
-            assert core.clique_degree(T, final).degree <= 2
 
 
 def test_dot_output():

@@ -1,5 +1,6 @@
 """Exhaustive sub-k-tree enumeration as the package's ground truth."""
 
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -8,7 +9,7 @@ from ktrees import core, oracle as O
 from ktrees.errors import KTreeError, NotASubKTree, TooLarge
 from ktrees.polynomials import IntPolynomial
 
-from conftest import ktree_classes
+from conftest import ktree_classes, shuffled_host
 
 
 def triangle():
@@ -128,6 +129,9 @@ def test_cap_guard():
     with pytest.raises(TooLarge):
         O.enumerate_sub_ktrees(T)
     assert len(O.enumerate_sub_ktrees(T, cap=17)) > 0
+    # member orders are one byte each, whatever the cap
+    with pytest.raises(TooLarge):
+        O.enumerate_sub_ktrees(core.gen_path_type(1, 256), cap=300)
 
 
 def _subset_is_sub_ktree(T, S):
@@ -173,13 +177,135 @@ def test_enumeration_finds_every_sub_ktree():
         assert O.enumerate_sub_ktrees(T).masks == want, (T.k, T.n)
 
 
-def test_required_outside_the_host_is_rejected():
+def test_required_outside_the_host_is_rejected(monkeypatch):
     T = four_vertex()
+    full = O.enumerate_sub_ktrees(T)
+
+    def grow(T):
+        raise AssertionError("grew the members before checking `required`")
+
+    monkeypatch.setattr(O, "_grow_all", grow)
     for bad in ((0,), (T.n + 1,), (1, -2)):
         with pytest.raises(NotASubKTree):
             O.enumerate_sub_ktrees(T, required=bad)
         with pytest.raises(NotASubKTree):
-            O.enumerate_sub_ktrees(T).restricted(bad)
+            full.restricted(bad)
     with pytest.raises(KTreeError):
         O.SubKTreeSet(T, ()).mean()
     assert O.SubKTreeSet(T, ()).poly() == IntPolynomial()
+
+
+def _seen_set_growth(T):
+    """Reference growth with a set of seen members: from every k-clique,
+    attach any outside vertex whose neighbours in the set form a k-clique."""
+    k, masks = T.k, T.masks
+    seen = set()
+    stack = []
+    for C in core.k_cliques(T):
+        S = T.clique_mask(C)
+        if S not in seen:
+            seen.add(S)
+            stack.append(S)
+    while stack:
+        S = stack.pop()
+        for v in range(1, T.n + 1):
+            low = 1 << (v - 1)
+            inter = masks[v] & S
+            if S & low or S | low in seen or inter.bit_count() != k:
+                continue
+            if all(masks[u] & inter == inter & ~(1 << (u - 1))
+                   for u in range(1, T.n + 1) if inter >> (u - 1) & 1):
+                seen.add(S | low)
+                stack.append(S | low)
+    return tuple(sorted(seen))
+
+
+def _growth_hosts():
+    for k in (1, 2, 3):
+        for n in range(k, 10):
+            yield from ktree_classes(k, n)
+        yield core.gen_star_type(k, 16 - k)
+        yield core.gen_path_type(k, 16)
+    # ids that do not follow the build, as on the benchmark's hosts
+    for k in (1, 2, 3, 4):
+        for n in (k, k + 1, k + 2, 9, 12, 14):
+            for seed in range(4):
+                yield shuffled_host(k, n, seed)
+
+
+def test_growth_reaches_each_member_once_and_matches_a_seen_set():
+    for T in _growth_hosts():
+        masks = O._grow_all(T)
+        assert len(set(masks)) == len(masks), (T.k, T.n)
+        assert masks == _seen_set_growth(T), (T.k, T.n)
+
+
+def test_seed_cliques_are_read_off_the_masks():
+    hosts = [T for k in (1, 2, 3) for n in range(k, 10) for T in ktree_classes(k, n)]
+    hosts += [shuffled_host(k, n, seed) for k in (1, 2, 3, 4)
+              for n in (k, k + 1, 9, 14) for seed in (0, 1)]
+    for T in hosts:
+        assert O._cliques(T) == core.k_cliques(T), (T.k, T.n)
+
+
+def _required_sets(T):
+    """Vertex sets of size 0..k+1: cliques, non-cliques and sets of members."""
+    vs = range(1, T.n + 1)
+    for size in range(T.k + 2):
+        yield from itertools.combinations(vs, size)
+
+
+def _filtered(masks, required):
+    req = sum(1 << (v - 1) for v in set(required))
+    return tuple(m for m in masks if m & req == req)
+
+
+def _poly_of(masks):
+    coeffs = [0] * (max(map(int.bit_count, masks), default=-1) + 1)
+    for m in masks:
+        coeffs[m.bit_count()] += 1
+    return IntPolynomial(coeffs)
+
+
+def test_restriction_and_means_equal_a_plain_filter():
+    hosts = [core.build_from_construction(k, []) for k in (1, 2, 3)]
+    hosts += [triangle(), four_vertex(), core.gen_star_type(2, 5)]
+    hosts += [shuffled_host(k, 8, k) for k in (1, 2, 3)]
+    for T in hosts:
+        full = O.enumerate_sub_ktrees(T)
+        empty = O.SubKTreeSet(T, ())
+        for required in _required_sets(T):
+            want = _filtered(full.masks, required)
+            got = full.restricted(required)
+            # counts first: they must not need the members spelled out
+            assert len(got) == len(want) and got.poly() == _poly_of(want)
+            if want:
+                mean = Fraction(sum(map(int.bit_count, want)), len(want))
+                assert got.mean() == mean
+            else:
+                with pytest.raises(KTreeError):
+                    got.mean()
+            assert got.masks == want, (T.k, T.n, required)
+            assert O.enumerate_sub_ktrees(T, required=required) == got
+            twice = got.restricted(required[:1])
+            assert twice.masks == want and twice.poly() == got.poly()
+            assert len(empty.restricted(required)) == 0
+            assert empty.restricted(required).poly() == IntPolynomial()
+        assert full.poly() == _poly_of(full.masks)
+        means = O.oracle_all_clique_means(T)
+        assert list(means) == core.k_cliques(T)
+        for C, mean in means.items():
+            kept = _filtered(full.masks, C)
+            assert mean == Fraction(sum(map(int.bit_count, kept)), len(kept))
+
+
+def test_member_orders_fill_one_byte():
+    """Orders are stored one byte each; on a host of order 255 the largest
+    member still counts exactly."""
+    T = core.gen_path_type(1, 255)
+    full = O.enumerate_sub_ktrees(T, cap=300)
+    assert len(full) == 255 * 256 // 2
+    assert full.mean() == Fraction(257, 3)
+    assert full.poly().coeffs[-1] == 1 and full.poly()(1) == len(full)
+    mid = full.restricted((127, 128))
+    assert len(mid) == 127 * 128 and mid.mean() == Fraction(257, 2)

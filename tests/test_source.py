@@ -113,3 +113,53 @@ def test_k_leaf_peel_only_in_recognition_and_elimination():
         callers |= _callers(tree, path.stem, "_peel_k_leaves")
     assert callers <= PEEL_CALLERS, f"peel callers: {sorted(callers - PEEL_CALLERS)}"
     assert callers, "the guard found no caller at all; the search is broken"
+
+
+ORACLE_FORBIDDEN = {"k_cliques", "_k_cliques", "_incidence", "build"}
+ORACLE_MODULES = {"chartree", "isomorphism"}
+
+
+def _identifiers(tree):
+    """Every name a module spells: variables, attributes, imports, defs and
+    keyword arguments."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.alias):
+            names.update(filter(None, (node.name, node.asname)))
+        elif isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, (ast.arg, ast.keyword)):
+            names.add(node.arg)
+    return names
+
+
+def _imported_modules(tree):
+    """Last dotted component of every module an import statement names."""
+    mods = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            mods.add((node.module or "").rsplit(".", 1)[-1])
+            if not node.module:
+                mods.update(a.name for a in node.names)
+        elif isinstance(node, ast.Import):
+            mods.update(a.name.rsplit(".", 1)[-1] for a in node.names)
+    return mods
+
+
+def test_oracle_reads_only_the_adjacency_masks():
+    """The oracle checks the fast paths, so it must not share their data: no
+    construction records, incidence index or clique list of the host, and no
+    import of the characteristic-tree or isomorphism code."""
+    tree = ast.parse((SRC / "oracle.py").read_text(encoding="utf-8"))
+    assert not _identifiers(tree) & ORACLE_FORBIDDEN
+    assert not _imported_modules(tree) & ORACLE_MODULES
+    # the guard sees these names where they are used
+    chartree = ast.parse((SRC / "chartree.py").read_text(encoding="utf-8"))
+    assert "k_cliques" in _identifiers(chartree)
+    assert "_incidence" in _identifiers(chartree)
+    verify = ast.parse((SRC / "verify.py").read_text(encoding="utf-8"))
+    assert "chartree" in _imported_modules(verify)
