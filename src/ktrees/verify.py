@@ -8,13 +8,15 @@ construction sequences, optionally deduplicated by isomorphism class (every
 checked claim is invariant under relabeling, so one representative per
 class gives the same verdict).
 
-A checker has one of two shapes.  An inequality with a predicted equality
-case (the Jamison ratio, the global bound, the Kelmans moves, leaf and
-end-clique dominance) yields one `TheoremReport` per comparison, and
-`_fold_reports` turns those into tallies and violation records.  Every
-other checker returns (violations, tallies) itself.  `_argmax_classes` is
-the one place the k-tree checkers and the search get clique means, the
-argmax and each clique's degree class.
+A checker has one of three shapes.  An inequality with a predicted
+equality case (the Jamison ratio, the global bound, the Kelmans moves, leaf
+and end-clique dominance) yields one `TheoremReport` per comparison, and
+`_fold_reports` turns those into tallies and violation records.  The
+search's witness checker returns (violations, tallies, witnesses, near
+misses).  Every other checker returns (violations, tallies).
+`_argmax_classes` is the one place the k-tree checkers get clique means,
+the argmax and each clique's degree class.  `_run_corpus` drives every
+suite and the search: one corpus, one host loop, one merge.
 """
 
 from __future__ import annotations
@@ -29,6 +31,7 @@ from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, asdict
 from fractions import Fraction
+from typing import NamedTuple
 
 from .chartree import (
     all_clique_means,
@@ -52,7 +55,7 @@ from .core import (
     kp1_cliques,
     random_ktree,
 )
-from .errors import BadK, NotATree, SizeTooSmall, TooLarge, UnknownSuite
+from .errors import BadK, KTreeError, NotATree, SizeTooSmall, TooLarge, UnknownSuite
 from .isomorphism import ISO_ENUM_GUARD, iso_levels
 from .kelmans_ops import (
     TheoremReport,
@@ -77,6 +80,7 @@ LABELED_GUARD = 2_000_000
 FAMILY_GUARD = 1000  # max family parameter n
 RANDOM_GUARD = 10_000  # max host order in random mode
 K_GUARD = 255  # max k; canonical codes take k <= 255
+NEAR_MISSES = 8  # near misses a search report keeps
 
 
 def labeled_count(k, n):
@@ -140,6 +144,8 @@ class SuiteConfig:
             )
         if suite.trees:
             self.ks = (1,)
+        if self.jobs < 1:
+            raise KTreeError(f"jobs must be at least 1, got {self.jobs}")
         if self.mode not in ("exhaustive", "random"):
             raise UnknownSuite(f"unknown mode {self.mode!r}")
         if self.mode == "random" and self.trials < 1:
@@ -154,6 +160,8 @@ class SuiteConfig:
                 raise TooLarge(f"family suites are capped at n <= {FAMILY_GUARD}")
             return self
         if self.mode == "random":
+            if (least := max(self.min_n, max(self.ks) + 1)) > self.max_n:
+                raise SizeTooSmall(f"random hosts need max_n >= {least}")
             if self.max_n > RANDOM_GUARD:
                 raise TooLarge(f"random hosts are capped at n <= {RANDOM_GUARD}")
             return self
@@ -175,33 +183,24 @@ class SuiteConfig:
         return d
 
 
-def _random_ktrees(ks, min_n, max_n, count, seed):
-    """Yield (k, s, random_ktree(k, n, s)) for `count` seeded draws.
-
-    Draw i takes k = ks[i % len(ks)], an order n drawn uniformly from
-    max(min_n, k + 1)..max_n, and the host seed s = seed + i.
-    """
-    lo = max(min_n, max(ks) + 1)
-    if lo > max_n:
-        raise SizeTooSmall(f"random k-trees need max_n >= {lo}, got {max_n}")
-    for i in range(count):
-        k = ks[i % len(ks)]
-        n = _random.Random(seed * 1_000_003 + i).randint(max(min_n, k + 1), max_n)
-        yield k, seed + i, random_ktree(k, n, seed + i)
-
-
 def iter_corpus(cfg):
-    """Yield (instance_id, KTree) pairs for a validated config."""
+    """Yield (instance_id, KTree) pairs for a validated config.
+
+    Random draw i takes k = ks[i % len(ks)], an order n drawn uniformly
+    from max(min_n, k + 1)..max_n and the host seed s = seed + i; its id is
+    the suite's `random_id` with k, n and s filled in.
+    """
     suite = SUITES[cfg.suite]
     if suite.family:
         ns = range(max(cfg.min_n, suite.least), cfg.max_n + 1)
         yield from suite.family(cfg.ks, ns)
         return
     if cfg.mode == "random":
-        for k, s, T in _random_ktrees(
-            cfg.ks, cfg.min_n, cfg.max_n, cfg.trials, cfg.seed
-        ):
-            yield f"k{k}-n{T.n}-r{s}", T
+        for i in range(cfg.trials):
+            k, s = cfg.ks[i % len(cfg.ks)], cfg.seed + i
+            draw = _random.Random(cfg.seed * 1_000_003 + i)
+            n = draw.randint(max(cfg.min_n, k + 1), cfg.max_n)
+            yield suite.random_id.format(k=k, n=n, s=s), random_ktree(k, n, s)
         return
     for k in cfg.ks:
         lo = max(cfg.min_n, k)
@@ -440,6 +439,51 @@ def check_bristled_star(T, cfg):
     return violations, Counter([f"k={T.k},n={n}:argmax_degrees={degrees}"])
 
 
+def check_degree2_witness(T, cfg):
+    """A host whose maximum is attained only at degree-2 cliques is a
+    witness; one of order at most cfg.cap is re-checked by the oracle, and a
+    disagreement is a violation.  The near miss is (gap, record), the gap
+    being the best degree-2 mean minus the best end mean."""
+    means, arg, best, infos, key = _argmax_classes(T)
+    bests = {
+        kind: max((m for C, m in means.items() if infos[C].kind == kind), default=None)
+        for kind in (END, DEGREE2)
+    }
+    host = {"k": T.k, "n": T.n, "build": _build_str(T)}
+    violations, witnesses, near = [], [], []
+    if None not in bests.values():
+        gap = bests[DEGREE2] - bests[END]
+        record = {
+            **host,
+            "best_end": fraction_str(bests[END]),
+            "best_degree2": fraction_str(bests[DEGREE2]),
+            "gap": fraction_str(gap),
+            "gap_decimal": format_decimal(gap),
+        }
+        near.append((gap, record))
+    if all(infos[C].kind == DEGREE2 for C in arg):
+        entry = {
+            **host,
+            "argmax": [list(C) for C in arg],
+            "mu": fraction_str(best),
+            "mu_decimal": format_decimal(best),
+        }
+        try:
+            oracle_arg, oracle_best = oracle_argmax_cliques(T, cap=cfg.cap)
+            entry["oracle_confirms"] = oracle_arg == arg and oracle_best == best
+        except TooLarge:
+            entry["oracle_confirms"] = None
+        if entry["oracle_confirms"] is False:
+            violations.append(
+                {
+                    "claim": "witness re-validation by the oracle",
+                    "detail": "fast path and oracle disagree",
+                }
+            )
+        witnesses.append(entry)
+    return violations, Counter([key]), witnesses, near
+
+
 def _double_brooms(ks, ns):
     for n in ns:
         yield f"broom-n{n}", gen_double_broom(n)
@@ -454,14 +498,14 @@ def _bristled_stars(ks, ns):
 @dataclass(frozen=True)
 class Suite:
     """A suite's checker and its corpus: every k-tree of each order (classes,
-    labeled or random builds) for the configured ks, or for k = 1 when
-    `trees`; or, whatever the mode, the (instance_id, host) pairs
-    family(ks, ns) for the family parameters n from `least` to max_n.  Every
-    k lies in least_k..K_GUARD.
+    labeled or random builds, random ones named by `random_id`) for the
+    configured ks, or for k = 1 when `trees`; or, whatever the mode, the
+    (instance_id, host) pairs family(ks, ns) for the family parameters n
+    from `least` to max_n.  Every k lies in least_k..K_GUARD.
 
-    The checker returns (violations, tallies) for a host or, when
-    `equality_key` is set, yields TheoremReports that `_fold_reports` tallies
-    under that key."""
+    The checker returns the fields of a `Found` for a host, at least
+    (violations, tallies), or, when `equality_key` is set, yields
+    TheoremReports that `_fold_reports` tallies under that key."""
 
     checker: object
     trees: bool = False
@@ -469,6 +513,7 @@ class Suite:
     least: int = 1
     least_k: int = 1
     equality_key: str = None
+    random_id: str = "k{k}-n{n}-r{s}"
 
 
 SUITES = {
@@ -491,6 +536,7 @@ SUITES = {
     "bristled-star": Suite(
         check_bristled_star, family=_bristled_stars, least=3, least_k=2
     ),
+    "degree2-witness": Suite(check_degree2_witness, least_k=2, random_id="k{k}-r{s}"),
 }
 
 
@@ -501,29 +547,47 @@ def suite_names():
 # -- drivers -------------------------------------------------------------------
 
 
+class Found(NamedTuple):
+    """What a host, a chunk or a whole corpus yields: violation records,
+    tallies, witness entries, (gap, record) near misses and a host count."""
+
+    violations: list
+    tallies: Counter
+    witnesses: tuple = ()
+    near_misses: tuple = ()
+    instances: int = 1
+
+
 def _check_hosts(suite, cfg, hosts):
-    """Yield (violations tagged with the instance id, tallies, 1) for each
-    (instance_id, KTree) pair."""
+    """Yield a Found for each (instance_id, KTree) pair, with the instance
+    id stamped on each of its records."""
     for inst_id, T in hosts:
         found = suite.checker(T, cfg)
         if suite.equality_key:
             found = _fold_reports(found, suite.equality_key)
-        v, t = found
-        for item in v:
+        found = Found(*found)
+        records = (r for _, r in found.near_misses)
+        for item in itertools.chain(found.violations, found.witnesses, records):
             item["instance"] = inst_id
-        yield v, t, 1
+        yield found
 
 
 def _merge(results):
-    """Sum (violations, tallies, instances) triples."""
-    violations = []
+    """Sum Founds: records in corpus order, tallies and counts added, and the
+    NEAR_MISSES near misses of largest gap kept, ties broken by id."""
+    violations, witnesses, near = [], [], []
     tallies = Counter()
     instances = 0
-    for v, t, c in results:
-        violations += v
-        tallies.update(t)
-        instances += c
-    return violations, tallies, instances
+    for r in results:
+        violations += r.violations
+        witnesses += r.witnesses
+        tallies.update(r.tallies)
+        instances += r.instances
+        if r.near_misses:
+            near += r.near_misses
+            near.sort(key=lambda m: (-m[0], m[1]["instance"]))
+            del near[NEAR_MISSES:]
+    return Found(violations, tallies, witnesses, near, instances)
 
 
 def _run_chunk(payload):
@@ -535,33 +599,37 @@ def _run_chunk(payload):
     return _merge(_check_hosts(SUITES[suite], SuiteConfig(**cfg_dict), hosts))
 
 
-def run_suite(cfg):
-    """Run one suite and return the versioned JSON-ready report."""
-    t0 = time.monotonic()
-    suite = SUITES[cfg.validate().suite]
-    if cfg.jobs <= 1:
-        found = _merge(_check_hosts(suite, cfg, iter_corpus(cfg)))
-    else:
-        workers = min(cfg.jobs, os.cpu_count() or 1)
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            found = _merge(pool.map(_run_chunk, _chunk_payloads(cfg)))
-    violations, tallies, instances = found
-    return {
-        "schema": SCHEMA_VERIFY,
-        "suite": cfg.suite,
-        "config": cfg.as_dict(),
-        "instances": instances,
-        "violations": violations,
-        "witnesses": [],
-        "tallies": dict(sorted(tallies.items())),
-        "runtime_ms": int((time.monotonic() - t0) * 1000),
-    }
-
-
 def _chunk_payloads(cfg, chunk=400):
     specs = ((inst_id, T.k, T.base, T.build) for inst_id, T in iter_corpus(cfg))
     while batch := list(itertools.islice(specs, chunk)):
         yield (cfg.suite, cfg.as_dict(), batch)
+
+
+def _run_corpus(cfg):
+    """Validate cfg and return the merged Found of its suite over its corpus,
+    checked serially or in chunks over at most one worker per CPU."""
+    suite = SUITES[cfg.validate().suite]
+    if cfg.jobs == 1:
+        return _merge(_check_hosts(suite, cfg, iter_corpus(cfg)))
+    workers = min(cfg.jobs, os.cpu_count() or 1)
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        return _merge(pool.map(_run_chunk, _chunk_payloads(cfg)))
+
+
+def run_suite(cfg):
+    """Run one suite and return the versioned JSON-ready report."""
+    t0 = time.monotonic()
+    found = _run_corpus(cfg)
+    return {
+        "schema": SCHEMA_VERIFY,
+        "suite": cfg.suite,
+        "config": cfg.as_dict(),
+        "instances": found.instances,
+        "violations": found.violations,
+        "witnesses": found.witnesses,
+        "tallies": dict(sorted(found.tallies.items())),
+        "runtime_ms": int((time.monotonic() - t0) * 1000),
+    }
 
 
 # -- the open-problem search ---------------------------------------------------
@@ -577,7 +645,8 @@ def search_degree2_witness(
     cap=DEFAULT_CAP,
 ):
     """Look for a k-tree whose maximum local mean order is attained only at
-    degree-2 cliques (never at an end clique).
+    degree-2 cliques (never at an end clique): the `degree2-witness` suite
+    over every host of order k + 1..max_n.
 
     Witnesses of order at most `cap` are re-validated against the
     brute-force oracle; above it `oracle_confirms` is None.  The search
@@ -590,106 +659,29 @@ def search_degree2_witness(
             "exhibits degree-2 maximizers"
         )
     t0 = time.monotonic()
-    witnesses = []
-    violations = []
-    tallies = Counter()
-    near = []  # (gap, id, info)
-    instances = 0
-
     cfg = SuiteConfig(
-        suite="nonmajor-max",
+        suite="degree2-witness",
         ks=(k,),
         min_n=k + 1,
         max_n=max_n,
         mode=mode,
         trials=budget or 0,
         seed=seed,
+        cap=cap,
         dedupe=dedupe,
-    ).validate()
-    if mode == "random":
-        corpus = (
-            (f"k{k}-r{s}", T)
-            for _, s, T in _random_ktrees(
-                cfg.ks, cfg.min_n, cfg.max_n, cfg.trials, cfg.seed
-            )
-        )
-    else:
-        corpus = iter_corpus(cfg)
-
-    for inst_id, T in corpus:
-        instances += 1
-        means, arg, best, infos, key = _argmax_classes(T)
-        tallies[key] += 1
-        end_best = max(
-            (m for C, m in means.items() if infos[C].kind == END), default=None
-        )
-        deg2_best = max(
-            (m for C, m in means.items() if infos[C].kind == DEGREE2), default=None
-        )
-        if end_best is not None and deg2_best is not None:
-            gap = deg2_best - end_best
-            near.append(
-                (
-                    gap,
-                    inst_id,
-                    {
-                        "instance": inst_id,
-                        "k": k,
-                        "n": T.n,
-                        "build": _build_str(T),
-                        "best_end": fraction_str(end_best),
-                        "best_degree2": fraction_str(deg2_best),
-                        "gap": fraction_str(gap),
-                        "gap_decimal": format_decimal(gap),
-                    },
-                )
-            )
-            near.sort(key=lambda t: (-t[0], t[1]))
-            del near[8:]
-
-        if all(infos[C].kind == DEGREE2 for C in arg):
-            entry = {
-                "instance": inst_id,
-                "k": k,
-                "n": T.n,
-                "build": _build_str(T),
-                "argmax": [list(C) for C in arg],
-                "mu": fraction_str(best),
-                "mu_decimal": format_decimal(best),
-            }
-            try:
-                oracle_arg, oracle_best = oracle_argmax_cliques(T, cap=cap)
-                entry["oracle_confirms"] = oracle_arg == arg and oracle_best == best
-            except TooLarge:
-                entry["oracle_confirms"] = None
-            if entry["oracle_confirms"] is False:
-                violations.append(
-                    {
-                        "instance": inst_id,
-                        "claim": "witness re-validation by the oracle",
-                        "detail": "fast path and oracle disagree",
-                    }
-                )
-            witnesses.append(entry)
-
+    )
+    found = _run_corpus(cfg)
     return {
         "schema": SCHEMA_SEARCH,
-        "suite": "degree2-witness",
-        "config": {
-            "k": k,
-            "max_n": max_n,
-            "mode": mode,
-            "budget": budget,
-            "seed": seed,
-            "dedupe": dedupe,
-            "cap": cap,
-        },
-        "instances": instances,
-        "violations": violations,
-        "witnesses": witnesses,
+        "suite": cfg.suite,
+        "config": dict(k=k, max_n=max_n, mode=mode, budget=budget, seed=seed,
+                       dedupe=dedupe, cap=cap),
+        "instances": found.instances,
+        "violations": found.violations,
+        "witnesses": found.witnesses,
         "tallies": {
-            "classes": dict(sorted(tallies.items())),
-            "near_misses": [info for _, _, info in near],
+            "classes": dict(sorted(found.tallies.items())),
+            "near_misses": [record for _, record in found.near_misses],
         },
         "runtime_ms": int((time.monotonic() - t0) * 1000),
     }

@@ -265,6 +265,12 @@ BAD_INPUTS = {
         "search", "--k", "2", "--mode", "random", "--budget", "1",
         "--max-n", "1000000000000",
     ),
+    "verify-jobs-0": (
+        "verify", "--suite", "nonmajor-max", "--k", "2", "--max-n", "6", "--jobs", "0",
+    ),
+    "verify-jobs-negative": (
+        "verify", "--suite", "nonmajor-max", "--k", "2", "--max-n", "6", "--jobs", "-4",
+    ),
     "verify-family-order-1e15": (
         "verify", "--suite", "double-broom", "--min-n", "1000000000000000",
         "--max-n", "1000000000000000",

@@ -115,6 +115,21 @@ def test_k_leaf_peel_only_in_recognition_and_elimination():
     assert callers, "the guard found no caller at all; the search is broken"
 
 
+CORPUS_CALLERS = {"verify._run_corpus", "verify._chunk_payloads"}
+
+
+def test_one_host_loop_walks_the_corpus():
+    """Every suite and the search reach their hosts through the shared
+    driver, serially or by chunks, so no second host loop can come back."""
+    callers = set()
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        callers |= _callers(tree, path.stem, "iter_corpus")
+    extra = sorted(callers - CORPUS_CALLERS)
+    assert not extra, f"corpus callers outside the driver: {extra}"
+    assert callers, "the guard found no caller at all; the search is broken"
+
+
 ORACLE_FORBIDDEN = {"k_cliques", "_k_cliques", "_incidence", "build"}
 ORACLE_MODULES = {"chartree", "isomorphism"}
 

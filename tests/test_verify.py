@@ -349,6 +349,48 @@ def test_search_rejects_k1():
         V.search_degree2_witness(1, 6)
 
 
+def test_search_errors_name_its_own_suite():
+    with pytest.raises(BadK, match="degree2-witness"):
+        V.search_degree2_witness(300, 301)
+
+
+def _witness_row(k, max_n, **kw):
+    return V.SuiteConfig(
+        suite="degree2-witness", ks=(k,), min_n=k + 1, max_n=max_n, **kw
+    )
+
+
+def test_witness_row_parallel_matches_serial():
+    # 725 classes: two chunks of hosts, so near misses merge across chunks
+    serial = V._run_corpus(_witness_row(2, 10))
+    parallel = V._run_corpus(_witness_row(2, 10, jobs=2))
+    assert serial.instances == parallel.instances == 725
+    assert len(serial.near_misses) == V.NEAR_MISSES
+    for field in ("violations", "tallies", "witnesses", "near_misses"):
+        assert getattr(serial, field) == getattr(parallel, field)
+
+
+def test_near_miss_merge_is_independent_of_chunking():
+    cfg = _witness_row(2, 8).validate()
+    hosts = list(V._check_hosts(V.SUITES[cfg.suite], cfg, V.iter_corpus(cfg)))
+    whole = V._merge(hosts)
+    gaps = [(-gap, r["instance"]) for gap, r in whole.near_misses]
+    assert gaps == sorted(gaps) and len(gaps) == V.NEAR_MISSES
+    for size in range(1, len(hosts) + 1):
+        chunks = (V._merge(hosts[i : i + size]) for i in range(0, len(hosts), size))
+        assert V._merge(chunks) == whole
+
+
+@pytest.mark.parametrize("k", [2, 3])
+def test_witness_row_and_search_agree(k):
+    verified = V.run_suite(_witness_row(k, 8))
+    searched = V.search_degree2_witness(k, 8)
+    assert verified["schema"] == V.SCHEMA_VERIFY
+    assert verified["instances"] == searched["instances"]
+    assert verified["tallies"] == searched["tallies"]["classes"]
+    assert verified["witnesses"] == searched["witnesses"]
+
+
 def test_search_small_exhaustive():
     report = V.search_degree2_witness(2, 6)
     assert report["schema"] == V.SCHEMA_SEARCH
