@@ -9,9 +9,12 @@ host): entering a (k+1)-clique through one of its faces adds the vertex
 outside that face, and its parent is the vertex that made the face, or the
 C-node when the face is C.  That is the latest-added vertex of its
 attachment outside C in any construction order from C (`isomorphism`
-reads the same walk).  The C-to-v path then spells the unique elimination
-sequence of v, which `elimination_sequence` derives independently (greedy
-peel) and checks against its defining conditions.
+reads the same walk).  The walk climbs from C to the base clique and
+copies the rest as whole runs of the index's preorder layout, so T'_C
+comes out parents first with no per-vertex loop beyond the chain.  The
+C-to-v path then spells the unique elimination sequence of v, which
+`elimination_sequence` derives independently (greedy peel) and checks
+against its defining conditions.
 
 A `CharTree` stores T'_C as the data the folds read: `labels`, the C-node
 followed by the vertices in walk order, and `up`, the position of each
@@ -142,10 +145,10 @@ def _walk(T, C):
     """Walk the clique-incidence tree of T from the k-clique C, which the
     caller has validated.
 
-    Returns (vertices, up, via): the vertices outside C in walk order,
-    parents first; the parent position of every node of T'_C (the C-node
-    at position 0, `up[0] = -1`); and, per vertex, the k-clique node it
-    joins.  Entering a (k+1)-clique Q through its face F adds the one
+    Returns (vertices, up, via): the vertices outside C in walk order (the
+    chain, then the copied runs), parents first; the parent position of
+    every node of T'_C (the C-node at position 0, `up[0] = -1`); and, per
+    vertex, the k-clique node it joins.  Entering a (k+1)-clique Q through its face F adds the one
     vertex x of Q outside F, and every other face of Q contains x.  So a
     vertex's parent is the vertex added on entering the (k+1)-clique that
     made its face, or the C-node when that face is C.
@@ -153,45 +156,48 @@ def _walk(T, C):
     The (k+1)-cliques on the index path from C up to the base clique are
     entered through a face they made, so each adds the attachment vertex
     missing from that face, and they form a chain below the C-node.  Every
-    other step s is entered through attach_s and adds v_s.  Those steps are
-    taken breadth first: the steps below the k faces made by s are one
-    contiguous run of `steps`.
+    other step s is entered through attach_s and adds v_s, under the same
+    parent as in the index's preorder layout (`CliqueIncidence.layout`),
+    except that a step whose attachment is C or on the chain hangs from the
+    C-node or that chain vertex.  Those steps are copied as whole runs of
+    the layout, after the chain: the run below C, and per chain step the
+    runs below its other faces and beside it at its attachment.
     """
     inc = T._incidence
     k, build, attach_node = inc.k, inc.build, inc.attach_node
-    first, steps = inc.first, inc.steps
+    lay = inc.layout
+    m = len(build)
     f = inc.node(C)
     verts = []
-    up = [-1]
     via = []
-    down = list(steps[first[f] : first[f + 1]])  # steps entered through attach_s
-    par = [0] * len(down)
+    a, b = inc.run(f)
+    runs = [(a, b, 0)] if a < b else []  # (a, b, r): a..b-1 hang from r
+    i = 0
     while f:
-        s = (f - 1) // k
-        low = 1 + k * s
-        i = len(up)
-        verts.append(build[s][1][f - low])
-        up.append(i - 1)
-        via.append(f)
-        for a, b in ((first[low], first[f]), (first[f + 1], first[low + k])):
-            down += steps[a:b]
-            par += [i] * (b - a)
-        f = attach_node[s]
-        for t in steps[first[f] : first[f + 1]]:
-            if t != s:
-                down.append(t)
-                par.append(i)
-    i = len(up)
-    for s in down:  # the list grows as it is read
-        low = 1 + k * s
-        a, b = first[low], first[low + k]
-        if a != b:
-            down += steps[a:b]
-            par += [i] * (b - a)
+        s, t = divmod(f - 1, k)
         i += 1
-    verts += [build[s][0] for s in down]
-    up += par
-    via += [attach_node[s] for s in down]
+        verts.append(build[s][1][t])
+        via.append(f)
+        e = 3 * m + (k + 1) * s  # s's bounds: its faces' run starts, its end
+        a, b = lay[e], lay[e + k]
+        f = attach_node[s]
+        if f:
+            # inc.run(f), inlined: a call per chain step slows small walks
+            j = 3 * m + f - 1 + (f - 1) // k
+            c, g = lay[j], lay[j + 1]
+        else:
+            c, g = 0, m
+        # below s's other faces, and beside s at attach_s; empty runs are
+        # dropped, so a deep chain holds no more runs than vertices
+        for x, y in ((a, lay[e + t]), (lay[e + t + 1], b), (c, a - 1), (b, g)):
+            if x < y:
+                runs.append((x, y, i))
+    up = [-1, *range(i)]
+    for a, b, r in runs:
+        d = len(up) - a
+        verts += lay[a:b]
+        up += [q + d if q >= a else r for q in lay[m + a : m + b]]
+        via += lay[2 * m + a : 2 * m + b]
     return verts, up, via
 
 

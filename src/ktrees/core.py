@@ -111,35 +111,34 @@ class CliqueIncidence:
     (k+1)-cliques that contain them), as flat integer arrays read off the
     construction records.
 
-    The (k+1)-cliques are the steps s = 0..n-k-1: step s adds v_s at
-    attach_s and makes Q_s = attach_s + v_s.  k-clique node 0 is the base
+    The (k+1)-cliques are the steps s = 0..m-1 (m = n - k): step s adds v_s
+    at attach_s and makes Q_s = attach_s + v_s.  k-clique node 0 is the base
     clique, and node 1 + k*s + t is the face Q_s - attach_s[t], which
-    contains v_s.  `attach_node[s]` is the node of attach_s; the steps
-    attaching at node j are `steps[first[j]:first[j + 1]]`; `step_of[v]` is
-    the step that added v, or -1 for a base vertex.  Every k-clique node
-    but 0 was made by step (j - 1) // k.
+    contains v_s.  `attach_node[s]` is the node of attach_s and `step_of[v]`
+    the step that added v, or -1 for a base vertex.  Every k-clique node but
+    0 was made by step (j - 1) // k.
+
+    `layout`, built on first read, lays the tree out in preorder from the
+    base clique: a step comes first, then the steps below each of its k
+    faces in turn, so the steps below any k-clique node fill one run of
+    positions, `run(j)`.  It is one packed array of (k + 4) * m ints:
+    the vertex v_s, the position of the step that made attach_s (-1 for the
+    base) and attach_node[s], each by position p in blocks of m; then, per
+    step s, k + 1 run bounds at 3m + (k+1)*s: the run starts of its faces
+    and the end of the run below s, so s itself sits one before the first.
     """
 
-    __slots__ = ("k", "base", "build", "attach_node", "first", "steps", "step_of")
+    __slots__ = ("k", "base", "build", "attach_node", "step_of", "_layout")
 
     def __init__(self, T):
         k, build = T.k, T.build
         self.k, self.base, self.build = k, T.base, build
         self.step_of = step_of = array("i", [-1]) * (T.n + 1)
         self.attach_node = attach_node = array("i", [0]) * len(build)
-        count = array("i", [0]) * (2 + k * len(build))
         for s, (v, attach) in enumerate(build):
-            j = self.node(attach)
-            attach_node[s] = j
-            count[j + 1] += 1
+            attach_node[s] = self.node(attach)
             step_of[v] = s
-        for j in range(1, len(count)):
-            count[j] += count[j - 1]
-        self.first = array("i", count)
-        self.steps = steps = array("i", [0]) * len(build)
-        for s, j in enumerate(attach_node):
-            steps[count[j]] = s
-            count[j] += 1
+        self._layout = None
 
     def node(self, C):
         """The node of the k-clique C, found from its latest-added vertex.
@@ -159,6 +158,50 @@ class CliqueIncidence:
         s, t = divmod(j - 1, self.k)
         v, attach = self.build[s]
         return tuple(sorted(attach[:t] + attach[t + 1 :] + (v,)))
+
+    @property
+    def layout(self):
+        lay = self._layout
+        if lay is None:
+            lay = self._layout = self._preorder()
+        return lay
+
+    def run(self, j):
+        """The positions [a, b) of the steps below k-clique node j."""
+        if not j:
+            return 0, len(self.build)
+        i = 3 * len(self.build) + j - 1 + (j - 1) // self.k
+        lay = self.layout
+        return lay[i], lay[i + 1]
+
+    def _preorder(self):
+        k, build, attach_node = self.k, self.build, self.attach_node
+        m = len(build)
+        lay = array("i", [0]) * ((k + 4) * m)
+        # count the steps below every node, latest step first: a step's
+        # faces are attached to only by later steps
+        below = array("i", [0]) * (1 + k * m)
+        for s in range(m - 1, -1, -1):
+            low = 1 + k * s
+            below[attach_node[s]] += 1 + sum(below[low : low + k])
+        # place each step at its attachment's next free position; `below`
+        # now holds that position for every node laid out so far
+        below[0] = 0
+        bounds = 3 * m
+        for s, (v, _) in enumerate(build):
+            j = attach_node[s]
+            p = below[j]
+            lay[p] = v
+            lay[m + p] = lay[bounds + (k + 1) * ((j - 1) // k)] - 1 if j else -1
+            lay[2 * m + p] = j
+            e = bounds + (k + 1) * s
+            q = p + 1
+            for f in range(1 + k * s, 1 + k * s + k):
+                lay[e] = q
+                e += 1
+                q, below[f] = q + below[f], q
+            lay[e] = below[j] = q
+        return lay
 
 
 class KTree:

@@ -112,23 +112,31 @@ def _centre_roots(T):
     leaf-to-leaf path has even length, and stripping all leaves round by
     round ends at a single node.  The rounds alternate: k-cliques, then
     (k+1)-cliques.  The roots are the last node if it is a k-clique, else
-    its k+1 faces.
+    its k+1 faces.  A k-clique keeps the XOR of its steps not yet
+    stripped, so a leaf names its one remaining step without a scan.
     """
     inc = T._incidence
-    k, attach_node, first, steps = inc.k, inc.attach_node, inc.first, inc.steps
+    k, attach_node = inc.k, inc.attach_node
 
     def faces(s):
         return (attach_node[s], *range(1 + k * s, 1 + k * s + k))
 
-    kdeg = [first[j + 1] - first[j] + (j > 0) for j in range(len(first) - 1)]
+    kdeg = [1] * (1 + k * len(attach_node))
+    kxor = [(j - 1) // k for j in range(len(kdeg))]
+    kdeg[0] = kxor[0] = 0
+    for s, j in enumerate(attach_node):
+        kdeg[j] += 1
+        kxor[j] ^= s
     sdeg = [k + 1] * len(attach_node)
     leaves = [j for j, d in enumerate(kdeg) if d <= 1]
     # a node stripped earlier drops from 1 to 0, never to 1
     while True:
         tops = []
         for j in leaves:
-            made = [(j - 1) // k] if j else []
-            for s in (*steps[first[j] : first[j + 1]], *made):
+            # a k-clique whose last two steps went in one round is at 0:
+            # it is the centre, and its XOR names no step
+            if kdeg[j]:
+                s = kxor[j]
                 sdeg[s] -= 1
                 if sdeg[s] == 1:
                     tops.append(s)
@@ -139,6 +147,7 @@ def _centre_roots(T):
         for s in tops:
             for j in faces(s):
                 kdeg[j] -= 1
+                kxor[j] ^= s
                 if kdeg[j] == 1:
                     leaves.append(j)
         if not leaves:

@@ -33,21 +33,24 @@ def kelmans(graph, v, u):
 
 
 def partial_kelmans(graph, v, u, moved):
-    """Move only the edges vw with w in `moved`; W = N2 recovers kelmans."""
-    adj = {x: set(vs) for x, vs in graph.items()}
+    """Move only the edges vw with w in `moved`; W = N2 recovers kelmans.
+
+    The result shares the frozen neighbour sets of every vertex but v, u
+    and the moved ones, which are rebuilt; `graph` is left as it was.
+    """
+    adj = _freeze(graph)
     if u == v:
         raise SameVertex(f"cannot move from {v} to itself")
     if u not in adj or v not in adj:
         raise KTreeError(f"vertices {u}, {v} must belong to the graph")
-    moved = set(moved)
+    moved = frozenset(moved)
     if not moved <= second_neighborhood(adj, v, u):
         raise BadMoveSet(f"moved set {sorted(moved, key=node_key)} not within N2")
+    adj[v] -= moved
+    adj[u] |= moved
     for w in moved:
-        adj[v].discard(w)
-        adj[w].discard(v)
-        adj[u].add(w)
-        adj[w].add(u)
-    return _freeze(adj)
+        adj[w] = adj[w] - {v} | {u}
+    return adj
 
 
 @dataclass(frozen=True)

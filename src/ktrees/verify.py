@@ -148,6 +148,14 @@ class SuiteConfig:
             raise KTreeError(f"jobs must be at least 1, got {self.jobs}")
         if self.mode not in ("exhaustive", "random"):
             raise UnknownSuite(f"unknown mode {self.mode!r}")
+        # refuse options the corpus of this mode would ignore
+        if self.mode == "exhaustive" and (self.trials or self.seed):
+            raise KTreeError(
+                f"exhaustive mode takes no trials or seed, got trials={self.trials}, "
+                f"seed={self.seed}"
+            )
+        if self.mode == "random" and not self.dedupe:
+            raise KTreeError("random mode draws labeled hosts; it takes no --no-dedupe")
         if self.mode == "random" and self.trials < 1:
             raise TooLarge("random mode requires a positive trial count")
         lo = max(self.min_n, suite.least if suite.family else min(self.ks))
@@ -658,6 +666,8 @@ def search_degree2_witness(
             "search requires k >= 2; for trees the double-broom suite already "
             "exhibits degree-2 maximizers"
         )
+    if mode == "exhaustive" and budget is not None:
+        raise KTreeError(f"exhaustive mode takes no budget, got budget={budget}")
     t0 = time.monotonic()
     cfg = SuiteConfig(
         suite="degree2-witness",

@@ -164,6 +164,61 @@ def test_walk_from_both_ends_of_a_deep_path_type_host():
         assert CT.local_mean_order_clique(T, C) == k + Fraction(n - k, 2)
 
 
+def bfs_walk(T, C):
+    """The breadth-first walk that the preorder layout replaced, kept as an
+    independent reference: the chain from C up to the base clique, then
+    every other step entered through its attachment, level by level, over
+    a CSR list of the steps attached at each node.  Returns
+    ({vertex: parent vertex or None}, {vertex: k-clique node joined})."""
+    inc = T._incidence
+    k, build, attach_node = inc.k, inc.build, inc.attach_node
+    first = [0] * (2 + k * len(build))
+    for j in attach_node:
+        first[j + 1] += 1
+    for j in range(1, len(first)):
+        first[j] += first[j - 1]
+    steps = sorted(range(len(build)), key=attach_node.__getitem__)
+    f = inc.node(C)
+    verts, up, via = [], [-1], []
+    down = list(steps[first[f] : first[f + 1]])
+    par = [0] * len(down)
+    while f:
+        s = (f - 1) // k
+        low = 1 + k * s
+        i = len(up)
+        verts.append(build[s][1][f - low])
+        up.append(i - 1)
+        via.append(f)
+        for a, b in ((first[low], first[f]), (first[f + 1], first[low + k])):
+            down += steps[a:b]
+            par += [i] * (b - a)
+        f = attach_node[s]
+        for t in steps[first[f] : first[f + 1]]:
+            if t != s:
+                down.append(t)
+                par.append(i)
+    i = len(up)
+    for s in down:
+        low = 1 + k * s
+        a, b = first[low], first[low + k]
+        down += steps[a:b]
+        par += [i] * (b - a)
+        i += 1
+    verts += [build[s][0] for s in down]
+    up += par
+    via += [attach_node[s] for s in down]
+    labels = [None, *verts]
+    return dict(zip(verts, (labels[p] for p in up[1:]))), dict(zip(verts, via))
+
+
+def walk_maps(T, C):
+    verts, up, via = CT._walk(T, C)
+    assert len(up) == len(verts) + 1 == T.n - T.k + 1
+    assert up[0] == -1 and all(0 <= p < i for i, p in enumerate(up) if i)
+    labels = [None, *verts]
+    return dict(zip(verts, (labels[p] for p in up[1:]))), dict(zip(verts, via))
+
+
 def test_incidence_index_invariants():
     hosts = [core.build_from_construction(3, [])]
     hosts += [shuffled_host(k, n, 1) for k in (1, 2, 3, 4) for n in (k + 1, 9, 20)]
@@ -171,21 +226,51 @@ def test_incidence_index_invariants():
         inc = T._incidence
         k, m = T.k, T.n - T.k
         nk = 1 + k * m
-        assert len(inc.first) == nk + 1 and inc.first[-1] == len(inc.steps) == m
         cliques = [inc.clique(j) for j in range(nk)]
         assert sorted(cliques) == [
             C for C in combinations(T.vertices, k) if T.is_clique(C)
         ]
         assert [inc.node(C) for C in cliques] == list(range(nk))
         assert cliques[0] == T.base
+        assert all(inc.step_of[v] == -1 for v in T.base)
         for s, (v, attach) in enumerate(T.build):
             assert inc.clique(inc.attach_node[s]) == attach
             assert inc.step_of[v] == s
-            a, b = inc.first[inc.attach_node[s]], inc.first[inc.attach_node[s] + 1]
-            assert s in inc.steps[a:b]
             for t in range(k):
                 assert v in cliques[1 + k * s + t]
-        assert all(inc.step_of[v] == -1 for v in T.base)
+        # the preorder layout: vertex, parent position and attachment node
+        # by position, then k + 1 run bounds per step
+        lay = inc.layout
+        assert len(lay) == (k + 4) * m
+        pos = [lay[3 * m + (k + 1) * s] - 1 for s in range(m)]
+        assert sorted(pos) == list(range(m))
+        for s, (v, _) in enumerate(T.build):
+            j = inc.attach_node[s]
+            p = pos[s]
+            assert lay[p] == v and lay[2 * m + p] == j
+            assert lay[m + p] == (pos[(j - 1) // k] if j else -1) < p
+        # the run of a node is exactly the steps whose attachment climbs to it
+        for j in range(nk):
+            a, b = inc.run(j)
+            below = set()
+            for s in range(m):
+                f = inc.attach_node[s]
+                while f != j and f:
+                    f = inc.attach_node[(f - 1) // k]
+                if f == j:
+                    below.add(s)
+            assert sorted(pos[s] for s in below) == list(range(a, b))
+        for C in cliques:
+            assert walk_maps(T, C) == bfs_walk(T, C)
+
+
+def test_walk_from_the_middle_of_a_deep_path_type_host():
+    k, n = 2, 3000
+    T = core.gen_path_type(k, n)
+    C = (1500, 1501)  # a long chain up to the base and a long run below C
+    assert walk_maps(T, C) == bfs_walk(T, C)
+    # T'_C is a path through the C-node, so the mean is that of an end
+    assert CT.local_mean_order_clique(T, C) == k + Fraction(n - k, 2)
 
 
 def test_k1_chartree_is_the_tree_itself():

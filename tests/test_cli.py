@@ -271,6 +271,23 @@ BAD_INPUTS = {
     "verify-jobs-negative": (
         "verify", "--suite", "nonmajor-max", "--k", "2", "--max-n", "6", "--jobs", "-4",
     ),
+    "verify-exhaustive-trials": (
+        "verify", "--suite", "nonmajor-max", "--k", "2", "--max-n", "6", "--trials", "5",
+    ),
+    "verify-exhaustive-seed": (
+        "verify", "--suite", "nonmajor-max", "--k", "2", "--max-n", "6", "--seed", "3",
+    ),
+    "verify-random-no-dedupe": (
+        "verify", "--suite", "nonmajor-max", "--k", "2", "--max-n", "6",
+        "--mode", "random", "--trials", "5", "--no-dedupe",
+    ),
+    "search-exhaustive-budget": ("search", "--k", "2", "--max-n", "6", "--budget", "5"),
+    "search-exhaustive-budget-0": ("search", "--k", "2", "--max-n", "6", "--budget", "0"),
+    "search-exhaustive-seed": ("search", "--k", "2", "--max-n", "6", "--seed", "3"),
+    "search-random-no-dedupe": (
+        "search", "--k", "2", "--max-n", "6", "--mode", "random", "--budget", "5",
+        "--no-dedupe",
+    ),
     "verify-family-order-1e15": (
         "verify", "--suite", "double-broom", "--min-n", "1000000000000000",
         "--max-n", "1000000000000000",

@@ -1,5 +1,6 @@
 """Kelmans moves and the mean-order comparison theorems on trees."""
 
+import random
 from fractions import Fraction
 from itertools import combinations
 
@@ -175,6 +176,36 @@ def test_partial_checker_consistent_all_subsets():
                     for W in combinations(others, r):
                         rep = K.check_partial_kelmans_monotone(adj, u, v, W)
                         assert rep.ok, (T.edges(), u, v, W)
+
+
+def full_copy_partial_kelmans(graph, v, u, moved):
+    """Reference move: copy every neighbour set, edit, freeze them all."""
+    adj = {x: set(vs) for x, vs in graph.items()}
+    for w in moved:
+        adj[v].discard(w)
+        adj[w].discard(v)
+        adj[u].add(w)
+        adj[w].add(u)
+    return {x: frozenset(vs) for x, vs in adj.items()}
+
+
+def test_partial_kelmans_matches_a_full_copy_on_random_trees():
+    rng = random.Random(5)
+    for n in (2, 3, 6, 12, 30):
+        for seed in range(6):
+            frozen = tree_adjacency(core.random_ktree(1, n, seed))
+            sets = {x: set(vs) for x, vs in frozen.items()}
+            before = {x: set(vs) for x, vs in sets.items()}
+            for v in sorted(sets):
+                for u in sorted(sets[v]):
+                    n2 = sorted(K.second_neighborhood(sets, v, u))
+                    moved = rng.sample(n2, rng.randint(0, len(n2)))
+                    want = full_copy_partial_kelmans(sets, v, u, moved)
+                    for graph in (sets, frozen):
+                        got = K.partial_kelmans(graph, v, u, moved)
+                        assert got == want
+                        assert all(type(vs) is frozenset for vs in got.values())
+            assert sets == before and frozen == before
 
 
 @settings(max_examples=40, deadline=None)
