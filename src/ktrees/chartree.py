@@ -301,7 +301,7 @@ def local_poly_clique(T, C):
 def local_mean_order_clique(T, C):
     """Average order of the sub-k-trees containing C: mu(T'_C; C) + k - 1."""
     count, total = _phi_pair(characteristic_tree(T, C).up)
-    return Fraction(total, count) + (T.k - 1)
+    return Fraction(total + (T.k - 1) * count, count)
 
 
 def all_clique_means(T):

@@ -15,13 +15,16 @@ import traceback
 from pathlib import Path
 
 from . import chartree, core, oracle, polynomials, verify
-from .errors import BadK, KTreeError
+from .errors import BadK, FormatError, KTreeError
 from .kelmans_ops import kelmans as apply_kelmans, partial_kelmans
 from .polynomials import format_rational
 
 
 def _load(args):
-    text = Path(args.input).read_text(encoding="utf-8")
+    try:
+        text = Path(args.input).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"{args.input} is not UTF-8 text: {exc}") from None
     if getattr(args, "k", None) is not None:
         return core.parse_edge_list(text, args.k, n=getattr(args, "n", None))
     return core.parse_kt(text)
@@ -41,21 +44,18 @@ def _clique_label(C):
 def cmd_validate(args):
     T = _load(args)
     print(f"valid {T.k}-tree on {T.n} vertices")
-    for name, (got, want) in T.validate().items():
+    table = T.validate()
+    for name, (got, want) in table.items():
         status = "ok" if got == want else "FAIL"
         print(f"  {name:24s} {str(got):>8s} == {str(want):<8s} {status}")
-    if any(got != want for got, want in T.validate().values()):
-        return 1
-    return 0
+    return 1 if any(got != want for got, want in table.values()) else 0
 
 
 def cmd_mean_order(args):
     T = _load(args)
     chosen = [bool(args.clique), args.all_cliques, args.global_mean]
     if sum(chosen) != 1:
-        print("choose exactly one of --clique, --all-cliques, --global",
-              file=sys.stderr)
-        return 2
+        raise KTreeError("choose exactly one of --clique, --all-cliques, --global")
     if args.clique:
         C = _parse_clique(args.clique)
         mu = chartree.local_mean_order_clique(T, C)
@@ -88,9 +88,6 @@ def cmd_char_tree(args):
 
 def cmd_kelmans(args):
     T = _load(args)
-    if T.k != 1:
-        print("the kelmans subcommand operates on trees (k=1)", file=sys.stderr)
-        return 2
     adj = verify.tree_adjacency(T)
     v, u = args.from_vertex, args.to_vertex
     if args.move is not None:
@@ -158,9 +155,7 @@ def cmd_verify(args):
         dedupe=args.dedupe,
         jobs=args.jobs,
     )
-    report = verify.run_suite(cfg)
-    _emit_report(report, args.out)
-    return 0 if not report["violations"] else 1
+    return _emit_report(verify.run_suite(cfg), args.out)
 
 
 def cmd_search(args):
@@ -173,12 +168,13 @@ def cmd_search(args):
         dedupe=args.dedupe,
         cap=args.cap,
     )
-    _emit_report(report, args.out)
+    code = _emit_report(report, args.out)
     print(f"witnesses: {len(report['witnesses'])}", file=sys.stderr)
-    return 0 if not report["violations"] else 1
+    return code
 
 
 def _emit_report(report, out):
+    """Write the report to `out` or stdout; exit 1 if it has violations."""
     text = verify.report_to_json(report)
     if out:
         Path(out).write_text(text, encoding="utf-8")
@@ -188,6 +184,7 @@ def _emit_report(report, out):
         )
     else:
         sys.stdout.write(text)
+    return 1 if report["violations"] else 0
 
 
 def build_parser():
@@ -204,6 +201,15 @@ def build_parser():
                         help="treat input as an edge list for this k")
         sp.add_argument("--n", type=int, default=None,
                         help="order override for edge lists with isolated K_1")
+
+    def add_corpus(sp):
+        sp.add_argument("--mode", choices=("exhaustive", "random"),
+                        default="exhaustive")
+        sp.add_argument("--seed", type=int, default=0)
+        sp.add_argument("--cap", type=int, default=oracle.DEFAULT_CAP)
+        sp.add_argument("--dedupe", action=argparse.BooleanOptionalAction,
+                        default=True)
+        sp.add_argument("--out", help="write the JSON report here")
 
     sp = sub.add_parser("validate", help="recognition verdict and invariants")
     add_input(sp)
@@ -243,24 +249,16 @@ def build_parser():
                     help="at most 255 k values, e.g. 2 or 1-3 or 2,3")
     sp.add_argument("--min-n", type=int, default=0)
     sp.add_argument("--max-n", type=int, default=6)
-    sp.add_argument("--mode", choices=("exhaustive", "random"), default="exhaustive")
     sp.add_argument("--trials", type=int, default=0)
-    sp.add_argument("--seed", type=int, default=0)
-    sp.add_argument("--cap", type=int, default=oracle.DEFAULT_CAP)
     sp.add_argument("--jobs", type=int, default=1)
-    sp.add_argument("--dedupe", action=argparse.BooleanOptionalAction, default=True)
-    sp.add_argument("--out", help="write the JSON report here")
+    add_corpus(sp)
     sp.set_defaults(func=cmd_verify)
 
     sp = sub.add_parser("search", help="hunt for degree-2-only maximizers")
     sp.add_argument("--k", type=int, required=True)
     sp.add_argument("--max-n", type=int, required=True)
-    sp.add_argument("--mode", choices=("exhaustive", "random"), default="exhaustive")
     sp.add_argument("--budget", type=int, default=None)
-    sp.add_argument("--seed", type=int, default=0)
-    sp.add_argument("--cap", type=int, default=oracle.DEFAULT_CAP)
-    sp.add_argument("--dedupe", action=argparse.BooleanOptionalAction, default=True)
-    sp.add_argument("--out", help="write the JSON report here")
+    add_corpus(sp)
     sp.set_defaults(func=cmd_search)
 
     return p

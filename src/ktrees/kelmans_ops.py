@@ -15,8 +15,14 @@ from .errors import BadMoveSet, KTreeError, NotAdjacent, NotALeaf, SameVertex
 from .polynomials import as_tree_adj, local_mean_order_vertex, node_key
 
 
-def _freeze(adj):
-    return {u: frozenset(vs) for u, vs in adj.items()}
+def _endpoints(graph, v, u):
+    """A frozen copy of the graph, once v and u are two of its vertices."""
+    adj = {w: frozenset(vs) for w, vs in graph.items()}
+    if u == v:
+        raise SameVertex(f"cannot move from {v} to itself")
+    if u not in adj or v not in adj:
+        raise KTreeError(f"vertices {u}, {v} must belong to the graph")
+    return adj
 
 
 def second_neighborhood(adj, v, u):
@@ -26,9 +32,7 @@ def second_neighborhood(adj, v, u):
 
 def kelmans(graph, v, u):
     """Replace every edge vw, w in N2, by uw.  Graphs stay simple."""
-    adj = _freeze(graph)
-    if u == v:
-        raise SameVertex(f"cannot move from {v} to itself")
+    adj = _endpoints(graph, v, u)
     return partial_kelmans(adj, v, u, second_neighborhood(adj, v, u))
 
 
@@ -38,11 +42,7 @@ def partial_kelmans(graph, v, u, moved):
     The result shares the frozen neighbour sets of every vertex but v, u
     and the moved ones, which are rebuilt; `graph` is left as it was.
     """
-    adj = _freeze(graph)
-    if u == v:
-        raise SameVertex(f"cannot move from {v} to itself")
-    if u not in adj or v not in adj:
-        raise KTreeError(f"vertices {u}, {v} must belong to the graph")
+    adj = _endpoints(graph, v, u)
     moved = frozenset(moved)
     if not moved <= second_neighborhood(adj, v, u):
         raise BadMoveSet(f"moved set {sorted(moved, key=node_key)} not within N2")

@@ -14,9 +14,10 @@ and end-clique dominance) yields one `TheoremReport` per comparison, and
 `_fold_reports` turns those into tallies and violation records.  The
 search's witness checker returns (violations, tallies, witnesses, near
 misses).  Every other checker returns (violations, tallies).
-`_argmax_classes` is the one place the k-tree checkers get clique means,
-the argmax and each clique's degree class.  `_run_corpus` drives every
-suite and the search: one corpus, one host loop, one merge.
+`_argmax_classes` is the one place the argmax checkers get clique means,
+the argmax and each clique's degree class (at k = 1 the cliques are the
+vertices).  `_run_corpus` drives every suite and the search: one corpus,
+one host loop, one merge; `_report` times it and builds both reports.
 """
 
 from __future__ import annotations
@@ -71,7 +72,6 @@ from .polynomials import (
     format_decimal,
     global_mean_order_tree,
     jamison_ratio_check,
-    local_mean_order_vertex,
 )
 
 SCHEMA_VERIFY = "ktree-verify/1"
@@ -409,11 +409,9 @@ def check_double_broom(T, cfg):
     """The double broom of parameter n (order 2n + 5) has its maximum local
     mean order at a degree-2 vertex for n >= 7 and at a leaf for n <= 2."""
     n = (T.n - 5) // 2
-    adj = tree_adjacency(T)
-    means = {v: local_mean_order_vertex(adj, v) for v in sorted(adj)}
-    best = max(means.values())
-    arg = sorted(v for v, m in means.items() if m == best)
-    infos = [clique_degree(T, (v,)) for v in arg]
+    _, cliques, _, info_of, _ = _argmax_classes(T)
+    infos = [info_of[C] for C in cliques]
+    arg = [v for (v,) in cliques]
     degset = sorted({info.degree for info in infos})
     violations = []
     if n >= 7 and any(info.kind != DEGREE2 for info in infos):
@@ -599,18 +597,18 @@ def _merge(results):
 
 
 def _run_chunk(payload):
-    suite, cfg_dict, specs = payload
+    cfg, specs = payload
     hosts = (
         (inst_id, KTree.from_parts(k, base, build, validate=False))
         for inst_id, k, base, build in specs
     )
-    return _merge(_check_hosts(SUITES[suite], SuiteConfig(**cfg_dict), hosts))
+    return _merge(_check_hosts(SUITES[cfg.suite], cfg, hosts))
 
 
 def _chunk_payloads(cfg, chunk=400):
     specs = ((inst_id, T.k, T.base, T.build) for inst_id, T in iter_corpus(cfg))
     while batch := list(itertools.islice(specs, chunk)):
-        yield (cfg.suite, cfg.as_dict(), batch)
+        yield (cfg, batch)
 
 
 def _run_corpus(cfg):
@@ -624,20 +622,28 @@ def _run_corpus(cfg):
         return _merge(pool.map(_run_chunk, _chunk_payloads(cfg)))
 
 
-def run_suite(cfg):
-    """Run one suite and return the versioned JSON-ready report."""
+def _report(cfg, schema=SCHEMA_VERIFY, config=None, shape=None):
+    """Check cfg's corpus and return the versioned JSON-ready report: its
+    config is `config`, or else cfg's validated fields, and its tallies are
+    sorted by key, then passed with the near misses through `shape`."""
     t0 = time.monotonic()
     found = _run_corpus(cfg)
+    tallies = dict(sorted(found.tallies.items()))
     return {
-        "schema": SCHEMA_VERIFY,
+        "schema": schema,
         "suite": cfg.suite,
-        "config": cfg.as_dict(),
+        "config": config or cfg.as_dict(),
         "instances": found.instances,
         "violations": found.violations,
         "witnesses": found.witnesses,
-        "tallies": dict(sorted(found.tallies.items())),
+        "tallies": shape(tallies, found.near_misses) if shape else tallies,
         "runtime_ms": int((time.monotonic() - t0) * 1000),
     }
+
+
+def run_suite(cfg):
+    """Run one suite and return the versioned JSON-ready report."""
+    return _report(cfg)
 
 
 # -- the open-problem search ---------------------------------------------------
@@ -659,7 +665,8 @@ def search_degree2_witness(
     Witnesses of order at most `cap` are re-validated against the
     brute-force oracle; above it `oracle_confirms` is None.  The search
     reports whatever it finds; an empty witness list over an exhaustive
-    corpus certifies absence only at those sizes.
+    corpus certifies absence only at those sizes.  Its tallies are the
+    argmax classes and the near-miss records.
     """
     if k < 2:
         raise BadK(
@@ -668,7 +675,6 @@ def search_degree2_witness(
         )
     if mode == "exhaustive" and budget is not None:
         raise KTreeError(f"exhaustive mode takes no budget, got budget={budget}")
-    t0 = time.monotonic()
     cfg = SuiteConfig(
         suite="degree2-witness",
         ks=(k,),
@@ -680,21 +686,13 @@ def search_degree2_witness(
         cap=cap,
         dedupe=dedupe,
     )
-    found = _run_corpus(cfg)
-    return {
-        "schema": SCHEMA_SEARCH,
-        "suite": cfg.suite,
-        "config": dict(k=k, max_n=max_n, mode=mode, budget=budget, seed=seed,
-                       dedupe=dedupe, cap=cap),
-        "instances": found.instances,
-        "violations": found.violations,
-        "witnesses": found.witnesses,
-        "tallies": {
-            "classes": dict(sorted(found.tallies.items())),
-            "near_misses": [record for _, record in found.near_misses],
-        },
-        "runtime_ms": int((time.monotonic() - t0) * 1000),
-    }
+    config = dict(k=k, max_n=max_n, mode=mode, budget=budget, seed=seed,
+                  dedupe=dedupe, cap=cap)
+
+    def shape(classes, near):
+        return {"classes": classes, "near_misses": [record for _, record in near]}
+
+    return _report(cfg, SCHEMA_SEARCH, config, shape)
 
 
 def _build_str(T):

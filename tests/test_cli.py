@@ -51,6 +51,14 @@ def test_validate_bad_file(tmp_path, capsys):
     assert "error:" in err
 
 
+def test_validate_non_utf8_file_exits_2(tmp_path, capsys):
+    p = tmp_path / "bin.kt"
+    p.write_bytes(b"\xff\xfe\x00bad")
+    code, _, err = run(capsys, "validate", str(p))
+    assert code == 2
+    assert err.startswith("error:") and "not UTF-8" in err
+
+
 def test_mean_order_clique(tri_kt, capsys):
     code, out, _ = run(capsys, "mean-order", tri_kt, "--clique", "1,2")
     assert code == 0
@@ -81,10 +89,14 @@ def test_mean_order_all_cliques_sorted(four_kt, capsys):
 def test_mean_order_requires_exactly_one_target(tri_kt, capsys):
     code, _, err = run(capsys, "mean-order", tri_kt)
     assert code == 2
+    assert err.startswith("error: choose exactly one")
     code, _, _ = run(
         capsys, "mean-order", tri_kt, "--clique", "1,2", "--global"
     )
     assert code == 2
+    code, _, err = run(capsys, "mean-order", tri_kt, "--all-cliques", "--global")
+    assert code == 2
+    assert err.startswith("error: choose exactly one")
 
 
 def test_char_tree_and_dot(four_kt, tmp_path, capsys):
@@ -127,6 +139,14 @@ def test_kelmans_partial_move(p4_kt, capsys):
 def test_kelmans_rejects_k2(tri_kt, capsys):
     code, _, err = run(capsys, "kelmans", tri_kt, "--from", "1", "--to", "2")
     assert code == 2
+    assert err.startswith("error:") and "not a tree" in err
+
+
+@pytest.mark.parametrize("ends", [("9", "2"), ("2", "9")])
+def test_kelmans_vertex_outside_the_tree_exits_2(p4_kt, ends, capsys):
+    code, out, err = run(capsys, "kelmans", p4_kt, "--from", ends[0], "--to", ends[1])
+    assert code == 2
+    assert err.startswith("error:") and out == ""
 
 
 def test_oracle_outputs(tri_kt, capsys):

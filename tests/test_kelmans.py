@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from ktrees import core
 from ktrees import kelmans_ops as K
-from ktrees.errors import BadMoveSet, NotALeaf, SameVertex
+from ktrees.errors import BadMoveSet, KTreeError, NotALeaf, SameVertex
 from ktrees.verify import tree_adjacency
 
 from conftest import trees_upto
@@ -43,6 +43,14 @@ def test_kelmans_star_center_to_leaf():
 def test_kelmans_same_vertex_rejected():
     with pytest.raises(SameVertex):
         K.kelmans(P4, 2, 2)
+
+
+@pytest.mark.parametrize("v, u", [(9, 2), (2, 9)])
+def test_kelmans_endpoint_outside_the_graph_rejected(v, u):
+    # membership is checked before N2 reads the neighbourhoods of v and u
+    for move in (K.kelmans, lambda g, v, u: K.partial_kelmans(g, v, u, ())):
+        with pytest.raises(KTreeError, match="must belong to the graph"):
+            move(P4, v, u)
 
 
 def test_partial_kelmans_identity_and_full():

@@ -87,8 +87,9 @@ def test_no_self_recursion():
 PEEL_CALLERS = {"core.recognize_ktree", "chartree.elimination_sequence"}
 
 
-def _callers(tree, module, name):
-    """Qualified names of the functions that call `name` directly."""
+def _holders(tree, module, hit):
+    """Qualified names of the functions holding a node for which `hit` is
+    true, outside any function nested in them."""
     found = set()
     stack = [(tree, module)]
     while stack:
@@ -97,11 +98,20 @@ def _callers(tree, module, name):
             if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
                 stack.append((child, f"{prefix}.{child.name}"))
                 continue
-            f = getattr(child, "func", None) if isinstance(child, ast.Call) else None
-            if getattr(f, "id", None) == name or getattr(f, "attr", None) == name:
+            if hit(child):
                 found.add(prefix)
             stack.append((child, prefix))
     return found
+
+
+def _callers(tree, module, name):
+    """Qualified names of the functions that call `name` directly."""
+
+    def calls(node):
+        f = getattr(node, "func", None) if isinstance(node, ast.Call) else None
+        return getattr(f, "id", None) == name or getattr(f, "attr", None) == name
+
+    return _holders(tree, module, calls)
 
 
 def test_k_leaf_peel_only_in_recognition_and_elimination():
@@ -128,6 +138,26 @@ def test_one_host_loop_walks_the_corpus():
     extra = sorted(callers - CORPUS_CALLERS)
     assert not extra, f"corpus callers outside the driver: {extra}"
     assert callers, "the guard found no caller at all; the search is broken"
+
+
+REPORT_BUILDER = {"verify._report"}
+
+
+def test_one_function_builds_a_report():
+    """`verify` and `search` share one report builder: only it spells
+    "runtime_ms" and only it reads the clock, so no second report can drift
+    from the first."""
+    tree = ast.parse((SRC / "verify.py").read_text(encoding="utf-8"))
+    spellers = _holders(
+        tree, "verify", lambda n: isinstance(n, ast.Constant) and n.value == "runtime_ms"
+    )
+    clock = _holders(
+        tree,
+        "verify",
+        lambda n: isinstance(n, ast.Attribute) and getattr(n.value, "id", None) == "time",
+    )
+    assert spellers == REPORT_BUILDER, f"report fields spelled in {sorted(spellers)}"
+    assert clock == REPORT_BUILDER, f"clock read in {sorted(clock)}"
 
 
 ORACLE_FORBIDDEN = {"k_cliques", "_k_cliques", "_incidence", "build"}
