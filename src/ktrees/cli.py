@@ -128,6 +128,14 @@ def cmd_oracle(args):
     return 0
 
 
+def _cap(text):
+    """A non-negative --cap; argparse passes the KTreeError on to `main`."""
+    cap = int(text)
+    if cap < 0:
+        raise KTreeError(f"--cap must be at least 0, got {cap}")
+    return cap
+
+
 def _parse_ks(spec):
     try:
         if "-" in spec:
@@ -202,11 +210,15 @@ def build_parser():
         sp.add_argument("--n", type=int, default=None,
                         help="order override for edge lists with isolated K_1")
 
+    def add_cap(sp):
+        sp.add_argument("--cap", type=_cap, default=oracle.DEFAULT_CAP,
+                        help="largest host order the brute-force oracle takes")
+
     def add_corpus(sp):
         sp.add_argument("--mode", choices=("exhaustive", "random"),
                         default="exhaustive")
         sp.add_argument("--seed", type=int, default=0)
-        sp.add_argument("--cap", type=int, default=oracle.DEFAULT_CAP)
+        add_cap(sp)
         sp.add_argument("--dedupe", action=argparse.BooleanOptionalAction,
                         default=True)
         sp.add_argument("--out", help="write the JSON report here")
@@ -220,7 +232,7 @@ def build_parser():
     sp.add_argument("--clique", help="comma-separated clique, e.g. 1,2")
     sp.add_argument("--all-cliques", action="store_true")
     sp.add_argument("--global", dest="global_mean", action="store_true")
-    sp.add_argument("--cap", type=int, default=oracle.DEFAULT_CAP)
+    add_cap(sp)
     sp.set_defaults(func=cmd_mean_order)
 
     sp = sub.add_parser("char-tree", help="characteristic tree at a clique")
@@ -240,7 +252,7 @@ def build_parser():
     sp = sub.add_parser("oracle", help="brute-force polynomials and means")
     add_input(sp)
     sp.add_argument("--clique", help="restrict to sub-k-trees containing this set")
-    sp.add_argument("--cap", type=int, default=oracle.DEFAULT_CAP)
+    add_cap(sp)
     sp.set_defaults(func=cmd_oracle)
 
     sp = sub.add_parser("verify", help="run a verification suite")
@@ -265,17 +277,12 @@ def build_parser():
 
 
 def main(argv=None):
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return 2 if exc.code not in (0, None) else 0
-    try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
-    except KTreeError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except SystemExit as exc:  # argparse has printed its own usage error
+        return 2 if exc.code not in (0, None) else 0
+    except (KTreeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Exception:  # a crash is neither a verdict nor bad input

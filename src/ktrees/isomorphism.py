@@ -30,9 +30,24 @@ from itertools import permutations
 
 from .chartree import _walk
 from .core import KTree, build_from_construction, k_cliques
-from .errors import SizeTooSmall, TooLarge
+from .errors import BadK, SizeTooSmall, TooLarge
 
-ISO_ENUM_GUARD = 13  # max n - k for class enumeration
+# The largest order of a class enumeration, per k; any other k is refused.
+# Each entry is the last order whose levels k..n built in at most about 90 s,
+# the time of k = 2, n = 13, on 2 shared cores (Python 3.11); for k >= 3 the
+# next order took over 170 s.  Trees stop at n = 14, where a tree suite costs
+# far more per host than the enumeration.  From k = 10 on, coding the one
+# class of order k + 1 alone takes minutes.
+CLASS_MAX_ORDER = {1: 14, 2: 13, 3: 12, 4: 12, 5: 12, 6: 12, 7: 12, 8: 11, 9: 11}
+
+
+def require_class_order(k, n):
+    """Refuse a class enumeration that `CLASS_MAX_ORDER` does not admit."""
+    top = CLASS_MAX_ORDER.get(k)
+    if top is None:
+        raise BadK(f"class enumeration takes k in 1..{max(CLASS_MAX_ORDER)}, got {k}")
+    if n > top:
+        raise TooLarge(f"class enumeration at k={k} is capped at n <= {top}")
 
 
 def _require_codable(T):
@@ -199,13 +214,12 @@ def iso_levels(k, n):
     At each level every representative is extended at every clique and a
     candidate is kept iff its canonical code is new.  Every class at level
     m+1 has a parent class at level m (delete any k-leaf), so extending
-    representatives alone reaches every class.  The order range is checked
-    before the first level is built.
+    representatives alone reaches every class.  The order range is checked,
+    against `CLASS_MAX_ORDER` too, before the first level is built.
     """
     if n < k:
         raise SizeTooSmall(f"need n >= k, got n={n}")
-    if n - k > ISO_ENUM_GUARD:
-        raise TooLarge(f"class enumeration capped at n - k <= {ISO_ENUM_GUARD}")
+    require_class_order(k, n)
     return _levels(k, n)
 
 

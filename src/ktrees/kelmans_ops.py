@@ -4,6 +4,8 @@ The operation on a graph G from v to u re-attaches to u every edge from v
 to N2 = N(v) \\ N[u]; the partial variant moves only a chosen W subseteq N2.
 Each checker returns a TheoremReport whose `consistent` flag says whether
 exact equality occurred precisely when the stated condition predicts it.
+A checker validates its tree once and folds every mean over the adjacency it
+validated; the three reports on a full move come from one move.
 """
 
 from __future__ import annotations
@@ -12,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import BadMoveSet, KTreeError, NotAdjacent, NotALeaf, SameVertex
-from .polynomials import as_tree_adj, local_mean_order_vertex, node_key
+from .polynomials import _bfs_tree, _local_mean, _tree_at, as_tree_adj, node_key
 
 
 def _endpoints(graph, v, u):
@@ -82,25 +84,14 @@ class TheoremReport:
 def path_with_leaf_predicate(tree, x):
     """Is the tree a path with x as one of its ends (K_1 counts)?"""
     adj = as_tree_adj(tree)
-    if x not in adj:
-        return False
-    if any(len(vs) > 2 for vs in adj.values()):
-        return False
-    return len(adj[x]) <= 1
+    return x in adj and len(adj[x]) <= 1 and all(len(vs) <= 2 for vs in adj.values())
 
 
 def component_path_predicate(tree, v, u):
-    """Is the component of u in T - v a path with u as its leaf?"""
-    adj = as_tree_adj(tree)
-    comp = {u}
-    stack = [u]
-    while stack:
-        for w in adj[stack.pop()]:
-            if w != v and w not in comp:
-                comp.add(w)
-                stack.append(w)
-    sub = {x: adj[x] & comp for x in comp}
-    return path_with_leaf_predicate(sub, u)
+    """Is the component of u in T - v a path with u as its leaf?  It is iff
+    no node of its walk from u is the parent of two others."""
+    up = _bfs_tree(_tree_at(tree, u), u, {v})
+    return len(set(up)) == len(up)
 
 
 def _describe(adj, pairs):
@@ -116,6 +107,29 @@ def _is_path(adj):
     return all(len(vs) <= 2 for vs in adj.values())
 
 
+def _kelmans_reports(tree, u, v):
+    """The reports of `check_kelmans_shift`, then `check_kelmans_monotone`,
+    from one validation, one move G = G(v->u) and the four means of u and v
+    in T and G."""
+    adj = as_tree_adj(tree)
+    if u not in adj or v not in adj[u]:
+        raise NotAdjacent(f"{u} and {v} must be adjacent")
+    shifted = kelmans(adj, v, u)
+    inst = _describe(adj, (("u", u), ("v", v)))
+    t_u, t_v = _local_mean(adj, u), _local_mean(adj, v)
+    g_u, g_v = _local_mean(shifted, u), _local_mean(shifted, v)
+    u_leaf, v_leaf, path = len(adj[u]) == 1, len(adj[v]) == 1, _is_path(adj)
+    u_path = component_path_predicate(adj, v, u)
+    return tuple(
+        TheoremReport.at_least(claim, inst, lhs, rhs, predicted)
+        for claim, lhs, rhs, predicted in (
+            ("mu(G(v->u); v) >= mu(T; u)", g_v, t_u, u_leaf or (path and v_leaf)),
+            ("mu(T; v) >= mu(G(v->u); u)", t_v, g_u, u_path),
+            ("mu(G(v->u); v) >= mu(T; v)", g_v, t_v, v_leaf or (path and u_leaf)),
+        )
+    )
+
+
 def check_kelmans_shift(tree, u, v):
     """Both mean-order inequalities for the full move from v to u.
 
@@ -123,42 +137,13 @@ def check_kelmans_shift(tree, u, v):
     leaf or T is a path with v a leaf, and mu(T;v) >= mu(G;u) with equality
     iff the component of u in T - v is a path with u as its leaf.
     """
-    adj = as_tree_adj(tree)
-    if u not in adj or v not in adj[u]:
-        raise NotAdjacent(f"{u} and {v} must be adjacent")
-    shifted = kelmans(adj, v, u)
-    inst = _describe(adj, (("u", u), ("v", v)))
-
-    rep2 = TheoremReport.at_least(
-        "mu(G(v->u); v) >= mu(T; u)",
-        inst,
-        local_mean_order_vertex(shifted, v),
-        local_mean_order_vertex(adj, u),
-        len(adj[u]) == 1 or (_is_path(adj) and len(adj[v]) == 1),
-    )
-    rep3 = TheoremReport.at_least(
-        "mu(T; v) >= mu(G(v->u); u)",
-        inst,
-        local_mean_order_vertex(adj, v),
-        local_mean_order_vertex(shifted, u),
-        component_path_predicate(adj, v, u),
-    )
-    return rep2, rep3
+    return _kelmans_reports(tree, u, v)[:2]
 
 
 def check_kelmans_monotone(tree, u, v):
     """mu(G(v->u); v) >= mu(T; v); equality iff v is a leaf or T is a path
     with u as a leaf."""
-    adj = as_tree_adj(tree)
-    if u not in adj or v not in adj[u]:
-        raise NotAdjacent(f"{u} and {v} must be adjacent")
-    return TheoremReport.at_least(
-        "mu(G(v->u); v) >= mu(T; v)",
-        _describe(adj, (("u", u), ("v", v))),
-        local_mean_order_vertex(kelmans(adj, v, u), v),
-        local_mean_order_vertex(adj, v),
-        len(adj[v]) == 1 or (_is_path(adj) and len(adj[u]) == 1),
-    )
+    return _kelmans_reports(tree, u, v)[2]
 
 
 def check_partial_kelmans_monotone(tree, u, v, moved):
@@ -173,18 +158,16 @@ def check_partial_kelmans_monotone(tree, u, v, moved):
     moved = frozenset(moved)
     if not moved <= adj[v] - {u}:
         raise BadMoveSet("moved set must lie in N(v) minus u")
-    if not moved:
-        pred = True
-    elif len(adj[u]) == 1 and len(moved) == 1:
-        (w,) = moved
-        pred = component_path_predicate(adj, v, w)
-    else:
-        pred = False
+    pred = not moved or (
+        len(adj[u]) == 1
+        and len(moved) == 1
+        and component_path_predicate(adj, v, next(iter(moved)))
+    )
     return TheoremReport.at_least(
         "mu(T'; v) >= mu(T; v)",
         _describe(adj, (("u", u), ("v", v), ("W", sorted(moved, key=node_key)))),
-        local_mean_order_vertex(partial_kelmans(adj, v, u, moved), v),
-        local_mean_order_vertex(adj, v),
+        _local_mean(partial_kelmans(adj, v, u, moved), v),
+        _local_mean(adj, v),
         pred,
     )
 
@@ -200,7 +183,7 @@ def check_leaf_dominates_neighbor(tree, v, u):
     return TheoremReport.at_least(
         "mu(T; v) >= mu(T; u)",
         _describe(adj, (("v", v), ("u", u))),
-        local_mean_order_vertex(adj, v),
-        local_mean_order_vertex(adj, u),
+        _local_mean(adj, v),
+        _local_mean(adj, u),
         _is_path(adj),
     )

@@ -1,11 +1,13 @@
 """Exact subtree polynomials and mean orders for trees.
 
 The public functions take trees as adjacency mappings {node: set-of-neighbors}
-over arbitrary hashable node labels and validate them with `as_tree_adj`.
+over arbitrary hashable node labels and validate them once per call with
+`as_tree_adj`; `_local_mean` folds a tree a caller has already validated.
 The folds `_phi_poly` and `_phi_pair` read only a rooted tree's parent
 positions: `up[0] = -1` at the root and `up[i] < i`, so every node folds
 into its parent after all of its children.  `_bfs_tree` gives that array for
-a vertex tree; `chartree` stores it for a characteristic tree, whose
+a vertex tree, and it is the one walk over an adjacency mapping here and in
+`kelmans_ops`; `chartree` stores the array for a characteristic tree, whose
 construction order is already parents-first.  All arithmetic is exact:
 integer coefficient polynomials, integer pairs (phi(1), phi'(1)) and reduced
 fractions; no floating point is ever compared.  A mean order needs only the
@@ -15,6 +17,7 @@ coefficients build the dense polynomial.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from decimal import Decimal, ROUND_HALF_EVEN, localcontext
 from fractions import Fraction
@@ -147,15 +150,7 @@ def as_tree_adj(tree):
     m = sum(len(vs) for vs in adj.values()) // 2
     if m != len(adj) - 1:
         raise NotATree(f"{len(adj)} vertices with {m} edges cannot be a tree")
-    start = next(iter(adj))
-    seen = {start}
-    stack = [start]
-    while stack:
-        for w in adj[stack.pop()]:
-            if w not in seen:
-                seen.add(w)
-                stack.append(w)
-    if len(seen) != len(adj):
+    if len(_bfs_tree(adj, next(iter(adj)))) != len(adj):
         raise NotATree("graph is disconnected")
     return adj
 
@@ -236,10 +231,15 @@ def subtree_poly_at_vertex(tree, u):
     return _phi_poly(_bfs_tree(_tree_at(tree, u), u))
 
 
+def _local_mean(adj, u):
+    """mu(T; u) of a tree `as_tree_adj` has normalized, or of a move of one."""
+    count, total = _phi_pair(_bfs_tree(adj, u))
+    return Fraction(total, count)
+
+
 def local_mean_order_vertex(tree, u):
     """Average order of the subtrees containing u, exact."""
-    count, total = _phi_pair(_bfs_tree(_tree_at(tree, u), u))
-    return Fraction(total, count)
+    return _local_mean(_tree_at(tree, u), u)
 
 
 def global_subtree_poly(tree):
@@ -297,17 +297,11 @@ class BranchDecomposition:
 
     @property
     def alpha(self):
-        out = 1
-        for a in self.alphas:
-            out *= 1 + a
-        return out
+        return math.prod(1 + a for a in self.alphas)
 
     @property
     def beta(self):
-        out = 1
-        for b in self.betas:
-            out *= 1 + b
-        return out
+        return math.prod(1 + b for b in self.betas)
 
     @property
     def delta(self):
@@ -325,22 +319,22 @@ class BranchDecomposition:
 
     def phi_at_one(self, side):
         """phi_{T,side}(1) reconstructed from the branch data."""
-        a, b = self._oriented(side)
+        a, b, _, _ = self._oriented(side)
         return a + a * b
 
     def phi_prime_at_one(self, side):
         """phi'_{T,side}(1) reconstructed from the branch data."""
-        a, b = self._oriented(side)
-        d, t = (self.delta, self.theta) if side == self.u else (self.theta, self.delta)
+        a, b, d, t = self._oriented(side)
         val = (1 + d) * a + (2 + d + t) * a * b
         assert val.denominator == 1
         return val.numerator
 
     def _oriented(self, side):
+        """(alpha, beta, delta, theta) as seen from the endpoint `side`."""
         if side == self.u:
-            return self.alpha, self.beta
+            return self.alpha, self.beta, self.delta, self.theta
         if side == self.v:
-            return self.beta, self.alpha
+            return self.beta, self.alpha, self.theta, self.delta
         raise NotAdjacent(f"{side} is neither endpoint of the decomposed edge")
 
 
@@ -363,8 +357,7 @@ def branch_decomposition(tree, u, v):
 
 def local_mean_via_branches(d, side):
     """mu(T; side) from a branch decomposition alone, exact."""
-    a, b = d._oriented(side)
-    dd, tt = (d.delta, d.theta) if side == d.u else (d.theta, d.delta)
+    a, b, dd, tt = d._oriented(side)
     return (1 + dd + 2 * b + b * (dd + tt)) / Fraction(1 + b)
 
 

@@ -57,11 +57,10 @@ from .core import (
     random_ktree,
 )
 from .errors import BadK, KTreeError, NotATree, SizeTooSmall, TooLarge, UnknownSuite
-from .isomorphism import ISO_ENUM_GUARD, iso_levels
+from .isomorphism import iso_levels, require_class_order
 from .kelmans_ops import (
     TheoremReport,
-    check_kelmans_monotone,
-    check_kelmans_shift,
+    _kelmans_reports,
     check_leaf_dominates_neighbor,
     check_partial_kelmans_monotone,
     path_with_leaf_predicate,
@@ -146,8 +145,12 @@ class SuiteConfig:
             self.ks = (1,)
         if self.jobs < 1:
             raise KTreeError(f"jobs must be at least 1, got {self.jobs}")
+        if self.cap < 0:
+            raise KTreeError(f"cap must be at least 0, got {self.cap}")
         if self.mode not in ("exhaustive", "random"):
             raise UnknownSuite(f"unknown mode {self.mode!r}")
+        if suite.family and self.mode == "random":
+            raise KTreeError(f"family suite {self.suite!r} has no random mode")
         # refuse options the corpus of this mode would ignore
         if self.mode == "exhaustive" and (self.trials or self.seed):
             raise KTreeError(
@@ -174,11 +177,9 @@ class SuiteConfig:
                 raise TooLarge(f"random hosts are capped at n <= {RANDOM_GUARD}")
             return self
         for k in self.ks:
-            if k == 2 and self.max_n > 13:
-                raise TooLarge("exhaustive k=2 corpora are capped at n <= 13")
-            if self.dedupe and self.max_n - k > ISO_ENUM_GUARD:
-                raise TooLarge(f"class enumeration capped at n - k <= {ISO_ENUM_GUARD}")
-            if not self.dedupe and labeled_count(k, self.max_n) > LABELED_GUARD:
+            if self.dedupe:
+                require_class_order(k, self.max_n)
+            elif labeled_count(k, self.max_n) > LABELED_GUARD:
                 raise TooLarge(
                     f"labeled corpus for k={k}, n={self.max_n} exceeds "
                     f"{LABELED_GUARD} builds"
@@ -274,8 +275,7 @@ def check_kelmans_suite(T, cfg):
     adj = tree_adjacency(T)
     for u in sorted(adj):
         for v in sorted(adj[u]):
-            yield from check_kelmans_shift(adj, u, v)
-            yield check_kelmans_monotone(adj, u, v)
+            yield from _kelmans_reports(adj, u, v)
 
 
 def check_partial_kelmans_suite(T, cfg):

@@ -312,6 +312,14 @@ BAD_INPUTS = {
         "verify", "--suite", "double-broom", "--min-n", "1000000000000000",
         "--max-n", "1000000000000000",
     ),
+    "verify-family-random": (
+        "verify", "--suite", "double-broom", "--max-n", "4", "--mode", "random",
+        "--trials", "7", "--seed", "2",
+    ),
+    "verify-classes-k10": ("verify", "--suite", "nonmajor-max", "--k", "10", "--max-n", "11"),
+    "search-classes-k10": ("search", "--k", "10", "--max-n", "11"),
+    "verify-classes-k3-n16": ("verify", "--suite", "nonmajor-max", "--k", "3", "--max-n", "16"),
+    "search-classes-k3-n16": ("search", "--k", "3", "--max-n", "16"),
 }
 
 
@@ -331,6 +339,23 @@ def test_bad_input_exits_2(case, tmp_path, capsys):
     code, _, err = run(capsys, *argv)
     assert code == 2
     assert err.startswith("error:")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("verify", "--suite", "nonmajor-max", "--k", "2", "--max-n", "6"),
+        ("search", "--k", "2", "--max-n", "6"),
+        ("mean-order", "P4", "--global"),
+        ("oracle", "P4"),
+    ],
+)
+def test_negative_cap_exits_2(argv, p4_kt, capsys):
+    argv = [p4_kt if a == "P4" else a for a in argv]
+    code, out, err = run(capsys, *argv, "--cap", "-1")
+    assert code == 2
+    assert err.startswith("error:") and "--cap" in err
+    assert out == ""
 
 
 def test_random_modes_are_deterministic(tmp_path, capsys):

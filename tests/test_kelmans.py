@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from ktrees import core
 from ktrees import kelmans_ops as K
-from ktrees.errors import BadMoveSet, KTreeError, NotALeaf, SameVertex
+from ktrees.errors import BadMoveSet, KTreeError, NotALeaf, NotATree, SameVertex
 from ktrees.verify import tree_adjacency
 
 from conftest import trees_upto
@@ -158,6 +158,54 @@ def test_path_predicates():
     assert K.component_path_predicate(P4, 3, 2)  # component {1,2} is a path at u=2
     assert K.component_path_predicate(STAR, 1, 2)  # single vertex
     assert not K.component_path_predicate(STAR, 2, 1)  # center keeps a star
+
+
+def test_component_predicate_rejects_a_vertex_outside_the_tree():
+    # a bad vertex is bad input (exit 2), not a crash from a bare KeyError
+    with pytest.raises(NotATree, match="vertex 9 not in the tree"):
+        K.component_path_predicate(P4, 3, 9)
+
+
+def test_component_predicate_matches_the_component_on_small_trees():
+    # reference: cut v, collect u's component, then test it for a path at u
+    for T in trees_upto(7):
+        adj = tree_adjacency(T)
+        for v in adj:
+            for u in adj:
+                comp, todo = {u}, [u]
+                while todo:
+                    for w in adj[todo.pop()] - {v} - comp:
+                        comp.add(w)
+                        todo.append(w)
+                sub = {x: adj[x] & comp for x in comp}
+                want = K.path_with_leaf_predicate(sub, u)
+                assert K.component_path_predicate(adj, v, u) == want, (adj, v, u)
+
+
+def test_kelmans_suite_moves_once_and_validates_at_most_twice_per_pair(monkeypatch):
+    from ktrees import polynomials
+    from ktrees.verify import SuiteConfig, run_suite
+
+    calls = {"move": 0, "validate": 0}
+
+    def counted(mod, name, key):
+        real = getattr(mod, name)
+
+        def wrapper(*args):
+            calls[key] += 1
+            return real(*args)
+
+        monkeypatch.setattr(mod, name, wrapper)
+
+    counted(K, "kelmans", "move")
+    counted(K, "as_tree_adj", "validate")
+    counted(polynomials, "as_tree_adj", "validate")
+    report = run_suite(SuiteConfig(suite="kelmans", max_n=8))
+    reports = sum(report["tallies"].values())
+    assert reports % 3 == 0 and reports > 0
+    pairs = reports // 3
+    assert calls["move"] == pairs
+    assert 0 < calls["validate"] <= 2 * pairs
 
 
 def test_all_checkers_consistent_small(small_trees):

@@ -208,3 +208,34 @@ def test_oracle_reads_only_the_adjacency_masks():
     assert "_incidence" in _identifiers(chartree)
     verify = ast.parse((SRC / "verify.py").read_text(encoding="utf-8"))
     assert "chartree" in _imported_modules(verify)
+
+
+TREE_WALKERS = {"polynomials._bfs_tree"}
+
+
+def _grows_what_it_walks(node):
+    """A loop that appends to a list its head reads: a graph walk."""
+    if isinstance(node, ast.For):
+        head = node.iter
+    elif isinstance(node, ast.While):
+        head = node.test
+    else:
+        return False
+    names = {n.id for n in ast.walk(head) if isinstance(n, ast.Name)}
+    return any(
+        isinstance(n, ast.Call)
+        and getattr(n.func, "attr", None) == "append"
+        and getattr(n.func.value, "id", None) in names
+        for stmt in node.body
+        for n in ast.walk(stmt)
+    )
+
+
+def test_one_walk_over_a_tree_adjacency():
+    """Connectivity, rooted folds and the components of T - S all read the
+    one breadth-first walk, so the tree layer has no second traversal."""
+    walkers = set()
+    for name in ("polynomials", "kelmans_ops"):
+        tree = ast.parse((SRC / f"{name}.py").read_text(encoding="utf-8"))
+        walkers |= _holders(tree, name, _grows_what_it_walks)
+    assert walkers == TREE_WALKERS, f"tree walks in {sorted(walkers)}"

@@ -6,7 +6,9 @@ import os
 import pytest
 
 from ktrees import verify as V
-from ktrees.errors import BadK, NotATree, SizeTooSmall, TooLarge, UnknownSuite
+from ktrees.errors import (
+    BadK, KTreeError, NotATree, SizeTooSmall, TooLarge, UnknownSuite,
+)
 
 
 def test_labeled_counts_formula():
@@ -166,6 +168,45 @@ def test_unknown_suite_and_bad_configs():
         suite="nonmajor-max", mode="random", trials=1, max_n=V.RANDOM_GUARD
     ).validate()
     V.SuiteConfig(suite="bristled-star", ks=(2, V.K_GUARD), max_n=3).validate()
+
+
+def test_class_corpora_and_class_levels_read_one_order_table():
+    from ktrees.isomorphism import CLASS_MAX_ORDER, iso_levels
+
+    # pinned: trees to n = 14, 2-trees to n = 13, 3-trees at least to n = 9
+    assert CLASS_MAX_ORDER[1] == 14 and CLASS_MAX_ORDER[2] == 13
+    assert CLASS_MAX_ORDER[3] >= 9
+    for k, top in CLASS_MAX_ORDER.items():
+        V.SuiteConfig(suite="nonmajor-max", ks=(k,), max_n=top).validate()
+        with pytest.raises(TooLarge):
+            V.SuiteConfig(suite="nonmajor-max", ks=(k,), max_n=top + 1).validate()
+        with pytest.raises(TooLarge):
+            iso_levels(k, top + 1)
+    unlisted = max(CLASS_MAX_ORDER) + 1
+    with pytest.raises(BadK):
+        V.SuiteConfig(suite="nonmajor-max", ks=(unlisted,), max_n=unlisted).validate()
+    with pytest.raises(BadK):
+        iso_levels(unlisted, unlisted)
+    # labeled and random corpora do not read the table
+    V.SuiteConfig(
+        suite="nonmajor-max", ks=(unlisted,), max_n=unlisted + 2, dedupe=False
+    ).validate()
+    V.SuiteConfig(
+        suite="nonmajor-max", ks=(unlisted,), max_n=40, mode="random", trials=1
+    ).validate()
+
+
+def test_negative_cap_and_random_family_are_refused():
+    with pytest.raises(KTreeError, match="cap must be at least 0"):
+        V.SuiteConfig(suite="nonmajor-max", cap=-1).validate()
+    with pytest.raises(KTreeError, match="cap must be at least 0"):
+        V.search_degree2_witness(2, 6, cap=-5)
+    V.SuiteConfig(suite="nonmajor-max", cap=0).validate()
+    for suite in ("double-broom", "bristled-star"):
+        with pytest.raises(KTreeError, match="no random mode"):
+            V.SuiteConfig(
+                suite=suite, ks=(2,), max_n=4, mode="random", trials=7, seed=2
+            ).validate()
 
 
 def test_family_suites():
