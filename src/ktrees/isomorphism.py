@@ -21,11 +21,18 @@ structure, so no code peels the host.
 Class enumeration keeps one canonical code per class and level.
 `iso_levels` yields the levels k..n in turn, each built once from the one
 before, so a corpus over a range of orders builds every level once;
-`enumerate_ktrees_up_to_iso` is its last level.
+`enumerate_ktrees_up_to_iso` is its last level.  A candidate P + v@C is
+coded from its parent P without being built (`_Parent`): its centre is
+P's or one hop from it, so its roots are cliques of P, and rooted at each
+it is P's rooted structure plus v as one new leaf.  P's fold at each root
+and ordering is kept, and the candidate's code refolds only v's
+ancestors.  Only a candidate whose code is new in its level is built, so
+every level builds exactly its classes.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left, insort
 from itertools import permutations
 
 from .chartree import _walk
@@ -35,7 +42,9 @@ from .errors import BadK, SizeTooSmall, TooLarge
 # The largest order of a class enumeration, per k; any other k is refused.
 # Each entry is the last order whose levels k..n built in at most about 90 s,
 # the time of k = 2, n = 13, on 2 shared cores (Python 3.11); for k >= 3 the
-# next order took over 170 s.  Trees stop at n = 14, where a tree suite costs
+# next order took over 170 s.  Those times were taken when every candidate was
+# built; coded from its parent, k = 2 to n = 13 takes about 13 s, and the next
+# orders have not been measured again.  Trees stop at n = 14, where a tree suite costs
 # far more per host than the enumeration.  From k = 10 on, coding the one
 # class of order k + 1 alone takes minutes.
 CLASS_MAX_ORDER = {1: 14, 2: 13, 3: 12, 4: 12, 5: 12, 6: 12, 7: 12, 8: 11, 9: 11}
@@ -50,17 +59,26 @@ def require_class_order(k, n):
         raise TooLarge(f"class enumeration at k={k} is capped at n <= {top}")
 
 
-def _require_codable(T):
+def _require_codable(k, n):
     """Codes spend one byte on a clique position and two on n; refuse
     hosts whose k or n would not fit."""
-    if T.k > 255 or T.n > 65535:
-        raise TooLarge(f"codes need k <= 255 and n <= 65535, got k={T.k}, n={T.n}")
+    if k > 255 or n > 65535:
+        raise TooLarge(f"codes need k <= 255 and n <= 65535, got k={k}, n={n}")
+
+
+def _head(offsets, cmem):
+    """A vertex's label head: its sorted ancestor offsets, each in one byte,
+    and the size of its attachment inside the root clique."""
+    if offsets and offsets[-1] > 255:
+        raise TooLarge(f"ancestor offset {offsets[-1]} exceeds one code byte")
+    return bytes([len(offsets), *offsets, len(cmem)])
 
 
 def _rooted_structure(T, C):
     """Parent positions (`up[i] < i`, position 0 the clique node) and, per
-    vertex, its ancestor-offset label head and attachment inside C."""
-    _require_codable(T)
+    vertex, its ancestor-offset label head and attachment inside C; also
+    the walk's vertices and the depth of each vertex (by id, 0 in C)."""
+    _require_codable(T.k, T.n)
     verts, up, via = _walk(T, C)
     clique = T._incidence.clique
     cset = set(C)
@@ -70,36 +88,63 @@ def _rooted_structure(T, C):
     for i, (v, j) in enumerate(zip(verts, via), 1):
         d = depth[up[i]] + 1
         attach = clique(j)
-        offsets = sorted(d - at_depth[u] for u in attach if u not in cset)
-        if offsets and offsets[-1] > 255:
-            raise TooLarge(f"ancestor offset {offsets[-1]} exceeds one code byte")
         cmem = [u for u in attach if u in cset]
-        head = bytes([len(offsets), *offsets, len(cmem)])
+        head = _head(sorted(d - at_depth[u] for u in attach if u not in cset), cmem)
         depth.append(d)
         at_depth[v] = d
         labels.append((head, cmem))
-    return up, labels
+    return verts, up, labels, at_depth
 
 
-def _code_with_order(up, labels, cindex):
+def _fold(up, labels, cindex):
     """Fold child codes into their parents, last position first, so every
-    node's children are complete before it is."""
+    node's children are complete before it is.
+
+    Returns, by position, each node's stem (its code up to its children),
+    its code, and its children's codes sorted; `codes[0]` is the rooted
+    code, and `_grow` reads the rest.
+    """
+    stems = [b"(R"] * len(up)
+    codes = stems[:]
     subs = [[] for _ in up]
     for i in range(len(up) - 1, 0, -1):
         head, cmem = labels[i]
         kids = subs[i]
         kids.sort()
-        subs[up[i]].append(
-            b"(" + head + bytes(sorted(cindex[u] for u in cmem)) + b"".join(kids) + b")"
-        )
+        stems[i] = stem = b"(" + head + bytes(sorted(cindex[u] for u in cmem))
+        codes[i] = code = stem + b"".join(kids) + b")"
+        subs[up[i]].append(code)
     subs[0].sort()
-    return b"(R" + b"".join(subs[0]) + b")"
+    codes[0] = b"(R" + b"".join(subs[0]) + b")"
+    return stems, codes, subs
+
+
+def _grow(up, folded, i, stem):
+    """The rooted code of a folded host with one leaf appended below
+    position i, refolding only the leaf's ancestors."""
+    stems, codes, subs = folded
+    new = stem + b")"
+    kids = subs[i][:]
+    insort(kids, new)
+    while i:
+        new = stems[i] + b"".join(kids) + b")"
+        old = codes[i]
+        i = up[i]
+        kids = subs[i][:]
+        kids[bisect_left(kids, old)] = new
+        kids.sort()
+    return b"(R" + b"".join(kids) + b")"
+
+
+def _code_with_order(up, labels, cindex):
+    """The rooted code under one ordering of the root clique."""
+    return _fold(up, labels, cindex)[1][0]
 
 
 def _codes(T, roots):
     """Rooted codes of T over the given root cliques and all their orderings."""
     for C in roots:
-        up, labels = _rooted_structure(T, C)
+        _, up, labels, _ = _rooted_structure(T, C)
         for order in permutations(C):
             yield _code_with_order(up, labels, {v: i + 1 for i, v in enumerate(order)})
 
@@ -109,7 +154,7 @@ def rooted_code(T, C, order=None):
     C = tuple(sorted(C))
     if order is None:
         order = C
-    up, labels = _rooted_structure(T, C)
+    _, up, labels, _ = _rooted_structure(T, C)
     return _code_with_order(up, labels, {v: i + 1 for i, v in enumerate(order)})
 
 
@@ -118,24 +163,25 @@ def rooted_code_set(T):
     return frozenset(_codes(T, k_cliques(T)))
 
 
-def _centre_roots(T):
-    """The k-cliques at the centre of the clique-incidence tree.
+def _faces(inc, s):
+    """The k-clique nodes of step s: attach_s, then the faces it made."""
+    k = inc.k
+    return (inc.attach_node[s], *range(1 + k * s, 1 + k * s + k))
+
+
+def _centre(inc):
+    """The centre node of the clique-incidence tree: a k-clique node j as
+    j, step s as K + s, where K = 1 + k*m is the number of k-cliques.
 
     The tree is the host's incidence index (`core.CliqueIncidence`), whose
     nodes are the k-cliques and the (k+1)-cliques (the steps).  A
     (k+1)-clique has k+1 faces, so every leaf is a k-clique, every
     leaf-to-leaf path has even length, and stripping all leaves round by
     round ends at a single node.  The rounds alternate: k-cliques, then
-    (k+1)-cliques.  The roots are the last node if it is a k-clique, else
-    its k+1 faces.  A k-clique keeps the XOR of its steps not yet
+    (k+1)-cliques.  A k-clique keeps the XOR of its steps not yet
     stripped, so a leaf names its one remaining step without a scan.
     """
-    inc = T._incidence
     k, attach_node = inc.k, inc.attach_node
-
-    def faces(s):
-        return (attach_node[s], *range(1 + k * s, 1 + k * s + k))
-
     kdeg = [1] * (1 + k * len(attach_node))
     kxor = [(j - 1) // k for j in range(len(kdeg))]
     kdeg[0] = kxor[0] = 0
@@ -157,17 +203,32 @@ def _centre_roots(T):
                     tops.append(s)
         if not tops:
             (j,) = leaves
-            return [inc.clique(j)]
+            return j
         leaves = []
         for s in tops:
-            for j in faces(s):
+            for j in _faces(inc, s):
                 kdeg[j] -= 1
                 kxor[j] ^= s
                 if kdeg[j] == 1:
                     leaves.append(j)
         if not leaves:
             (s,) = tops
-            return [inc.clique(j) for j in faces(s)]
+            return len(kdeg) + s
+
+
+def _roots(inc, x):
+    """The root cliques of incidence node x (numbered as by `_centre`): x
+    itself if it is a k-clique, else the k+1 faces of its step."""
+    K = 1 + inc.k * len(inc.attach_node)
+    if x < K:
+        return [inc.clique(x)]
+    return [inc.clique(j) for j in _faces(inc, x - K)]
+
+
+def _centre_roots(T):
+    """The k-cliques at the centre of the clique-incidence tree."""
+    inc = T._incidence
+    return _roots(inc, _centre(inc))
 
 
 def canonical_code(T):
@@ -176,7 +237,7 @@ def canonical_code(T):
     The code spends one byte on k and on each ancestor offset and two bytes
     on n; a host beyond those limits raises TooLarge.
     """
-    _require_codable(T)
+    _require_codable(T.k, T.n)
     header = bytes([T.k]) + T.n.to_bytes(2, "big")
     if T.n == T.k:
         return header
@@ -194,15 +255,107 @@ def _extend(T, C):
     return KTree.from_parts(T.k, T.base, adds, validate=False)
 
 
+class _Parent:
+    """A k-tree P of order above k, set up to code its children P + v@C
+    (v = n + 1 joined to a k-clique C of P) without building them.
+
+    The child's incidence tree is P's plus one step at C and that step's k
+    new leaf faces, two edges further from P's centre than C.  Every leaf
+    of P lies at most the radius r from the centre, at the parity of r, so
+    the child keeps P's centre unless C lies at distance r; then its centre
+    is the node one hop from P's centre toward C.  Either way every root of
+    the child is a clique R of P, and the child rooted at R is P rooted at
+    R with v appended: v's parent is the deepest vertex of C - R (the C-node
+    if C = R), its offsets are measured from there, and C & R is its
+    attachment inside R.  So `child_code` takes P's cached fold at each
+    root and ordering and refolds only v's ancestors (`_grow`), and its
+    bytes are those of `canonical_code(_extend(P, C))`.
+    """
+
+    def __init__(self, T):
+        inc = T._incidence
+        self.T, self.inc = T, inc
+        m = len(inc.attach_node)
+        K = 1 + inc.k * m
+        nbrs = [[] for _ in range(K + m)]
+        for s in range(m):
+            for j in _faces(inc, s):
+                nbrs[j].append(K + s)
+                nbrs[K + s].append(j)
+        # breadth first from the centre: each node's distance, and the
+        # first hop on the way to it
+        self.centre = c = _centre(inc)
+        self.dist = dist = [-1] * len(nbrs)
+        self.hop = hop = list(range(len(nbrs)))
+        dist[c] = 0
+        queue = [c]
+        for x in queue:
+            for y in nbrs[x]:
+                if dist[y] < 0:
+                    dist[y] = dist[x] + 1
+                    if x != c:
+                        hop[y] = hop[x]
+                    queue.append(y)
+        self.radius = dist[queue[-1]]
+        self.roots = {}  # incidence node -> its root cliques
+        self.structures = {}  # root clique -> P's rooted structure there
+
+    def _structure(self, R):
+        got = self.structures.get(R)
+        if got is None:
+            verts, up, labels, depth = _rooted_structure(self.T, R)
+            pos = dict(zip(verts, range(1, len(up))))
+            folds = []  # per ordering of R: its positions and P's fold
+            for order in permutations(R):
+                cindex = {v: i + 1 for i, v in enumerate(order)}
+                folds.append((cindex, _fold(up, labels, cindex)))
+            got = self.structures[R] = up, depth, pos, set(R), folds
+        return got
+
+    def child_code(self, C):
+        """`canonical_code(_extend(P, C))`, from P's rooted structures."""
+        k, n = self.T.k, self.T.n + 1
+        _require_codable(k, n)
+        j = self.inc.node(C)
+        x = self.centre if self.dist[j] < self.radius else self.hop[j]
+        roots = self.roots.get(x)
+        if roots is None:
+            roots = self.roots[x] = _roots(self.inc, x)
+        codes = []
+        for R in roots:
+            up, depth, pos, rset, folds = self._structure(R)
+            # v hangs from the deepest vertex of C - R, or from the C-node
+            out = [u for u in C if u not in rset]
+            if out:
+                p = max(out, key=depth.__getitem__)
+                i, d = pos[p], depth[p] + 1
+            else:
+                i, d = 0, 1
+            cmem = [u for u in C if u in rset]
+            head = b"(" + _head(sorted(d - depth[u] for u in out), cmem)
+            codes += (
+                _grow(up, folded, i, head + bytes(sorted(cindex[u] for u in cmem)))
+                for cindex, folded in folds
+            )
+        return bytes([k]) + n.to_bytes(2, "big") + min(codes)
+
+
 def _levels(k, n):
     level = [build_from_construction(k, [])]
     yield k, level
-    for m in range(k + 1, n + 1):
-        classes = {}  # canonical code -> first candidate with it
+    if n == k:
+        return
+    # K_k has one clique, so one class of order k + 1
+    level = [_extend(level[0], level[0].base)]
+    yield k + 1, level
+    for m in range(k + 2, n + 1):
+        classes = {}  # canonical code -> first candidate with it, built
         for T in level:
+            code = _Parent(T).child_code
             for C in k_cliques(T):
-                cand = _extend(T, C)
-                classes.setdefault(canonical_code(cand), cand)
+                c = code(C)
+                if c not in classes:
+                    classes[c] = _extend(T, C)
         level = list(classes.values())
         yield m, level
 
@@ -211,11 +364,14 @@ def iso_levels(k, n):
     """Yield (m, one representative per isomorphism class of order m) for
     m = k..n, building each level once from the one before it.
 
-    At each level every representative is extended at every clique and a
-    candidate is kept iff its canonical code is new.  Every class at level
-    m+1 has a parent class at level m (delete any k-leaf), so extending
-    representatives alone reaches every class.  The order range is checked,
-    against `CLASS_MAX_ORDER` too, before the first level is built.
+    At each level every representative P is extended at every clique C,
+    and a candidate is kept iff its canonical code is new.  Every class at
+    level m+1 has a parent class at level m (delete any k-leaf), so
+    extending representatives alone reaches every class.  A candidate is
+    coded from P's rooted structures (`_Parent.child_code`), with the bytes
+    `canonical_code` would give it, and only a candidate that is kept is
+    built.  The order range is checked, against `CLASS_MAX_ORDER` too,
+    before the first level is built.
     """
     if n < k:
         raise SizeTooSmall(f"need n >= k, got n={n}")

@@ -159,6 +159,10 @@ class SuiteConfig:
             )
         if self.mode == "random" and not self.dedupe:
             raise KTreeError("random mode draws labeled hosts; it takes no --no-dedupe")
+        if suite.family and not self.dedupe:
+            raise KTreeError(
+                f"family suite {self.suite!r} has no labeled form; it takes no --no-dedupe"
+            )
         if self.mode == "random" and self.trials < 1:
             raise TooLarge("random mode requires a positive trial count")
         lo = max(self.min_n, suite.least if suite.family else min(self.ks))

@@ -312,6 +312,9 @@ BAD_INPUTS = {
         "verify", "--suite", "double-broom", "--min-n", "1000000000000000",
         "--max-n", "1000000000000000",
     ),
+    "verify-family-no-dedupe": (
+        "verify", "--suite", "double-broom", "--max-n", "4", "--no-dedupe",
+    ),
     "verify-family-random": (
         "verify", "--suite", "double-broom", "--max-n", "4", "--mode", "random",
         "--trials", "7", "--seed", "2",

@@ -145,6 +145,17 @@ def test_class_enumeration_agrees_with_labeled_dedup():
         assert len(labeled) == len(ktree_classes(k, n))
 
 
+def double_fan(m):
+    """Two fans back to back: hub 1 over 3..m+2, hub m+2 over m+3..2m+2,
+    each fan vertex joined to its hub and the vertex before it.  Rooted at
+    the centre (m+1, m+2), hub 1 is about m levels above v = 3."""
+    h = m + 2
+    adds = [(3, (1, 2))] + [(v, (1, v - 1)) for v in range(4, h + 1)]
+    adds += [(h + 1, (h - 1, h))]
+    adds += [(v, (h, v - 1)) for v in range(h + 2, 2 * h - 1)]
+    return core.build_from_construction(2, adds)
+
+
 def test_canonical_code_limits_raise_too_large():
     with pytest.raises(TooLarge):
         I.canonical_code(core.gen_star_type(256, 0))
@@ -160,15 +171,6 @@ def test_canonical_code_limits_raise_too_large():
     with pytest.raises(TooLarge):
         I.rooted_code(fan, (1, 2))
     I.canonical_code(fan)  # the centre (3, 150) contains the hub
-    # two fans back to back: hub 1 over 3..m+2, hub m+2 over m+3..2m+2;
-    # rooted at the centre (m+1, m+2), hub 1 is about m levels above v = 3
-    def double_fan(m):
-        h = m + 2
-        adds = [(3, (1, 2))] + [(v, (1, v - 1)) for v in range(4, h + 1)]
-        adds += [(h + 1, (h - 1, h))]
-        adds += [(v, (h, v - 1)) for v in range(h + 2, 2 * h - 1)]
-        return core.build_from_construction(2, adds)
-
     big = double_fan(300)
     assert big.n == 602
     with pytest.raises(TooLarge):
@@ -212,12 +214,18 @@ def test_each_level_equals_the_enumeration_of_its_order(k, n):
 def test_corpus_builds_each_level_once(monkeypatch):
     calls = []
     code = I.canonical_code
+    child_code = I._Parent.child_code
 
     def counted(T):
         calls.append(T.n)
         return code(T)
 
+    def counted_child(parent, C):
+        calls.append(parent.T.n + 1)
+        return child_code(parent, C)
+
     monkeypatch.setattr(I, "canonical_code", counted)
+    monkeypatch.setattr(I._Parent, "child_code", counted_child)
     cfg = V.SuiteConfig(suite="nonmajor-max", ks=(2,), max_n=8).validate()
     corpus = list(V.iter_corpus(cfg))
     in_corpus = len(calls)
@@ -228,6 +236,87 @@ def test_corpus_builds_each_level_once(monkeypatch):
         (f"k2-n{n}-c{i}", T) for n in range(2, 9) for i, T in enumerate(ktree_classes(2, n))
     ]
     assert corpus == want
+
+
+def reference_levels(k, n):
+    """Class levels as built before candidates were coded from their
+    parents: every candidate is built, then coded from scratch."""
+    level = [core.build_from_construction(k, [])]
+    yield k, level
+    for m in range(k + 1, n + 1):
+        classes = {}  # canonical code -> first candidate with it
+        for T in level:
+            for C in core.k_cliques(T):
+                cand = I._extend(T, C)
+                classes.setdefault(I.canonical_code(cand), cand)
+        level = list(classes.values())
+        yield m, level
+
+
+@pytest.mark.parametrize("k, n", [(1, 10), (2, 10), (3, 9), (4, 9)])
+def test_levels_match_the_build_every_candidate_reference(k, n):
+    def builds(levels):
+        return [(m, [(T.base, T.build) for T in level]) for m, level in levels]
+
+    assert builds(I.iso_levels(k, n)) == builds(reference_levels(k, n))
+
+
+@pytest.mark.parametrize("k, n", [(1, 9), (2, 9), (3, 8), (4, 8)])
+def test_child_codes_equal_the_codes_of_built_children(k, n):
+    candidates = 0
+    for _, level in I.iso_levels(k, n - 1):
+        for P in level:
+            if P.n == k:  # its one child is built directly
+                continue
+            parent = I._Parent(P)
+            for C in core.k_cliques(P):
+                assert parent.child_code(C) == I.canonical_code(I._extend(P, C))
+                candidates += 1
+    assert candidates > 30
+
+
+def test_levels_build_only_the_classes_they_keep(monkeypatch):
+    built = []
+    extend = I._extend
+
+    def counted(T, C):
+        built.append(T.n + 1)
+        return extend(T, C)
+
+    monkeypatch.setattr(I, "_extend", counted)
+    sizes = {m: len(level) for m, level in I.iso_levels(2, 9)}
+    assert sorted(built) == [m for m in range(3, 10) for _ in range(sizes[m])]
+    assert len(built) == 1 + 1 + 2 + 5 + 12 + 39 + 136
+
+
+def test_child_codes_keep_the_code_limits():
+    """The child coder raises TooLarge exactly when `canonical_code` of the
+    built child does: on double fans whose offsets reach the one-byte
+    limit, and at k = 256."""
+
+    def outcome(code, *args):
+        try:
+            return code(*args)
+        except TooLarge:
+            return TooLarge
+
+    seen = []
+    for m in (255, 256, 257):
+        P = double_fan(m)
+        h, n = m + 2, P.n
+        parent = I._Parent(P)
+        # the far ends move the centre; (h, n) at m = 256 overflows only in
+        # the new vertex's own offset
+        for C in [(1, 2), (2, 3), (1, h - 1), (h - 1, h), (h, h + 1), (h, n)]:
+            got = outcome(parent.child_code, C)
+            assert got == outcome(I.canonical_code, I._extend(P, C))
+            seen.append((m, C, got is TooLarge))
+    assert (256, (258, 514), True) in seen
+    assert {too for *_, too in seen} == {True, False}
+    # k is checked before any of the 256! orderings of a clique is tried
+    P = core.gen_star_type(256, 1)
+    assert outcome(I._Parent(P).child_code, P.base) is TooLarge
+    assert outcome(I.canonical_code, I._extend(P, P.base)) is TooLarge
 
 
 def test_codes_are_pinned_for_every_small_class():
