@@ -22,12 +22,14 @@ Class enumeration keeps one canonical code per class and level.
 `iso_levels` yields the levels k..n in turn, each built once from the one
 before, so a corpus over a range of orders builds every level once;
 `enumerate_ktrees_up_to_iso` is its last level.  A candidate P + v@C is
-coded from its parent P without being built (`_Parent`): its centre is
-P's or one hop from it, so its roots are cliques of P, and rooted at each
-it is P's rooted structure plus v as one new leaf.  P's fold at each root
-and ordering is kept, and the candidate's code refolds only v's
-ancestors.  Only a candidate whose code is new in its level is built, so
-every level builds exactly its classes.
+coded from its parent P without being built (`_child_codes`): its centre
+is P's or one hop from it, so its roots are cliques of P, and rooted at
+each it is P's rooted structure plus v as one new leaf.  P is folded once
+per root and ordering, every candidate rooted there refolds only v's
+ancestors and keeps a running minimum, and the fold is then dropped, so
+memory holds one fold and one code per candidate.  Only a candidate whose
+code is new in its level is built, so every level builds exactly its
+classes.
 """
 
 from __future__ import annotations
@@ -43,9 +45,9 @@ from .errors import BadK, SizeTooSmall, TooLarge
 # Each entry is the last order whose levels k..n built in at most about 90 s,
 # the time of k = 2, n = 13, on 2 shared cores (Python 3.11); for k >= 3 the
 # next order took over 170 s.  Those times were taken when every candidate was
-# built; coded from its parent, k = 2 to n = 13 takes about 13 s, and the next
-# orders have not been measured again.  Trees stop at n = 14, where a tree suite costs
-# far more per host than the enumeration.  From k = 10 on, coding the one
+# built; coded from its parent, k = 2 to n = 13 takes about 16 s, and the next
+# orders have not been measured again.  Trees stop at n = 14, where a tree suite
+# costs far more per host than the enumeration.  From k = 10 on, coding the one
 # class of order k + 1 alone takes minutes.
 CLASS_MAX_ORDER = {1: 14, 2: 13, 3: 12, 4: 12, 5: 12, 6: 12, 7: 12, 8: 11, 9: 11}
 
@@ -216,19 +218,18 @@ def _centre(inc):
             return len(kdeg) + s
 
 
-def _roots(inc, x):
-    """The root cliques of incidence node x (numbered as by `_centre`): x
-    itself if it is a k-clique, else the k+1 faces of its step."""
+def _root_nodes(inc, x):
+    """The root k-clique nodes of incidence node x (numbered as by
+    `_centre`): x itself if it is a k-clique, else the k+1 faces of its
+    step."""
     K = 1 + inc.k * len(inc.attach_node)
-    if x < K:
-        return [inc.clique(x)]
-    return [inc.clique(j) for j in _faces(inc, x - K)]
+    return (x,) if x < K else _faces(inc, x - K)
 
 
 def _centre_roots(T):
     """The k-cliques at the centre of the clique-incidence tree."""
     inc = T._incidence
-    return _roots(inc, _centre(inc))
+    return [inc.clique(j) for j in _root_nodes(inc, _centre(inc))]
 
 
 def canonical_code(T):
@@ -255,76 +256,62 @@ def _extend(T, C):
     return KTree.from_parts(T.k, T.base, adds, validate=False)
 
 
-class _Parent:
-    """A k-tree P of order above k, set up to code its children P + v@C
-    (v = n + 1 joined to a k-clique C of P) without building them.
+def _child_codes(T, cliques):
+    """`canonical_code(_extend(T, C))` for each C in cliques, in order,
+    without building the children; T has order above k.
 
-    The child's incidence tree is P's plus one step at C and that step's k
-    new leaf faces, two edges further from P's centre than C.  Every leaf
-    of P lies at most the radius r from the centre, at the parity of r, so
-    the child keeps P's centre unless C lies at distance r; then its centre
-    is the node one hop from P's centre toward C.  Either way every root of
-    the child is a clique R of P, and the child rooted at R is P rooted at
-    R with v appended: v's parent is the deepest vertex of C - R (the C-node
-    if C = R), its offsets are measured from there, and C & R is its
-    attachment inside R.  So `child_code` takes P's cached fold at each
-    root and ordering and refolds only v's ancestors (`_grow`), and its
-    bytes are those of `canonical_code(_extend(P, C))`.
+    The child's incidence tree is T's plus one step at C and that step's k
+    new leaf faces, two edges further from T's centre than C.  Every leaf
+    of T lies at most the radius r from the centre, at the parity of r, so
+    the child keeps T's centre unless C lies at distance r; then its centre
+    is the node one hop from T's centre toward C.  Either way every root of
+    the child is a clique R of T, and the child rooted at R is T rooted at
+    R with v = n + 1 appended: v's parent is the deepest vertex of C - R
+    (the C-node if C = R), its offsets are measured from there, and C & R
+    is its attachment inside R.  So the children are grouped by root, T is
+    folded once per root and ordering, and each child of that root refolds
+    only v's ancestors (`_grow`) and keeps its least code so far; a fold is
+    dropped once its children have read it.
     """
-
-    def __init__(self, T):
-        inc = T._incidence
-        self.T, self.inc = T, inc
-        m = len(inc.attach_node)
-        K = 1 + inc.k * m
-        nbrs = [[] for _ in range(K + m)]
-        for s in range(m):
-            for j in _faces(inc, s):
-                nbrs[j].append(K + s)
-                nbrs[K + s].append(j)
-        # breadth first from the centre: each node's distance, and the
-        # first hop on the way to it
-        self.centre = c = _centre(inc)
-        self.dist = dist = [-1] * len(nbrs)
-        self.hop = hop = list(range(len(nbrs)))
-        dist[c] = 0
-        queue = [c]
-        for x in queue:
-            for y in nbrs[x]:
-                if dist[y] < 0:
-                    dist[y] = dist[x] + 1
-                    if x != c:
-                        hop[y] = hop[x]
-                    queue.append(y)
-        self.radius = dist[queue[-1]]
-        self.roots = {}  # incidence node -> its root cliques
-        self.structures = {}  # root clique -> P's rooted structure there
-
-    def _structure(self, R):
-        got = self.structures.get(R)
-        if got is None:
-            verts, up, labels, depth = _rooted_structure(self.T, R)
-            pos = dict(zip(verts, range(1, len(up))))
-            folds = []  # per ordering of R: its positions and P's fold
-            for order in permutations(R):
-                cindex = {v: i + 1 for i, v in enumerate(order)}
-                folds.append((cindex, _fold(up, labels, cindex)))
-            got = self.structures[R] = up, depth, pos, set(R), folds
-        return got
-
-    def child_code(self, C):
-        """`canonical_code(_extend(P, C))`, from P's rooted structures."""
-        k, n = self.T.k, self.T.n + 1
-        _require_codable(k, n)
-        j = self.inc.node(C)
-        x = self.centre if self.dist[j] < self.radius else self.hop[j]
-        roots = self.roots.get(x)
-        if roots is None:
-            roots = self.roots[x] = _roots(self.inc, x)
-        codes = []
-        for R in roots:
-            up, depth, pos, rset, folds = self._structure(R)
-            # v hangs from the deepest vertex of C - R, or from the C-node
+    k, n = T.k, T.n + 1
+    _require_codable(k, n)
+    inc = T._incidence
+    m = len(inc.attach_node)
+    K = 1 + k * m
+    nbrs = [[] for _ in range(K + m)]
+    for s in range(m):
+        for j in _faces(inc, s):
+            nbrs[j].append(K + s)
+            nbrs[K + s].append(j)
+    # breadth first from the centre: each node's distance, and the first
+    # hop on the way to it
+    centre = _centre(inc)
+    dist = [-1] * len(nbrs)
+    hop = list(range(len(nbrs)))
+    dist[centre] = 0
+    queue = [centre]
+    for x in queue:
+        for y in nbrs[x]:
+            if dist[y] < 0:
+                dist[y] = dist[x] + 1
+                if x != centre:
+                    hop[y] = hop[x]
+                queue.append(y)
+    radius = dist[queue[-1]]
+    by_root = {}  # root node -> the children rooted there, by index
+    for c, C in enumerate(cliques):
+        j = inc.node(C)
+        for r in _root_nodes(inc, centre if dist[j] < radius else hop[j]):
+            by_root.setdefault(r, []).append(c)
+    best = [None] * len(cliques)
+    for r, children in by_root.items():
+        R = inc.clique(r)
+        verts, up, labels, depth = _rooted_structure(T, R)
+        pos = dict(zip(verts, range(1, len(up))))
+        rset = set(R)
+        leaves = []  # per child: v's parent position, label head and C & R
+        for c in children:
+            C = cliques[c]
             out = [u for u in C if u not in rset]
             if out:
                 p = max(out, key=depth.__getitem__)
@@ -333,11 +320,16 @@ class _Parent:
                 i, d = 0, 1
             cmem = [u for u in C if u in rset]
             head = b"(" + _head(sorted(d - depth[u] for u in out), cmem)
-            codes += (
-                _grow(up, folded, i, head + bytes(sorted(cindex[u] for u in cmem)))
-                for cindex, folded in folds
-            )
-        return bytes([k]) + n.to_bytes(2, "big") + min(codes)
+            leaves.append((c, i, head, cmem))
+        for order in permutations(R):
+            cindex = {v: i + 1 for i, v in enumerate(order)}
+            folded = _fold(up, labels, cindex)
+            for c, i, head, cmem in leaves:
+                code = _grow(up, folded, i, head + bytes(sorted(cindex[u] for u in cmem)))
+                if best[c] is None or code < best[c]:
+                    best[c] = code
+    header = bytes([k]) + n.to_bytes(2, "big")
+    return [header + code for code in best]
 
 
 def _levels(k, n):
@@ -351,11 +343,10 @@ def _levels(k, n):
     for m in range(k + 2, n + 1):
         classes = {}  # canonical code -> first candidate with it, built
         for T in level:
-            code = _Parent(T).child_code
-            for C in k_cliques(T):
-                c = code(C)
-                if c not in classes:
-                    classes[c] = _extend(T, C)
+            cliques = k_cliques(T)
+            for C, code in zip(cliques, _child_codes(T, cliques)):
+                if code not in classes:
+                    classes[code] = _extend(T, C)
         level = list(classes.values())
         yield m, level
 
@@ -368,7 +359,7 @@ def iso_levels(k, n):
     and a candidate is kept iff its canonical code is new.  Every class at
     level m+1 has a parent class at level m (delete any k-leaf), so
     extending representatives alone reaches every class.  A candidate is
-    coded from P's rooted structures (`_Parent.child_code`), with the bytes
+    coded from P's rooted structures (`_child_codes`), with the bytes
     `canonical_code` would give it, and only a candidate that is kept is
     built.  The order range is checked, against `CLASS_MAX_ORDER` too,
     before the first level is built.

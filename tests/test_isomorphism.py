@@ -3,6 +3,7 @@
 import hashlib
 import itertools
 import random
+import tracemalloc
 from types import SimpleNamespace
 
 import pytest
@@ -214,18 +215,18 @@ def test_each_level_equals_the_enumeration_of_its_order(k, n):
 def test_corpus_builds_each_level_once(monkeypatch):
     calls = []
     code = I.canonical_code
-    child_code = I._Parent.child_code
+    child_codes = I._child_codes
 
     def counted(T):
         calls.append(T.n)
         return code(T)
 
-    def counted_child(parent, C):
-        calls.append(parent.T.n + 1)
-        return child_code(parent, C)
+    def counted_children(T, cliques):
+        calls.extend([T.n + 1] * len(cliques))
+        return child_codes(T, cliques)
 
     monkeypatch.setattr(I, "canonical_code", counted)
-    monkeypatch.setattr(I._Parent, "child_code", counted_child)
+    monkeypatch.setattr(I, "_child_codes", counted_children)
     cfg = V.SuiteConfig(suite="nonmajor-max", ks=(2,), max_n=8).validate()
     corpus = list(V.iter_corpus(cfg))
     in_corpus = len(calls)
@@ -268,11 +269,28 @@ def test_child_codes_equal_the_codes_of_built_children(k, n):
         for P in level:
             if P.n == k:  # its one child is built directly
                 continue
-            parent = I._Parent(P)
-            for C in core.k_cliques(P):
-                assert parent.child_code(C) == I.canonical_code(I._extend(P, C))
-                candidates += 1
+            cliques = core.k_cliques(P)
+            want = [I.canonical_code(I._extend(P, C)) for C in cliques]
+            assert I._child_codes(P, cliques) == want
+            candidates += len(cliques)
     assert candidates > 30
+
+
+def test_child_codes_hold_one_fold_at_a_time():
+    """Each child of K_7 has one root and 6! orderings; keeping every fold
+    until the last child is coded would hold 7 * 720 of them (about 5 MB),
+    where folding root by root holds one (a few kB)."""
+    P = I._extend(core.build_from_construction(6, []), tuple(range(1, 7)))
+    cliques = core.k_cliques(P)
+    tracemalloc.start()
+    try:
+        got = I._child_codes(P, cliques)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(set(got)) == 1 and len(got) == 7
+    assert got[0] == I.canonical_code(I._extend(P, cliques[0]))
+    assert peak < 500_000
 
 
 def test_levels_build_only_the_classes_they_keep(monkeypatch):
@@ -300,22 +318,25 @@ def test_child_codes_keep_the_code_limits():
         except TooLarge:
             return TooLarge
 
+    def child_code(P, C):
+        (code,) = I._child_codes(P, [C])
+        return code
+
     seen = []
     for m in (255, 256, 257):
         P = double_fan(m)
         h, n = m + 2, P.n
-        parent = I._Parent(P)
         # the far ends move the centre; (h, n) at m = 256 overflows only in
         # the new vertex's own offset
         for C in [(1, 2), (2, 3), (1, h - 1), (h - 1, h), (h, h + 1), (h, n)]:
-            got = outcome(parent.child_code, C)
+            got = outcome(child_code, P, C)
             assert got == outcome(I.canonical_code, I._extend(P, C))
             seen.append((m, C, got is TooLarge))
     assert (256, (258, 514), True) in seen
     assert {too for *_, too in seen} == {True, False}
     # k is checked before any of the 256! orderings of a clique is tried
     P = core.gen_star_type(256, 1)
-    assert outcome(I._Parent(P).child_code, P.base) is TooLarge
+    assert outcome(child_code, P, P.base) is TooLarge
     assert outcome(I.canonical_code, I._extend(P, P.base)) is TooLarge
 
 
