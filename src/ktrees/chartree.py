@@ -21,11 +21,12 @@ followed by the vertices in walk order, and `up`, the position of each
 node's parent (-1 at the C-node).  The order is parents-first, so the
 reduction mu(T;C) = mu(T'_C;C) + k - 1 folds the integer pair
 (phi(1), phi'(1)) of phi_{T'_C,C} straight over `up`
-(`local_mean_order_clique`), and `local_poly_clique` folds the dense
-polynomial over the same array; neither builds an adjacency.  The
-adjacent-clique check reads the common-neighbour masks of `core` and `up`;
-the adjacency mapping `adj`, built once on first read, serves only the
-partial move and the edge readers (`nodes`, `edges`, `to_dot`).  Clique
+(`local_mean_order_clique`), and `local_poly_clique` folds the
+polynomial over the same array as one packed integer; neither builds an
+adjacency.  The adjacent-clique check takes its moved vertices from the
+common-neighbour masks of `core` and compares the parent maps (`parent`)
+of the two trees; the adjacency mapping `adj`, built once on first read,
+serves only the edge readers (`nodes`, `edges`, `to_dot`).  Clique
 degrees and adjacent cliques also come from `core`, read off one
 common-neighbour mask.
 """
@@ -45,14 +46,7 @@ from .core import (
     k_cliques,
     require_k_clique,
 )
-from .errors import (
-    KTreeError,
-    NotAClique,
-    NotAdjacentCliques,
-    NotKTree,
-    VertexInClique,
-)
-from .kelmans_ops import partial_kelmans
+from .errors import NotAClique, NotAdjacentCliques, NotKTree, VertexInClique
 from .polynomials import _phi_pair, _phi_poly
 
 
@@ -100,6 +94,12 @@ class CharTree:
     @property
     def order(self):
         return len(self.labels)
+
+    @cached_property
+    def parent(self):
+        """{node: its parent's label}, every node but the C-node."""
+        labels = self.labels
+        return {v: labels[i] for v, i in zip(labels[1:], self.up[1:])}
 
     @cached_property
     def adj(self):
@@ -338,7 +338,8 @@ def verify_adjacent_reduction(T, C1, C2, cache=None):
     C1 and C2 are adjacent when C2 = C1 - solo1 + solo2 for a common
     neighbour solo2 of C1; they span q = C1 + solo2.  The moved vertices are
     those outside q joined to a face of q other than C1 and C2 (in a k-tree
-    a vertex outside q is joined to at most one face).  `cache` maps
+    a vertex outside q is joined to at most one face); they come from the
+    common-neighbour masks, apart from both trees.  `cache` maps
     clique -> CharTree; pass a per-host dict when checking many pairs of
     the same host.
     """
@@ -360,24 +361,33 @@ def verify_adjacent_reduction(T, C1, C2, cache=None):
     for C in (C1, C2):
         if C not in cache:
             cache[C] = characteristic_tree(T, C)
-    t1 = cache[C1]
-    t2 = cache[C2]
-    try:
-        shifted = partial_kelmans(t1.adj, solo2, t1.clique_node, moved)
-    except KTreeError as exc:  # a failed precondition refutes the relation
-        return ReductionReport(C1, C2, moved, False, str(exc))
-    # T'_C2 on the nodes of T'_C1 under the canonical relabeling; both trees
-    # have n - k edges, so an image holding each parent edge equals T'_C2
-    back = {solo1: t1.clique_node, t2.clique_node: solo2}
+    detail = _move_detail(cache[C1], cache[C2], solo1, solo2, moved)
+    return ReductionReport(C1, C2, moved, not detail, detail)
+
+
+def _move_detail(t1, t2, solo1, solo2, moved):
+    """Why T'_C2 (t2) is not T'_C1 (t1) with `moved` moved from solo2 to
+    the C1-node, or "" if it is.  C1 - C2 = {solo1}, C2 - C1 = {solo2}.
+
+    The move needs every moved vertex in N2 = N(solo2) minus the closed
+    neighbourhood of the C1-node.  solo2 joins C1, so it hangs from the
+    C1-node, and N2 is the set of its children.  Both the precondition and
+    the moved tree are read off the parent map of t1.
+    """
+    root, parent = t1.clique_node, t1.parent
+    if any(parent.get(w) != solo2 for w in moved):
+        return f"moved set {sorted(moved)} not within N2"
+    shifted = {**parent, **dict.fromkeys(moved, root)}
+    # t2 on the nodes of t1 under the canonical relabeling; both trees have
+    # n - k edges, so an image holding each parent edge of t2 equals t2
+    back = {solo1: root, t2.clique_node: solo2}
     nodes = [back.get(v, v) for v in t2.labels]
-    ok = all(nodes[p] in shifted[v] for v, p in zip(nodes[1:], t2.up[1:]))
-    return ReductionReport(
-        C1,
-        C2,
-        moved,
-        ok,
-        "" if ok else "edge sets differ under the canonical relabeling",
-    )
+    if all(
+        shifted.get(v) == a or shifted.get(a) == v
+        for v, a in zip(nodes[1:], [nodes[p] for p in t2.up[1:]])
+    ):
+        return ""
+    return "edge sets differ under the canonical relabeling"
 
 
 # -- strictly better neighbours ------------------------------------------------

@@ -145,7 +145,7 @@ def _parse_ks(spec):
             ks = [int(x) for x in spec.split(",")]
     except ValueError:
         raise BadK(f"bad k spec {spec!r}; expected e.g. 2 or 1-3 or 2,3") from None
-    if ks[255:]:  # bounded before expanding; codes take k <= 255
+    if ks[255:]:  # bounded before expanding; no suite takes k above 255
         raise BadK(f"k spec {spec!r} names more than 255 values")
     return tuple(ks)
 
@@ -175,6 +175,7 @@ def cmd_search(args):
         seed=args.seed,
         dedupe=args.dedupe,
         cap=args.cap,
+        jobs=args.jobs,
     )
     code = _emit_report(report, args.out)
     print(f"witnesses: {len(report['witnesses'])}", file=sys.stderr)
@@ -221,6 +222,8 @@ def build_parser():
         add_cap(sp)
         sp.add_argument("--dedupe", action=argparse.BooleanOptionalAction,
                         default=True)
+        sp.add_argument("--jobs", type=int, default=1,
+                        help="worker processes, at most one per CPU")
         sp.add_argument("--out", help="write the JSON report here")
 
     sp = sub.add_parser("validate", help="recognition verdict and invariants")
@@ -262,7 +265,6 @@ def build_parser():
     sp.add_argument("--min-n", type=int, default=0)
     sp.add_argument("--max-n", type=int, default=6)
     sp.add_argument("--trials", type=int, default=0)
-    sp.add_argument("--jobs", type=int, default=1)
     add_corpus(sp)
     sp.set_defaults(func=cmd_verify)
 

@@ -48,7 +48,7 @@ from .errors import BadK, SizeTooSmall, TooLarge
 # built; coded from its parent, k = 2 to n = 13 takes about 16 s, and the next
 # orders have not been measured again.  Trees stop at n = 14, where a tree suite
 # costs far more per host than the enumeration.  From k = 10 on, coding the one
-# class of order k + 1 alone takes minutes.
+# class of order k + 1 alone takes minutes, so no code is made above k = 9.
 CLASS_MAX_ORDER = {1: 14, 2: 13, 3: 12, 4: 12, 5: 12, 6: 12, 7: 12, 8: 11, 9: 11}
 
 
@@ -62,10 +62,12 @@ def require_class_order(k, n):
 
 
 def _require_codable(k, n):
-    """Codes spend one byte on a clique position and two on n; refuse
-    hosts whose k or n would not fit."""
-    if k > 255 or n > 65535:
-        raise TooLarge(f"codes need k <= 255 and n <= 65535, got k={k}, n={n}")
+    """Codes spend two bytes on n, and a host is coded under all k!
+    orderings of a root clique; refuse n that would not fit and k above
+    the largest k that `CLASS_MAX_ORDER` admits, before any ordering."""
+    top = max(CLASS_MAX_ORDER)
+    if k > top or n > 65535:
+        raise TooLarge(f"codes need k <= {top} and n <= 65535, got k={k}, n={n}")
 
 
 def _head(offsets, cmem):
@@ -236,7 +238,7 @@ def canonical_code(T):
     """Equal for two k-trees iff they are isomorphic.
 
     The code spends one byte on k and on each ancestor offset and two bytes
-    on n; a host beyond those limits raises TooLarge.
+    on n; a host beyond those limits, or with k above 9, raises TooLarge.
     """
     _require_codable(T.k, T.n)
     header = bytes([T.k]) + T.n.to_bytes(2, "big")

@@ -11,8 +11,9 @@ a vertex tree, and it is the one walk over an adjacency mapping here and in
 construction order is already parents-first.  All arithmetic is exact:
 integer coefficient polynomials, integer pairs (phi(1), phi'(1)) and reduced
 fractions; no floating point is ever compared.  A mean order needs only the
-pair, so the means fold pairs up the tree and only the callers that read
-coefficients build the dense polynomial.
+pair, so the means fold pairs up the tree.  The callers that read
+coefficients fold the polynomial as one packed integer, its coefficients
+as fixed-width digits that the pair's phi(1) bounds, and unpack it once.
 """
 
 from __future__ import annotations
@@ -173,20 +174,30 @@ def _bfs_tree(adj, root, forbidden=frozenset()):
 def _phi_poly(up):
     """phi_{T,root}(x) of the rooted tree with parent positions `up`.
 
-    Coefficients fold as plain integer lists.  Every phi is x times a
-    product, so its constant term is 0, and a child w folds into its parent
-    p as p + p * phi_w over the terms of degree >= 1 of both.
+    The fold runs at one integer point X = 2^B (Kronecker substitution),
+    B being the bit length of phi(1) from `_phi_pair`.  Adding the path up
+    to the root turns the subtrees at any node into distinct subtrees at
+    the root, so every polynomial the fold builds has non-negative
+    coefficients of at most the root's phi(1), and its value at X holds
+    them as B-bit digits.  A node's phi is x times rest, the product of
+    (1 + phi_w) over its children w, so rest folds over `up` as one integer
+    per node: each child multiplies its parent's by 1 + X * rest_w, and a
+    leaf's factor 1 + X is a shift and an add.  The root's rest read in
+    B-bit digits is phi's coefficients from x^1 on.
     """
-    poly = [[0, 1] for _ in up]
+    bits = _phi_pair(up)[0].bit_length()
+    rest = [1] * len(up)
     for i in range(len(up) - 1, 0, -1):
-        a, b = poly[up[i]], poly[i]
-        out = a + [0] * (len(b) - 1)
-        for s in range(1, len(a)):
-            ca = a[s]
-            for j, cb in enumerate(b[1:], s + 1):
-                out[j] += ca * cb
-        poly[up[i]] = out
-    return IntPolynomial(poly[0])
+        p = up[i]
+        if rest[i] == 1:
+            rest[p] += rest[p] << bits
+        else:
+            rest[p] *= 1 + (rest[i] << bits)
+    v, mask, coeffs = rest[0], (1 << bits) - 1, [0]
+    while v:
+        coeffs.append(v & mask)
+        v >>= bits
+    return IntPolynomial(coeffs)
 
 
 def _phi_pair(up):

@@ -78,7 +78,7 @@ SCHEMA_SEARCH = "ktree-search/1"
 LABELED_GUARD = 2_000_000
 FAMILY_GUARD = 1000  # max family parameter n
 RANDOM_GUARD = 10_000  # max host order in random mode
-K_GUARD = 255  # max k; canonical codes take k <= 255
+K_GUARD = 255  # max k of any suite; class corpora stop at k = 9 (CLASS_MAX_ORDER)
 NEAR_MISSES = 8  # near misses a search report keeps
 
 
@@ -661,10 +661,12 @@ def search_degree2_witness(
     seed=0,
     dedupe=True,
     cap=DEFAULT_CAP,
+    jobs=1,
 ):
     """Look for a k-tree whose maximum local mean order is attained only at
     degree-2 cliques (never at an end clique): the `degree2-witness` suite
-    over every host of order k + 1..max_n.
+    over every host of order k + 1..max_n, its hosts checked over `jobs`
+    workers as in `verify`.
 
     Witnesses of order at most `cap` are re-validated against the
     brute-force oracle; above it `oracle_confirms` is None.  The search
@@ -689,7 +691,9 @@ def search_degree2_witness(
         seed=seed,
         cap=cap,
         dedupe=dedupe,
+        jobs=jobs,
     )
+    # jobs changes no result, so the report's config leaves it out
     config = dict(k=k, max_n=max_n, mode=mode, budget=budget, seed=seed,
                   dedupe=dedupe, cap=cap)
 

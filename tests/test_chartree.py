@@ -1,12 +1,13 @@
 """Characteristic trees, elimination sequences, and the clique reduction."""
 
+from collections import Counter
 from fractions import Fraction
 from itertools import combinations
 
 import pytest
 
 from ktrees import chartree as CT, core, oracle
-from ktrees.errors import NotAClique, NotAdjacentCliques, VertexInClique
+from ktrees.errors import KTreeError, NotAClique, NotAdjacentCliques, VertexInClique
 from ktrees.kelmans_ops import partial_kelmans
 from ktrees.polynomials import (
     IntPolynomial,
@@ -343,18 +344,77 @@ def test_adjacent_reduction_rejects_non_adjacent():
         CT.verify_adjacent_reduction(T, (1, 2), (4, 5))
 
 
-def test_adjacent_reduction_fails_when_the_move_drops_a_vertex(monkeypatch):
-    def drop_one(graph, v, u, moved):
-        return partial_kelmans(graph, v, u, moved[1:])
+def reference_move_detail(t1, t2, solo1, solo2, moved):
+    """The relation check that `_move_detail` replaced, kept as a
+    reference: the partial move of `moved` from solo2 to the C1-node on the
+    adjacency of T'_C1, with a failed precondition as the detail, then
+    every parent edge of T'_C2 looked up in the moved tree."""
+    try:
+        shifted = partial_kelmans(t1.adj, solo2, t1.clique_node, moved)
+    except KTreeError as exc:
+        return str(exc)
+    back = {solo1: t1.clique_node, t2.clique_node: solo2}
+    nodes = [back.get(v, v) for v in t2.labels]
+    ok = all(nodes[p] in shifted[v] for v, p in zip(nodes[1:], t2.up[1:]))
+    return "" if ok else "edge sets differ under the canonical relabeling"
 
-    monkeypatch.setattr(CT, "partial_kelmans", drop_one)
-    failed = 0
+
+def reference_adjacent_reduction(T, C1, C2):
+    """`verify_adjacent_reduction` as it was when it checked the relation
+    by applying the partial move (`reference_move_detail`)."""
+    m1, m2 = T.clique_mask(C1), T.clique_mask(C2)
+    solo1, solo2 = (m1 & ~m2).bit_length(), (m2 & ~m1).bit_length()
+    q = C1 + (solo2,)
+    far = 0
+    for x in C1:
+        if x != solo1:
+            far |= core._common_mask(T, [v for v in q if v != x])
+    moved = tuple(core._mask_vertices(far & ~(m1 | m2)))
+    t1, t2 = CT.characteristic_tree(T, C1), CT.characteristic_tree(T, C2)
+    detail = reference_move_detail(t1, t2, solo1, solo2, moved)
+    return CT.ReductionReport(C1, C2, moved, not detail, detail)
+
+
+def test_adjacent_reduction_matches_the_partial_move_reference():
+    """Every ordered adjacent pair of every class with k <= 3, n <= 8."""
+    pairs = Counter()
+    for k in (1, 2, 3):
+        for n in range(k + 1, 9):
+            for T in ktree_classes(k, n):
+                cache = {}
+                for _, C1, C2 in _ordered_adjacent_pairs(T):
+                    rep = CT.verify_adjacent_reduction(T, C1, C2, cache)
+                    assert rep == reference_adjacent_reduction(T, C1, C2)
+                    pairs[bool(rep.moved)] += 1
+    assert pairs == {False: 2042, True: 1700}
+
+
+def test_adjacent_reduction_fails_when_the_move_drops_a_vertex():
+    """Given a wrong moved set, the parent-map check refutes it with the
+    detail that the partial move gives: one vertex short or one child of
+    solo2 too many (the edges differ), or a vertex that is not a child of
+    solo2 (outside N2)."""
+    seen = Counter()
     for T in ktree_classes(2, 6) + ktree_classes(3, 7):
         for _, C1, C2 in _ordered_adjacent_pairs(T):
-            rep = CT.verify_adjacent_reduction(T, C1, C2)
-            assert rep.isomorphic == (rep.moved == ())
-            failed += not rep.isomorphic
-    assert failed
+            moved = CT.verify_adjacent_reduction(T, C1, C2).moved
+            (solo1,) = set(C1) - set(C2)
+            (solo2,) = set(C2) - set(C1)
+            t1, t2 = CT.characteristic_tree(T, C1), CT.characteristic_tree(T, C2)
+            wrong = [("short", moved[:i] + moved[i + 1 :]) for i in range(len(moved))]
+            for w in t1.labels[1:]:
+                if w not in moved:
+                    kind = "extra" if t1.parent[w] == solo2 else "stray"
+                    wrong.append((kind, tuple(sorted(moved + (w,)))))
+            for kind, bad in wrong:
+                detail = CT._move_detail(t1, t2, solo1, solo2, bad)
+                assert detail == reference_move_detail(t1, t2, solo1, solo2, bad)
+                if kind == "stray":
+                    assert detail == f"moved set {list(bad)} not within N2"
+                else:
+                    assert detail == "edge sets differ under the canonical relabeling"
+                seen[kind] += 1
+    assert all(seen[kind] for kind in ("short", "extra", "stray")), seen
 
 
 def test_adjacent_reduction_examples():

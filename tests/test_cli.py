@@ -213,6 +213,23 @@ def test_search_subcommand(tmp_path, capsys):
     assert "witnesses: 0" in err
 
 
+def test_search_reports_the_same_bytes_over_one_or_two_workers(tmp_path, capsys):
+    texts = []
+    for jobs in ("1", "2"):
+        out_path = tmp_path / f"search-jobs{jobs}.json"
+        code, _, _ = run(
+            capsys, "search", "--k", "2", "--max-n", "8", "--jobs", jobs,
+            "--out", str(out_path),
+        )
+        assert code == 0
+        lines = out_path.read_text().splitlines()
+        texts.append([line for line in lines if '"runtime_ms":' not in line])
+    assert texts[0] == texts[1]
+    report = json.loads(out_path.read_text())
+    assert report["instances"] == 1 + 1 + 2 + 5 + 12 + 39  # orders 3..8
+    assert "jobs" not in report["config"]
+
+
 def test_crash_exits_3_with_a_traceback_and_no_report(tmp_path, capsys, monkeypatch):
     def boom(T, cfg):
         raise RuntimeError("checker bug")
@@ -288,6 +305,7 @@ BAD_INPUTS = {
     "verify-jobs-0": (
         "verify", "--suite", "nonmajor-max", "--k", "2", "--max-n", "6", "--jobs", "0",
     ),
+    "search-jobs-0": ("search", "--k", "2", "--max-n", "6", "--jobs", "0"),
     "verify-jobs-negative": (
         "verify", "--suite", "nonmajor-max", "--k", "2", "--max-n", "6", "--jobs", "-4",
     ),

@@ -340,6 +340,30 @@ def test_child_codes_keep_the_code_limits():
     assert outcome(I.canonical_code, I._extend(P, P.base)) is TooLarge
 
 
+def test_codes_refuse_k_above_nine_before_any_ordering(monkeypatch):
+    """From k = 10 on a code would try 10! orderings per root; every coder
+    raises TooLarge first.  Orderings are replaced by a trap, so a coder
+    that tried one fails here at once instead of running for minutes."""
+
+    def trap(*args):
+        raise AssertionError("an ordering of a root clique was tried")
+
+    monkeypatch.setattr(I, "permutations", trap)
+    T = core.gen_star_type(10, 1)
+    coders = (
+        I.canonical_code,
+        lambda T: I.isomorphic(T, T),
+        I.rooted_code_set,
+        lambda T: I.rooted_code(T, T.base),
+        lambda T: I._child_codes(T, [T.base]),
+    )
+    for code in coders:
+        with pytest.raises(TooLarge, match="k <= 9"):
+            code(T)
+    # k = 9 passes the check: K_9 is coded by its header alone
+    assert I.canonical_code(core.gen_star_type(9, 0)) == bytes([9, 0, 9])
+
+
 def test_codes_are_pinned_for_every_small_class():
     """The code bytes of every class with k = 1..3 and n <= 9, in enumeration
     order; any change to the code format or to the centre shows here."""

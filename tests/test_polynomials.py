@@ -1,5 +1,6 @@
 """Subtree polynomials, branch decompositions, and the ratio inequality."""
 
+import math
 import random
 from fractions import Fraction
 
@@ -182,8 +183,50 @@ def test_random_tree_properties(n, seed):
         assert lhs <= rhs
 
 
+def dense_phi_poly(up):
+    """The coefficient-list fold that the packed `_phi_poly` replaced, kept
+    as a reference: a child w folds into its parent p as p + p * phi_w over
+    the terms of degree >= 1 of both."""
+    poly = [[0, 1] for _ in up]
+    for i in range(len(up) - 1, 0, -1):
+        a, b = poly[up[i]], poly[i]
+        out = a + [0] * (len(b) - 1)
+        for s in range(1, len(a)):
+            ca = a[s]
+            for j, cb in enumerate(b[1:], s + 1):
+                out[j] += ca * cb
+        poly[up[i]] = out
+    return P.IntPolynomial(poly[0])
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(min_value=1, max_value=60), seed=st.integers(0, 2**32))
+def test_packed_phi_poly_matches_the_dense_fold(n, seed):
+    rng = random.Random(seed)
+    adj = tree_adjacency(core.random_ktree(1, n, seed))
+    for r in rng.sample(sorted(adj), min(n, 4)):
+        up = P._bfs_tree(adj, r)
+        assert P._phi_poly(up) == dense_phi_poly(up)
+        others = [v for v in adj if v != r]
+        forbidden = frozenset(rng.sample(others, rng.randint(0, len(others))))
+        up = P._bfs_tree(adj, r, forbidden)
+        assert P._phi_poly(up) == dense_phi_poly(up)
+
+
+def test_packed_phi_poly_on_a_long_path_and_a_big_star():
+    n = 400
+    path = [-1, *range(n - 1)]  # rooted at one end: x + x^2 + ... + x^n
+    assert P._phi_poly(path) == dense_phi_poly(path) == P.IntPolynomial((0,) + (1,) * n)
+    star = [-1] + [0] * (n - 1)  # rooted at the centre: x (1 + x)^(n-1)
+    phi = P._phi_poly(star)
+    assert phi == dense_phi_poly(star)
+    assert phi.coeffs == (0, *(math.comb(n - 1, j) for j in range(n)))
+    leaf = [-1, 0] + [1] * (n - 2)  # rooted at a leaf: x + x^2 (1 + x)^(n-2)
+    assert P._phi_poly(leaf) == dense_phi_poly(leaf)
+
+
 def _poly_pair(adj, r, forbidden=frozenset()):
-    p = P._phi_poly(P._bfs_tree(adj, r, forbidden))
+    p = dense_phi_poly(P._bfs_tree(adj, r, forbidden))
     return p(1), p.derivative()(1)
 
 

@@ -153,7 +153,7 @@ def test_unknown_suite_and_bad_configs():
         V.SuiteConfig(
             suite="nonmajor-max", ks=(2,), max_n=10, dedupe=False
         ).validate()
-    # class enumeration would build K_256 before canonical_code rejects k > 255
+    # no suite takes k above K_GUARD, whatever its corpus
     k = V.K_GUARD + 1
     with pytest.raises(BadK):
         V.SuiteConfig(suite="nonmajor-max", ks=(k,), min_n=k, max_n=k).validate()
