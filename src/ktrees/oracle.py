@@ -34,6 +34,13 @@ vertex set are the AND of its columns.  A restricted set takes its orders
 from that selector and spells its masks only when they are read, so
 polynomials, means and sizes count bytes, never members; the all-clique
 means read each clique's count and order total off the columns alone.
+
+One enumeration per host.  Every entry point reads the full set of its host
+from one slot, `_host_set`, which grows the members (and later builds the
+columns) once per host object.  The slot is keyed by identity, never by
+`KTree.__eq__`, so an equal host parsed again is grown again, and it holds
+only the most recent host: a set per host would keep every member of a
+corpus, and their columns, alive at once.  Nothing is stored on the host.
 """
 
 from __future__ import annotations
@@ -236,12 +243,26 @@ def _grow_all(T):
     return tuple(out)
 
 
-def enumerate_sub_ktrees(T, required=(), cap=DEFAULT_CAP):
-    """Every sub-k-tree vertex set, optionally filtered to those >= required."""
+_last = None  # the full SubKTreeSet of the most recent host
+
+
+def _host_set(T, cap, required=()):
+    """The full SubKTreeSet of T, grown only if T is not the host in the
+    slot.  The cap and the vertices of `required` are checked on every call,
+    before the slot is read."""
+    global _last
     if T.n > min(cap, MAX_ORDER):
         raise TooLarge(f"order {T.n} exceeds enumeration cap {min(cap, MAX_ORDER)}")
     _required_mask(T, required)  # reject a bad vertex before growing
-    full = SubKTreeSet(T, _grow_all(T))
+    if _last is None or _last.host is not T:
+        _last = None  # free the previous host's members before growing these
+        _last = SubKTreeSet(T, _grow_all(T))
+    return _last
+
+
+def enumerate_sub_ktrees(T, required=(), cap=DEFAULT_CAP):
+    """Every sub-k-tree vertex set, optionally filtered to those >= required."""
+    full = _host_set(T, cap, required)
     return full.restricted(required) if required else full
 
 
@@ -262,11 +283,11 @@ def is_sub_ktree(T, S):
 
 
 def oracle_global_poly(T, cap=DEFAULT_CAP):
-    return enumerate_sub_ktrees(T, cap=cap).poly()
+    return _host_set(T, cap).poly()
 
 
 def oracle_global_mean(T, cap=DEFAULT_CAP):
-    return enumerate_sub_ktrees(T, cap=cap).mean()
+    return _host_set(T, cap).mean()
 
 
 def _local_members(T, S, cap):
@@ -287,7 +308,7 @@ def oracle_local_mean(T, S, cap=DEFAULT_CAP):
 
 def oracle_all_clique_means(T, cap=DEFAULT_CAP):
     """Exact map clique -> mean order over all sub-k-trees containing it."""
-    full = enumerate_sub_ktrees(T, cap=cap)
+    full = _host_set(T, cap)
     cols = full._columns[1:]
     out = {}
     for C in _cliques(T):

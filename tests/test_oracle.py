@@ -1,6 +1,8 @@
 """Exhaustive sub-k-tree enumeration as the package's ground truth."""
 
+import gc
 import itertools
+import weakref
 from fractions import Fraction
 
 import pytest
@@ -309,3 +311,93 @@ def test_member_orders_fill_one_byte():
     assert full.poly().coeffs[-1] == 1 and full.poly()(1) == len(full)
     mid = full.restricted((127, 128))
     assert len(mid) == 127 * 128 and mid.mean() == Fraction(257, 2)
+
+
+@pytest.fixture
+def empty_slot(monkeypatch):
+    """Start from an empty one-host slot, so test order cannot matter."""
+    monkeypatch.setattr(O, "_last", None)
+
+
+@pytest.fixture
+def grown(empty_slot, monkeypatch):
+    """Hosts handed to `_grow_all`, in call order."""
+    hosts = []
+    grow = O._grow_all
+
+    def counting(T):
+        hosts.append(T)
+        return grow(T)
+
+    monkeypatch.setattr(O, "_grow_all", counting)
+    return hosts
+
+
+def test_one_host_is_grown_once_across_the_entry_points(grown):
+    T = four_vertex()
+    full = O.enumerate_sub_ktrees(T)
+    assert O.enumerate_sub_ktrees(T) is full
+    assert O.enumerate_sub_ktrees(T, required=(1, 2)) == full.restricted((1, 2))
+    assert O.oracle_local_poly(T, (1, 2)) == IntPolynomial((0, 0, 1, 1, 1))
+    assert O.oracle_local_mean(T, (1, 2)) == 3
+    assert O.oracle_global_poly(T) == full.poly()
+    assert O.oracle_global_mean(T) == full.mean()
+    columns = full._columns
+    means = O.oracle_all_clique_means(T)
+    assert O.oracle_argmax_cliques(T)[1] == max(means.values())
+    assert full._columns is columns  # the all-clique means read the slot's columns
+    assert len(grown) == 1 and grown[0] is T
+
+
+def test_an_equal_host_parsed_again_is_grown_again(grown):
+    edges = list(four_vertex().edges())
+    T1, T2 = core.recognize_ktree(edges, 2), core.recognize_ktree(edges, 2)
+    assert T1 == T2 and T1 is not T2
+    first, second = O.enumerate_sub_ktrees(T1), O.enumerate_sub_ktrees(T2)
+    assert first == second and first is not second and second.host is T2
+    assert [T is T1 for T in grown] == [True, False] and grown[1] is T2
+
+
+def test_the_slot_frees_the_previous_host_before_growing_the_next(grown, monkeypatch):
+    A, B = triangle(), four_vertex()
+    held = weakref.ref(O.enumerate_sub_ktrees(A))
+    counting = O._grow_all
+
+    def grow(T):
+        gc.collect()
+        assert held() is None, "the previous host's members outlived the next grow"
+        return counting(T)
+
+    monkeypatch.setattr(O, "_grow_all", grow)
+    O.enumerate_sub_ktrees(B)
+    gc.collect()
+    assert held() is None
+    assert [T is A for T in grown] == [True, False] and grown[1] is B
+
+
+def test_cap_and_required_are_checked_on_every_call(grown):
+    T = core.gen_path_type(1, 10)
+    O.enumerate_sub_ktrees(T)
+    with pytest.raises(TooLarge):
+        O.enumerate_sub_ktrees(T, cap=9)
+    for call in (O.oracle_global_poly, O.oracle_global_mean,
+                 O.oracle_all_clique_means, O.oracle_argmax_cliques):
+        with pytest.raises(TooLarge):
+            call(T, cap=9)
+    with pytest.raises(TooLarge):
+        O.oracle_local_poly(T, (1, 2), cap=9)
+    for host in (T, four_vertex()):  # in the slot, and a host never grown
+        for bad in ((0,), (host.n + 1,)):
+            with pytest.raises(NotASubKTree):
+                O.enumerate_sub_ktrees(host, required=bad)
+    assert len(grown) == 1 and O._last.host is T  # no refused call touched the slot
+
+
+def test_remembered_sets_equal_a_fresh_growth(empty_slot):
+    for T in _growth_hosts():
+        first = O.enumerate_sub_ktrees(T)
+        O.oracle_all_clique_means(T)
+        again = O.enumerate_sub_ktrees(T)
+        fresh = O.SubKTreeSet(T, O._grow_all(T))
+        assert again is first and again == fresh, (T.k, T.n)
+        assert again.orders == fresh.orders and again._columns == fresh._columns

@@ -125,6 +125,23 @@ def test_k_leaf_peel_only_in_recognition_and_elimination():
     assert callers, "the guard found no caller at all; the search is broken"
 
 
+def test_oracle_members_are_grown_in_one_place():
+    """Every oracle entry point reads its host's members from the one-host
+    slot, so a second call site could grow a host twice."""
+    calls = 0
+    callers = set()
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        calls += sum(
+            "_grow_all" in (getattr(n.func, "id", None), getattr(n.func, "attr", None))
+            for n in ast.walk(tree)
+            if isinstance(n, ast.Call)
+        )
+        callers |= _callers(tree, path.stem, "_grow_all")
+    assert callers == {"oracle._host_set"}, f"_grow_all callers: {sorted(callers)}"
+    assert calls == 1, f"{calls} call sites of _grow_all"
+
+
 CORPUS_CALLERS = {"verify._run_corpus", "verify._chunk_payloads"}
 
 
