@@ -41,7 +41,6 @@ from .kelmans_ops import (
 )
 from .chartree import (
     CharTree,
-    CliqueNode,
     ElimSequence,
     elimination_sequence,
     characteristic_tree,

@@ -17,25 +17,31 @@ C-to-v path then spells the unique elimination sequence of v, which
 against its defining conditions.
 
 A `CharTree` stores T'_C as the data the folds read: `labels`, the C-node
-followed by the vertices in walk order, and `up`, the position of each
-node's parent (-1 at the C-node).  The order is parents-first, so the
-reduction mu(T;C) = mu(T'_C;C) + k - 1 folds the integer pair
+(0) followed by the vertices in walk order, and `up`, the position of each
+node's parent (-1 at the C-node).  The clique tuple only names the C-node
+when the tree is printed (`str`, `to_dot`).  The order is parents-first, so
+the reduction mu(T;C) = mu(T'_C;C) + k - 1 folds the integer pair
 (phi(1), phi'(1)) of phi_{T'_C,C} straight over `up`
 (`local_mean_order_clique`), and `local_poly_clique` folds the
 polynomial over the same array as one packed integer; neither builds an
-adjacency.  The adjacent-clique check takes its moved vertices from the
-common-neighbour masks of `core` and compares the parent maps (`parent`)
-of the two trees; the adjacency mapping `adj`, built once on first read,
-serves only the edge readers (`nodes`, `edges`, `to_dot`).  Clique
-degrees and adjacent cliques also come from `core`, read off one
-common-neighbour mask.
+adjacency.
+
+The adjacent-clique check takes its moved vertices from the adjacency
+masks of `core`, apart from both trees, and compares two integer lists.
+Its per-host `cache` is opaque: it maps each validated, sorted clique to
+the clique's mask, its common-neighbour mask, T'_C as a parent array
+indexed by vertex, and the children of the C-node and of each of its
+children.  The tree is built once per clique and dropped, and a clique is
+validated only on its first miss.  Clique degrees and adjacent cliques also
+come from `core`, read off one common-neighbour mask.
 """
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from typing import NamedTuple
 
 from .core import (
     _bit,
@@ -48,19 +54,6 @@ from .core import (
 )
 from .errors import NotAClique, NotAdjacentCliques, NotKTree, VertexInClique
 from .polynomials import _phi_pair, _phi_poly
-
-
-@dataclass(frozen=True)
-class CliqueNode:
-    """Synthetic node standing for the whole clique C inside T'_C."""
-
-    vertices: tuple
-
-    def __str__(self):
-        return "C{" + ",".join(str(v) for v in self.vertices) + "}"
-
-    def __repr__(self):
-        return f"CliqueNode({self.vertices})"
 
 
 @dataclass(frozen=True)
@@ -82,12 +75,13 @@ class CharTree:
     """A tree on {C-node} union (V(T) \\ V(C)) carrying all local mean-order
     information of the host at C.
 
-    `labels[0]` is the C-node and `labels[1:]` the vertices in walk order;
-    `up[i]` is the position of the parent of `labels[i]`, with
-    `up[0] = -1` and `up[i] < i`.
+    The C-node is 0 and the other nodes are their vertices.  `labels[0]` is
+    the C-node and `labels[1:]` the vertices in walk order; `up[i]` is the
+    position of the parent of `labels[i]`, with `up[0] = -1` and
+    `up[i] < i`.  `clique`, the sorted C, only names the C-node in print.
     """
 
-    clique_node: CliqueNode
+    clique: tuple
     labels: tuple
     up: tuple
 
@@ -95,45 +89,32 @@ class CharTree:
     def order(self):
         return len(self.labels)
 
-    @cached_property
-    def parent(self):
-        """{node: its parent's label}, every node but the C-node."""
-        labels = self.labels
-        return {v: labels[i] for v, i in zip(labels[1:], self.up[1:])}
-
-    @cached_property
-    def adj(self):
-        """{node: frozenset(neighbours)}, for the readers of edges."""
-        adj = {self.clique_node: set()}
-        for v, i in zip(self.labels[1:], self.up[1:]):
-            q = self.labels[i]
-            adj.setdefault(v, set()).add(q)
-            adj.setdefault(q, set()).add(v)
-        return {a: frozenset(b) for a, b in adj.items()}
-
     def nodes(self):
-        return [self.clique_node] + sorted(self.labels[1:])
+        return sorted(self.labels)
 
     def edges(self):
-        """Every edge once, as (a, b) with a before b in `nodes()`: the C-node
-        first, then the vertices ascending, so the order depends on the tree
-        alone."""
-        nodes = self.nodes()
-        rank = {a: i for i, a in enumerate(nodes)}
-        return [
-            (a, b)
-            for a in nodes
-            for b in sorted(self.adj[a], key=rank.__getitem__)
-            if rank[b] > rank[a]
-        ]
+        """Every edge once, as (a, b) with a < b, ascending: the C-node's
+        edges first, so the order depends on the tree alone."""
+        labels = self.labels
+        pairs = zip(labels[1:], map(labels.__getitem__, self.up[1:]))
+        return sorted((min(e), max(e)) for e in pairs)
+
+    def _name(self, a):
+        return f"C{{{','.join(map(str, self.clique))}}}" if a == 0 else str(a)
+
+    def __str__(self):
+        C = ",".join(map(str, self.clique))
+        lines = [f"characteristic tree at {{{C}}}: {self.order} nodes"]
+        lines += [f"  {self._name(a)} -- {self._name(b)}" for a, b in self.edges()]
+        return "\n".join(lines)
 
     def to_dot(self):
         lines = ["graph chartree {"]
-        lines.append(f'  "{self.clique_node}" [shape=doublecircle];')
+        lines.append(f'  "{self._name(0)}" [shape=doublecircle];')
         for v in self.nodes()[1:]:
             lines.append(f'  "{v}";')
         for a, b in self.edges():
-            lines.append(f'  "{a}" -- "{b}";')
+            lines.append(f'  "{self._name(a)}" -- "{b}";')
         lines.append("}")
         return "\n".join(lines) + "\n"
 
@@ -217,8 +198,7 @@ def characteristic_tree(T, C):
     """The characteristic 1-tree T'_C; K_1 for the trivial host."""
     C = require_k_clique(T, C)
     verts, up, _ = _walk(T, C)
-    node = CliqueNode(C)
-    return CharTree(node, (node, *verts), tuple(up))
+    return CharTree(C, (0, *verts), tuple(up))
 
 
 # -- elimination sequences -----------------------------------------------------
@@ -332,60 +312,111 @@ class ReductionReport:
     detail: str = ""
 
 
+class _Entry(NamedTuple):
+    """What the pair check keeps of one k-clique C of a host: no tree, only
+    masks, a parent array indexed by vertex and the children near the
+    C-node."""
+
+    clique: tuple  # sorted C
+    mask: int
+    common: int  # the common-neighbour mask of C
+    par: array  # par[v]: v's parent in T'_C, 0 for the C-node; -1 on C and at 0
+    kids: dict  # 0 and each child c of the C-node -> the children of c
+
+
+def _clique_entry(T, C, cache):
+    """The entry of the k-clique C, stored in `cache` under its sorted tuple.
+
+    Only a clique that `characteristic_tree` has validated is ever stored,
+    so a hit needs no check.  An unsorted C misses and is looked up again in
+    sorted form; an invalid one misses twice and raises when its tree is
+    built.  A miss builds T'_C once and keeps its parent list and the
+    children next to the C-node.
+    """
+    e = cache.get(C) if type(C) is tuple else None
+    if e is None:
+        C = tuple(sorted(C))
+        e = cache.get(C)
+        if e is None:
+            ct = characteristic_tree(T, C)  # raises NotAClique unless valid
+            labels = ct.labels
+            par = array("i", [-1]) * (T.n + 1)
+            kids = {0: []}
+            for v, i in zip(labels[1:], ct.up[1:]):
+                p = labels[i]
+                par[v] = p
+                if p in kids:
+                    kids[p].append(v)
+                    if not p:
+                        kids[v] = []
+            mask = T.clique_mask(C)
+            e = cache[C] = _Entry(C, mask, _common_mask(T, C), par, kids)
+    return e
+
+
 def verify_adjacent_reduction(T, C1, C2, cache=None):
-    """Build both characteristic trees and check the partial-move relation.
+    """Check that T'_C2 is T'_C1 after the partial move.
 
     C1 and C2 are adjacent when C2 = C1 - solo1 + solo2 for a common
     neighbour solo2 of C1; they span q = C1 + solo2.  The moved vertices are
     those outside q joined to a face of q other than C1 and C2 (in a k-tree
     a vertex outside q is joined to at most one face); they come from the
-    common-neighbour masks, apart from both trees.  `cache` maps
-    clique -> CharTree; pass a per-host dict when checking many pairs of
-    the same host.
+    adjacency masks of those faces, apart from both trees.  `cache` is an opaque
+    per-host dict; pass the same one when checking many pairs of a host, so
+    that each clique is validated and its tree built once.
     """
-    C1 = require_k_clique(T, C1)
-    C2 = require_k_clique(T, C2)
-    m1, m2 = T.clique_mask(C1), T.clique_mask(C2)
+    if cache is None:
+        cache = {}
+    e1 = _clique_entry(T, C1, cache)
+    e2 = _clique_entry(T, C2, cache)
+    C1, C2, m1, m2 = e1.clique, e2.clique, e1.mask, e2.mask
     x2 = m2 & ~m1
-    if x2.bit_count() != 1 or not x2 & _common_mask(T, C1):
+    if x2.bit_count() != 1 or not x2 & e1.common:
         raise NotAdjacentCliques(f"{C1} and {C2} do not span a (k+1)-clique")
     solo1, solo2 = (m1 & ~m2).bit_length(), x2.bit_length()
-    q = C1 + (solo2,)
+    masks = T.masks
     far = 0
     for x in C1:
         if x != solo1:
-            far |= _common_mask(T, [v for v in q if v != x])
+            face = masks[solo2]  # the common neighbours of q - x
+            for v in C1:
+                if v != x:
+                    face &= masks[v]
+            far |= face
     moved = tuple(_mask_vertices(far & ~(m1 | x2)))
-    if cache is None:
-        cache = {}
-    for C in (C1, C2):
-        if C not in cache:
-            cache[C] = characteristic_tree(T, C)
-    detail = _move_detail(cache[C1], cache[C2], solo1, solo2, moved)
+    detail = _move_detail(e1, e2, solo1, solo2, moved)
     return ReductionReport(C1, C2, moved, not detail, detail)
 
 
-def _move_detail(t1, t2, solo1, solo2, moved):
-    """Why T'_C2 (t2) is not T'_C1 (t1) with `moved` moved from solo2 to
-    the C1-node, or "" if it is.  C1 - C2 = {solo1}, C2 - C1 = {solo2}.
+def _move_detail(e1, e2, solo1, solo2, moved):
+    """Why T'_C2 (entry e2) is not T'_C1 (entry e1) with `moved` moved from
+    solo2 to the C1-node, or "" if it is.  C1 - C2 = {solo1}, C2 - C1 =
+    {solo2}.
 
     The move needs every moved vertex in N2 = N(solo2) minus the closed
     neighbourhood of the C1-node.  solo2 joins C1, so it hangs from the
-    C1-node, and N2 is the set of its children.  Both the precondition and
-    the moved tree are read off the parent map of t1.
+    C1-node, and N2 is the set of its children.  The moved tree, rooted at
+    solo2 and named as in T'_C2 (the C1-node is solo1, solo2 the C2-node),
+    is T'_C1's parent list with the children of the C1-node under solo1,
+    those of solo2 under the C2-node, the moved vertices under solo1, solo2
+    in C2 and solo1 under the C2-node.  Rooting it at solo2 reverses only
+    the edge between solo2 and the C1-node, and two trees on the same nodes
+    with the same root have the same edges iff their parent lists are
+    equal, so one list comparison decides the relation.
     """
-    root, parent = t1.clique_node, t1.parent
-    if any(parent.get(w) != solo2 for w in moved):
+    par = e1.par
+    if any(par[w] != solo2 for w in moved):
         return f"moved set {sorted(moved)} not within N2"
-    shifted = {**parent, **dict.fromkeys(moved, root)}
-    # t2 on the nodes of t1 under the canonical relabeling; both trees have
-    # n - k edges, so an image holding each parent edge of t2 equals t2
-    back = {solo1: root, t2.clique_node: solo2}
-    nodes = [back.get(v, v) for v in t2.labels]
-    if all(
-        shifted.get(v) == a or shifted.get(a) == v
-        for v, a in zip(nodes[1:], [nodes[p] for p in t2.up[1:]])
-    ):
+    exp = par[:]
+    for c in e1.kids[0]:
+        exp[c] = solo1
+    for c in e1.kids.get(solo2, ()):
+        exp[c] = 0
+    for w in moved:
+        exp[w] = solo1
+    exp[solo2] = -1
+    exp[solo1] = 0
+    if exp == e2.par:
         return ""
     return "edge sets differ under the canonical relabeling"
 

@@ -77,9 +77,7 @@ def cmd_char_tree(args):
     T = _load(args)
     C = _parse_clique(args.clique)
     ct = chartree.characteristic_tree(T, C)
-    print(f"characteristic tree at {_clique_label(C)}: {ct.order} nodes")
-    for a, b in ct.edges():
-        print(f"  {a} -- {b}")
+    print(ct)
     if args.dot:
         Path(args.dot).write_text(ct.to_dot(), encoding="utf-8")
         print(f"wrote {args.dot}")

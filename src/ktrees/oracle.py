@@ -33,7 +33,8 @@ held as an int so that columns AND bytewise.  The members containing a
 vertex set are the AND of its columns.  A restricted set takes its orders
 from that selector and spells its masks only when they are read, so
 polynomials, means and sizes count bytes, never members; the all-clique
-means read each clique's count and order total off the columns alone.
+means read each clique's count off its selector and its order total off
+the order column.
 
 One enumeration per host.  Every entry point reads the full set of its host
 from one slot, `_host_set`, which grows the members (and later builds the
@@ -134,20 +135,24 @@ class SubKTreeSet:
             sel &= cols[low.bit_length()]
         return sel
 
+    def _selected_orders(self, sel):
+        """`orders` with the byte of every member outside the selector `sel`
+        set to 0."""
+        return (self._order_column & sel * 255).to_bytes(len(self.orders), "little")
+
     def restricted(self, required):
         """Members containing every vertex of `required`."""
         req = _required_mask(self.host, required)
         if not req:
             return self
         sel = self._selector(req)
-        size = len(self.orders)
         # every order is at least 1, so the zero bytes are the members left out
-        orders = (self._order_column & sel * 255).to_bytes(size, "little")
+        orders = self._selected_orders(sel)
         return SubKTreeSet(
             self.host,
             self.masks,
             orders.replace(b"\0", b""),
-            sel.to_bytes(size, "little"),
+            sel.to_bytes(len(orders), "little"),
         )
 
     def poly(self):
@@ -309,12 +314,11 @@ def oracle_local_mean(T, S, cap=DEFAULT_CAP):
 def oracle_all_clique_means(T, cap=DEFAULT_CAP):
     """Exact map clique -> mean order over all sub-k-trees containing it."""
     full = _host_set(T, cap)
-    cols = full._columns[1:]
     out = {}
     for C in _cliques(T):
+        # members containing C, and the sum of their orders
         sel = full._selector(_required_mask(T, C))
-        # members containing C, and the sum of their orders: one count per vertex
-        out[C] = Fraction(sum((sel & col).bit_count() for col in cols), sel.bit_count())
+        out[C] = Fraction(sum(full._selected_orders(sel)), sel.bit_count())
     return out
 
 

@@ -1,5 +1,7 @@
 """Characteristic trees, elimination sequences, and the clique reduction."""
 
+import copy
+import tracemalloc
 from collections import Counter
 from fractions import Fraction
 from itertools import combinations
@@ -41,6 +43,15 @@ def parent_map(ct):
     }
 
 
+def tree_adj(ct):
+    """{node: set of neighbours} of a characteristic tree."""
+    adj = {a: set() for a in ct.labels}
+    for a, b in ct.edges():
+        adj[a].add(b)
+        adj[b].add(a)
+    return adj
+
+
 def triangle():
     return core.build_from_construction(2, [(3, (1, 2))])
 
@@ -63,19 +74,19 @@ def test_elimination_sequence_examples():
 def test_characteristic_tree_examples():
     ct = CT.characteristic_tree(triangle(), (1, 2))
     assert ct.order == 2
-    assert ct.edges() == [(ct.clique_node, 3)]
+    assert ct.edges() == [(0, 3)]
 
     ct = CT.characteristic_tree(four_vertex(), (1, 2))
     assert ct.order == 3
     assert set(map(frozenset, ct.edges())) == {
-        frozenset((ct.clique_node, 3)),
+        frozenset((0, 3)),
         frozenset((3, 4)),
     }
 
     ct = CT.characteristic_tree(four_vertex(), (1, 3))
     assert set(map(frozenset, ct.edges())) == {
-        frozenset((ct.clique_node, 2)),
-        frozenset((ct.clique_node, 4)),
+        frozenset((0, 2)),
+        frozenset((0, 4)),
     }
 
 
@@ -124,7 +135,7 @@ def test_parent_array_folds_like_the_bfs_tree():
                     ct = CT.characteristic_tree(T, C)
                     assert ct.up[0] == -1
                     assert all(0 <= p < i for i, p in enumerate(ct.up) if i)
-                    bfs = _bfs_tree(as_tree_adj(ct.adj), ct.clique_node)
+                    bfs = _bfs_tree(as_tree_adj(tree_adj(ct)), 0)
                     assert _phi_pair(ct.up) == _phi_pair(bfs)
                     assert _phi_poly(ct.up) == _phi_poly(bfs)
                     # the parent rule: the latest-added attachment vertex
@@ -280,7 +291,7 @@ def test_k1_chartree_is_the_tree_itself():
             adj = tree_adjacency(T)
             for v in T.vertices:
                 ct = CT.characteristic_tree(T, (v,))
-                relabel = {ct.clique_node: v}
+                relabel = {0: v}
                 mapped = {
                     frozenset((relabel.get(a, a), relabel.get(b, b)))
                     for a, b in ct.edges()
@@ -350,10 +361,10 @@ def reference_move_detail(t1, t2, solo1, solo2, moved):
     adjacency of T'_C1, with a failed precondition as the detail, then
     every parent edge of T'_C2 looked up in the moved tree."""
     try:
-        shifted = partial_kelmans(t1.adj, solo2, t1.clique_node, moved)
+        shifted = partial_kelmans(tree_adj(t1), solo2, 0, moved)
     except KTreeError as exc:
         return str(exc)
-    back = {solo1: t1.clique_node, t2.clique_node: solo2}
+    back = {solo1: 0, 0: solo2}
     nodes = [back.get(v, v) for v in t2.labels]
     ok = all(nodes[p] in shifted[v] for v, p in zip(nodes[1:], t2.up[1:]))
     return "" if ok else "edge sets differ under the canonical relabeling"
@@ -390,24 +401,26 @@ def test_adjacent_reduction_matches_the_partial_move_reference():
 
 
 def test_adjacent_reduction_fails_when_the_move_drops_a_vertex():
-    """Given a wrong moved set, the parent-map check refutes it with the
+    """Given a wrong moved set, the parent-list check refutes it with the
     detail that the partial move gives: one vertex short or one child of
     solo2 too many (the edges differ), or a vertex that is not a child of
     solo2 (outside N2)."""
     seen = Counter()
     for T in ktree_classes(2, 6) + ktree_classes(3, 7):
+        cache = {}
         for _, C1, C2 in _ordered_adjacent_pairs(T):
-            moved = CT.verify_adjacent_reduction(T, C1, C2).moved
+            moved = CT.verify_adjacent_reduction(T, C1, C2, cache).moved
             (solo1,) = set(C1) - set(C2)
             (solo2,) = set(C2) - set(C1)
             t1, t2 = CT.characteristic_tree(T, C1), CT.characteristic_tree(T, C2)
+            e1, e2 = cache[C1], cache[C2]
             wrong = [("short", moved[:i] + moved[i + 1 :]) for i in range(len(moved))]
             for w in t1.labels[1:]:
                 if w not in moved:
-                    kind = "extra" if t1.parent[w] == solo2 else "stray"
+                    kind = "extra" if e1.par[w] == solo2 else "stray"
                     wrong.append((kind, tuple(sorted(moved + (w,)))))
             for kind, bad in wrong:
-                detail = CT._move_detail(t1, t2, solo1, solo2, bad)
+                detail = CT._move_detail(e1, e2, solo1, solo2, bad)
                 assert detail == reference_move_detail(t1, t2, solo1, solo2, bad)
                 if kind == "stray":
                     assert detail == f"moved set {list(bad)} not within N2"
@@ -415,6 +428,96 @@ def test_adjacent_reduction_fails_when_the_move_drops_a_vertex():
                     assert detail == "edge sets differ under the canonical relabeling"
                 seen[kind] += 1
     assert all(seen[kind] for kind in ("short", "extra", "stray")), seen
+
+
+def test_each_clique_is_validated_once_per_host(monkeypatch):
+    """Over every ordered pair of a host, `require_k_clique` runs once per
+    distinct clique: a cache hit is a clique validated when it went in."""
+    calls = Counter()
+    real = CT.require_k_clique
+
+    def counting(T, C):
+        calls[tuple(sorted(C))] += 1
+        return real(T, C)
+
+    monkeypatch.setattr(CT, "require_k_clique", counting)
+    for T in (shuffled_host(2, 40, 1), shuffled_host(3, 30, 2), shuffled_host(1, 20, 3)):
+        calls.clear()
+        cache = {}
+        seen = set()
+        for _, C1, C2 in _ordered_adjacent_pairs(T):
+            assert CT.verify_adjacent_reduction(T, C1, C2, cache).isomorphic
+            seen.update((C1, C2))
+        assert calls == dict.fromkeys(seen, 1), T.k
+        assert seen == set(core.k_cliques(T))
+
+
+def test_unsorted_cliques_give_the_same_report():
+    T = shuffled_host(3, 12, 4)
+    cache = {}
+    for _, C1, C2 in _ordered_adjacent_pairs(T):
+        rep = CT.verify_adjacent_reduction(T, C1, C2, cache)
+        for a, b in ((C1[::-1], C2), (C1, C2[::-1]), (list(C1[::-1]), C2[::-1])):
+            assert CT.verify_adjacent_reduction(T, a, b, cache) == rep
+            assert CT.verify_adjacent_reduction(T, a, b) == rep
+    # the unsorted forms were looked up, never stored
+    assert sorted(cache) == core.k_cliques(T)
+
+
+def test_bad_cliques_raise_on_a_warm_cache():
+    T = core.gen_path_type(2, 6)
+    cache = {}
+    for _, C1, C2 in _ordered_adjacent_pairs(T):
+        CT.verify_adjacent_reduction(T, C1, C2, cache)
+    warm = dict(cache)
+    for bad in ((1, 6), (1, 1), (1, 2, 3), (0, 1), (6, 7), (6, 1)):
+        with pytest.raises(NotAClique):
+            CT.verify_adjacent_reduction(T, bad, (1, 2), cache)
+        with pytest.raises(NotAClique):
+            CT.verify_adjacent_reduction(T, (1, 2), bad, cache)
+    with pytest.raises(NotAdjacentCliques):
+        CT.verify_adjacent_reduction(T, (1, 2), (4, 5), cache)
+    with pytest.raises(NotAdjacentCliques):
+        CT.verify_adjacent_reduction(T, (2, 1), (1, 2), cache)
+    assert cache.keys() == warm.keys()
+
+
+def test_adjacent_reduction_on_trees():
+    """k = 1: C1 and C2 are the ends of an edge, nothing moves, and T'_C2 is
+    the tree itself rooted at C2's vertex."""
+    hosts = [T for n in range(2, 9) for T in ktree_classes(1, n)]
+    hosts += [shuffled_host(1, n, seed) for n in (2, 3, 12, 40) for seed in range(3)]
+    for T in hosts:
+        cache = {}
+        for _, C1, C2 in _ordered_adjacent_pairs(T):
+            rep = CT.verify_adjacent_reduction(T, C1, C2, cache)
+            assert rep == reference_adjacent_reduction(T, C1, C2)
+            assert rep.isomorphic and rep.moved == ()
+        assert len(cache) == T.n
+        for (v,), e in cache.items():
+            assert e.par[0] == e.par[v] == -1
+            got = {frozenset((a, e.par[a] or v)) for a in T.vertices if a != v}
+            assert got == {frozenset(x) for x in T.edges()}
+
+
+def test_adjacency_cache_over_a_deep_host_stays_small():
+    """Over every ordered pair of a path-type 2-tree of order 1000, the
+    cache keeps one parent array per clique, not its tree.  A traced copy
+    of it stays under 32 MiB; a cache of `CharTree`s with their parent maps
+    took 87 MiB.  The copy is traced, not the checks, because tracing every
+    allocation of the walks slows them about 30-fold."""
+    T = core.gen_path_type(2, 1000)
+    cache = {}
+    for _, C1, C2 in _ordered_adjacent_pairs(T):
+        assert CT.verify_adjacent_reduction(T, C1, C2, cache).isomorphic
+    assert len(cache) == len(core.k_cliques(T))
+    tracemalloc.start()
+    try:
+        clone = copy.deepcopy(cache)
+        size, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(clone) == len(cache) and size < 32 << 20, size
 
 
 def test_adjacent_reduction_examples():

@@ -116,6 +116,56 @@ def test_char_tree_and_dot(four_kt, tmp_path, capsys):
     assert len(node_lines) == 4 - 2 + 1
 
 
+CHAR_TREE_PINS = [
+    # (k, edge list, clique, stdout, DOT bytes); ids do not follow the build
+    (
+        1,
+        "1-2 1-3 1-4 3-7 5-6 6-7",
+        "4",
+        "characteristic tree at {4}: 7 nodes\n  C{4} -- 1\n  1 -- 2\n  1 -- 3\n"
+        "  3 -- 7\n  5 -- 6\n  6 -- 7\n",
+        'graph chartree {\n  "C{4}" [shape=doublecircle];\n  "1";\n  "2";\n'
+        '  "3";\n  "5";\n  "6";\n  "7";\n  "C{4}" -- "1";\n  "1" -- "2";\n'
+        '  "1" -- "3";\n  "3" -- "7";\n  "5" -- "6";\n  "6" -- "7";\n}\n',
+    ),
+    (
+        2,
+        "1-4 1-7 2-6 2-7 3-4 3-6 4-5 4-6 4-7 5-6 6-7",
+        "6,3",
+        "characteristic tree at {3,6}: 6 nodes\n  C{3,6} -- 4\n  1 -- 7\n"
+        "  2 -- 7\n  4 -- 5\n  4 -- 7\n",
+        'graph chartree {\n  "C{3,6}" [shape=doublecircle];\n  "1";\n  "2";\n'
+        '  "4";\n  "5";\n  "7";\n  "C{3,6}" -- "4";\n  "1" -- "7";\n'
+        '  "2" -- "7";\n  "4" -- "5";\n  "4" -- "7";\n}\n',
+    ),
+    (
+        3,
+        "1-2 1-5 1-6 2-4 2-5 2-6 3-4 3-5 3-6 3-8 4-5 4-6 4-7 5-6 5-7 5-8 6-7 6-8",
+        "3,5,6",
+        "characteristic tree at {3,5,6}: 6 nodes\n  C{3,5,6} -- 4\n"
+        "  C{3,5,6} -- 8\n  1 -- 2\n  2 -- 4\n  4 -- 7\n",
+        'graph chartree {\n  "C{3,5,6}" [shape=doublecircle];\n  "1";\n'
+        '  "2";\n  "4";\n  "7";\n  "8";\n  "C{3,5,6}" -- "4";\n'
+        '  "C{3,5,6}" -- "8";\n  "1" -- "2";\n  "2" -- "4";\n  "4" -- "7";\n}\n',
+    ),
+]
+
+
+@pytest.mark.parametrize("k, edges, clique, stdout, dot_text", CHAR_TREE_PINS)
+def test_char_tree_stdout_and_dot_bytes_are_pinned(
+    k, edges, clique, stdout, dot_text, tmp_path, capsys
+):
+    p = tmp_path / "host.edges"
+    p.write_text("".join(e.replace("-", " ") + "\n" for e in edges.split()))
+    dot = tmp_path / "ct.dot"
+    code, out, _ = run(
+        capsys, "char-tree", str(p), "--k", str(k), "--clique", clique, "--dot", str(dot)
+    )
+    assert code == 0
+    assert out == stdout + f"wrote {dot}\n"
+    assert dot.read_bytes() == dot_text.encode()
+
+
 def test_kelmans_round_trip(p4_kt, tmp_path, capsys):
     code, out, _ = run(capsys, "kelmans", p4_kt, "--from", "3", "--to", "2")
     assert code == 0

@@ -301,6 +301,23 @@ def test_restriction_and_means_equal_a_plain_filter():
             assert mean == Fraction(sum(map(int.bit_count, kept)), len(kept))
 
 
+def per_vertex_clique_means(T):
+    """`oracle_all_clique_means` as it was, kept as a reference: each
+    clique's order total is one column AND and bit count per vertex."""
+    full = O.enumerate_sub_ktrees(T)
+    cols = full._columns[1:]
+    out = {}
+    for C in O._cliques(T):
+        sel = full._selector(O._required_mask(T, C))
+        out[C] = Fraction(sum((sel & col).bit_count() for col in cols), sel.bit_count())
+    return out
+
+
+def test_clique_means_from_the_order_column_match_the_per_vertex_sum():
+    for T in _growth_hosts():
+        assert O.oracle_all_clique_means(T) == per_vertex_clique_means(T), (T.k, T.n)
+
+
 def test_member_orders_fill_one_byte():
     """Orders are stored one byte each; on a host of order 255 the largest
     member still counts exactly."""
