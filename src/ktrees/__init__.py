@@ -7,7 +7,6 @@ from .core import (
     k_cliques,
     kp1_cliques,
     clique_degree,
-    k_leaves,
     adjacent_cliques,
     gen_path_type,
     gen_star_type,
@@ -22,18 +21,14 @@ from .polynomials import (
     IntPolynomial,
     subtree_poly_at_vertex,
     local_mean_order_vertex,
-    global_subtree_poly,
     global_mean_order_tree,
-    branch_decomposition,
-    local_mean_via_branches,
     jamison_ratio_check,
 )
 from .kelmans_ops import (
     TheoremReport,
     kelmans,
     partial_kelmans,
-    check_kelmans_shift,
-    check_kelmans_monotone,
+    check_kelmans,
     check_partial_kelmans_monotone,
     check_leaf_dominates_neighbor,
     path_with_leaf_predicate,
@@ -53,10 +48,8 @@ from .chartree import (
 from .oracle import (
     SubKTreeSet,
     enumerate_sub_ktrees,
-    oracle_global_poly,
+    local_members,
     oracle_global_mean,
-    oracle_local_poly,
-    oracle_local_mean,
     oracle_all_clique_means,
 )
 from .isomorphism import (

@@ -114,7 +114,7 @@ def cmd_oracle(args):
     T = _load(args)
     if args.clique:
         S = _parse_clique(args.clique)
-        members = oracle._local_members(T, S, args.cap)
+        members = oracle.local_members(T, S, args.cap)
         poly, mu = members.poly(), members.mean()
         print(f"phi(T;{_clique_label(S)}) = {poly}")
         print(f"mu(T;{_clique_label(S)}) = {format_rational(mu)}")

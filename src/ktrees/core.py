@@ -24,7 +24,6 @@ from .errors import (
     NotAClique,
     NotKTree,
     SizeTooSmall,
-    TrivialKTree,
 )
 
 Clique = tuple  # strictly sorted tuple of vertex ids
@@ -494,13 +493,6 @@ def clique_degree(T, C):
     else:
         kind = MAJOR
     return CliqueInfo(deg, kind)
-
-
-def k_leaves(T):
-    """Vertices of degree exactly k; undefined on the trivial k-tree."""
-    if T.n == T.k:
-        raise TrivialKTree("the trivial k-tree has no k-leaves")
-    return T.k_leaf_set()
 
 
 def adjacent_cliques(T, C):

@@ -25,10 +25,6 @@ class NotAClique(KTreeError):
     """A vertex set that was expected to be a clique is not one."""
 
 
-class TrivialKTree(KTreeError):
-    """Operation undefined on the trivial k-tree (n = k)."""
-
-
 class SizeTooSmall(KTreeError):
     """Requested family member is below the minimal size."""
 

@@ -5,7 +5,8 @@ to N2 = N(v) \\ N[u]; the partial variant moves only a chosen W subseteq N2.
 Each checker returns a TheoremReport whose `consistent` flag says whether
 exact equality occurred precisely when the stated condition predicts it.
 A checker validates its tree once and folds every mean over the adjacency it
-validated; the three reports on a full move come from one move.
+validated; `check_kelmans` gives the three reports on a full move from
+one move.
 """
 
 from __future__ import annotations
@@ -107,10 +108,12 @@ def _is_path(adj):
     return all(len(vs) <= 2 for vs in adj.values())
 
 
-def _kelmans_reports(tree, u, v):
-    """The reports of `check_kelmans_shift`, then `check_kelmans_monotone`,
-    from one validation, one move G = G(v->u) and the four means of u and v
-    in T and G."""
+def check_kelmans(tree, u, v):
+    """The three reports of the full move G = G(v->u), from one move and
+    the four means of u and v in T and G: mu(G;v) >= mu(T;u), equality iff
+    u is a leaf or T is a path with v a leaf; mu(T;v) >= mu(G;u), equality
+    iff u's component in T - v is a path with u as its leaf; mu(G;v) >=
+    mu(T;v), equality iff v is a leaf or T is a path with u a leaf."""
     adj = as_tree_adj(tree)
     if u not in adj or v not in adj[u]:
         raise NotAdjacent(f"{u} and {v} must be adjacent")
@@ -128,22 +131,6 @@ def _kelmans_reports(tree, u, v):
             ("mu(G(v->u); v) >= mu(T; v)", g_v, t_v, v_leaf or (path and u_leaf)),
         )
     )
-
-
-def check_kelmans_shift(tree, u, v):
-    """Both mean-order inequalities for the full move from v to u.
-
-    Returns a pair of reports: mu(G;v) >= mu(T;u) with equality iff u is a
-    leaf or T is a path with v a leaf, and mu(T;v) >= mu(G;u) with equality
-    iff the component of u in T - v is a path with u as its leaf.
-    """
-    return _kelmans_reports(tree, u, v)[:2]
-
-
-def check_kelmans_monotone(tree, u, v):
-    """mu(G(v->u); v) >= mu(T; v); equality iff v is a leaf or T is a path
-    with u as a leaf."""
-    return _kelmans_reports(tree, u, v)[2]
 
 
 def check_partial_kelmans_monotone(tree, u, v, moved):

@@ -36,6 +36,12 @@ polynomials, means and sizes count bytes, never members; the all-clique
 means read each clique's count off its selector and its order total off
 the order column.
 
+Entry points.  `enumerate_sub_ktrees` gives every member, or those that
+contain a vertex set; `local_members` gives those that contain a vertex
+set it has checked to be a sub-k-tree.  A caller reads a polynomial or a
+mean off the returned set (`.poly()`, `.mean()`).  `oracle_global_mean`,
+`oracle_all_clique_means` and `oracle_argmax_cliques` give the means.
+
 One enumeration per host.  Every entry point reads the full set of its host
 from one slot, `_host_set`, which grows the members (and later builds the
 columns) once per host object.  The slot is keyed by identity, never by
@@ -287,28 +293,15 @@ def is_sub_ktree(T, S):
     return True
 
 
-def oracle_global_poly(T, cap=DEFAULT_CAP):
-    return _host_set(T, cap).poly()
-
-
 def oracle_global_mean(T, cap=DEFAULT_CAP):
     return _host_set(T, cap).mean()
 
 
-def _local_members(T, S, cap):
+def local_members(T, S, cap=DEFAULT_CAP):
     """Members containing S, after checking that S is itself a sub-k-tree."""
     if not is_sub_ktree(T, S):
         raise NotASubKTree(f"{tuple(S)} does not induce a sub-k-tree")
     return enumerate_sub_ktrees(T, required=S, cap=cap)
-
-
-def oracle_local_poly(T, S, cap=DEFAULT_CAP):
-    """Generating polynomial of sub-k-trees containing the sub-k-tree S."""
-    return _local_members(T, S, cap).poly()
-
-
-def oracle_local_mean(T, S, cap=DEFAULT_CAP):
-    return _local_members(T, S, cap).mean()
 
 
 def oracle_all_clique_means(T, cap=DEFAULT_CAP):
@@ -334,10 +327,8 @@ __all__ = [
     "SubKTreeSet",
     "enumerate_sub_ktrees",
     "is_sub_ktree",
+    "local_members",
     "oracle_all_clique_means",
     "oracle_argmax_cliques",
     "oracle_global_mean",
-    "oracle_global_poly",
-    "oracle_local_mean",
-    "oracle_local_poly",
 ]

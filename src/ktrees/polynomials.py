@@ -18,12 +18,10 @@ as fixed-width digits that the pair's phi(1) bounds, and unpack it once.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
 from decimal import Decimal, ROUND_HALF_EVEN, localcontext
 from fractions import Fraction
 
-from .errors import NotAdjacent, NotATree
+from .errors import NotATree
 
 
 class IntPolynomial:
@@ -253,15 +251,6 @@ def local_mean_order_vertex(tree, u):
     return _local_mean(_tree_at(tree, u), u)
 
 
-def global_subtree_poly(tree):
-    """Generating polynomial of all subtrees, by order."""
-    adj = as_tree_adj(tree)
-    total = IntPolynomial()
-    for v, gone in _prefix_roots(adj):
-        total = total + _phi_poly(_bfs_tree(adj, v, gone))
-    return total
-
-
 def global_mean_order_tree(tree):
     adj = as_tree_adj(tree)
     count = total = 0
@@ -270,106 +259,6 @@ def global_mean_order_tree(tree):
         count += c
         total += t
     return Fraction(total, count)
-
-
-# -- two-vertex branch decomposition ------------------------------------------
-
-
-@dataclass(frozen=True)
-class BranchDecomposition:
-    """Branch data of a tree around an edge (u, v).
-
-    For each component of T - {u, v} hanging off u (resp. v), the pair
-    (phi(1), phi'(1)) of its subtree polynomial rooted at the contact
-    vertex.  alpha/beta are the products of (1 + phi(1)); delta/theta the
-    sums of phi'(1)/(1 + phi(1)).
-    """
-
-    u: object
-    v: object
-    u_branches: tuple  # (contact_vertex, phi1, dphi1) per component off u
-    v_branches: tuple
-
-    @property
-    def alphas(self):
-        return tuple(b[1] for b in self.u_branches)
-
-    @property
-    def alpha_primes(self):
-        return tuple(b[2] for b in self.u_branches)
-
-    @property
-    def betas(self):
-        return tuple(b[1] for b in self.v_branches)
-
-    @property
-    def beta_primes(self):
-        return tuple(b[2] for b in self.v_branches)
-
-    @property
-    def alpha(self):
-        return math.prod(1 + a for a in self.alphas)
-
-    @property
-    def beta(self):
-        return math.prod(1 + b for b in self.betas)
-
-    @property
-    def delta(self):
-        return sum(
-            (Fraction(da, 1 + a) for a, da in zip(self.alphas, self.alpha_primes)),
-            Fraction(0),
-        )
-
-    @property
-    def theta(self):
-        return sum(
-            (Fraction(db, 1 + b) for b, db in zip(self.betas, self.beta_primes)),
-            Fraction(0),
-        )
-
-    def phi_at_one(self, side):
-        """phi_{T,side}(1) reconstructed from the branch data."""
-        a, b, _, _ = self._oriented(side)
-        return a + a * b
-
-    def phi_prime_at_one(self, side):
-        """phi'_{T,side}(1) reconstructed from the branch data."""
-        a, b, d, t = self._oriented(side)
-        val = (1 + d) * a + (2 + d + t) * a * b
-        assert val.denominator == 1
-        return val.numerator
-
-    def _oriented(self, side):
-        """(alpha, beta, delta, theta) as seen from the endpoint `side`."""
-        if side == self.u:
-            return self.alpha, self.beta, self.delta, self.theta
-        if side == self.v:
-            return self.beta, self.alpha, self.theta, self.delta
-        raise NotAdjacent(f"{side} is neither endpoint of the decomposed edge")
-
-
-def branch_decomposition(tree, u, v):
-    """Exact branch data for adjacent u, v; components of T - {u, v}."""
-    adj = as_tree_adj(tree)
-    if u not in adj or v not in adj or v not in adj[u]:
-        raise NotAdjacent(f"{u} and {v} are not adjacent")
-
-    uv = frozenset((u, v))
-
-    def side(x, other):
-        return tuple(
-            (w, *_phi_pair(_bfs_tree(adj, w, uv)))
-            for w in sorted(adj[x] - {other}, key=node_key)
-        )
-
-    return BranchDecomposition(u, v, side(u, v), side(v, u))
-
-
-def local_mean_via_branches(d, side):
-    """mu(T; side) from a branch decomposition alone, exact."""
-    a, b, dd, tt = d._oriented(side)
-    return (1 + dd + 2 * b + b * (dd + tt)) / Fraction(1 + b)
 
 
 def jamison_ratio_check(tree, u):

@@ -60,12 +60,12 @@ from .errors import BadK, KTreeError, NotATree, SizeTooSmall, TooLarge, UnknownS
 from .isomorphism import iso_levels, require_class_order
 from .kelmans_ops import (
     TheoremReport,
-    _kelmans_reports,
+    check_kelmans,
     check_leaf_dominates_neighbor,
     check_partial_kelmans_monotone,
     path_with_leaf_predicate,
 )
-from .oracle import DEFAULT_CAP, enumerate_sub_ktrees, oracle_argmax_cliques
+from .oracle import DEFAULT_CAP, MAX_ORDER, enumerate_sub_ktrees, oracle_argmax_cliques
 from .polynomials import (
     fraction_str,
     format_decimal,
@@ -169,6 +169,11 @@ class SuiteConfig:
         if lo > self.max_n:
             raise SizeTooSmall(
                 f"suite {self.suite!r} has no host of order {lo}..{self.max_n}"
+            )
+        if suite.oracle_hosts and self.max_n > min(self.cap, MAX_ORDER):
+            raise TooLarge(
+                f"suite {self.suite!r} enumerates every host; order {self.max_n} "
+                f"exceeds enumeration cap {min(self.cap, MAX_ORDER)}"
             )
         if suite.family:
             if self.max_n > FAMILY_GUARD:
@@ -279,7 +284,7 @@ def check_kelmans_suite(T, cfg):
     adj = tree_adjacency(T)
     for u in sorted(adj):
         for v in sorted(adj[u]):
-            yield from _kelmans_reports(adj, u, v)
+            yield from check_kelmans(adj, u, v)
 
 
 def check_partial_kelmans_suite(T, cfg):
@@ -511,7 +516,9 @@ class Suite:
     labeled or random builds, random ones named by `random_id`) for the
     configured ks, or for k = 1 when `trees`; or, whatever the mode, the
     (instance_id, host) pairs family(ks, ns) for the family parameters n
-    from `least` to max_n.  Every k lies in least_k..K_GUARD.
+    from `least` to max_n.  Every k lies in least_k..K_GUARD.  When
+    `oracle_hosts`, the oracle enumerates every host, so max_n must lie
+    within the enumeration cap.
 
     The checker returns the fields of a `Found` for a host, at least
     (violations, tallies), or, when `equality_key` is set, yields
@@ -524,6 +531,7 @@ class Suite:
     least_k: int = 1
     equality_key: str = None
     random_id: str = "k{k}-n{n}-r{s}"
+    oracle_hosts: bool = False
 
 
 SUITES = {
@@ -536,7 +544,7 @@ SUITES = {
         check_partial_kelmans_suite, trees=True, equality_key="equality"
     ),
     "leaf-dominance": Suite(check_leaf_dominance, trees=True, equality_key="equality"),
-    "local-mean-reduction": Suite(check_local_mean_reduction),
+    "local-mean-reduction": Suite(check_local_mean_reduction, oracle_hosts=True),
     "chartree-adjacency": Suite(check_chartree_adjacency),
     "nonmajor-max": Suite(check_nonmajor_max),
     "end-clique-dominance": Suite(

@@ -1,11 +1,15 @@
-"""Shared corpora for the test suite, cached per session."""
+"""Shared corpora for the test suite, cached per session, and the branch
+form of a tree's local mean as an independent reference."""
 
+import math
 import random
+from fractions import Fraction
 from functools import lru_cache
 
 import pytest
 
 from ktrees import core
+from ktrees.polynomials import _bfs_tree, _phi_pair
 from ktrees.isomorphism import enumerate_ktrees_up_to_iso
 
 
@@ -42,3 +46,22 @@ def trees_upto(n):
 def small_trees():
     """All tree classes with up to 8 vertices."""
     return trees_upto(8)
+
+
+def branch_mean(adj, u, v):
+    """mu(T; u) in the closed form over the branches at the edge uv (Wagner
+    and Wang 2016).  Each component of T - {u, v}, rooted at its neighbour
+    of u or v, enters only through its pair (phi(1), phi'(1)).  Over the
+    branches at v, beta is the product of (1 + phi(1)) and theta the sum of
+    phi'(1) / (1 + phi(1)); delta is that sum at u.  Then mu(T; u) is
+    (1 + delta + 2 beta + beta (delta + theta)) / (1 + beta)."""
+    uv = frozenset((u, v))
+
+    def side(x, other):
+        pairs = [_phi_pair(_bfs_tree(adj, w, uv)) for w in adj[x] - {other}]
+        return (math.prod(1 + c for c, _ in pairs),
+                sum((Fraction(t, 1 + c) for c, t in pairs), Fraction(0)))
+
+    delta = side(u, v)[1]
+    beta, theta = side(v, u)
+    return (1 + delta + 2 * beta + beta * (delta + theta)) / (1 + beta)

@@ -17,20 +17,14 @@ from ktrees import chartree as CT
 from ktrees import core, oracle, verify as V
 from ktrees.isomorphism import enumerate_ktrees_up_to_iso
 from ktrees.kelmans_ops import (
-    check_kelmans_monotone,
-    check_kelmans_shift,
+    check_kelmans,
     check_leaf_dominates_neighbor,
     check_partial_kelmans_monotone,
 )
-from ktrees.polynomials import (
-    branch_decomposition,
-    global_mean_order_tree,
-    local_mean_order_vertex,
-    local_mean_via_branches,
-)
+from ktrees.polynomials import global_mean_order_tree, local_mean_order_vertex
 from ktrees.verify import tree_adjacency
 
-from conftest import ktree_classes, trees_upto
+from conftest import branch_mean, ktree_classes, trees_upto
 
 RANDOM_MASTER_SEED = 20_260_810
 RANDOM_TRIALS = 500
@@ -155,8 +149,7 @@ def test_criterion_04_kelmans_biconditionals():
         adj = tree_adjacency(T)
         for u in sorted(adj):
             for v in sorted(adj[u]):
-                for rep in (*check_kelmans_shift(adj, u, v),
-                            check_kelmans_monotone(adj, u, v)):
+                for rep in check_kelmans(adj, u, v):
                     checked += 1
                     if not rep.ok:
                         bad.append((T.edges(), u, v, rep.claim))
@@ -332,8 +325,7 @@ def test_criterion_10_cross_path_consistency():
             if direct != full.restricted((u,)).mean():
                 bad.append((T.edges(), u, "oracle"))
             for v in sorted(adj[u]):
-                d = branch_decomposition(adj, u, v)
-                if local_mean_via_branches(d, u) != direct:
+                if branch_mean(adj, u, v) != direct:
                     bad.append((T.edges(), u, v, "branch"))
     ok = not bad
     line = _emit(

@@ -15,7 +15,6 @@ from ktrees.errors import (
     NotAClique,
     NotKTree,
     SizeTooSmall,
-    TrivialKTree,
 )
 
 from conftest import ktree_classes
@@ -84,7 +83,7 @@ def test_recognize_rejects_nonsimplicial_degree_k_vertex():
 def test_recognize_k4_minus_edge():
     T = core.recognize_ktree([(1, 2), (1, 3), (1, 4), (2, 3), (3, 4)], 2)
     assert T.n == 4
-    assert core.k_leaves(T) == (2, 4)
+    assert T.k_leaf_set() == (2, 4)
 
 
 def test_recognize_rejects_disconnected():
@@ -152,12 +151,9 @@ def test_require_k_clique_accepts_exactly_the_k_cliques():
 
 def test_k_leaves():
     T = core.build_from_construction(2, [(3, (1, 2))])
-    assert core.k_leaves(T) == (1, 2, 3)  # every vertex of K_{k+1}
-    assert core.k_leaves(four_vertex()) == (2, 4)
-    p5 = core.gen_path_type(1, 5)
-    assert core.k_leaves(p5) == (1, 5)
-    with pytest.raises(TrivialKTree):
-        core.k_leaves(core.build_from_construction(2, []))
+    assert T.k_leaf_set() == (1, 2, 3)  # every vertex of K_{k+1}
+    assert four_vertex().k_leaf_set() == (2, 4)
+    assert core.gen_path_type(1, 5).k_leaf_set() == (1, 5)
 
 
 def test_adjacent_cliques():
@@ -216,7 +212,7 @@ def test_gen_path_type_has_two_k_leaves():
     for k in (1, 2, 3):
         for n in range(k + 2, k + 6):
             T = core.gen_path_type(k, n)
-            assert len(core.k_leaves(T)) == 2
+            assert len(T.k_leaf_set()) == 2
 
 
 def test_gen_star_type_attaches_to_base():
@@ -234,7 +230,7 @@ def test_gen_bristled_star_structure():
         drop = (i - 1) % 3 + 1
         mid = tuple(sorted({3 + i} | (set(base) - {drop})))
         assert core.clique_degree(T, mid).degree == 2
-    leaves = core.k_leaves(T)
+    leaves = T.k_leaf_set()
     assert leaves == (7, 8, 9)
     with pytest.raises(SizeTooSmall):
         core.gen_bristled_star(3, 2)
@@ -278,7 +274,7 @@ def test_random_ktree_invariants(k, extra, seed):
     R = core.recognize_ktree(T.edges(), k, n=n)
     assert R.edges() == T.edges()
     if n >= k + 2:
-        leaves = core.k_leaves(T)
+        leaves = T.k_leaf_set()
         assert len(leaves) >= 2
         assert not any(
             T.has_edge(a, b) for a in leaves for b in leaves if a < b

@@ -89,35 +89,35 @@ def test_swap_isomorphism_small_trees():
 
 
 def test_shift_reports_on_p4():
-    rep2, rep3 = K.check_kelmans_shift(P4, 2, 3)
+    rep2, rep3, _ = K.check_kelmans(P4, 2, 3)
     assert (rep2.lhs, rep2.rhs) == (Fraction(13, 5), Fraction(5, 2))
     assert rep2.inequality_holds and not rep2.equality and rep2.consistent
     assert rep3.inequality_holds and rep3.consistent
 
 
 def test_shift_equality_when_u_is_leaf():
-    rep2, _ = K.check_kelmans_shift(P4, 1, 2)
+    rep2, _, _ = K.check_kelmans(P4, 1, 2)
     assert rep2.equality and rep2.predicted_equality
 
 
 def test_shift_p2_both_tight():
     p2 = {1: {2}, 2: {1}}
-    rep2, rep3 = K.check_kelmans_shift(p2, 1, 2)
+    rep2, rep3, _ = K.check_kelmans(p2, 1, 2)
     assert rep2.equality and rep3.equality
     assert rep2.consistent and rep3.consistent
 
 
 def test_monotone_on_p4_middle():
-    rep = K.check_kelmans_monotone(P4, 2, 3)
+    rep = K.check_kelmans(P4, 2, 3)[2]
     assert (rep.lhs, rep.rhs) == (Fraction(13, 5), Fraction(5, 2))
     assert not rep.equality and rep.consistent
 
 
 def test_monotone_star_examples():
-    rep = K.check_kelmans_monotone(STAR, 2, 1)  # move away from the center
+    rep = K.check_kelmans(STAR, 2, 1)[2]  # move away from the center
     assert (rep.lhs, rep.rhs) == (Fraction(13, 5), Fraction(5, 2))
     assert rep.ok
-    rep = K.check_kelmans_monotone(P4, 2, 1)  # v=1 is a leaf: equality
+    rep = K.check_kelmans(P4, 2, 1)[2]  # v=1 is a leaf: equality
     assert rep.equality and rep.predicted_equality
 
 
@@ -213,8 +213,7 @@ def test_all_checkers_consistent_small(small_trees):
         adj = tree_adjacency(T)
         for u in sorted(adj):
             for v in sorted(adj[u]):
-                rep2, rep3 = K.check_kelmans_shift(adj, u, v)
-                mono = K.check_kelmans_monotone(adj, u, v)
+                rep2, rep3, mono = K.check_kelmans(adj, u, v)
                 assert rep2.ok and rep3.ok and mono.ok, (T.edges(), u, v)
         for v in sorted(adj):
             if len(adj[v]) == 1:
@@ -271,6 +270,4 @@ def test_random_tree_kelmans_inequalities(n, seed):
     adj = tree_adjacency(T)
     u = min(adj)
     v = min(adj[u])
-    rep2, rep3 = K.check_kelmans_shift(adj, u, v)
-    assert rep2.inequality_holds and rep3.inequality_holds
-    assert K.check_kelmans_monotone(adj, u, v).inequality_holds
+    assert all(rep.inequality_holds for rep in K.check_kelmans(adj, u, v))

@@ -38,31 +38,34 @@ def test_enumerate_with_required():
 
 
 def test_global_poly_examples():
-    assert O.oracle_global_poly(triangle()) == IntPolynomial((0, 0, 3, 1))
+    assert O.enumerate_sub_ktrees(triangle()).poly() == IntPolynomial((0, 0, 3, 1))
     assert O.oracle_global_mean(triangle()) == Fraction(9, 4)
     k2 = core.build_from_construction(1, [(2, (1,))])
-    assert O.oracle_global_poly(k2) == IntPolynomial((0, 2, 1))
+    assert O.enumerate_sub_ktrees(k2).poly() == IntPolynomial((0, 2, 1))
     assert O.oracle_global_mean(k2) == Fraction(4, 3)
     trivial = core.build_from_construction(3, [])
-    assert O.oracle_global_poly(trivial) == IntPolynomial((0, 0, 0, 1))
+    assert O.enumerate_sub_ktrees(trivial).poly() == IntPolynomial((0, 0, 0, 1))
     assert O.oracle_global_mean(trivial) == 3
 
 
 def test_local_poly_examples():
-    assert O.oracle_local_poly(triangle(), (1, 2)) == IntPolynomial((0, 0, 1, 1))
-    assert O.oracle_local_mean(triangle(), (1, 2)) == Fraction(5, 2)
+    members = O.local_members(triangle(), (1, 2))
+    assert members.poly() == IntPolynomial((0, 0, 1, 1))
+    assert members.mean() == Fraction(5, 2)
     T = four_vertex()
-    assert O.oracle_local_poly(T, (1, 2)) == IntPolynomial((0, 0, 1, 1, 1))
-    assert O.oracle_local_mean(T, (1, 2)) == 3
-    assert O.oracle_local_poly(T, (1, 2, 3, 4)) == IntPolynomial((0, 0, 0, 0, 1))
-    assert O.oracle_local_mean(T, (1, 2, 3, 4)) == 4
+    members = O.local_members(T, (1, 2))
+    assert members.poly() == IntPolynomial((0, 0, 1, 1, 1))
+    assert members.mean() == 3
+    members = O.local_members(T, (1, 2, 3, 4))
+    assert members.poly() == IntPolynomial((0, 0, 0, 0, 1))
+    assert members.mean() == 4
 
 
 def test_local_rejects_non_sub_ktree():
     with pytest.raises(NotASubKTree):
-        O.oracle_local_poly(four_vertex(), (2, 4))
+        O.local_members(four_vertex(), (2, 4))
     with pytest.raises(NotASubKTree):
-        O.oracle_local_mean(four_vertex(), (2,))  # too small for k=2
+        O.local_members(four_vertex(), (2,))  # too small for k=2
 
 
 def test_all_clique_means_examples():
@@ -123,7 +126,7 @@ def test_filter_monotone_and_totals():
 def test_path_subtree_closed_form():
     for n in range(1, 11):
         T = core.gen_path_type(1, n)
-        assert O.oracle_global_poly(T)(1) == n * (n + 1) // 2
+        assert O.enumerate_sub_ktrees(T).poly()(1) == n * (n + 1) // 2
 
 
 def test_cap_guard():
@@ -355,9 +358,8 @@ def test_one_host_is_grown_once_across_the_entry_points(grown):
     full = O.enumerate_sub_ktrees(T)
     assert O.enumerate_sub_ktrees(T) is full
     assert O.enumerate_sub_ktrees(T, required=(1, 2)) == full.restricted((1, 2))
-    assert O.oracle_local_poly(T, (1, 2)) == IntPolynomial((0, 0, 1, 1, 1))
-    assert O.oracle_local_mean(T, (1, 2)) == 3
-    assert O.oracle_global_poly(T) == full.poly()
+    assert O.local_members(T, (1, 2)).poly() == IntPolynomial((0, 0, 1, 1, 1))
+    assert O.local_members(T, (1, 2)).mean() == 3
     assert O.oracle_global_mean(T) == full.mean()
     columns = full._columns
     means = O.oracle_all_clique_means(T)
@@ -397,12 +399,12 @@ def test_cap_and_required_are_checked_on_every_call(grown):
     O.enumerate_sub_ktrees(T)
     with pytest.raises(TooLarge):
         O.enumerate_sub_ktrees(T, cap=9)
-    for call in (O.oracle_global_poly, O.oracle_global_mean,
-                 O.oracle_all_clique_means, O.oracle_argmax_cliques):
+    for call in (O.oracle_global_mean, O.oracle_all_clique_means,
+                 O.oracle_argmax_cliques):
         with pytest.raises(TooLarge):
             call(T, cap=9)
     with pytest.raises(TooLarge):
-        O.oracle_local_poly(T, (1, 2), cap=9)
+        O.local_members(T, (1, 2), cap=9)
     for host in (T, four_vertex()):  # in the slot, and a host never grown
         for bad in ((0,), (host.n + 1,)):
             with pytest.raises(NotASubKTree):

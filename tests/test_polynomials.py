@@ -1,4 +1,5 @@
-"""Subtree polynomials, branch decompositions, and the ratio inequality."""
+"""Subtree polynomials, the branch form of the local mean, and the ratio
+inequality."""
 
 import math
 import random
@@ -8,8 +9,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ktrees import core, oracle, polynomials as P
-from ktrees.errors import NotAdjacent, NotATree
+from ktrees.errors import NotATree
 from ktrees.verify import tree_adjacency
+
+from conftest import branch_mean
 
 STAR = {1: {2, 3, 4}, 2: {1}, 3: {1}, 4: {1}}
 P4 = {1: {2}, 2: {1, 3}, 3: {2, 4}, 4: {3}}
@@ -55,49 +58,27 @@ def test_local_mean_examples():
 
 
 def test_global_examples():
-    assert P.global_subtree_poly(P4)(1) == 10
     assert P.global_mean_order_tree(P4) == 2  # (n+2)/3 with n=4
-    assert P.global_subtree_poly(K1).coeffs == (0, 1)
     assert P.global_mean_order_tree(K1) == 1
-    star_poly = P.global_subtree_poly(STAR)
-    assert star_poly(1) == 11
-    assert P.global_mean_order_tree(STAR) == Fraction(23, 11)
+    assert P.global_mean_order_tree(STAR) == Fraction(23, 11)  # 11 subtrees
 
 
 def test_not_a_tree_errors():
     with pytest.raises(NotATree):
         P.subtree_poly_at_vertex({1: {2, 3}, 2: {1, 3}, 3: {1, 2}}, 1)  # cycle
     with pytest.raises(NotATree):
-        P.global_subtree_poly({1: {2}, 2: {1}, 3: set()})  # disconnected
+        P.global_mean_order_tree({1: {2}, 2: {1}, 3: set()})  # disconnected
     with pytest.raises(NotATree):
         P.subtree_poly_at_vertex({1: {2}, 2: {1, 3}, 3: {2}}, 9)  # missing vertex
     with pytest.raises(NotATree):
         P.jamison_ratio_check({1: {2}, 2: {1, 3}, 3: {2}}, 9)
 
 
-def test_branch_decomposition_examples():
-    d = P.branch_decomposition(P2, 1, 2)
-    assert d.alphas == () and d.betas == ()
-    assert d.alpha == 1 and d.beta == 1
-
-    d = P.branch_decomposition(P4, 2, 3)
-    assert d.alphas == (1,) and d.betas == (1,)
-    assert d.alpha == 2 and d.beta == 2
-
-    d = P.branch_decomposition(STAR, 1, 2)
-    assert d.alphas == (1, 1) and d.alpha == 4 and d.beta == 1
-
-    with pytest.raises(NotAdjacent):
-        P.branch_decomposition(P4, 1, 3)
-
-
 def test_local_mean_via_branches_examples():
-    d = P.branch_decomposition(P2, 1, 2)
-    assert P.local_mean_via_branches(d, 1) == Fraction(3, 2)
-    d = P.branch_decomposition(P4, 2, 3)
-    assert P.local_mean_via_branches(d, 2) == Fraction(5, 2)
-    d = P.branch_decomposition(STAR, 1, 2)
-    assert P.local_mean_via_branches(d, 1) == Fraction(5, 2)
+    assert branch_mean(P2, 1, 2) == Fraction(3, 2)
+    assert branch_mean(P4, 2, 3) == Fraction(5, 2)
+    assert branch_mean(STAR, 1, 2) == Fraction(5, 2)
+    assert branch_mean(STAR, 2, 1) == Fraction(13, 5)
 
 
 def test_jamison_ratio_examples():
@@ -126,28 +107,9 @@ def test_branch_reconstruction_and_cross_path(small_trees):
     for T in small_trees:
         adj = tree_adjacency(T)
         for u in sorted(adj):
-            direct = P.subtree_poly_at_vertex(adj, u)
+            direct = P.local_mean_order_vertex(adj, u)
             for v in sorted(adj[u]):
-                d = P.branch_decomposition(adj, u, v)
-                assert d.phi_at_one(u) == direct(1)
-                assert d.phi_prime_at_one(u) == direct.derivative()(1)
-                assert P.local_mean_via_branches(d, u) == P.local_mean_order_vertex(
-                    adj, u
-                )
-                assert P.local_mean_via_branches(d, v) == P.local_mean_order_vertex(
-                    adj, v
-                )
-
-
-def test_branch_ratio_bound(small_trees):
-    # each branch satisfies phi'/(1+phi) <= phi/2
-    for T in small_trees:
-        adj = tree_adjacency(T)
-        for u in sorted(adj):
-            for v in sorted(adj[u]):
-                d = P.branch_decomposition(adj, u, v)
-                for a, da in zip(d.alphas, d.alpha_primes):
-                    assert Fraction(da, 1 + a) <= Fraction(a, 2)
+                assert branch_mean(adj, u, v) == direct
 
 
 def test_global_bound_equality_on_paths(small_trees):
@@ -257,7 +219,7 @@ def test_phi_pair_matches_dense_polynomial_on_random_trees():
 def test_means_from_pairs_match_dense_polynomials(small_trees):
     for T in small_trees:
         adj = tree_adjacency(T)
-        glob = P.global_subtree_poly(adj)
+        glob = oracle.enumerate_sub_ktrees(T).poly()
         assert P.global_mean_order_tree(adj) == Fraction(glob.derivative()(1), glob(1))
         for u in adj:
             phi = P.subtree_poly_at_vertex(adj, u)

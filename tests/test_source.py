@@ -256,3 +256,66 @@ def test_one_walk_over_a_tree_adjacency():
         tree = ast.parse((SRC / f"{name}.py").read_text(encoding="utf-8"))
         walkers |= _holders(tree, name, _grows_what_it_walks)
     assert walkers == TREE_WALKERS, f"tree walks in {sorted(walkers)}"
+
+
+BENCH = SRC.parent.parent / "bench"
+
+# public names with no program caller, each kept for the reason given
+NO_CALLER_ALLOWED = {
+    "elimination_sequence": "an independent check of recognition",
+    "gen_path_type": "one of the paper's named families",
+    "gen_star_type": "one of the paper's named families",
+}
+
+
+def _references(tree):
+    """Every name, attribute and import alias a module spells; the strings
+    of an `__all__` are none of these."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.alias):
+            names.update(filter(None, (node.name, node.asname)))
+    return names
+
+
+def _span_names(tree):
+    """The dotted attribute parts named by the entries of `SPANS`."""
+    names = set()
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+            getattr(t, "id", None) == "SPANS" for t in node.targets
+        ):
+            for entry in node.value.elts:
+                names.update(entry.elts[1].value.split("."))
+    return names
+
+
+def test_every_public_function_has_a_program_caller():
+    """An export only the tests read is code to keep with no user: every
+    public top-level function and class of the package is named by the
+    package (outside `__init__`), by the bench, or by a bench span."""
+    public, referenced = set(), set()
+    for path in sorted(SRC.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        referenced |= _references(tree)
+        public |= {
+            node.name
+            for node in tree.body
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+            and not node.name.startswith("_")
+        }
+    for path in sorted(BENCH.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        referenced |= _references(tree)
+        if path.name == "tracing.py":
+            referenced |= _span_names(tree)
+    unused = sorted(public - referenced - set(NO_CALLER_ALLOWED))
+    assert not unused, f"public names with no program caller: {unused}"
+    stale = sorted(set(NO_CALLER_ALLOWED) - (public - referenced))
+    assert not stale, f"allowlisted names that are gone or now have a caller: {stale}"

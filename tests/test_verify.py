@@ -261,6 +261,28 @@ def test_family_order_is_capped_before_any_host_is_built():
     V.SuiteConfig(suite="bristled-star", max_n=V.FAMILY_GUARD).validate()
 
 
+def test_oracle_suite_refuses_an_order_above_the_cap_before_any_host():
+    """local-mean-reduction enumerates every host, so validation refuses an
+    order above the cap in both modes; degree2-witness re-checks only the
+    witnesses within the cap, so it runs past it."""
+    for mode in (dict(), dict(mode="random", trials=3, seed=1)):
+        over = V.SuiteConfig(
+            suite="local-mean-reduction", ks=(2,), max_n=9, cap=8, **mode
+        )
+        with pytest.raises(TooLarge, match="exceeds enumeration cap 8"):
+            over.validate()
+        V.SuiteConfig(
+            suite="local-mean-reduction", ks=(2,), max_n=8, cap=8, **mode
+        ).validate()
+        V.SuiteConfig(suite="degree2-witness", ks=(2,), max_n=9, cap=8, **mode).validate()
+    for max_n, cap in ((40, V.DEFAULT_CAP), (256, 300)):  # the cap stops at MAX_ORDER
+        with pytest.raises(TooLarge):
+            V.SuiteConfig(
+                suite="local-mean-reduction", max_n=max_n, cap=cap, mode="random",
+                trials=1, seed=1,
+            ).validate()
+
+
 # the first violation of each inequality suite when one equality predicate
 # is negated, and the tally keys it keeps
 FORCED = {
