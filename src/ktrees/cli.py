@@ -30,11 +30,17 @@ def _load(args):
     return core.parse_kt(text)
 
 
-def _parse_clique(spec):
+def _parse_clique(spec, what="a vertex set"):
+    """The vertices of a comma-separated spec, sorted; a vertex named twice
+    is refused, since the spec then is not `what`."""
     try:
-        return tuple(sorted(int(x) for x in spec.split(",")))
+        C = tuple(sorted(int(x) for x in spec.split(",")))
     except ValueError:
         raise KTreeError(f"bad clique spec {spec!r}; expected e.g. 1,2") from None
+    for a, b in zip(C, C[1:]):
+        if a == b:
+            raise KTreeError(f"{spec!r} repeats vertex {a}, so it is not {what}")
+    return C
 
 
 def _clique_label(C):
@@ -57,7 +63,7 @@ def cmd_mean_order(args):
     if sum(chosen) != 1:
         raise KTreeError("choose exactly one of --clique, --all-cliques, --global")
     if args.clique:
-        C = _parse_clique(args.clique)
+        C = _parse_clique(args.clique, f"a {T.k}-clique")
         mu = chartree.local_mean_order_clique(T, C)
         print(f"mu(T;{_clique_label(C)}) = {format_rational(mu)}")
     elif args.all_cliques:
@@ -75,7 +81,7 @@ def cmd_mean_order(args):
 
 def cmd_char_tree(args):
     T = _load(args)
-    C = _parse_clique(args.clique)
+    C = _parse_clique(args.clique, f"a {T.k}-clique")
     ct = chartree.characteristic_tree(T, C)
     print(ct)
     if args.dot:

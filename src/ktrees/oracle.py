@@ -26,15 +26,19 @@ The child's frontier is `(front | masks[v]) & ~(S | v)` and its k-leaf mask
 common neighbours above C's highest vertex.  Only frontier vertices above
 the top k-leaf, or adjacent to it, can pass, so no other is tested.
 
-Restriction.  A `SubKTreeSet` keeps each member's order as one byte, so
-hosts have at most 255 vertices here, and builds on first use one
-membership column per vertex: byte i is 1 iff member i contains the vertex,
-held as an int so that columns AND bytewise.  The members containing a
-vertex set are the AND of its columns.  A restricted set takes its orders
-from that selector and spells its masks only when they are read, so
-polynomials, means and sizes count bytes, never members; the all-clique
-means read each clique's count off its selector and its order total off
-the order column.
+Restriction.  A `SubKTreeSet` builds on first use one membership column per
+vertex, an int whose bit i, counted from member 0 at the top, is 1 iff
+member i contains the vertex.  The columns are the member masks transposed
+through one array of 64-bit words per 64 vertices: byte b of every word is
+one slice of the raw array, and each of its bits is translated to ASCII
+digits and parsed base 2.  One level mask per order, 0 where no member has
+that order, is built the same way from the member orders, read one byte
+each, so hosts have at most 255 vertices here.  The members containing a vertex set are the
+AND of its columns, the selector; a restricted set keeps its selector and
+its per-order counts, the bits the selector shares with each level, and
+spells its masks only when they are read, so polynomials, means and sizes
+count bits, never members.  The all-clique means read each clique's counts
+off its selector the same way.
 
 Entry points.  `enumerate_sub_ktrees` gives every member, or those that
 contain a vertex set; `local_members` gives those that contain a vertex
@@ -44,14 +48,16 @@ mean off the returned set (`.poly()`, `.mean()`).  `oracle_global_mean`,
 
 One enumeration per host.  Every entry point reads the full set of its host
 from one slot, `_host_set`, which grows the members (and later builds the
-columns) once per host object.  The slot is keyed by identity, never by
-`KTree.__eq__`, so an equal host parsed again is grown again, and it holds
-only the most recent host: a set per host would keep every member of a
-corpus, and their columns, alive at once.  Nothing is stored on the host.
+columns and levels) once per host object.  The slot is keyed by identity,
+never by `KTree.__eq__`, so an equal host parsed again is grown again, and
+it holds only the most recent host: a set per host would keep every member
+of a corpus, and their columns, alive at once.  Nothing is stored on the host.
 """
 
 from __future__ import annotations
 
+import sys
+from array import array
 from fractions import Fraction
 from functools import cached_property
 from itertools import compress, repeat
@@ -62,10 +68,14 @@ from .errors import KTreeError, NotASubKTree, TooLarge
 from .polynomials import IntPolynomial
 
 DEFAULT_CAP = 16
-MAX_ORDER = 255  # member orders are stored one byte each
+MAX_ORDER = 255  # member orders are read one byte each
 
-# _BIT_OF[j][b] is bit j of the byte b
-_BIT_OF = tuple(bytes((b >> j) & 1 for b in range(256)) for j in range(8))
+_WORD = (1 << 64) - 1
+# _DIGIT[j][b] is bit j of the byte b as an ASCII digit
+_DIGIT = tuple(bytes(48 | (b >> j) & 1 for b in range(256)) for j in range(8))
+# _LEVEL[o][b] is the ASCII digit 1 iff the byte b is o
+_LEVEL = tuple(b"0" * o + b"1" + b"0" * (255 - o) for o in range(256))
+_KEEP = bytes.maketrans(b"01", b"\0\1")  # ASCII digits to the bytes 0 and 1
 
 
 def _required_mask(T, required):
@@ -81,25 +91,31 @@ def _required_mask(T, required):
 
 
 class SubKTreeSet:
-    """All sub-k-trees of a host, as bitmasks, optionally filtered.
+    """All sub-k-trees of a host, as bitmasks in ascending order, optionally
+    filtered.
 
-    `orders` holds each member's order, one byte each; it is computed from
-    `masks` when not given.  With a `selector` (one byte per mask, 1 for a
-    member) the members are spelled from `masks` only when first read, so a
-    restricted set that only counts never copies them.
+    A full set holds its `masks`, and its selector is -1.  A restricted set
+    holds the host's members, columns and level masks, its selector (bit i,
+    counted from member 0 at the top, is 1 iff the set keeps member i) and
+    its per-order counts, read off the selector when the set is made.  Its
+    masks are spelled out only when first read, so a restricted set that
+    only counts never copies them.
     """
 
-    def __init__(self, host, masks, orders=None, selector=None):
+    def __init__(self, host, masks, selector=-1, tables=None):
         self.host = host
-        if selector is None:
+        self._all = masks
+        self._sel = selector
+        if selector == -1:
             self.masks = masks
-        else:
-            self._source = (masks, selector)
-        self.orders = bytes(map(int.bit_count, self.masks)) if orders is None else orders
+        if tables is not None:
+            self._columns, self._levels = tables
+            self.counts = self._counts(selector)
 
     @cached_property
     def masks(self):
-        return tuple(compress(*self._source))
+        keep = format(self._sel, f"0{len(self._all)}b").encode().translate(_KEEP)
+        return tuple(compress(self._all, keep))
 
     def __eq__(self, other):
         if not isinstance(other, SubKTreeSet):
@@ -110,65 +126,83 @@ class SubKTreeSet:
         return [tuple(_mask_vertices(m)) for m in self.masks]
 
     def __len__(self):
-        return len(self.orders)
+        return len(self._all) if self._sel == -1 else sum(self.counts)
 
     @cached_property
     def _columns(self):
         """Membership column of each vertex 1..n (index 0 unused), as an int
-        whose little-endian byte i is 1 iff member i contains the vertex."""
-        n, masks = self.host.n, self.masks
+        whose bit i, counted from member 0 at the top, is 1 iff member i
+        contains the vertex."""
+        n, masks = self.host.n, self._all
+        if not masks:
+            return [0] * (n + 1)
         cols = [0]
-        for shift in range(0, n, 8):
-            # byte i of the plane holds vertices shift+1..shift+8 of member i
-            plane = bytes(map(and_, map(rshift, masks, repeat(shift)), repeat(255)))
-            for j in range(min(8, n - shift)):
-                cols.append(int.from_bytes(plane.translate(_BIT_OF[j]), "little"))
+        for shift in range(0, n, 64):
+            # word i holds vertices shift+1..shift+64 of member i
+            if n <= 64:
+                words = array("Q", masks)
+            else:
+                words = array("Q", map(and_, map(rshift, masks, repeat(shift)), repeat(_WORD)))
+            if sys.byteorder == "big":
+                words.byteswap()
+            raw = words.tobytes()
+            for byte in range(min(8, (n - shift + 7) // 8)):
+                plane = raw[byte::8]  # byte i holds 8 vertices of member i
+                for j in range(min(8, n - shift - 8 * byte)):
+                    cols.append(int(plane.translate(_DIGIT[j]), 2))
         return cols
 
     @cached_property
-    def _order_column(self):
-        """`orders` as an int, little-endian, so that it ANDs like a column."""
-        return int.from_bytes(self.orders, "little")
+    def _levels(self):
+        """Level mask of each order o = 0..n: bit i, counted from member 0 at
+        the top, is 1 iff member i has order o; 0 if no member has."""
+        orders = bytes(map(int.bit_count, self._all))
+        return [int(orders.translate(_LEVEL[o]), 2) if o in orders else 0
+                for o in range(self.host.n + 1)]
 
     def _selector(self, req):
-        """Bytewise AND of the columns of the vertices of the non-empty mask
-        `req`: byte i is 1 iff member i contains all of them."""
+        """The selector of this set ANDed with the columns of the vertices of
+        the non-empty mask `req`: bit i is 1 iff the set keeps member i and
+        member i contains all of them."""
         cols = self._columns
-        sel = -1
+        sel = self._sel
         while req:
             low = req & -req
             req ^= low
             sel &= cols[low.bit_length()]
         return sel
 
-    def _selected_orders(self, sel):
-        """`orders` with the byte of every member outside the selector `sel`
-        set to 0."""
-        return (self._order_column & sel * 255).to_bytes(len(self.orders), "little")
+    def _counts(self, sel):
+        """counts[o] is the number of members of order o that `sel` keeps,
+        o = 0..n."""
+        return [(sel & level).bit_count() for level in self._levels]
+
+    @cached_property
+    def counts(self):
+        """counts[o] is the number of members of order o, o = 0..n."""
+        return self._counts(self._sel)
 
     def restricted(self, required):
         """Members containing every vertex of `required`."""
         req = _required_mask(self.host, required)
         if not req:
             return self
-        sel = self._selector(req)
-        # every order is at least 1, so the zero bytes are the members left out
-        orders = self._selected_orders(sel)
-        return SubKTreeSet(
-            self.host,
-            self.masks,
-            orders.replace(b"\0", b""),
-            sel.to_bytes(len(orders), "little"),
-        )
+        tables = (self._columns, self._levels)
+        return SubKTreeSet(self.host, self._all, self._selector(req), tables)
 
     def poly(self):
         """Generating polynomial: coefficient of x^i counts members of order i."""
-        return IntPolynomial(list(map(self.orders.count, range(self.host.n + 1))))
+        return IntPolynomial(self.counts)
 
     def mean(self):
-        if not self.orders:
+        if not len(self):
             raise KTreeError("the mean order of an empty set of sub-k-trees")
-        return Fraction(sum(self.orders), len(self.orders))
+        return _mean(self.counts)
+
+
+def _mean(counts):
+    """Mean order of a non-empty set with counts[o] members of order o."""
+    return Fraction(sum(o * c for o, c in enumerate(counts)), sum(counts))
 
 
 def _clique_seeds(T):
@@ -309,9 +343,8 @@ def oracle_all_clique_means(T, cap=DEFAULT_CAP):
     full = _host_set(T, cap)
     out = {}
     for C in _cliques(T):
-        # members containing C, and the sum of their orders
-        sel = full._selector(_required_mask(T, C))
-        out[C] = Fraction(sum(full._selected_orders(sel)), sel.bit_count())
+        # members containing C, counted by order
+        out[C] = _mean(full._counts(full._selector(_required_mask(T, C))))
     return out
 
 

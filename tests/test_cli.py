@@ -307,7 +307,18 @@ def test_bad_arguments_exit_2(capsys):
     assert run(capsys, "no-such-command")[0] == 2
 
 
+FOUR_KT = "ktree 1\nk 2\nn 4\nbase 1 2\nadd 3 1 2\nadd 4 1 3\n"
+P4_KT = "ktree 1\nk 1\nn 4\nbase 1\nadd 2 1\nadd 3 2\nadd 4 3\n"
+
+# ("kt" | "edges", file text, flags) run `validate` on the file; ("host", file
+# text, command, flags) run the command on it; any other spec is the argv
 BAD_INPUTS = {
+    "oracle-clique-repeated": ("host", FOUR_KT, "oracle", "--clique", "3,2,3,2"),
+    "oracle-pair-repeated": ("host", FOUR_KT, "oracle", "--clique", "2,2"),
+    "mean-order-clique-repeated": ("host", FOUR_KT, "mean-order", "--clique", "1,3,1"),
+    "kelmans-move-repeated": (
+        "host", P4_KT, "kelmans", "--from", "2", "--to", "3", "--move", "1,1",
+    ),
     "base-token": ("kt", "ktree 1\nk 2\nn 3\nbase 1 x\nadd 3 1 2\n"),
     "add-token": ("kt", "ktree 1\nk 2\nn 3\nbase 1 2\nadd 3 1 x\n"),
     "add-vertex-0": ("kt", "ktree 1\nk 2\nn 3\nbase 1 2\nadd 3 0 1\n"),
@@ -405,6 +416,10 @@ def test_bad_input_exits_2(case, tmp_path, capsys):
         p = tmp_path / "bad.edges"
         p.write_text(spec[1])
         argv = ["validate", str(p), *spec[2:]]
+    elif spec[0] == "host":
+        p = tmp_path / "host.kt"
+        p.write_text(spec[1])
+        argv = [spec[2], str(p), *spec[3:]]
     else:
         argv = list(spec)
     code, _, err = run(capsys, *argv)

@@ -304,6 +304,37 @@ def test_restriction_and_means_equal_a_plain_filter():
             assert mean == Fraction(sum(map(int.bit_count, kept)), len(kept))
 
 
+def test_restriction_across_column_words():
+    """Hosts of more than 64 vertices transpose one 64-bit word per 64
+    vertices; sets that straddle a word or byte edge restrict exactly."""
+    straddling = [(64,), (65,), (64, 65), (63, 66), (128,), (129,), (128, 129),
+                  (129, 130), (1, 130), (60, 70, 100), (127, 128, 129, 130)]
+    for k in (1, 2):
+        T = core.gen_path_type(k, 130)
+        full = O.enumerate_sub_ktrees(T, cap=130)
+        for required in straddling:
+            want = _filtered(full.masks, required)
+            got = full.restricted(required)
+            assert len(got) == len(want) and got.poly() == _poly_of(want), required
+            assert got.mean() == Fraction(sum(map(int.bit_count, want)), len(want))
+            assert got.masks == want, (k, required)
+            inner = got.restricted((required[0] + 1,))
+            assert inner.masks == _filtered(want, (required[0] + 1,)), (k, required)
+
+
+def test_counting_never_spells_out_the_members():
+    """`len`, `poly` and `mean` of a restricted set read its per-order counts,
+    and those equal a plain filter on every clique of every host."""
+    for T in _growth_hosts():
+        full = O.enumerate_sub_ktrees(T)
+        for C in core.k_cliques(T):
+            want = _filtered(full.masks, C)
+            got = full.restricted(C)
+            assert len(got) == len(want) and got.poly() == _poly_of(want)
+            assert got.mean() == Fraction(sum(map(int.bit_count, want)), len(want))
+            assert "masks" not in vars(got), (T.k, T.n, C)
+
+
 def per_vertex_clique_means(T):
     """`oracle_all_clique_means` as it was, kept as a reference: each
     clique's order total is one column AND and bit count per vertex."""
@@ -316,14 +347,14 @@ def per_vertex_clique_means(T):
     return out
 
 
-def test_clique_means_from_the_order_column_match_the_per_vertex_sum():
+def test_clique_means_from_the_level_masks_match_the_per_vertex_sum():
     for T in _growth_hosts():
         assert O.oracle_all_clique_means(T) == per_vertex_clique_means(T), (T.k, T.n)
 
 
 def test_member_orders_fill_one_byte():
-    """Orders are stored one byte each; on a host of order 255 the largest
-    member still counts exactly."""
+    """Orders are read one byte each into the level masks; on a host of
+    order 255 the largest member still counts exactly."""
     T = core.gen_path_type(1, 255)
     full = O.enumerate_sub_ktrees(T, cap=300)
     assert len(full) == 255 * 256 // 2
@@ -419,4 +450,5 @@ def test_remembered_sets_equal_a_fresh_growth(empty_slot):
         again = O.enumerate_sub_ktrees(T)
         fresh = O.SubKTreeSet(T, O._grow_all(T))
         assert again is first and again == fresh, (T.k, T.n)
-        assert again.orders == fresh.orders and again._columns == fresh._columns
+        assert again.counts == fresh.counts and again._columns == fresh._columns
+        assert again._levels == fresh._levels
