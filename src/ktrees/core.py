@@ -10,10 +10,12 @@ enumeration-heavy modules operate on.
 from __future__ import annotations
 
 import random as _random
+import re
 from array import array
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import combinations
+from itertools import combinations, starmap
+from operator import eq
 
 from .errors import (
     AttachmentNotClique,
@@ -372,41 +374,38 @@ def build_from_construction(k, adds):
     return KTree.from_parts(k, range(1, k + 1), adds)
 
 
-def _neighbor_dict_from_edges(edges, n=None):
-    verts = set()
-    pairs = set()
-    for u, v in edges:
-        if u == v:
-            raise FormatError(f"self-loop at {u}")
-        a, b = (u, v) if u < v else (v, u)
-        pairs.add((a, b))
-        verts.add(u)
-        verts.add(v)
-    if n is None:
-        n = max(verts) if verts else 0
-    if verts and (min(verts) < 1 or max(verts) > n):
-        raise FormatError("vertex ids must lie in 1..n")
-    return n, pairs
-
-
 def recognize_ktree(edges, k, n=None):
     """Recognize a k-tree from an iterable of edges (plus n for isolated K_1).
 
     Repeatedly deletes the lowest-id vertex of degree k whose neighborhood
     is a clique; succeeds when K_k remains.  Returns a KTree carrying the
-    reconstructed build sequence.
+    reconstructed build sequence and the adjacency masks read off the edges.
     """
     if k < 1:
         raise BadK(f"k must be at least 1, got {k}")
-    n, pairs = _neighbor_dict_from_edges(edges, n)
+    pairs = list(edges)
+    if any(starmap(eq, pairs)):
+        raise FormatError(f"self-loop at {next(u for u, v in pairs if u == v)}")
+    if pairs:
+        lo, hi = min(map(min, pairs)), max(map(max, pairs))
+        if n is None:
+            n = hi
+        if lo < 1 or hi > n:
+            raise FormatError("vertex ids must lie in 1..n")
+    elif n is None:
+        n = 0
     if n < k:
         raise NotKTree(f"order {n} below k={k}")
-    if len(pairs) < n - 1:  # before any allocation sized by n
-        raise Disconnected(f"{len(pairs)} edges cannot connect {n} vertices")
-    masks = [0] * (n + 1)
-    for u, v in pairs:
-        masks[u] |= _bit(v)
-        masks[v] |= _bit(u)
+    if len(pairs) < n - 1:  # refused just below, so allocate nothing sized by n
+        edge_count = len({(u, v) if u < v else (v, u) for u, v in pairs})
+    else:
+        masks = [0] * (n + 1)
+        for u, v in pairs:  # duplicate and reversed pairs set the same bits
+            masks[u] |= 1 << (v - 1)
+            masks[v] |= 1 << (u - 1)
+        edge_count = sum(map(int.bit_count, masks)) // 2
+    if edge_count < n - 1:
+        raise Disconnected(f"{edge_count} edges cannot connect {n} vertices")
     # connectivity
     if n >= 1:
         seen = _bit(1)
@@ -422,20 +421,20 @@ def recognize_ktree(edges, k, n=None):
             seen |= nxt
         if seen != (1 << n) - 1:
             raise Disconnected(f"graph on 1..{n} is not connected")
-    if len(pairs) != k * n - k * (k + 1) // 2:
+    if edge_count != k * n - k * (k + 1) // 2:
         raise NotKTree(
-            f"edge count {len(pairs)} != {k * n - k * (k + 1) // 2} required for a k-tree"
+            f"edge count {edge_count} != {k * n - k * (k + 1) // 2} required for a k-tree"
         )
     peeled = _peel_k_leaves(k, list(masks), 0)
-    alive = (1 << n) - 1 - sum(_bit(v) for v, _ in peeled)
+    rest = sorted(set(range(1, n + 1)).difference(v for v, _ in peeled))
     if len(peeled) != n - k:
-        raise NotKTree(
-            f"no simplicial degree-{k} vertex among {_mask_vertices(alive)}"
-        )
-    rest = _mask_vertices(alive)
+        raise NotKTree(f"no simplicial degree-{k} vertex among {rest}")
+    alive = sum(map(_bit, rest))
     if not all(masks[v] & alive == alive & ~_bit(v) for v in rest):
         raise NotKTree(f"residue {rest} is not K_{k}")
-    return KTree.from_parts(k, rest, peeled[::-1], validate=False)
+    # Each peel removed its vertex with its k edges, and the edge count leaves
+    # exactly the K_k of the residue, so the records rebuild these masks.
+    return KTree(k, rest, peeled[::-1], masks)
 
 
 def k_cliques(T):
@@ -652,8 +651,21 @@ def format_kt(T):
     return "\n".join(lines) + "\n", relabel
 
 
-def parse_edge_list(text, k, n=None):
-    """Parse 'u v' lines and recognize the result as a k-tree."""
+# text whose every line is two decimal ids, with no comment or blank line;
+# the possessive `*+` keeps no backtracking state per line
+_PLAIN_EDGE = r"[ \t]*[0-9]+[ \t]+[0-9]+[ \t]*"
+_PLAIN_EDGE_LIST = re.compile(rf"(?:{_PLAIN_EDGE}\r?\n)*+(?:{_PLAIN_EDGE})?")
+
+
+def _edge_pairs(text):
+    """The (u, v) pairs of an edge list, read in bulk when every line is two
+    decimal ids, else line by line."""
+    if _PLAIN_EDGE_LIST.fullmatch(text):
+        ids = map(int, text.split())
+        try:
+            return list(zip(ids, ids))
+        except ValueError:  # an id past int()'s digit limit: the loop says where
+            pass
     edges = []
     for ln in text.splitlines():
         ln = ln.strip()
@@ -666,4 +678,9 @@ def parse_edge_list(text, k, n=None):
             edges.append((int(parts[0]), int(parts[1])))
         except ValueError:
             raise FormatError(f"bad edge line: {ln!r}") from None
-    return recognize_ktree(edges, k, n=n)
+    return edges
+
+
+def parse_edge_list(text, k, n=None):
+    """Parse 'u v' lines and recognize the result as a k-tree."""
+    return recognize_ktree(_edge_pairs(text), k, n=n)

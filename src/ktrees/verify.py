@@ -29,7 +29,6 @@ import os
 import random as _random
 import time
 from collections import Counter
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, asdict
 from fractions import Fraction
 from typing import NamedTuple
@@ -623,6 +622,14 @@ def _chunk_payloads(cfg, chunk=400):
         yield (cfg, batch)
 
 
+def _pool(workers):
+    """A process pool of `workers` workers.  Only --jobs > 1 needs one, so
+    every other run is spared importing multiprocessing."""
+    from concurrent.futures import ProcessPoolExecutor
+
+    return ProcessPoolExecutor(max_workers=workers)
+
+
 def _run_corpus(cfg):
     """Validate cfg and return the merged Found of its suite over its corpus,
     checked serially or in chunks over at most one worker per CPU."""
@@ -630,7 +637,7 @@ def _run_corpus(cfg):
     if cfg.jobs == 1:
         return _merge(_check_hosts(suite, cfg, iter_corpus(cfg)))
     workers = min(cfg.jobs, os.cpu_count() or 1)
-    with ProcessPoolExecutor(max_workers=workers) as pool:
+    with _pool(workers) as pool:
         return _merge(pool.map(_run_chunk, _chunk_payloads(cfg)))
 
 

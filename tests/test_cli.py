@@ -1,7 +1,11 @@
 """End-to-end coverage of the command-line interface."""
 
 import json
+import os
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
@@ -34,6 +38,23 @@ def run(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr()
     return code, out.out, out.err
+
+
+def test_cli_import_leaves_the_process_pool_unloaded():
+    """Only --jobs > 1 starts a pool; importing multiprocessing costs every
+    other run about half its start-up."""
+    src = Path(verify.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, (str(src), os.environ.get("PYTHONPATH")))
+    ))
+    code = (
+        "import sys, ktrees.cli\n"
+        "print(sorted({'multiprocessing', 'concurrent.futures.process'} & set(sys.modules)))"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.split() == ["[]"]
 
 
 def test_validate(tri_kt, capsys):

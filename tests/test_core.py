@@ -1,5 +1,7 @@
 """k-tree construction, recognition, cliques, generators, and text formats."""
 
+import random
+import tracemalloc
 from itertools import product
 
 import pytest
@@ -8,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 from ktrees import core
 from ktrees.errors import (
     AttachmentNotClique,
+    BadK,
     BadVertexOrder,
     Disconnected,
     FormatError,
@@ -392,3 +395,170 @@ def test_parse_edge_list_parses_or_raises_ktree_error(text, k, n):
         core.parse_edge_list(text, k, n=n)
     except KTreeError:
         pass
+
+
+# -- recognition against the reference path ------------------------------------
+#
+# The reference parses line by line, collects a set of sorted pairs, and
+# builds the masks twice: once from the pairs to peel, then again in
+# `KTree.from_parts` from the peel records.  The program reads plain text in
+# bulk and keeps the masks it ORs together from the pairs.
+
+
+def _reference_edges(text):
+    edges = []
+    for ln in text.splitlines():
+        ln = ln.strip()
+        if not ln or ln.startswith("#"):
+            continue
+        parts = ln.split()
+        if len(parts) != 2:
+            raise FormatError(f"bad edge line: {ln!r}")
+        try:
+            edges.append((int(parts[0]), int(parts[1])))
+        except ValueError:
+            raise FormatError(f"bad edge line: {ln!r}") from None
+    return edges
+
+
+def _reference_neighbor_dict(edges, n=None):
+    verts = set()
+    pairs = set()
+    for u, v in edges:
+        if u == v:
+            raise FormatError(f"self-loop at {u}")
+        a, b = (u, v) if u < v else (v, u)
+        pairs.add((a, b))
+        verts.add(u)
+        verts.add(v)
+    if n is None:
+        n = max(verts) if verts else 0
+    if verts and (min(verts) < 1 or max(verts) > n):
+        raise FormatError("vertex ids must lie in 1..n")
+    return n, pairs
+
+
+def _reference_recognize(edges, k, n=None):
+    if k < 1:
+        raise BadK(f"k must be at least 1, got {k}")
+    n, pairs = _reference_neighbor_dict(edges, n)
+    if n < k:
+        raise NotKTree(f"order {n} below k={k}")
+    if len(pairs) < n - 1:
+        raise Disconnected(f"{len(pairs)} edges cannot connect {n} vertices")
+    masks = [0] * (n + 1)
+    for u, v in pairs:
+        masks[u] |= 1 << (v - 1)
+        masks[v] |= 1 << (u - 1)
+    seen = frontier = 1
+    while frontier:
+        nxt = 0
+        for v in core._mask_vertices(frontier):
+            nxt |= masks[v]
+        frontier = nxt & ~seen
+        seen |= nxt
+    if n >= 1 and seen != (1 << n) - 1:
+        raise Disconnected(f"graph on 1..{n} is not connected")
+    if len(pairs) != k * n - k * (k + 1) // 2:
+        raise NotKTree(
+            f"edge count {len(pairs)} != {k * n - k * (k + 1) // 2} required for a k-tree"
+        )
+    peeled = core._peel_k_leaves(k, list(masks), 0)
+    alive = (1 << n) - 1 - sum(1 << (v - 1) for v, _ in peeled)
+    if len(peeled) != n - k:
+        raise NotKTree(
+            f"no simplicial degree-{k} vertex among {core._mask_vertices(alive)}"
+        )
+    rest = core._mask_vertices(alive)
+    if not all(masks[v] & alive == alive & ~(1 << (v - 1)) for v in rest):
+        raise NotKTree(f"residue {rest} is not K_{k}")
+    return core.KTree.from_parts(k, rest, peeled[::-1], validate=False)
+
+
+def _outcome(recognize, *args):
+    """(base, build, masks) of the recognized host with their types, or the
+    type and message of the error raised."""
+    try:
+        T = recognize(*args)
+    except KTreeError as exc:
+        return type(exc), str(exc)
+    kinds = {type(T.masks), *map(type, T.masks), *map(type, T.base)}
+    for v, attach in T.build:
+        kinds |= {type(v), type(attach), *map(type, attach)}
+    return (T.base, T.build, T.masks), kinds
+
+
+def _assert_recognized_alike(edges, text, k, n=None):
+    """The program and the reference agree on the pairs and on the text,
+    and a recognized host's records rebuild its masks."""
+    want = _outcome(_reference_recognize, edges, k, n)
+    assert _outcome(core.recognize_ktree, edges, k, n) == want
+    assert _outcome(core.parse_edge_list, text, k, n) == want
+    if isinstance(want[0], tuple):
+        T = core.recognize_ktree(edges, k, n)
+        assert core.KTree.from_parts(T.k, T.base, T.build).masks == T.masks
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(
+    text=_EDGE_TEXT,
+    k=st.integers(-1, 4),
+    n=st.one_of(st.none(), st.integers(-1, 9)),
+)
+def test_edge_list_recognition_matches_the_reference(text, k, n):
+    try:
+        edges = _reference_edges(text)
+    except KTreeError as exc:
+        assert _outcome(core.parse_edge_list, text, k, n) == (type(exc), str(exc))
+        return
+    _assert_recognized_alike(edges, text, k, n)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(
+    k=st.integers(1, 4),
+    extra=st.integers(0, 56),
+    seed=st.integers(0, 2**32 - 1),
+    data=st.data(),
+)
+def test_shuffled_hosts_with_repeated_edges_match_the_reference(k, extra, seed, data):
+    n = k + extra
+    rng = random.Random(seed)
+    perm = list(range(1, n + 1))
+    rng.shuffle(perm)
+    edges = [(perm[u - 1], perm[v - 1]) for u, v in core.random_ktree(k, n, seed).edges()]
+    # duplicated and reversed edges collapse onto the same host
+    edges += [e[::-1] if rng.random() < 0.5 else e for e in rng.sample(edges, len(edges) // 3)]
+    edges = [e[::-1] if rng.random() < 0.5 else e for e in edges]
+    rng.shuffle(edges)
+    lines = [f"{u} {v}" for u, v in edges]
+    if data.draw(st.booleans()):  # comments and blank lines: read line by line
+        lines.insert(rng.randrange(len(lines) + 1), "# a comment")
+        lines.insert(rng.randrange(len(lines) + 1), "")
+    text = "\n".join(lines) + data.draw(st.sampled_from(["", "\n", "\r\n"]))
+    _assert_recognized_alike(edges, text, k, data.draw(st.sampled_from([None, n])))
+    assert core.recognize_ktree(edges, k, n).edges() == sorted(
+        tuple(sorted(e)) for e in set(map(frozenset, edges))
+    )
+
+
+@pytest.mark.parametrize("k", [1, 2])
+def test_a_huge_id_is_refused_before_anything_sized_by_it(k):
+    tracemalloc.start()
+    try:
+        with pytest.raises(Disconnected, match="^1 edges cannot connect 1000000000000000 vertices$"):
+            core.parse_edge_list("1 1000000000000000\n", k)
+        with pytest.raises(Disconnected, match="^1 edges cannot connect"):
+            core.recognize_ktree([(10**15, 1), (1, 10**15)], k)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
+def test_an_id_past_the_int_digit_limit_is_a_bad_line():
+    line = "2 " + "9" * 5000  # int() refuses a string of over 4,300 digits
+    assert _outcome(core.parse_edge_list, f"1 2\n{line}\n", 1) == (
+        FormatError,
+        f"bad edge line: {line!r}",
+    )

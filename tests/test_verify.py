@@ -132,7 +132,7 @@ def test_jobs_are_clamped_to_the_cpu_count(monkeypatch):
         def map(self, fn, items):
             return map(fn, items)
 
-    monkeypatch.setattr(V, "ProcessPoolExecutor", InProcessPool)
+    monkeypatch.setattr(V, "_pool", InProcessPool)
     base = dict(suite="kelmans", ks=(1,), max_n=6)
     pooled = V.run_suite(V.SuiteConfig(**base, jobs=100000))
     assert seen == [os.cpu_count() or 1]
