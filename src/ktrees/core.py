@@ -651,16 +651,15 @@ def format_kt(T):
     return "\n".join(lines) + "\n", relabel
 
 
-# text whose every line is two decimal ids, with no comment or blank line;
-# the possessive `*+` keeps no backtracking state per line
-_PLAIN_EDGE = r"[ \t]*[0-9]+[ \t]+[0-9]+[ \t]*"
-_PLAIN_EDGE_LIST = re.compile(rf"(?:{_PLAIN_EDGE}\r?\n)*+(?:{_PLAIN_EDGE})?")
+# the start of a line that is not two decimal ids: a comment, a blank line or
+# a bad line; each line is checked on its own, so nothing backtracks across lines
+_NOT_PLAIN_EDGE = re.compile(r"^(?![ \t]*[0-9]+[ \t]+[0-9]+[ \t]*\r?$)", re.M)
 
 
 def _edge_pairs(text):
     """The (u, v) pairs of an edge list, read in bulk when every line is two
     decimal ids, else line by line."""
-    if _PLAIN_EDGE_LIST.fullmatch(text):
+    if not _NOT_PLAIN_EDGE.search(text, 0, len(text) - text.endswith("\n")):
         ids = map(int, text.split())
         try:
             return list(zip(ids, ids))

@@ -622,22 +622,17 @@ def _chunk_payloads(cfg, chunk=400):
         yield (cfg, batch)
 
 
-def _pool(workers):
-    """A process pool of `workers` workers.  Only --jobs > 1 needs one, so
-    every other run is spared importing multiprocessing."""
-    from concurrent.futures import ProcessPoolExecutor
-
-    return ProcessPoolExecutor(max_workers=workers)
-
-
 def _run_corpus(cfg):
     """Validate cfg and return the merged Found of its suite over its corpus,
     checked serially or in chunks over at most one worker per CPU."""
     suite = SUITES[cfg.validate().suite]
     if cfg.jobs == 1:
         return _merge(_check_hosts(suite, cfg, iter_corpus(cfg)))
+    # imported here, so that runs without a pool never load multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
     workers = min(cfg.jobs, os.cpu_count() or 1)
-    with _pool(workers) as pool:
+    with ProcessPoolExecutor(max_workers=workers) as pool:
         return _merge(pool.map(_run_chunk, _chunk_payloads(cfg)))
 
 

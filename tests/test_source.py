@@ -1,6 +1,8 @@
 """Source-level rules for the package."""
 
 import ast
+import importlib
+import re
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "ktrees"
@@ -319,3 +321,36 @@ def test_every_public_function_has_a_program_caller():
     assert not unused, f"public names with no program caller: {unused}"
     stale = sorted(set(NO_CALLER_ALLOWED) - (public - referenced))
     assert not stale, f"allowlisted names that are gone or now have a caller: {stale}"
+
+
+def _opcodes(parsed):
+    """Every opcode of a parsed regex, nested groups and repeats included."""
+    for op, arg in parsed:
+        yield op
+        stack = [arg]
+        while stack:
+            item = stack.pop()
+            if hasattr(item, "data"):  # a nested parsed subpattern
+                yield from _opcodes(item)
+            elif isinstance(item, (list, tuple)):
+                stack.extend(item)
+
+
+def test_module_regexes_compile_on_python_3_10():
+    """pyproject admits Python 3.10, whose `re` has no possessive repeat or
+    atomic group (both arrived in 3.11): a module-level pattern using one
+    would stop `import ktrees` there."""
+    try:
+        from re import _constants, _parser
+    except ImportError:  # Python 3.10, where importing the package is the check
+        return
+    newer = {_constants.POSSESSIVE_REPEAT, _constants.ATOMIC_GROUP}
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        module = importlib.import_module(f"ktrees.{path.stem}")
+        for name, value in vars(module).items():
+            if isinstance(value, re.Pattern):
+                ops = set(_opcodes(_parser.parse(value.pattern, value.flags)))
+                if ops & newer:
+                    found.append(f"{path.name}:{name}")
+    assert not found, f"patterns needing Python 3.11: {found}"

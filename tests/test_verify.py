@@ -1,5 +1,6 @@
 """Suite drivers, labeled enumeration, reports, and the witness search."""
 
+import concurrent.futures
 import json
 import os
 
@@ -132,7 +133,7 @@ def test_jobs_are_clamped_to_the_cpu_count(monkeypatch):
         def map(self, fn, items):
             return map(fn, items)
 
-    monkeypatch.setattr(V, "_pool", InProcessPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
     base = dict(suite="kelmans", ks=(1,), max_n=6)
     pooled = V.run_suite(V.SuiteConfig(**base, jobs=100000))
     assert seen == [os.cpu_count() or 1]
