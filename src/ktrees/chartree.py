@@ -39,7 +39,6 @@ come from `core`, read off one common-neighbour mask.
 from __future__ import annotations
 
 from array import array
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple
 
@@ -56,8 +55,7 @@ from .errors import NotAClique, NotAdjacentCliques, NotKTree, VertexInClique
 from .polynomials import _phi_pair, _phi_poly
 
 
-@dataclass(frozen=True)
-class ElimSequence:
+class ElimSequence(NamedTuple):
     """The unique sequence (C, w_1..w_s, v) ending the path-type sub-k-tree
     P_T(C, v); reversed interior + target is a peeling order down to C."""
 
@@ -70,8 +68,7 @@ class ElimSequence:
         return self.interior + (self.target,)
 
 
-@dataclass(frozen=True)
-class CharTree:
+class CharTree(NamedTuple):
     """A tree on {C-node} union (V(T) \\ V(C)) carrying all local mean-order
     information of the host at C.
 
@@ -289,10 +286,9 @@ def all_clique_means(T):
     return {C: local_mean_order_clique(T, C) for C in k_cliques(T)}
 
 
-def argmax_cliques(T, means=None):
-    """Cliques attaining the maximum local mean order, with the value."""
-    if means is None:
-        means = all_clique_means(T)
+def argmax_cliques(T, means):
+    """Cliques attaining the maximum local mean order in `means`, with the
+    value."""
     best = max(means.values())
     return sorted(C for C, m in means.items() if m == best), best
 
@@ -300,8 +296,7 @@ def argmax_cliques(T, means=None):
 # -- adjacent cliques ----------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ReductionReport:
+class ReductionReport(NamedTuple):
     """Outcome of checking that T'_C2 arises from T'_C1 by the partial
     move of `moved` from solo2 to the C1-node."""
 

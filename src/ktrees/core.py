@@ -12,10 +12,10 @@ from __future__ import annotations
 import random as _random
 import re
 from array import array
-from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations, starmap
 from operator import eq
+from typing import NamedTuple
 
 from .errors import (
     AttachmentNotClique,
@@ -27,8 +27,6 @@ from .errors import (
     NotKTree,
     SizeTooSmall,
 )
-
-Clique = tuple  # strictly sorted tuple of vertex ids
 
 END = "end"
 DEGREE2 = "degree2"
@@ -94,8 +92,7 @@ def _peel_k_leaves(k, work, keep):
     return peeled
 
 
-@dataclass(frozen=True)
-class CliqueInfo:
+class CliqueInfo(NamedTuple):
     """Degree of a k-clique and its class under the degree thresholds.
 
     end = degree 1, degree2 = degree 2, major = degree >= 3.  The lone
@@ -378,7 +375,7 @@ def recognize_ktree(edges, k, n=None):
     """Recognize a k-tree from an iterable of edges (plus n for isolated K_1).
 
     Repeatedly deletes the lowest-id vertex of degree k whose neighborhood
-    is a clique; succeeds when K_k remains.  Returns a KTree carrying the
+    is a clique; succeeds when k vertices remain.  Returns a KTree carrying the
     reconstructed build sequence and the adjacency masks read off the edges.
     """
     if k < 1:
@@ -406,21 +403,19 @@ def recognize_ktree(edges, k, n=None):
         edge_count = sum(map(int.bit_count, masks)) // 2
     if edge_count < n - 1:
         raise Disconnected(f"{edge_count} edges cannot connect {n} vertices")
-    # connectivity
-    if n >= 1:
-        seen = _bit(1)
-        frontier = _bit(1)
-        while frontier:
-            nxt = 0
-            m = frontier
-            while m:
-                low = m & -m
-                nxt |= masks[low.bit_length()]
-                m ^= low
-            frontier = nxt & ~seen
-            seen |= nxt
-        if seen != (1 << n) - 1:
-            raise Disconnected(f"graph on 1..{n} is not connected")
+    # connectivity; n >= k >= 1, so vertex 1 exists
+    seen = frontier = _bit(1)
+    while frontier:
+        nxt = 0
+        m = frontier
+        while m:
+            low = m & -m
+            nxt |= masks[low.bit_length()]
+            m ^= low
+        frontier = nxt & ~seen
+        seen |= nxt
+    if seen != (1 << n) - 1:
+        raise Disconnected(f"graph on 1..{n} is not connected")
     if edge_count != k * n - k * (k + 1) // 2:
         raise NotKTree(
             f"edge count {edge_count} != {k * n - k * (k + 1) // 2} required for a k-tree"
@@ -429,11 +424,9 @@ def recognize_ktree(edges, k, n=None):
     rest = sorted(set(range(1, n + 1)).difference(v for v, _ in peeled))
     if len(peeled) != n - k:
         raise NotKTree(f"no simplicial degree-{k} vertex among {rest}")
-    alive = sum(map(_bit, rest))
-    if not all(masks[v] & alive == alive & ~_bit(v) for v in rest):
-        raise NotKTree(f"residue {rest} is not K_{k}")
-    # Each peel removed its vertex with its k edges, and the edge count leaves
-    # exactly the K_k of the residue, so the records rebuild these masks.
+    # Each peel removed its vertex with its k edges, so of the k*n - k(k+1)/2
+    # edges exactly k(k-1)/2 are left on the k survivors: they form K_k, and
+    # the records rebuild these masks.
     return KTree(k, rest, peeled[::-1], masks)
 
 

@@ -140,17 +140,12 @@ def _grow(up, folded, i, stem):
     return b"(R" + b"".join(kids) + b")"
 
 
-def _code_with_order(up, labels, cindex):
-    """The rooted code under one ordering of the root clique."""
-    return _fold(up, labels, cindex)[1][0]
-
-
 def _codes(T, roots):
     """Rooted codes of T over the given root cliques and all their orderings."""
     for C in roots:
         _, up, labels, _ = _rooted_structure(T, C)
         for order in permutations(C):
-            yield _code_with_order(up, labels, {v: i + 1 for i, v in enumerate(order)})
+            yield _fold(up, labels, {v: i + 1 for i, v in enumerate(order)})[1][0]
 
 
 def rooted_code(T, C, order=None):
@@ -159,7 +154,7 @@ def rooted_code(T, C, order=None):
     if order is None:
         order = C
     _, up, labels, _ = _rooted_structure(T, C)
-    return _code_with_order(up, labels, {v: i + 1 for i, v in enumerate(order)})
+    return _fold(up, labels, {v: i + 1 for i, v in enumerate(order)})[1][0]
 
 
 def rooted_code_set(T):

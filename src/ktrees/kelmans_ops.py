@@ -4,18 +4,19 @@ The operation on a graph G from v to u re-attaches to u every edge from v
 to N2 = N(v) \\ N[u]; the partial variant moves only a chosen W subseteq N2.
 Each checker returns a TheoremReport whose `consistent` flag says whether
 exact equality occurred precisely when the stated condition predicts it.
-A checker validates its tree once and folds every mean over the adjacency it
-validated; `check_kelmans` gives the three reports on a full move from
-one move.
+A checker validates its tree once with `as_tree_adj` (integer labels, as on
+every tree read off a `KTree`) and folds every mean over the adjacency it
+validated; `check_kelmans` gives the three reports on a full move from one
+move.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .errors import BadMoveSet, KTreeError, NotAdjacent, NotALeaf, SameVertex
-from .polynomials import _bfs_tree, _local_mean, _tree_at, as_tree_adj, node_key
+from .polynomials import _bfs_tree, _local_mean, _tree_at, as_tree_adj
 
 
 def _endpoints(graph, v, u):
@@ -48,7 +49,7 @@ def partial_kelmans(graph, v, u, moved):
     adj = _endpoints(graph, v, u)
     moved = frozenset(moved)
     if not moved <= second_neighborhood(adj, v, u):
-        raise BadMoveSet(f"moved set {sorted(moved, key=node_key)} not within N2")
+        raise BadMoveSet(f"moved set {sorted(moved)} not within N2")
     adj[v] -= moved
     adj[u] |= moved
     for w in moved:
@@ -56,8 +57,7 @@ def partial_kelmans(graph, v, u, moved):
     return adj
 
 
-@dataclass(frozen=True)
-class TheoremReport:
+class TheoremReport(NamedTuple):
     """One checked inequality with its predicted equality condition."""
 
     claim: str
@@ -96,10 +96,7 @@ def component_path_predicate(tree, v, u):
 
 
 def _describe(adj, pairs):
-    edges = sorted(
-        {tuple(sorted((a, b), key=node_key)) for a in adj for b in adj[a]},
-        key=lambda e: (node_key(e[0]), node_key(e[1])),
-    )
+    edges = sorted({(a, b) for a in adj for b in adj[a] if a < b})
     tag = " ".join(f"{name}={val}" for name, val in pairs)
     return f"n={len(adj)} edges={edges} {tag}"
 
@@ -152,7 +149,7 @@ def check_partial_kelmans_monotone(tree, u, v, moved):
     )
     return TheoremReport.at_least(
         "mu(T'; v) >= mu(T; v)",
-        _describe(adj, (("u", u), ("v", v), ("W", sorted(moved, key=node_key)))),
+        _describe(adj, (("u", u), ("v", v), ("W", sorted(moved)))),
         _local_mean(partial_kelmans(adj, v, u, moved), v),
         _local_mean(adj, v),
         pred,

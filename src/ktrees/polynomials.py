@@ -1,8 +1,9 @@
 """Exact subtree polynomials and mean orders for trees.
 
 The public functions take trees as adjacency mappings {node: set-of-neighbors}
-over arbitrary hashable node labels and validate them once per call with
-`as_tree_adj`; `_local_mean` folds a tree a caller has already validated.
+over integer node labels, as every tree read off a `KTree` has, and validate
+them once per call with `as_tree_adj`, which refuses any other label;
+`_local_mean` folds a tree a caller has already validated.
 The folds `_phi_poly` and `_phi_pair` read only a rooted tree's parent
 positions: `up[0] = -1` at the root and `up[i] < i`, so every node folds
 into its parent after all of its children.  `_bfs_tree` gives that array for
@@ -20,12 +21,14 @@ from __future__ import annotations
 
 from decimal import Decimal, ROUND_HALF_EVEN, localcontext
 from fractions import Fraction
+from itertools import zip_longest
 
 from .errors import NotATree
 
 
 class IntPolynomial:
-    """Dense integer-coefficient polynomial; index = degree."""
+    """Dense integer-coefficient polynomial; index = degree.  A value:
+    compared, hashed, added, shifted and printed, never evaluated."""
 
     __slots__ = ("coeffs",)
 
@@ -34,21 +37,6 @@ class IntPolynomial:
         while coeffs and coeffs[-1] == 0:
             coeffs.pop()
         self.coeffs = tuple(coeffs)
-
-    @classmethod
-    def x(cls):
-        return cls((0, 1))
-
-    @classmethod
-    def const(cls, c):
-        return cls((c,))
-
-    @property
-    def degree(self):
-        return len(self.coeffs) - 1
-
-    def __bool__(self):
-        return bool(self.coeffs)
 
     def __eq__(self, other):
         if isinstance(other, IntPolynomial):
@@ -59,39 +47,13 @@ class IntPolynomial:
         return hash(self.coeffs)
 
     def __add__(self, other):
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] += c
-        return IntPolynomial(out)
-
-    def __mul__(self, other):
-        a, b = self.coeffs, other.coeffs
-        if not a or not b:
-            return IntPolynomial()
-        out = [0] * (len(a) + len(b) - 1)
-        for i, ca in enumerate(a):
-            if ca:
-                for j, cb in enumerate(b):
-                    out[i + j] += ca * cb
-        return IntPolynomial(out)
+        # bench/test_bench.py perturbs a computed polynomial with a sum
+        pairs = zip_longest(self.coeffs, other.coeffs, fillvalue=0)
+        return IntPolynomial(map(sum, pairs))
 
     def shift(self, m):
         """Multiply by x**m."""
-        if not self.coeffs:
-            return IntPolynomial()
         return IntPolynomial((0,) * m + self.coeffs)
-
-    def derivative(self):
-        return IntPolynomial(tuple(i * c for i, c in enumerate(self.coeffs))[1:])
-
-    def __call__(self, x):
-        acc = 0
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
 
     def __repr__(self):
         return f"IntPolynomial({list(self.coeffs)})"
@@ -130,17 +92,13 @@ def fraction_str(q):
 # -- tree plumbing ------------------------------------------------------------
 
 
-def node_key(x):
-    """Total order over mixed node labels (ints before anything else)."""
-    if isinstance(x, int):
-        return (0, x, "")
-    return (1, 0, str(x))
-
-
 def as_tree_adj(tree):
-    """Normalize to {node: frozenset(nbrs)} and verify it is a tree."""
+    """Normalize to {node: frozenset(nbrs)} and verify it is a tree with
+    integer labels."""
     adj = {u: frozenset(vs) for u, vs in tree.items()}
     for u, vs in adj.items():
+        if not isinstance(u, int):
+            raise NotATree(f"node label {u!r} is not an integer")
         for v in vs:
             if v == u or v not in adj or u not in adj[v]:
                 raise NotATree(f"adjacency is not symmetric at ({u}, {v})")
@@ -223,18 +181,6 @@ def _tree_at(tree, u):
     return adj
 
 
-def _prefix_roots(adj):
-    """Yield (v, earlier vertices) over a fixed vertex order.
-
-    Restricting v's term to the component left after deleting the earlier
-    vertices counts every subtree exactly once, at its first vertex.
-    """
-    gone = set()
-    for v in sorted(adj, key=node_key):
-        yield v, gone
-        gone.add(v)
-
-
 def subtree_poly_at_vertex(tree, u):
     """Generating polynomial of the subtrees containing u, by order."""
     return _phi_poly(_bfs_tree(_tree_at(tree, u), u))
@@ -254,10 +200,14 @@ def local_mean_order_vertex(tree, u):
 def global_mean_order_tree(tree):
     adj = as_tree_adj(tree)
     count = total = 0
-    for v, gone in _prefix_roots(adj):
+    gone = set()
+    # v's term restricted to the component left after deleting the earlier
+    # vertices counts every subtree exactly once, at its least vertex
+    for v in sorted(adj):
         c, t = _phi_pair(_bfs_tree(adj, v, gone))
         count += c
         total += t
+        gone.add(v)
     return Fraction(total, count)
 
 

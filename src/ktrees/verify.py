@@ -17,7 +17,8 @@ misses).  Every other checker returns (violations, tallies).
 `_argmax_classes` is the one place the argmax checkers get clique means,
 the argmax and each clique's degree class (at k = 1 the cliques are the
 vertices).  `_run_corpus` drives every suite and the search: one corpus,
-one host loop, one merge; `_report` times it and builds both reports.
+one host loop, one merge; `_report` validates the config, times the run
+and builds both reports.
 """
 
 from __future__ import annotations
@@ -29,7 +30,6 @@ import os
 import random as _random
 import time
 from collections import Counter
-from dataclasses import dataclass, asdict
 from fractions import Fraction
 from typing import NamedTuple
 
@@ -114,8 +114,7 @@ def path_type_predicate(T):
 # -- configuration -------------------------------------------------------------
 
 
-@dataclass
-class SuiteConfig:
+class SuiteConfig(NamedTuple):
     """What to run and over which corpus."""
 
     suite: str
@@ -130,8 +129,8 @@ class SuiteConfig:
     jobs: int = 1
 
     def validate(self):
-        """Check the config against its suite's row and return it.  A tree
-        suite runs at k = 1, so its ks become (1,)."""
+        """Check the config against its suite's row and return the validated
+        copy.  A tree suite runs at k = 1, so the copy's ks are (1,)."""
         suite = SUITES.get(self.suite)
         if suite is None:
             raise UnknownSuite(f"no suite named {self.suite!r}; try {suite_names()}")
@@ -140,64 +139,58 @@ class SuiteConfig:
                 f"suite {self.suite!r} needs at least one k and every k in "
                 f"{suite.least_k}..{K_GUARD}, got {self.ks}"
             )
-        if suite.trees:
-            self.ks = (1,)
-        if self.jobs < 1:
-            raise KTreeError(f"jobs must be at least 1, got {self.jobs}")
-        if self.cap < 0:
-            raise KTreeError(f"cap must be at least 0, got {self.cap}")
-        if self.mode not in ("exhaustive", "random"):
-            raise UnknownSuite(f"unknown mode {self.mode!r}")
-        if suite.family and self.mode == "random":
-            raise KTreeError(f"family suite {self.suite!r} has no random mode")
+        cfg = self._replace(ks=(1,)) if suite.trees else self
+        if cfg.jobs < 1:
+            raise KTreeError(f"jobs must be at least 1, got {cfg.jobs}")
+        if cfg.cap < 0:
+            raise KTreeError(f"cap must be at least 0, got {cfg.cap}")
+        if cfg.mode not in ("exhaustive", "random"):
+            raise UnknownSuite(f"unknown mode {cfg.mode!r}")
+        if suite.family and cfg.mode == "random":
+            raise KTreeError(f"family suite {cfg.suite!r} has no random mode")
         # refuse options the corpus of this mode would ignore
-        if self.mode == "exhaustive" and (self.trials or self.seed):
+        if cfg.mode == "exhaustive" and (cfg.trials or cfg.seed):
             raise KTreeError(
-                f"exhaustive mode takes no trials or seed, got trials={self.trials}, "
-                f"seed={self.seed}"
+                f"exhaustive mode takes no trials or seed, got trials={cfg.trials}, "
+                f"seed={cfg.seed}"
             )
-        if self.mode == "random" and not self.dedupe:
+        if cfg.mode == "random" and not cfg.dedupe:
             raise KTreeError("random mode draws labeled hosts; it takes no --no-dedupe")
-        if suite.family and not self.dedupe:
+        if suite.family and not cfg.dedupe:
             raise KTreeError(
-                f"family suite {self.suite!r} has no labeled form; it takes no --no-dedupe"
+                f"family suite {cfg.suite!r} has no labeled form; it takes no --no-dedupe"
             )
-        if self.mode == "random" and self.trials < 1:
+        if cfg.mode == "random" and cfg.trials < 1:
             raise TooLarge("random mode requires a positive trial count")
-        lo = max(self.min_n, suite.least if suite.family else min(self.ks))
-        if lo > self.max_n:
+        lo = max(cfg.min_n, suite.least if suite.family else min(cfg.ks))
+        if lo > cfg.max_n:
             raise SizeTooSmall(
-                f"suite {self.suite!r} has no host of order {lo}..{self.max_n}"
+                f"suite {cfg.suite!r} has no host of order {lo}..{cfg.max_n}"
             )
-        if suite.oracle_hosts and self.max_n > min(self.cap, MAX_ORDER):
+        if suite.oracle_hosts and cfg.max_n > min(cfg.cap, MAX_ORDER):
             raise TooLarge(
-                f"suite {self.suite!r} enumerates every host; order {self.max_n} "
-                f"exceeds enumeration cap {min(self.cap, MAX_ORDER)}"
+                f"suite {cfg.suite!r} enumerates every host; order {cfg.max_n} "
+                f"exceeds enumeration cap {min(cfg.cap, MAX_ORDER)}"
             )
         if suite.family:
-            if self.max_n > FAMILY_GUARD:
+            if cfg.max_n > FAMILY_GUARD:
                 raise TooLarge(f"family suites are capped at n <= {FAMILY_GUARD}")
-            return self
-        if self.mode == "random":
-            if (least := max(self.min_n, max(self.ks) + 1)) > self.max_n:
+            return cfg
+        if cfg.mode == "random":
+            if (least := max(cfg.min_n, max(cfg.ks) + 1)) > cfg.max_n:
                 raise SizeTooSmall(f"random hosts need max_n >= {least}")
-            if self.max_n > RANDOM_GUARD:
+            if cfg.max_n > RANDOM_GUARD:
                 raise TooLarge(f"random hosts are capped at n <= {RANDOM_GUARD}")
-            return self
-        for k in self.ks:
-            if self.dedupe:
-                require_class_order(k, self.max_n)
-            elif labeled_count(k, self.max_n) > LABELED_GUARD:
+            return cfg
+        for k in cfg.ks:
+            if cfg.dedupe:
+                require_class_order(k, cfg.max_n)
+            elif labeled_count(k, cfg.max_n) > LABELED_GUARD:
                 raise TooLarge(
-                    f"labeled corpus for k={k}, n={self.max_n} exceeds "
+                    f"labeled corpus for k={k}, n={cfg.max_n} exceeds "
                     f"{LABELED_GUARD} builds"
                 )
-        return self
-
-    def as_dict(self):
-        d = asdict(self)
-        d["ks"] = list(self.ks)
-        return d
+        return cfg
 
 
 def iter_corpus(cfg):
@@ -397,7 +390,7 @@ def check_end_clique_dominance(T, cfg):
     """End cliques dominate their neighbors, with the exact equality cases."""
     means, _, _, infos, _ = _argmax_classes(T)
     pt = path_type_predicate(T)
-    leafset = set(T.k_leaf_set()) if T.n > T.k else set()
+    leafset = set(T.k_leaf_set())
     for C1, info in infos.items():
         if info.kind != END:
             continue
@@ -509,8 +502,7 @@ def _bristled_stars(ks, ns):
             yield f"bristled-k{k}-n{n}", gen_bristled_star(k, n)
 
 
-@dataclass(frozen=True)
-class Suite:
+class Suite(NamedTuple):
     """A suite's checker and its corpus: every k-tree of each order (classes,
     labeled or random builds, random ones named by `random_id`) for the
     configured ks, or for k = 1 when `trees`; or, whatever the mode, the
@@ -623,9 +615,9 @@ def _chunk_payloads(cfg, chunk=400):
 
 
 def _run_corpus(cfg):
-    """Validate cfg and return the merged Found of its suite over its corpus,
-    checked serially or in chunks over at most one worker per CPU."""
-    suite = SUITES[cfg.validate().suite]
+    """The merged Found of a validated cfg's suite over its corpus, checked
+    serially or in chunks over at most one worker per CPU."""
+    suite = SUITES[cfg.suite]
     if cfg.jobs == 1:
         return _merge(_check_hosts(suite, cfg, iter_corpus(cfg)))
     # imported here, so that runs without a pool never load multiprocessing
@@ -637,16 +629,18 @@ def _run_corpus(cfg):
 
 
 def _report(cfg, schema=SCHEMA_VERIFY, config=None, shape=None):
-    """Check cfg's corpus and return the versioned JSON-ready report: its
-    config is `config`, or else cfg's validated fields, and its tallies are
-    sorted by key, then passed with the near misses through `shape`."""
+    """Validate cfg, check its corpus and return the versioned JSON-ready
+    report: its config is `config`, or else the validated copy's fields, and
+    its tallies are sorted by key, then passed with the near misses through
+    `shape`."""
     t0 = time.monotonic()
+    cfg = cfg.validate()
     found = _run_corpus(cfg)
     tallies = dict(sorted(found.tallies.items()))
     return {
         "schema": schema,
         "suite": cfg.suite,
-        "config": config or cfg.as_dict(),
+        "config": config or {**cfg._asdict(), "ks": list(cfg.ks)},
         "instances": found.instances,
         "violations": found.violations,
         "witnesses": found.witnesses,

@@ -1,5 +1,6 @@
-"""Shared corpora for the test suite, cached per session, and the branch
-form of a tree's local mean as an independent reference."""
+"""Shared corpora for the test suite, cached per session, the branch form
+of a tree's local mean as an independent reference, and a polynomial's
+value and slope at 1."""
 
 import math
 import random
@@ -46,6 +47,11 @@ def trees_upto(n):
 def small_trees():
     """All tree classes with up to 8 vertices."""
     return trees_upto(8)
+
+
+def count_and_total(p):
+    """(p(1), p'(1)) of an IntPolynomial, read off its coefficients."""
+    return sum(p.coeffs), sum(i * c for i, c in enumerate(p.coeffs))
 
 
 def branch_mean(adj, u, v):

@@ -4,7 +4,6 @@ import json
 import os
 import subprocess
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -42,14 +41,16 @@ def run(capsys, *argv):
 
 def test_cli_import_leaves_the_process_pool_unloaded():
     """Only --jobs > 1 starts a pool; importing multiprocessing costs every
-    other run about half its start-up."""
+    other run about half its start-up.  The records are named tuples, so
+    neither `dataclasses` nor the `inspect` it imports loads either."""
     src = Path(verify.__file__).resolve().parents[1]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, (str(src), os.environ.get("PYTHONPATH")))
     ))
     code = (
         "import sys, ktrees.cli\n"
-        "print(sorted({'multiprocessing', 'concurrent.futures.process'} & set(sys.modules)))"
+        "print(sorted({'multiprocessing', 'concurrent.futures.process', 'dataclasses',"
+        " 'inspect'} & set(sys.modules)))"
     )
     out = subprocess.run(
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
@@ -306,7 +307,7 @@ def test_crash_exits_3_with_a_traceback_and_no_report(tmp_path, capsys, monkeypa
         raise RuntimeError("checker bug")
 
     suite = verify.SUITES["nonmajor-max"]
-    monkeypatch.setitem(verify.SUITES, "nonmajor-max", replace(suite, checker=boom))
+    monkeypatch.setitem(verify.SUITES, "nonmajor-max", suite._replace(checker=boom))
     out_path = tmp_path / "report.json"
     code, _, err = run(
         capsys, "verify", "--suite", "nonmajor-max", "--k", "2", "--max-n", "5",

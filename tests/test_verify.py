@@ -171,6 +171,19 @@ def test_unknown_suite_and_bad_configs():
     V.SuiteConfig(suite="bristled-star", ks=(2, V.K_GUARD), max_n=3).validate()
 
 
+def test_validate_returns_a_copy_and_leaves_its_receiver():
+    """A tree suite runs at k = 1: validation returns a copy with ks (1,),
+    the config it was called on keeps its ks, and the report echoes the
+    copy."""
+    cfg = V.SuiteConfig(suite="kelmans", ks=(2, 3), max_n=4)
+    assert cfg.validate() == cfg._replace(ks=(1,))
+    assert cfg.ks == (2, 3)
+    assert V.run_suite(cfg)["config"]["ks"] == [1]
+    assert cfg.ks == (2, 3)
+    row = V.SuiteConfig(suite="nonmajor-max", ks=(2, 3), max_n=5)
+    assert row.validate() == row
+
+
 def test_class_corpora_and_class_levels_read_one_order_table():
     from ktrees.isomorphism import CLASS_MAX_ORDER, iso_levels
 
@@ -426,8 +439,8 @@ def _witness_row(k, max_n, **kw):
 
 def test_witness_row_parallel_matches_serial():
     # 725 classes: two chunks of hosts, so near misses merge across chunks
-    serial = V._run_corpus(_witness_row(2, 10))
-    parallel = V._run_corpus(_witness_row(2, 10, jobs=2))
+    serial = V._run_corpus(_witness_row(2, 10).validate())
+    parallel = V._run_corpus(_witness_row(2, 10, jobs=2).validate())
     assert serial.instances == parallel.instances == 725
     assert len(serial.near_misses) == V.NEAR_MISSES
     for field in ("violations", "tallies", "witnesses", "near_misses"):
