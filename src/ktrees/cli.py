@@ -164,7 +164,6 @@ def cmd_verify(args):
         trials=args.trials,
         seed=args.seed,
         cap=args.cap,
-        dedupe=args.dedupe,
         jobs=args.jobs,
     )
     return _emit_report(verify.run_suite(cfg), args.out)
@@ -177,7 +176,6 @@ def cmd_search(args):
         mode=args.mode,
         budget=args.budget,
         seed=args.seed,
-        dedupe=args.dedupe,
         cap=args.cap,
         jobs=args.jobs,
     )
@@ -224,8 +222,6 @@ def build_parser():
                         default="exhaustive")
         sp.add_argument("--seed", type=int, default=0)
         add_cap(sp)
-        sp.add_argument("--dedupe", action=argparse.BooleanOptionalAction,
-                        default=True)
         sp.add_argument("--jobs", type=int, default=1,
                         help="worker processes, at most one per CPU")
         sp.add_argument("--out", help="write the JSON report here")

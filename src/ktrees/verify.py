@@ -3,10 +3,9 @@ search for k-trees whose maximum local mean order avoids every end clique.
 
 Each suite (a row of `SUITES`) replays one exact claim over a corpus of
 trees, k-trees or one named family and reports violations; a violation is a
-build failure, not a logged warning.  Exhaustive corpora iterate labeled
-construction sequences, optionally deduplicated by isomorphism class (every
-checked claim is invariant under relabeling, so one representative per
-class gives the same verdict).
+build failure, not a logged warning.  Exhaustive corpora check one
+representative per isomorphism class: every checked claim is invariant
+under relabeling, so each labeling of a class gives the same verdict.
 
 A checker has one of three shapes.  An inequality with a predicted
 equality case (the Jamison ratio, the global bound, the Kelmans moves, leaf
@@ -25,7 +24,6 @@ from __future__ import annotations
 
 import itertools
 import json
-import math
 import os
 import random as _random
 import time
@@ -50,7 +48,6 @@ from .core import (
     clique_degree,
     gen_bristled_star,
     gen_double_broom,
-    grow_ktree,
     k_cliques,
     kp1_cliques,
     random_ktree,
@@ -72,29 +69,12 @@ from .polynomials import (
     jamison_ratio_check,
 )
 
-SCHEMA_VERIFY = "ktree-verify/1"
-SCHEMA_SEARCH = "ktree-search/1"
-LABELED_GUARD = 2_000_000
+SCHEMA_VERIFY = "ktree-verify/2"
+SCHEMA_SEARCH = "ktree-search/2"
 FAMILY_GUARD = 1000  # max family parameter n
 RANDOM_GUARD = 10_000  # max host order in random mode
 K_GUARD = 255  # max k of any suite; class corpora stop at k = 9 (CLASS_MAX_ORDER)
 NEAR_MISSES = 8  # near misses a search report keeps
-
-
-def labeled_count(k, n):
-    """Number of labeled construction sequences: product of (1 + k*j)."""
-    return math.prod(1 + k * j for j in range(n - k))
-
-
-def enumerate_labeled_ktrees(k, n, guard=LABELED_GUARD):
-    """Yield every labeled build sequence of order-n k-trees, in the
-    lexicographic order of their clique picks."""
-    if n < k:
-        raise SizeTooSmall(f"need n >= k, got {n}")
-    if labeled_count(k, n) > guard:
-        raise TooLarge(f"{labeled_count(k, n)} labeled builds exceed guard {guard}")
-    picks = itertools.product(*(range(1 + k * i) for i in range(n - k)))
-    return (grow_ktree(k, p) for p in picks)
 
 
 def tree_adjacency(T):
@@ -125,7 +105,6 @@ class SuiteConfig(NamedTuple):
     trials: int = 0
     seed: int = 0
     cap: int = DEFAULT_CAP
-    dedupe: bool = True
     jobs: int = 1
 
     def validate(self):
@@ -139,6 +118,12 @@ class SuiteConfig(NamedTuple):
                 f"suite {self.suite!r} needs at least one k and every k in "
                 f"{suite.least_k}..{K_GUARD}, got {self.ks}"
             )
+        for i, k in enumerate(self.ks):
+            if k in self.ks[:i]:
+                raise BadK(
+                    f"ks {self.ks} repeats k={k}, so each of its hosts would be "
+                    "checked twice"
+                )
         cfg = self._replace(ks=(1,)) if suite.trees else self
         if cfg.jobs < 1:
             raise KTreeError(f"jobs must be at least 1, got {cfg.jobs}")
@@ -153,12 +138,6 @@ class SuiteConfig(NamedTuple):
             raise KTreeError(
                 f"exhaustive mode takes no trials or seed, got trials={cfg.trials}, "
                 f"seed={cfg.seed}"
-            )
-        if cfg.mode == "random" and not cfg.dedupe:
-            raise KTreeError("random mode draws labeled hosts; it takes no --no-dedupe")
-        if suite.family and not cfg.dedupe:
-            raise KTreeError(
-                f"family suite {cfg.suite!r} has no labeled form; it takes no --no-dedupe"
             )
         if cfg.mode == "random" and cfg.trials < 1:
             raise TooLarge("random mode requires a positive trial count")
@@ -183,13 +162,7 @@ class SuiteConfig(NamedTuple):
                 raise TooLarge(f"random hosts are capped at n <= {RANDOM_GUARD}")
             return cfg
         for k in cfg.ks:
-            if cfg.dedupe:
-                require_class_order(k, cfg.max_n)
-            elif labeled_count(k, cfg.max_n) > LABELED_GUARD:
-                raise TooLarge(
-                    f"labeled corpus for k={k}, n={cfg.max_n} exceeds "
-                    f"{LABELED_GUARD} builds"
-                )
+            require_class_order(k, cfg.max_n)
         return cfg
 
 
@@ -216,15 +189,10 @@ def iter_corpus(cfg):
         lo = max(cfg.min_n, k)
         if lo > cfg.max_n:
             continue
-        if cfg.dedupe:
-            for n, level in iso_levels(k, cfg.max_n):
-                if n >= lo:
-                    for i, T in enumerate(level):
-                        yield f"k{k}-n{n}-c{i}", T
-        else:
-            for n in range(lo, cfg.max_n + 1):
-                for i, T in enumerate(enumerate_labeled_ktrees(k, n)):
-                    yield f"k{k}-n{n}-L{i}", T
+        for n, level in iso_levels(k, cfg.max_n):
+            if n >= lo:
+                for i, T in enumerate(level):
+                    yield f"k{k}-n{n}-c{i}", T
 
 
 # -- per-instance checkers -----------------------------------------------------
@@ -503,8 +471,8 @@ def _bristled_stars(ks, ns):
 
 
 class Suite(NamedTuple):
-    """A suite's checker and its corpus: every k-tree of each order (classes,
-    labeled or random builds, random ones named by `random_id`) for the
+    """A suite's checker and its corpus: every k-tree of each order (class
+    representatives, or random builds named by `random_id`) for the
     configured ks, or for k = 1 when `trees`; or, whatever the mode, the
     (instance_id, host) pairs family(ks, ns) for the family parameters n
     from `least` to max_n.  Every k lies in least_k..K_GUARD.  When
@@ -541,7 +509,7 @@ SUITES = {
     "end-clique-dominance": Suite(
         check_end_clique_dominance, equality_key="equality"
     ),
-    "double-broom": Suite(check_double_broom, family=_double_brooms),
+    "double-broom": Suite(check_double_broom, trees=True, family=_double_brooms),
     "bristled-star": Suite(
         check_bristled_star, family=_bristled_stars, least=3, least_k=2
     ),
@@ -663,7 +631,6 @@ def search_degree2_witness(
     mode="exhaustive",
     budget=None,
     seed=0,
-    dedupe=True,
     cap=DEFAULT_CAP,
     jobs=1,
 ):
@@ -694,12 +661,10 @@ def search_degree2_witness(
         trials=budget or 0,
         seed=seed,
         cap=cap,
-        dedupe=dedupe,
         jobs=jobs,
     )
     # jobs changes no result, so the report's config leaves it out
-    config = dict(k=k, max_n=max_n, mode=mode, budget=budget, seed=seed,
-                  dedupe=dedupe, cap=cap)
+    config = dict(k=k, max_n=max_n, mode=mode, budget=budget, seed=seed, cap=cap)
 
     def shape(classes, near):
         return {"classes": classes, "near_misses": [record for _, record in near]}

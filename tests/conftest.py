@@ -1,7 +1,9 @@
-"""Shared corpora for the test suite, cached per session, the branch form
-of a tree's local mean as an independent reference, and a polynomial's
-value and slope at 1."""
+"""Shared corpora for the test suite, cached per session, every labeled
+build of a k-tree as an independent reference for the class corpora, the
+branch form of a tree's local mean as an independent reference, and a
+polynomial's value and slope at 1."""
 
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -29,6 +31,18 @@ def shuffled_host(k, n, seed):
     edges = [(perm[u - 1], perm[v - 1]) for u, v in core.random_ktree(k, n, seed).edges()]
     rng.shuffle(edges)
     return core.recognize_ktree(edges, k, n)
+
+
+def labeled_count(k, n):
+    """Number of labeled construction sequences: product of (1 + k*j)."""
+    return math.prod(1 + k * j for j in range(n - k))
+
+
+def enumerate_labeled_ktrees(k, n):
+    """Yield every labeled build sequence of order-n k-trees (n >= k), in
+    the lexicographic order of their clique picks."""
+    picks = itertools.product(*(range(1 + k * i) for i in range(n - k)))
+    return (core.grow_ktree(k, p) for p in picks)
 
 
 @lru_cache(maxsize=None)

@@ -24,7 +24,13 @@ from ktrees.kelmans_ops import (
 from ktrees.polynomials import global_mean_order_tree, local_mean_order_vertex
 from ktrees.verify import tree_adjacency
 
-from conftest import branch_mean, count_and_total, ktree_classes, trees_upto
+from conftest import (
+    branch_mean,
+    count_and_total,
+    enumerate_labeled_ktrees,
+    ktree_classes,
+    trees_upto,
+)
 
 RANDOM_MASTER_SEED = 20_260_810
 RANDOM_TRIALS = 500
@@ -39,7 +45,7 @@ def _emit(number, ok, description, stats):
 def _labeled_corpus(ks, max_n):
     for k in ks:
         for n in range(k, max_n + 1):
-            for i, T in enumerate(V.enumerate_labeled_ktrees(k, n)):
+            for i, T in enumerate(enumerate_labeled_ktrees(k, n)):
                 yield f"k{k}-n{n}-L{i}", T
 
 

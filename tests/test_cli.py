@@ -264,7 +264,7 @@ def test_verify_stdout_json(capsys):
     )
     assert code == 0
     report = json.loads(out)
-    assert report["schema"] == "ktree-verify/1"
+    assert report["schema"] == verify.SCHEMA_VERIFY
 
 
 def test_search_subcommand(tmp_path, capsys):
@@ -327,6 +327,7 @@ def test_search_rejects_k1(capsys):
 def test_bad_arguments_exit_2(capsys):
     assert run(capsys, "mean-order")[0] == 2
     assert run(capsys, "no-such-command")[0] == 2
+    assert run(capsys, "verify", "--suite", "nonmajor-max", "--no-dedupe")[0] == 2
 
 
 FOUR_KT = "ktree 1\nk 2\nn 4\nbase 1 2\nadd 3 1 2\nadd 4 1 3\n"
@@ -361,6 +362,7 @@ BAD_INPUTS = {
         "verify", "--suite", "nonmajor-max", "--k", "2", "--min-n", "8", "--max-n", "6",
     ),
     "verify-k-token": ("verify", "--suite", "nonmajor-max", "--k", "two"),
+    "verify-k-repeated": ("verify", "--suite", "nonmajor-max", "--k", "2,2", "--max-n", "5"),
     "verify-k-range-1e12": (
         "verify", "--suite", "nonmajor-max", "--k", "1-1000000000000", "--max-n", "5",
     ),
@@ -398,23 +400,12 @@ BAD_INPUTS = {
     "verify-exhaustive-seed": (
         "verify", "--suite", "nonmajor-max", "--k", "2", "--max-n", "6", "--seed", "3",
     ),
-    "verify-random-no-dedupe": (
-        "verify", "--suite", "nonmajor-max", "--k", "2", "--max-n", "6",
-        "--mode", "random", "--trials", "5", "--no-dedupe",
-    ),
     "search-exhaustive-budget": ("search", "--k", "2", "--max-n", "6", "--budget", "5"),
     "search-exhaustive-budget-0": ("search", "--k", "2", "--max-n", "6", "--budget", "0"),
     "search-exhaustive-seed": ("search", "--k", "2", "--max-n", "6", "--seed", "3"),
-    "search-random-no-dedupe": (
-        "search", "--k", "2", "--max-n", "6", "--mode", "random", "--budget", "5",
-        "--no-dedupe",
-    ),
     "verify-family-order-1e15": (
         "verify", "--suite", "double-broom", "--min-n", "1000000000000000",
         "--max-n", "1000000000000000",
-    ),
-    "verify-family-no-dedupe": (
-        "verify", "--suite", "double-broom", "--max-n", "4", "--no-dedupe",
     ),
     "verify-family-random": (
         "verify", "--suite", "double-broom", "--max-n", "4", "--mode", "random",

@@ -11,7 +11,7 @@ import pytest
 from ktrees import core, isomorphism as I, verify as V
 from ktrees.errors import SizeTooSmall, TooLarge
 
-from conftest import ktree_classes
+from conftest import enumerate_labeled_ktrees, ktree_classes
 
 
 def brute_isomorphic(T1, T2):
@@ -35,7 +35,7 @@ def relabeled(T, rng):
 
 
 def test_labeled_two_tree_four_is_unique():
-    ts = list(V.enumerate_labeled_ktrees(2, 4))
+    ts = list(enumerate_labeled_ktrees(2, 4))
     assert len(ts) == 3
     assert len({I.canonical_code(t) for t in ts}) == 1
 
@@ -88,7 +88,7 @@ def test_centre_code_agrees_with_all_roots_reference():
 def test_code_separates_iff_isomorphic():
     pairs = 0
     for k, n in [(1, 5), (1, 6), (2, 5), (2, 6), (3, 6)]:
-        ts = list(V.enumerate_labeled_ktrees(k, n))
+        ts = list(enumerate_labeled_ktrees(k, n))
         codes = [I.canonical_code(t) for t in ts]
         for i in range(len(ts)):
             for j in range(i + 1, len(ts)):
@@ -100,7 +100,7 @@ def test_code_separates_iff_isomorphic():
 def test_code_separates_sampled_n7():
     rng = random.Random(5)
     for k in (1, 2, 3):
-        ts = list(V.enumerate_labeled_ktrees(k, 7))
+        ts = list(enumerate_labeled_ktrees(k, 7))
         for _ in range(120):
             i, j = rng.randrange(len(ts)), rng.randrange(len(ts))
             got = I.canonical_code(ts[i]) == I.canonical_code(ts[j])
@@ -142,7 +142,7 @@ def test_class_counts_match_known_sequences():
 
 def test_class_enumeration_agrees_with_labeled_dedup():
     for k, n in [(1, 6), (2, 6), (3, 7)]:
-        labeled = {I.canonical_code(t) for t in V.enumerate_labeled_ktrees(k, n)}
+        labeled = {I.canonical_code(t) for t in enumerate_labeled_ktrees(k, n)}
         assert len(labeled) == len(ktree_classes(k, n))
 
 

@@ -1,4 +1,6 @@
-"""Suite drivers, labeled enumeration, reports, and the witness search."""
+"""Suite drivers over class, random and family corpora, the reference
+labeled builds and the label invariance of every verdict, reports, and the
+witness search."""
 
 import concurrent.futures
 import json
@@ -10,32 +12,55 @@ from ktrees import verify as V
 from ktrees.errors import (
     BadK, KTreeError, NotATree, SizeTooSmall, TooLarge, UnknownSuite,
 )
+from ktrees.isomorphism import canonical_code
+
+from conftest import enumerate_labeled_ktrees, ktree_classes, labeled_count
 
 
 def test_labeled_counts_formula():
-    assert V.labeled_count(1, 3) == 2
-    assert V.labeled_count(2, 3) == 1
-    assert V.labeled_count(2, 4) == 3
-    assert V.labeled_count(2, 8) == 10395
-    assert V.labeled_count(3, 8) == 3640
+    assert labeled_count(1, 3) == 2
+    assert labeled_count(2, 3) == 1
+    assert labeled_count(2, 4) == 3
+    assert labeled_count(2, 8) == 10395
+    assert labeled_count(3, 8) == 3640
     for k in (1, 2, 3):
         for n in range(k, 8):
-            assert len(list(V.enumerate_labeled_ktrees(k, n))) == V.labeled_count(
-                k, n
-            )
-
-
-def test_labeled_enumeration_guard():
-    with pytest.raises(TooLarge):
-        list(V.enumerate_labeled_ktrees(2, 12))
-    with pytest.raises(SizeTooSmall):
-        list(V.enumerate_labeled_ktrees(3, 2))
+            assert len(list(enumerate_labeled_ktrees(k, n))) == labeled_count(k, n)
 
 
 def test_labeled_enumeration_yields_valid_ktrees():
-    for T in V.enumerate_labeled_ktrees(2, 6):
+    for T in enumerate_labeled_ktrees(2, 6):
         table = T.validate()
         assert all(got == want for got, want in table.values())
+
+
+def test_verdicts_do_not_depend_on_labels():
+    """Every labeled build of order at most 7 gets its class
+    representative's verdict from every suite without a family: the same
+    tallies, numbers of violations and witnesses, and near-miss gaps.  This
+    is why exhaustive corpora check one host per class."""
+
+    def verdict(suite, cfg, T):
+        (found,) = V._check_hosts(suite, cfg, [("host", T)])
+        gaps = [gap for gap, _ in found.near_misses]
+        return found.tallies, len(found.violations), len(found.witnesses), gaps
+
+    hosts = 0
+    for name, suite in V.SUITES.items():
+        if suite.family:
+            continue
+        cfg = V.SuiteConfig(suite=name)
+        for k in (1,) if suite.trees else (2, 3):
+            for n in range(k, 8):
+                want = {
+                    canonical_code(T): verdict(suite, cfg, T)
+                    for T in ktree_classes(k, n)
+                }
+                for T in enumerate_labeled_ktrees(k, n):
+                    got = verdict(suite, cfg, T)
+                    assert got == want[canonical_code(T)], (name, T.build)
+                    hosts += 1
+    assert hosts > 11000
 
 
 def test_tree_adjacency_requires_k1():
@@ -150,10 +175,6 @@ def test_unknown_suite_and_bad_configs():
         V.SuiteConfig(suite="kelmans", mode="random", trials=0).validate()
     with pytest.raises(TooLarge):
         V.SuiteConfig(suite="nonmajor-max", ks=(2,), max_n=14).validate()
-    with pytest.raises(TooLarge):
-        V.SuiteConfig(
-            suite="nonmajor-max", ks=(2,), max_n=10, dedupe=False
-        ).validate()
     # no suite takes k above K_GUARD, whatever its corpus
     k = V.K_GUARD + 1
     with pytest.raises(BadK):
@@ -182,6 +203,8 @@ def test_validate_returns_a_copy_and_leaves_its_receiver():
     assert cfg.ks == (2, 3)
     row = V.SuiteConfig(suite="nonmajor-max", ks=(2, 3), max_n=5)
     assert row.validate() == row
+    broom = V.SuiteConfig(suite="double-broom", ks=(5,), max_n=3)
+    assert broom.validate().ks == (1,)
 
 
 def test_class_corpora_and_class_levels_read_one_order_table():
@@ -201,10 +224,7 @@ def test_class_corpora_and_class_levels_read_one_order_table():
         V.SuiteConfig(suite="nonmajor-max", ks=(unlisted,), max_n=unlisted).validate()
     with pytest.raises(BadK):
         iso_levels(unlisted, unlisted)
-    # labeled and random corpora do not read the table
-    V.SuiteConfig(
-        suite="nonmajor-max", ks=(unlisted,), max_n=unlisted + 2, dedupe=False
-    ).validate()
+    # random corpora do not read the table
     V.SuiteConfig(
         suite="nonmajor-max", ks=(unlisted,), max_n=40, mode="random", trials=1
     ).validate()
