@@ -49,12 +49,10 @@ from .oracle import (
     SubKTreeSet,
     enumerate_sub_ktrees,
     local_members,
-    oracle_global_mean,
     oracle_all_clique_means,
 )
 from .isomorphism import (
     canonical_code,
-    isomorphic,
     enumerate_ktrees_up_to_iso,
 )
 

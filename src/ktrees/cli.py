@@ -59,10 +59,10 @@ def cmd_validate(args):
 
 def cmd_mean_order(args):
     T = _load(args)
-    chosen = [bool(args.clique), args.all_cliques, args.global_mean]
+    chosen = [args.clique is not None, args.all_cliques, args.global_mean]
     if sum(chosen) != 1:
         raise KTreeError("choose exactly one of --clique, --all-cliques, --global")
-    if args.clique:
+    if args.clique is not None:
         C = _parse_clique(args.clique, f"a {T.k}-clique")
         mu = chartree.local_mean_order_clique(T, C)
         print(f"mu(T;{_clique_label(C)}) = {format_rational(mu)}")
@@ -74,7 +74,7 @@ def cmd_mean_order(args):
         if T.k == 1:
             mu = polynomials.global_mean_order_tree(verify.tree_adjacency(T))
         else:
-            mu = oracle.oracle_global_mean(T, cap=args.cap)
+            mu = oracle.enumerate_sub_ktrees(T, cap=args.cap).mean()
         print(f"mu(T) = {format_rational(mu)}")
     return 0
 
@@ -118,7 +118,7 @@ def cmd_kelmans(args):
 
 def cmd_oracle(args):
     T = _load(args)
-    if args.clique:
+    if args.clique is not None:
         S = _parse_clique(args.clique)
         members = oracle.local_members(T, S, args.cap)
         poly, mu = members.poly(), members.mean()

@@ -13,10 +13,12 @@ The clique-incidence tree (k-cliques joined to the (k+1)-cliques that
 contain them) has a centre that every isomorphism fixes.  The canonical
 code is the minimum rooted code over the centre's k-cliques and their
 orderings, at most (k+1) * k! of them, so two k-trees are isomorphic iff
-their canonical codes are equal.  The centre is found by stripping leaves
-in a loop on the host's shared incidence index (`core.CliqueIncidence`),
-the same index whose walk from C (`chartree._walk`) gives the rooted
-structure, so no code peels the host.
+their canonical codes are equal.  The tree's neighbour lists are read off
+the host's shared incidence index (`core.CliqueIncidence`), the same index
+whose walk from C (`chartree._walk`) gives the rooted structure, so no code
+peels the host.  The centre is the middle of a longest path, found by two
+breadth-first sweeps; the sweep from the centre then gives the distances
+that `_child_codes` reads.
 
 Class enumeration keeps one canonical code per class and level.
 `iso_levels` yields the levels k..n in turn, each built once from the one
@@ -148,13 +150,11 @@ def _codes(T, roots):
             yield _fold(up, labels, {v: i + 1 for i, v in enumerate(order)})[1][0]
 
 
-def rooted_code(T, C, order=None):
-    """Code of T rooted at clique C with the given vertex ordering of C."""
+def rooted_code(T, C):
+    """Code of T rooted at clique C, its vertices ordered ascending."""
     C = tuple(sorted(C))
-    if order is None:
-        order = C
     _, up, labels, _ = _rooted_structure(T, C)
-    return _fold(up, labels, {v: i + 1 for i, v in enumerate(order)})[1][0]
+    return _fold(up, labels, {v: i + 1 for i, v in enumerate(C)})[1][0]
 
 
 def rooted_code_set(T):
@@ -168,57 +168,56 @@ def _faces(inc, s):
     return (inc.attach_node[s], *range(1 + k * s, 1 + k * s + k))
 
 
-def _centre(inc):
-    """The centre node of the clique-incidence tree: a k-clique node j as
+def _incidence_tree(inc):
+    """Neighbour lists of the clique-incidence tree: a k-clique node j as
     j, step s as K + s, where K = 1 + k*m is the number of k-cliques.
 
-    The tree is the host's incidence index (`core.CliqueIncidence`), whose
-    nodes are the k-cliques and the (k+1)-cliques (the steps).  A
-    (k+1)-clique has k+1 faces, so every leaf is a k-clique, every
-    leaf-to-leaf path has even length, and stripping all leaves round by
-    round ends at a single node.  The rounds alternate: k-cliques, then
-    (k+1)-cliques.  A k-clique keeps the XOR of its steps not yet
-    stripped, so a leaf names its one remaining step without a scan.
+    Its nodes are the k-cliques and the (k+1)-cliques (the steps) of the
+    host's incidence index (`core.CliqueIncidence`), each step joined to
+    its k+1 faces.
     """
-    k, attach_node = inc.k, inc.attach_node
-    kdeg = [1] * (1 + k * len(attach_node))
-    kxor = [(j - 1) // k for j in range(len(kdeg))]
-    kdeg[0] = kxor[0] = 0
-    for s, j in enumerate(attach_node):
-        kdeg[j] += 1
-        kxor[j] ^= s
-    sdeg = [k + 1] * len(attach_node)
-    leaves = [j for j, d in enumerate(kdeg) if d <= 1]
-    # a node stripped earlier drops from 1 to 0, never to 1
-    while True:
-        tops = []
-        for j in leaves:
-            # a k-clique whose last two steps went in one round is at 0:
-            # it is the centre, and its XOR names no step
-            if kdeg[j]:
-                s = kxor[j]
-                sdeg[s] -= 1
-                if sdeg[s] == 1:
-                    tops.append(s)
-        if not tops:
-            (j,) = leaves
-            return j
-        leaves = []
-        for s in tops:
-            for j in _faces(inc, s):
-                kdeg[j] -= 1
-                kxor[j] ^= s
-                if kdeg[j] == 1:
-                    leaves.append(j)
-        if not leaves:
-            (s,) = tops
-            return len(kdeg) + s
+    m = len(inc.attach_node)
+    K = 1 + inc.k * m
+    nbrs = [[] for _ in range(K + m)]
+    for s in range(m):
+        for j in _faces(inc, s):
+            nbrs[j].append(K + s)
+            nbrs[K + s].append(j)
+    return nbrs
+
+
+def _bfs(nbrs, x):
+    """The nodes in breadth-first order from x, and the parent of each
+    (x is its own)."""
+    parent = [-1] * len(nbrs)
+    parent[x] = x
+    order = [x]
+    for y in order:
+        for z in nbrs[y]:
+            if parent[z] < 0:
+                parent[z] = y
+                order.append(z)
+    return order, parent
+
+
+def _centre(nbrs):
+    """The centre node of the clique-incidence tree: the middle of a
+    longest path.  A sweep from any node ends at one end a of such a path,
+    and a sweep from a ends at the other.  A step has k+1 faces, so every
+    leaf is a k-clique, every leaf-to-leaf path has even length, and the
+    middle is one node."""
+    a = _bfs(nbrs, 0)[0][-1]
+    order, parent = _bfs(nbrs, a)
+    path = [order[-1]]
+    while path[-1] != a:
+        path.append(parent[path[-1]])
+    return path[len(path) // 2]
 
 
 def _root_nodes(inc, x):
     """The root k-clique nodes of incidence node x (numbered as by
-    `_centre`): x itself if it is a k-clique, else the k+1 faces of its
-    step."""
+    `_incidence_tree`): x itself if it is a k-clique, else the k+1 faces
+    of its step."""
     K = 1 + inc.k * len(inc.attach_node)
     return (x,) if x < K else _faces(inc, x - K)
 
@@ -226,7 +225,8 @@ def _root_nodes(inc, x):
 def _centre_roots(T):
     """The k-cliques at the centre of the clique-incidence tree."""
     inc = T._incidence
-    return [inc.clique(j) for j in _root_nodes(inc, _centre(inc))]
+    centre = _centre(_incidence_tree(inc))
+    return [inc.clique(j) for j in _root_nodes(inc, centre)]
 
 
 def canonical_code(T):
@@ -242,11 +242,6 @@ def canonical_code(T):
     return header + min(_codes(T, _centre_roots(T)))
 
 
-def isomorphic(T1, T2):
-    """Exact k-tree isomorphism test."""
-    return canonical_code(T1) == canonical_code(T2)
-
-
 def _extend(T, C):
     """T plus one new vertex attached at clique C."""
     adds = list(T.build) + [(T.n + 1, C)]
@@ -255,7 +250,7 @@ def _extend(T, C):
 
 def _child_codes(T, cliques):
     """`canonical_code(_extend(T, C))` for each C in cliques, in order,
-    without building the children; T has order above k.
+    without building the children.
 
     The child's incidence tree is T's plus one step at C and that step's k
     new leaf faces, two edges further from T's centre than C.  Every leaf
@@ -273,28 +268,18 @@ def _child_codes(T, cliques):
     k, n = T.k, T.n + 1
     _require_codable(k, n)
     inc = T._incidence
-    m = len(inc.attach_node)
-    K = 1 + k * m
-    nbrs = [[] for _ in range(K + m)]
-    for s in range(m):
-        for j in _faces(inc, s):
-            nbrs[j].append(K + s)
-            nbrs[K + s].append(j)
-    # breadth first from the centre: each node's distance, and the first
-    # hop on the way to it
-    centre = _centre(inc)
-    dist = [-1] * len(nbrs)
+    nbrs = _incidence_tree(inc)
+    centre = _centre(nbrs)
+    # each node's distance from the centre, and the first hop on the way
+    order, parent = _bfs(nbrs, centre)
+    dist = [0] * len(nbrs)
     hop = list(range(len(nbrs)))
-    dist[centre] = 0
-    queue = [centre]
-    for x in queue:
-        for y in nbrs[x]:
-            if dist[y] < 0:
-                dist[y] = dist[x] + 1
-                if x != centre:
-                    hop[y] = hop[x]
-                queue.append(y)
-    radius = dist[queue[-1]]
+    for y in order[1:]:
+        x = parent[y]
+        dist[y] = dist[x] + 1
+        if x != centre:
+            hop[y] = hop[x]
+    radius = dist[order[-1]]
     by_root = {}  # root node -> the children rooted there, by index
     for c, C in enumerate(cliques):
         j = inc.node(C)
@@ -332,12 +317,7 @@ def _child_codes(T, cliques):
 def _levels(k, n):
     level = [build_from_construction(k, [])]
     yield k, level
-    if n == k:
-        return
-    # K_k has one clique, so one class of order k + 1
-    level = [_extend(level[0], level[0].base)]
-    yield k + 1, level
-    for m in range(k + 2, n + 1):
+    for m in range(k + 1, n + 1):
         classes = {}  # canonical code -> first candidate with it, built
         for T in level:
             cliques = k_cliques(T)

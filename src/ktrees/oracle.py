@@ -40,11 +40,11 @@ spells its masks only when they are read, so polynomials, means and sizes
 count bits, never members.  The all-clique means read each clique's counts
 off its selector the same way.
 
-Entry points.  `enumerate_sub_ktrees` gives every member, or those that
-contain a vertex set; `local_members` gives those that contain a vertex
-set it has checked to be a sub-k-tree.  A caller reads a polynomial or a
-mean off the returned set (`.poly()`, `.mean()`).  `oracle_global_mean`,
-`oracle_all_clique_means` and `oracle_argmax_cliques` give the means.
+Entry points.  `enumerate_sub_ktrees` gives every member; a caller keeps
+those that contain a vertex set with `.restricted(S)`, and reads a
+polynomial or a mean off a set (`.poly()`, `.mean()`).  `local_members`
+gives the members that contain a vertex set it has checked to be a
+sub-k-tree, and `oracle_all_clique_means` the mean at every k-clique.
 
 One enumeration per host.  Every entry point reads the full set of its host
 from one slot, `_host_set`, which grows the members (and later builds the
@@ -291,24 +291,21 @@ def _grow_all(T):
 _last = None  # the full SubKTreeSet of the most recent host
 
 
-def _host_set(T, cap, required=()):
+def _host_set(T, cap):
     """The full SubKTreeSet of T, grown only if T is not the host in the
-    slot.  The cap and the vertices of `required` are checked on every call,
-    before the slot is read."""
+    slot.  The cap is checked on every call, before the slot is read."""
     global _last
     if T.n > min(cap, MAX_ORDER):
         raise TooLarge(f"order {T.n} exceeds enumeration cap {min(cap, MAX_ORDER)}")
-    _required_mask(T, required)  # reject a bad vertex before growing
     if _last is None or _last.host is not T:
         _last = None  # free the previous host's members before growing these
         _last = SubKTreeSet(T, _grow_all(T))
     return _last
 
 
-def enumerate_sub_ktrees(T, required=(), cap=DEFAULT_CAP):
-    """Every sub-k-tree vertex set, optionally filtered to those >= required."""
-    full = _host_set(T, cap, required)
-    return full.restricted(required) if required else full
+def enumerate_sub_ktrees(T, cap=DEFAULT_CAP):
+    """Every sub-k-tree of T, as one SubKTreeSet."""
+    return _host_set(T, cap)
 
 
 def is_sub_ktree(T, S):
@@ -327,15 +324,11 @@ def is_sub_ktree(T, S):
     return True
 
 
-def oracle_global_mean(T, cap=DEFAULT_CAP):
-    return _host_set(T, cap).mean()
-
-
 def local_members(T, S, cap=DEFAULT_CAP):
     """Members containing S, after checking that S is itself a sub-k-tree."""
     if not is_sub_ktree(T, S):
         raise NotASubKTree(f"{tuple(S)} does not induce a sub-k-tree")
-    return enumerate_sub_ktrees(T, required=S, cap=cap)
+    return enumerate_sub_ktrees(T, cap=cap).restricted(S)
 
 
 def oracle_all_clique_means(T, cap=DEFAULT_CAP):
@@ -346,22 +339,3 @@ def oracle_all_clique_means(T, cap=DEFAULT_CAP):
         # members containing C, counted by order
         out[C] = _mean(full._counts(full._selector(_required_mask(T, C))))
     return out
-
-
-def oracle_argmax_cliques(T, cap=DEFAULT_CAP):
-    """Cliques attaining the maximum local mean order, with the value."""
-    means = oracle_all_clique_means(T, cap=cap)
-    best = max(means.values())
-    return sorted(C for C, m in means.items() if m == best), best
-
-
-__all__ = [
-    "DEFAULT_CAP",
-    "SubKTreeSet",
-    "enumerate_sub_ktrees",
-    "is_sub_ktree",
-    "local_members",
-    "oracle_all_clique_means",
-    "oracle_argmax_cliques",
-    "oracle_global_mean",
-]

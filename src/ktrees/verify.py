@@ -61,7 +61,7 @@ from .kelmans_ops import (
     check_partial_kelmans_monotone,
     path_with_leaf_predicate,
 )
-from .oracle import DEFAULT_CAP, MAX_ORDER, enumerate_sub_ktrees, oracle_argmax_cliques
+from .oracle import DEFAULT_CAP, MAX_ORDER, enumerate_sub_ktrees, oracle_all_clique_means
 from .polynomials import (
     fraction_str,
     format_decimal,
@@ -75,6 +75,7 @@ FAMILY_GUARD = 1000  # max family parameter n
 RANDOM_GUARD = 10_000  # max host order in random mode
 K_GUARD = 255  # max k of any suite; class corpora stop at k = 9 (CLASS_MAX_ORDER)
 NEAR_MISSES = 8  # near misses a search report keeps
+_CHUNK = 400  # hosts per payload of a parallel run
 
 
 def tree_adjacency(T):
@@ -444,7 +445,8 @@ def check_degree2_witness(T, cfg):
             "mu_decimal": format_decimal(best),
         }
         try:
-            oracle_arg, oracle_best = oracle_argmax_cliques(T, cap=cfg.cap)
+            oracle_means = oracle_all_clique_means(T, cap=cfg.cap)
+            oracle_arg, oracle_best = argmax_cliques(T, oracle_means)
             entry["oracle_confirms"] = oracle_arg == arg and oracle_best == best
         except TooLarge:
             entry["oracle_confirms"] = None
@@ -576,9 +578,9 @@ def _run_chunk(payload):
     return _merge(_check_hosts(SUITES[cfg.suite], cfg, hosts))
 
 
-def _chunk_payloads(cfg, chunk=400):
+def _chunk_payloads(cfg):
     specs = ((inst_id, T.k, T.base, T.build) for inst_id, T in iter_corpus(cfg))
-    while batch := list(itertools.islice(specs, chunk)):
+    while batch := list(itertools.islice(specs, _CHUNK)):
         yield (cfg, batch)
 
 

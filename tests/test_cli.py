@@ -119,6 +119,10 @@ def test_mean_order_requires_exactly_one_target(tri_kt, capsys):
     code, _, err = run(capsys, "mean-order", tri_kt, "--all-cliques", "--global")
     assert code == 2
     assert err.startswith("error: choose exactly one")
+    # an empty --clique names one target, and is refused as a spec
+    code, _, err = run(capsys, "mean-order", tri_kt, "--clique", "")
+    assert code == 2
+    assert err.startswith("error: bad clique spec ''")
 
 
 def test_char_tree_and_dot(four_kt, tmp_path, capsys):
@@ -338,7 +342,9 @@ P4_KT = "ktree 1\nk 1\nn 4\nbase 1\nadd 2 1\nadd 3 2\nadd 4 3\n"
 BAD_INPUTS = {
     "oracle-clique-repeated": ("host", FOUR_KT, "oracle", "--clique", "3,2,3,2"),
     "oracle-pair-repeated": ("host", FOUR_KT, "oracle", "--clique", "2,2"),
+    "oracle-clique-empty": ("host", FOUR_KT, "oracle", "--clique", ""),
     "mean-order-clique-repeated": ("host", FOUR_KT, "mean-order", "--clique", "1,3,1"),
+    "mean-order-clique-empty": ("host", FOUR_KT, "mean-order", "--clique", ""),
     "kelmans-move-repeated": (
         "host", P4_KT, "kelmans", "--from", "2", "--to", "3", "--move", "1,1",
     ),

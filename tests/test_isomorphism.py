@@ -44,7 +44,6 @@ def test_path_vs_star_codes_differ():
     p4 = core.gen_path_type(1, 4)
     star = core.recognize_ktree([(1, 2), (1, 3), (1, 4)], 1)
     assert I.canonical_code(p4) != I.canonical_code(star)
-    assert not I.isomorphic(p4, star)
 
 
 def test_relabeling_preserves_code():
@@ -59,7 +58,6 @@ def test_relabeling_preserves_code():
     for T in hosts:
         T2 = relabeled(T, rng)
         assert I.canonical_code(T) == I.canonical_code(T2)
-        assert I.isomorphic(T, T2)
 
 
 def test_centre_code_agrees_with_all_roots_reference():
@@ -126,7 +124,6 @@ def test_codes_agree_with_networkx_on_sampled_pairs():
                     T2 = relabeled(T2, rng)
                 want = nx.is_isomorphic(graph(T1), graph(T2))
                 assert (I.canonical_code(T1) == I.canonical_code(T2)) == want
-                assert I.isomorphic(T1, T2) == want
                 seen.add(want)
     assert seen == {True, False}
 
@@ -160,9 +157,8 @@ def double_fan(m):
 def test_canonical_code_limits_raise_too_large():
     with pytest.raises(TooLarge):
         I.canonical_code(core.gen_star_type(256, 0))
-    star = core.gen_star_type(256, 1)
     with pytest.raises(TooLarge):
-        I.isomorphic(star, star)
+        I.canonical_code(core.gen_star_type(256, 1))
     with pytest.raises(TooLarge):  # k and n are checked before anything is read
         I.canonical_code(SimpleNamespace(k=1, n=65536))
     # a fan: v >= 5 joins (3, v - 1), so rooted at (1, 2) v is v - 3 below 3
@@ -176,21 +172,17 @@ def test_canonical_code_limits_raise_too_large():
     assert big.n == 602
     with pytest.raises(TooLarge):
         I.canonical_code(big)
-    with pytest.raises(TooLarge):
-        I.isomorphic(big, big)
     small = double_fan(150)
-    assert small.n == 302 and I.isomorphic(small, small)
+    assert small.n == 302 and I.canonical_code(small)
 
 
 def test_deep_hosts_are_coded_without_recursion():
     """Codes fold in a loop, so a host's depth is bounded by n alone."""
     path = core.gen_path_type(2, 600)
     assert I.canonical_code(path)
-    assert I.isomorphic(path, path)
     deep = core.gen_path_type(3, 2000)
     copy = relabeled(deep, random.Random(3))
     assert I.canonical_code(deep) == I.canonical_code(copy)
-    assert I.isomorphic(deep, copy)
 
 
 def test_class_enumeration_guard():
@@ -267,8 +259,6 @@ def test_child_codes_equal_the_codes_of_built_children(k, n):
     candidates = 0
     for _, level in I.iso_levels(k, n - 1):
         for P in level:
-            if P.n == k:  # its one child is built directly
-                continue
             cliques = core.k_cliques(P)
             want = [I.canonical_code(I._extend(P, C)) for C in cliques]
             assert I._child_codes(P, cliques) == want
@@ -352,7 +342,6 @@ def test_codes_refuse_k_above_nine_before_any_ordering(monkeypatch):
     T = core.gen_star_type(10, 1)
     coders = (
         I.canonical_code,
-        lambda T: I.isomorphic(T, T),
         I.rooted_code_set,
         lambda T: I.rooted_code(T, T.base),
         lambda T: I._child_codes(T, [T.base]),

@@ -267,17 +267,34 @@ NO_CALLER_ALLOWED = {
     "elimination_sequence": "an independent check of recognition",
     "gen_path_type": "one of the paper's named families",
     "gen_star_type": "one of the paper's named families",
+    "canonical_code": "the reference the class coder is checked against",
 }
+MODULES = {path.stem for path in SRC.glob("*.py")}
+
+
+def _module_names(tree):
+    """Names a module binds to a module: by `import`, or by importing a
+    module of the package from a package."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names.update((a.asname or a.name).split(".")[0] for a in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            names.update(a.asname or a.name for a in node.names if a.name in MODULES)
+    return names
 
 
 def _references(tree):
-    """Every name, attribute and import alias a module spells; the strings
-    of an `__all__` are none of these."""
+    """Every name a module reads, every import alias, and every attribute it
+    reads off a module name or off `self`/`cls`.  A field, or an attribute
+    of another object, that shares a function's name is none of these, and
+    nor are the strings of an `__all__`."""
+    owners = _module_names(tree) | {"self", "cls"}
     names = set()
     for node in ast.walk(tree):
-        if isinstance(node, ast.Name):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
             names.add(node.id)
-        elif isinstance(node, ast.Attribute):
+        elif isinstance(node, ast.Attribute) and getattr(node.value, "id", None) in owners:
             names.add(node.attr)
         elif isinstance(node, ast.alias):
             names.update(filter(None, (node.name, node.asname)))
