@@ -10,16 +10,20 @@ outside that face, and its parent is the vertex that made the face, or the
 C-node when the face is C.  That is the latest-added vertex of its
 attachment outside C in any construction order from C (`isomorphism`
 reads the same walk).  The walk climbs from C to the base clique and
-copies the rest as whole runs of the index's preorder layout, so T'_C
-comes out parents first with no per-vertex loop beyond the chain.  The
-C-to-v path then spells the unique elimination sequence of v, which
-`elimination_sequence` derives independently (greedy peel) and checks
-against its defining conditions.
+copies the rest as whole runs of the index's preorder layout, at most
+three per chain step, so T'_C comes out parents first with no per-vertex
+loop beyond the chain.  It returns the k-clique node that each chain
+vertex joins; every other vertex joins its own attachment, read from the
+host's build records where a reader needs it (`construction_from`,
+`isomorphism`).  The C-to-v path then spells the unique elimination
+sequence of v, which `elimination_sequence` derives independently (greedy
+peel) and checks against its defining conditions.
 
 A `CharTree` stores T'_C as the data the folds read: `labels`, the C-node
 (0) followed by the vertices in walk order, and `up`, the position of each
-node's parent (-1 at the C-node).  The clique tuple only names the C-node
-when the tree is printed (`str`, `to_dot`).  The order is parents-first, so
+node's parent (-1 at the C-node).  Walk order is parents-first and nothing
+more: the edges, `str` and `to_dot` are sorted and do not depend on it.
+The clique tuple only names the C-node when the tree is printed.  So
 the reduction mu(T;C) = mu(T'_C;C) + k - 1 folds the integer pair
 (phi(1), phi'(1)) of phi_{T'_C,C} straight over `up`
 (`local_mean_order_clique`), and `local_poly_clique` folds the
@@ -31,7 +35,7 @@ masks of `core`, apart from both trees, and compares two integer lists.
 Its per-host `cache` is opaque: it maps each validated, sorted clique to
 the clique's mask, its common-neighbour mask, T'_C as a parent array
 indexed by vertex, and the children of the C-node and of each of its
-children.  The tree is built once per clique and dropped, and a clique is
+children.  Each clique is walked once, with no `CharTree` built, and
 validated only on its first miss.  Clique degrees and adjacent cliques also
 come from `core`, read off one common-neighbour mask.
 """
@@ -119,17 +123,21 @@ class CharTree(NamedTuple):
 # -- the walk over the clique-incidence index ----------------------------------
 
 
-def _walk(T, C):
-    """Walk the clique-incidence tree of T from the k-clique C, which the
-    caller has validated.
+def _walk(T, f):
+    """Walk the clique-incidence tree of T from k-clique node f (the
+    caller has validated the clique and located its node).
 
-    Returns (vertices, up, via): the vertices outside C in walk order (the
-    chain, then the copied runs), parents first; the parent position of
-    every node of T'_C (the C-node at position 0, `up[0] = -1`); and, per
-    vertex, the k-clique node it joins.  Entering a (k+1)-clique Q through its face F adds the one
-    vertex x of Q outside F, and every other face of Q contains x.  So a
-    vertex's parent is the vertex added on entering the (k+1)-clique that
-    made its face, or the C-node when that face is C.
+    Returns (vertices, up, chain): the vertices outside C in walk order
+    (the chain, then the copied runs), parents first; the parent position
+    of every node of T'_C (the C-node at position 0, `up[0] = -1`); and the
+    k-clique node `chain[i]` that chain vertex i (`vertices[i]`) joins.
+    Every later vertex v joins its own attachment, `build[step_of[v]][1]`
+    of the incidence index, so the walk keeps no node per vertex.
+
+    Entering a (k+1)-clique Q through its face F adds the one vertex x of Q
+    outside F, and every other face of Q contains x.  So a vertex's parent
+    is the vertex added on entering the (k+1)-clique that made its face, or
+    the C-node when that face is C.
 
     The (k+1)-cliques on the index path from C up to the base clique are
     entered through a face they made, so each adds the attachment vertex
@@ -138,45 +146,66 @@ def _walk(T, C):
     parent as in the index's preorder layout (`CliqueIncidence.layout`),
     except that a step whose attachment is C or on the chain hangs from the
     C-node or that chain vertex.  Those steps are copied as whole runs of
-    the layout, after the chain: the run below C, and per chain step the
-    runs below its other faces and beside it at its attachment.
+    the layout, after the chain: the run below C, and at most three per
+    chain step s, entered through its face t: the run below its faces
+    before t, the steps beside s at attach_s laid out before s, and one run
+    from the start of face t + 1's run to the end of attach_s's run, which
+    holds the steps below s's later faces and then those beside s after it.
     """
     inc = T._incidence
     k, build, attach_node = inc.k, inc.build, inc.attach_node
     lay = inc.layout
     m = len(build)
-    f = inc.node(C)
     verts = []
-    via = []
+    chain = []
     a, b = inc.run(f)
     runs = [(a, b, 0)] if a < b else []  # (a, b, r): a..b-1 hang from r
+    bounds = 3 * m
     i = 0
     while f:
         s, t = divmod(f - 1, k)
         i += 1
         verts.append(build[s][1][t])
-        via.append(f)
-        e = 3 * m + (k + 1) * s  # s's bounds: its faces' run starts, its end
-        a, b = lay[e], lay[e + k]
+        chain.append(f)
+        e = bounds + (k + 1) * s  # s's bounds: its faces' run starts, its end
+        a = lay[e]
         f = attach_node[s]
         if f:
             # inc.run(f), inlined: a call per chain step slows small walks
-            j = 3 * m + f - 1 + (f - 1) // k
+            j = bounds + f - 1 + (f - 1) // k
             c, g = lay[j], lay[j + 1]
         else:
             c, g = 0, m
-        # below s's other faces, and beside s at attach_s; empty runs are
-        # dropped, so a deep chain holds no more runs than vertices
-        for x, y in ((a, lay[e + t]), (lay[e + t + 1], b), (c, a - 1), (b, g)):
-            if x < y:
-                runs.append((x, y, i))
+        # below s's earlier faces, beside s before it, and below its later
+        # faces then beside it after it; empty runs are dropped, so a deep
+        # chain holds no more runs than vertices
+        x = lay[e + t]
+        if a < x:
+            runs.append((a, x, i))
+        if c < a - 1:
+            runs.append((c, a - 1, i))
+        x = lay[e + t + 1]
+        if x < g:
+            runs.append((x, g, i))
     up = [-1, *range(i)]
     for a, b, r in runs:
-        d = len(up) - a
-        verts += lay[a:b]
-        up += [q + d if q >= a else r for q in lay[m + a : m + b]]
-        via += lay[2 * m + a : 2 * m + b]
-    return verts, up, via
+        if b - a == 1:  # one step, which hangs from r
+            verts.append(lay[a])
+            up.append(r)
+        else:
+            d = len(up) - a
+            verts += lay[a:b]
+            up += [q + d if q >= a else r for q in lay[m + a : m + b]]
+    return verts, up, chain
+
+
+def _joined(inc, verts, chain):
+    """The sorted k-clique that each vertex of a walk joins: a chain vertex
+    its chain node's clique, every later vertex its own build record's
+    attachment."""
+    build, step_of = inc.build, inc.step_of
+    later = map(step_of.__getitem__, verts[len(chain) :])
+    return [*map(inc.clique, chain), *(build[s][1] for s in later)]
 
 
 def construction_from(T, C):
@@ -186,15 +215,15 @@ def construction_from(T, C):
     the sorted k-clique it joins.
     """
     C = require_k_clique(T, C)
-    verts, _, via = _walk(T, C)
-    clique = T._incidence.clique
-    return [(v, clique(j)) for v, j in zip(verts, via)]
+    inc = T._incidence
+    verts, _, chain = _walk(T, inc.node(C))
+    return list(zip(verts, _joined(inc, verts, chain)))
 
 
 def characteristic_tree(T, C):
     """The characteristic 1-tree T'_C; K_1 for the trivial host."""
     C = require_k_clique(T, C)
-    verts, up, _ = _walk(T, C)
+    verts, up, _ = _walk(T, T._incidence.node(C))
     return CharTree(C, (0, *verts), tuple(up))
 
 
@@ -322,22 +351,22 @@ class _Entry(NamedTuple):
 def _clique_entry(T, C, cache):
     """The entry of the k-clique C, stored in `cache` under its sorted tuple.
 
-    Only a clique that `characteristic_tree` has validated is ever stored,
-    so a hit needs no check.  An unsorted C misses and is looked up again in
-    sorted form; an invalid one misses twice and raises when its tree is
-    built.  A miss builds T'_C once and keeps its parent list and the
-    children next to the C-node.
+    Only a validated clique is ever stored, so a hit needs no check.  An
+    unsorted C misses and is looked up again in sorted form; an invalid one
+    misses twice and raises NotAClique.  A miss walks from C once and keeps
+    the parent of every vertex and the children next to the C-node.
     """
     e = cache.get(C) if type(C) is tuple else None
     if e is None:
         C = tuple(sorted(C))
         e = cache.get(C)
         if e is None:
-            ct = characteristic_tree(T, C)  # raises NotAClique unless valid
-            labels = ct.labels
+            require_k_clique(T, C)
+            verts, up, _ = _walk(T, T._incidence.node(C))
+            labels = (0, *verts)
             par = array("i", [-1]) * (T.n + 1)
             kids = {0: []}
-            for v, i in zip(labels[1:], ct.up[1:]):
+            for v, i in zip(verts, up[1:]):
                 p = labels[i]
                 par[v] = p
                 if p in kids:

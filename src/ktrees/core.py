@@ -141,8 +141,7 @@ class CliqueIncidence:
     def node(self, C):
         """The node of the k-clique C, found from its latest-added vertex.
         C must be a k-clique of the host."""
-        step_of = self.step_of
-        s = max(step_of[v] for v in C)
+        s = max(map(self.step_of.__getitem__, C))
         if s < 0:
             return 0
         v, attach = self.build[s]

@@ -16,9 +16,11 @@ orderings, at most (k+1) * k! of them, so two k-trees are isomorphic iff
 their canonical codes are equal.  The tree's neighbour lists are read off
 the host's shared incidence index (`core.CliqueIncidence`), the same index
 whose walk from C (`chartree._walk`) gives the rooted structure, so no code
-peels the host.  The centre is the middle of a longest path, found by two
-breadth-first sweeps; the sweep from the centre then gives the distances
-that `_child_codes` reads.
+peels the host.  A vertex's label reads the k-clique it joins: the clique
+of its chain node for a vertex on the walk's chain, and its own build
+record's attachment, already sorted, for every other.  The centre is the
+middle of a longest path, found by two breadth-first sweeps; the sweep
+from the centre then gives the distances that `_child_codes` reads.
 
 Class enumeration keeps one canonical code per class and level.
 `iso_levels` yields the levels k..n in turn, each built once from the one
@@ -39,7 +41,7 @@ from __future__ import annotations
 from bisect import bisect_left, insort
 from itertools import permutations
 
-from .chartree import _walk
+from .chartree import _joined, _walk
 from .core import KTree, build_from_construction, k_cliques
 from .errors import BadK, SizeTooSmall, TooLarge
 
@@ -47,8 +49,11 @@ from .errors import BadK, SizeTooSmall, TooLarge
 # Each entry is the last order whose levels k..n built in at most about 90 s,
 # the time of k = 2, n = 13, on 2 shared cores (Python 3.11); for k >= 3 the
 # next order took over 170 s.  Those times were taken when every candidate was
-# built; coded from its parent, k = 2 to n = 13 takes about 16 s, and the next
-# orders have not been measured again.  Trees stop at n = 14, where a tree suite
+# built.  Coded from its parent, iso_levels(k, CLASS_MAX_ORDER[k]) took, in
+# three runs on the same machine, 0.9 s at k = 1 (n = 14), 9.4-12.9 s at k = 2
+# (n = 13), 3.0-5.4 s at k = 3 (n = 12) and 2.6-3.6 s at k = 4 (n = 12), with
+# a peak RSS of 145 MB at k = 2; the caps still stand on the older times, and
+# k >= 5 has not been timed again.  Trees stop at n = 14, where a tree suite
 # costs far more per host than the enumeration.  From k = 10 on, coding the one
 # class of order k + 1 alone takes minutes, so no code is made above k = 9.
 CLASS_MAX_ORDER = {1: 14, 2: 13, 3: 12, 4: 12, 5: 12, 6: 12, 7: 12, 8: 11, 9: 11}
@@ -85,15 +90,14 @@ def _rooted_structure(T, C):
     vertex, its ancestor-offset label head and attachment inside C; also
     the walk's vertices and the depth of each vertex (by id, 0 in C)."""
     _require_codable(T.k, T.n)
-    verts, up, via = _walk(T, C)
-    clique = T._incidence.clique
+    inc = T._incidence
+    verts, up, chain = _walk(T, inc.node(C))
     cset = set(C)
     depth = [0]  # by position
     at_depth = [0] * (T.n + 1)  # by vertex
     labels = [None]
-    for i, (v, j) in enumerate(zip(verts, via), 1):
+    for i, (v, attach) in enumerate(zip(verts, _joined(inc, verts, chain)), 1):
         d = depth[up[i]] + 1
-        attach = clique(j)
         cmem = [u for u in attach if u in cset]
         head = _head(sorted(d - at_depth[u] for u in attach if u not in cset), cmem)
         depth.append(d)

@@ -224,9 +224,15 @@ def bfs_walk(T, C):
 
 
 def walk_maps(T, C):
-    verts, up, via = CT._walk(T, C)
+    """The walk's parent and joined-node maps, in the form of `bfs_walk`: a
+    chain vertex joins its chain node, every later vertex the node of its
+    own build record's attachment."""
+    inc = T._incidence
+    verts, up, chain = CT._walk(T, inc.node(C))
     assert len(up) == len(verts) + 1 == T.n - T.k + 1
     assert up[0] == -1 and all(0 <= p < i for i, p in enumerate(up) if i)
+    assert len(chain) <= len(verts) and up[1 : len(chain) + 1] == list(range(len(chain)))
+    via = chain + [inc.node(inc.build[inc.step_of[v]][1]) for v in verts[len(chain) :]]
     labels = [None, *verts]
     return dict(zip(verts, (labels[p] for p in up[1:]))), dict(zip(verts, via))
 
@@ -234,6 +240,10 @@ def walk_maps(T, C):
 def test_incidence_index_invariants():
     hosts = [core.build_from_construction(3, [])]
     hosts += [shuffled_host(k, n, 1) for k in (1, 2, 3, 4) for n in (k + 1, 9, 20)]
+    # many siblings beside the chain steps, which fill the run copied from a
+    # chain step's later faces to the end of its attachment's run
+    hosts += [core.gen_star_type(2, 12), core.gen_bristled_star(3, 8)]
+    hosts += [shuffled_host(3, 40, 2)]
     for T in hosts:
         inc = T._incidence
         k, m = T.k, T.n - T.k

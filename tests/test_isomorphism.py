@@ -8,7 +8,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from ktrees import core, isomorphism as I, verify as V
+from ktrees import chartree, core, isomorphism as I, verify as V
 from ktrees.errors import SizeTooSmall, TooLarge
 
 from conftest import enumerate_labeled_ktrees, ktree_classes
@@ -81,6 +81,44 @@ def test_centre_code_agrees_with_all_roots_reference():
                     same += want
             assert same == 2 * len(hosts)  # itself and its relabeled twin
     assert pairs > 10000
+
+
+def reference_rooted_structure(T, C):
+    """`_rooted_structure` with every label read per vertex: the k-clique
+    node j that the vertex joins, found from its neighbours among C and the
+    vertices before it, and its attachment `inc.clique(j)`."""
+    inc = T._incidence
+    ct = chartree.characteristic_tree(T, C)
+    verts, up = list(ct.labels[1:]), list(ct.up)
+    cset = set(C)
+    seen = T.clique_mask(C)
+    depth = [0]
+    at_depth = [0] * (T.n + 1)
+    labels = [None]
+    for i, v in enumerate(verts, 1):
+        j = inc.node(tuple(core._mask_vertices(T.masks[v] & seen)))
+        seen |= 1 << (v - 1)
+        d = depth[up[i]] + 1
+        attach = inc.clique(j)
+        cmem = [u for u in attach if u in cset]
+        offsets = sorted(d - at_depth[u] for u in attach if u not in cset)
+        head = bytes([len(offsets), *offsets, len(cmem)])
+        depth.append(d)
+        at_depth[v] = d
+        labels.append((head, cmem))
+    return verts, up, labels, at_depth
+
+
+def test_rooted_structure_matches_the_per_vertex_clique_reference():
+    roots = 0
+    for k in (1, 2, 3):
+        for n in range(k, 9):
+            for T in ktree_classes(k, n):
+                for C in core.k_cliques(T):
+                    got = I._rooted_structure(T, C)
+                    assert got == reference_rooted_structure(T, C)
+                    roots += 1
+    assert roots > 1000
 
 
 def test_code_separates_iff_isomorphic():
