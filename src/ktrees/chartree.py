@@ -5,7 +5,10 @@ adjacent cliques with a strictly better mean.
 For a k-tree T and a k-clique C, the characteristic tree T'_C lives on
 {C-node} union (V(T) \\ V(C)).  It is read off one walk from C over the
 host's clique-incidence index (`core.CliqueIncidence`, built once per
-host): entering a (k+1)-clique through one of its faces adds the vertex
+host), from C's node as `core._clique_node` gives it: one dict lookup once
+the host's clique table exists (`k_cliques(T)` has been read, as on the
+all-clique path), else the mask check.  A single query never builds the
+table.  Entering a (k+1)-clique through one of its faces adds the vertex
 outside that face, and its parent is the vertex that made the face, or the
 C-node when the face is C.  That is the latest-added vertex of its
 attachment outside C in any construction order from C (`isomorphism`
@@ -48,6 +51,7 @@ from typing import NamedTuple
 
 from .core import (
     _bit,
+    _clique_node,
     _common_mask,
     _mask_vertices,
     _peel_k_leaves,
@@ -214,16 +218,15 @@ def construction_from(T, C):
     The vertices come in the walk order of `characteristic_tree`, each with
     the sorted k-clique it joins.
     """
-    C = require_k_clique(T, C)
-    inc = T._incidence
-    verts, _, chain = _walk(T, inc.node(C))
-    return list(zip(verts, _joined(inc, verts, chain)))
+    C, j = _clique_node(T, C)
+    verts, _, chain = _walk(T, j)
+    return list(zip(verts, _joined(T._incidence, verts, chain)))
 
 
 def characteristic_tree(T, C):
     """The characteristic 1-tree T'_C; K_1 for the trivial host."""
-    C = require_k_clique(T, C)
-    verts, up, _ = _walk(T, T._incidence.node(C))
+    C, j = _clique_node(T, C)
+    verts, up, _ = _walk(T, j)
     return CharTree(C, (0, *verts), tuple(up))
 
 
@@ -361,8 +364,8 @@ def _clique_entry(T, C, cache):
         C = tuple(sorted(C))
         e = cache.get(C)
         if e is None:
-            require_k_clique(T, C)
-            verts, up, _ = _walk(T, T._incidence.node(C))
+            C, j = _clique_node(T, C)
+            verts, up, _ = _walk(T, j)
             labels = (0, *verts)
             par = array("i", [-1]) * (T.n + 1)
             kids = {0: []}

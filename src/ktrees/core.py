@@ -5,6 +5,13 @@ vertex joined to all vertices of an existing k-clique.  Vertices are always
 1..n; cliques are strictly sorted tuples of vertex ids.  Internally every
 vertex keeps an adjacency bitmask (vertex v <-> bit v-1), which is what the
 enumeration-heavy modules operate on.
+
+Every clique query validates its clique, and finds its node in the host's
+clique-incidence index, through one helper, `_clique_node`.  The first
+`k_cliques(T)` builds the host's clique table, each sorted k-clique mapped
+to its node, and from then on the helper needs one lookup per clique.  The
+helper never builds the table, so a single query on a large host costs no
+tuple per clique.
 """
 
 from __future__ import annotations
@@ -315,8 +322,11 @@ class KTree:
 
     @cached_property
     def _k_cliques(self):
+        """The clique table: every k-clique, sorted, mapped to its incidence
+        node."""
         inc = self._incidence
-        return tuple(sorted(map(inc.clique, range(1 + self.k * len(self.build)))))
+        nodes = range(1 + self.k * len(self.build))
+        return dict(sorted(zip(map(inc.clique, nodes), nodes)))
 
     def k_leaf_set(self):
         return tuple(v for v in self.vertices if self.degree(v) == self.k)
@@ -439,9 +449,20 @@ def kp1_cliques(T):
     return list(T._kp1_cliques)
 
 
-def require_k_clique(T, C):
-    """C as a sorted tuple; NotAClique unless it is k distinct, pairwise
-    adjacent vertices of T.  One pass over C on the adjacency masks."""
+def _clique_node(T, C, node=True):
+    """C as a sorted tuple and its incidence node (None unless `node`);
+    NotAClique unless C is k distinct, pairwise adjacent vertices of T.
+
+    Once the host's clique table exists, a tuple found in it (by equality)
+    is valid and its node is one lookup away.  Anything else takes one pass
+    over C on the adjacency masks, then `CliqueIncidence.node`.  The table
+    is read only if it is there, never built.
+    """
+    table = T.__dict__.get("_k_cliques")
+    if table is not None and type(C) is tuple:
+        j = table.get(C)
+        if j is not None:
+            return C, j
     C = tuple(sorted(C))
     if len(C) == T.k:
         masks = T.masks
@@ -455,8 +476,13 @@ def require_k_clique(T, C):
             common &= masks[v] | b
         else:
             if m.bit_count() == T.k and common & m == m:
-                return C
+                return C, T._incidence.node(C) if node else None
     raise NotAClique(f"{C} is not a {T.k}-clique of the host")
+
+
+def require_k_clique(T, C):
+    """C as a sorted tuple; NotAClique unless it is a k-clique of T."""
+    return _clique_node(T, C, False)[0]
 
 
 def _common_mask(T, C):

@@ -42,7 +42,7 @@ from bisect import bisect_left, insort
 from itertools import permutations
 
 from .chartree import _joined, _walk
-from .core import KTree, build_from_construction, k_cliques
+from .core import KTree, _clique_node, build_from_construction, k_cliques
 from .errors import BadK, SizeTooSmall, TooLarge
 
 # The largest order of a class enumeration, per k; any other k is refused.
@@ -86,12 +86,19 @@ def _head(offsets, cmem):
 
 
 def _rooted_structure(T, C):
+    """`_rooted_at` the k-clique C, given in any vertex order and located
+    through `core`."""
+    return _rooted_at(T, *_clique_node(T, C))
+
+
+def _rooted_at(T, C, r):
     """Parent positions (`up[i] < i`, position 0 the clique node) and, per
     vertex, its ancestor-offset label head and attachment inside C; also
-    the walk's vertices and the depth of each vertex (by id, 0 in C)."""
+    the walk's vertices and the depth of each vertex (by id, 0 in C).  C is
+    the sorted root clique and r its incidence node."""
     _require_codable(T.k, T.n)
     inc = T._incidence
-    verts, up, chain = _walk(T, inc.node(C))
+    verts, up, chain = _walk(T, r)
     cset = set(C)
     depth = [0]  # by position
     at_depth = [0] * (T.n + 1)  # by vertex
@@ -147,23 +154,25 @@ def _grow(up, folded, i, stem):
 
 
 def _codes(T, roots):
-    """Rooted codes of T over the given root cliques and all their orderings."""
-    for C in roots:
-        _, up, labels, _ = _rooted_structure(T, C)
+    """Rooted codes of T over the given root clique nodes and all the
+    orderings of their cliques."""
+    clique = T._incidence.clique
+    for r in roots:
+        C = clique(r)
+        _, up, labels, _ = _rooted_at(T, C, r)
         for order in permutations(C):
             yield _fold(up, labels, {v: i + 1 for i, v in enumerate(order)})[1][0]
 
 
 def rooted_code(T, C):
     """Code of T rooted at clique C, its vertices ordered ascending."""
-    C = tuple(sorted(C))
     _, up, labels, _ = _rooted_structure(T, C)
-    return _fold(up, labels, {v: i + 1 for i, v in enumerate(C)})[1][0]
+    return _fold(up, labels, {v: i + 1 for i, v in enumerate(sorted(C))})[1][0]
 
 
 def rooted_code_set(T):
     """Every rooted code of T, over all root cliques and orderings."""
-    return frozenset(_codes(T, k_cliques(T)))
+    return frozenset(_codes(T, range(1 + T.k * len(T.build))))
 
 
 def _faces(inc, s):
@@ -227,10 +236,9 @@ def _root_nodes(inc, x):
 
 
 def _centre_roots(T):
-    """The k-cliques at the centre of the clique-incidence tree."""
+    """The k-clique nodes at the centre of the clique-incidence tree."""
     inc = T._incidence
-    centre = _centre(_incidence_tree(inc))
-    return [inc.clique(j) for j in _root_nodes(inc, centre)]
+    return _root_nodes(inc, _centre(_incidence_tree(inc)))
 
 
 def canonical_code(T):
@@ -286,13 +294,13 @@ def _child_codes(T, cliques):
     radius = dist[order[-1]]
     by_root = {}  # root node -> the children rooted there, by index
     for c, C in enumerate(cliques):
-        j = inc.node(C)
+        j = _clique_node(T, C)[1]
         for r in _root_nodes(inc, centre if dist[j] < radius else hop[j]):
             by_root.setdefault(r, []).append(c)
     best = [None] * len(cliques)
     for r, children in by_root.items():
         R = inc.clique(r)
-        verts, up, labels, depth = _rooted_structure(T, R)
+        verts, up, labels, depth = _rooted_at(T, R, r)
         pos = dict(zip(verts, range(1, len(up))))
         rset = set(R)
         leaves = []  # per child: v's parent position, label head and C & R

@@ -16,10 +16,18 @@ and the k-cliques are the roots.  Each state carries S, its frontier (the
 outside vertices with a neighbour in S) and its k-leaf mask.  A frontier
 vertex v gives the child S + v when
 
-- v attaches: `masks[v] & S` is a k-clique of the host, a verdict
-  memoised per host by that intersection mask; and
+- v attaches: v has exactly k neighbours in S; and
 - v is the highest k-leaf of S + v: no k-leaf of S that is not adjacent
   to v lies above v.
+
+Exactly k neighbours in S always form a clique, so no clique test is made.
+Suppose two of them, a and b, were not adjacent.  T[S] is a k-tree, so a
+minimal a-b separator X of it is a k-clique.  X + v separates a from b in
+T[S + v], and minimally: each vertex of X has neighbours in the components
+of a and b, and so has v, namely a and b.  T[S + v] is an induced subgraph
+of a k-tree, hence chordal, and a minimal separator of a chordal graph is a
+clique.  So v is adjacent to all of X, and has k + 2 neighbours in S (X, a
+and b), not k.
 
 The child's frontier is `(front | masks[v]) & ~(S | v)` and its k-leaf mask
 `(leaves & ~masks[v]) | v`; a root clique C passes `C | v`, and only the
@@ -235,7 +243,6 @@ def _grow_all(T):
     from its parent (see the module docstring)."""
     k = T.k
     masks = T.masks
-    attaches = {}  # intersection mask -> is it a k-clique of T
     out = []
     stack = []  # flat (S, frontier of S, k-leaves of S) triples
     for C, common in _clique_seeds(T):
@@ -268,17 +275,7 @@ def _grow_all(T):
             kept = leaves & ~mv
             if kept > low:  # a k-leaf of S above v stays a k-leaf
                 continue
-            inter = mv & S
-            ok = attaches.get(inter)
-            if ok is None:
-                ok = inter.bit_count() == k
-                rest = inter
-                while ok and rest:
-                    b = rest & -rest
-                    ok = masks[b.bit_length()] & inter == inter ^ b
-                    rest ^= b
-                attaches[inter] = ok
-            if ok:
+            if (mv & S).bit_count() == k:
                 S2 = S | low
                 out.append(S2)
                 stack.append(S2)

@@ -441,16 +441,17 @@ def test_adjacent_reduction_fails_when_the_move_drops_a_vertex():
 
 
 def test_each_clique_is_validated_once_per_host(monkeypatch):
-    """Over every ordered pair of a host, `require_k_clique` runs once per
-    distinct clique: a cache hit is a clique validated when it went in."""
+    """Over every ordered pair of a host, the clique check (`_clique_node`)
+    runs once per distinct clique: a cache hit is a clique validated when it
+    went in."""
     calls = Counter()
-    real = CT.require_k_clique
+    real = CT._clique_node
 
     def counting(T, C):
         calls[tuple(sorted(C))] += 1
         return real(T, C)
 
-    monkeypatch.setattr(CT, "require_k_clique", counting)
+    monkeypatch.setattr(CT, "_clique_node", counting)
     for T in (shuffled_host(2, 40, 1), shuffled_host(3, 30, 2), shuffled_host(1, 20, 3)):
         calls.clear()
         cache = {}

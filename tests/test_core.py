@@ -152,6 +152,74 @@ def test_require_k_clique_accepts_exactly_the_k_cliques():
                 core.require_k_clique(T, C)
 
 
+def test_clique_table_lists_the_incidence_nodes_in_sorted_order():
+    """The table maps each k-clique, in the order of `k_cliques`, to the
+    node the incidence index gives it, on every host of the criterion-1
+    corpus and on large uniform hosts."""
+    from test_acceptance import _labeled_corpus, _random_corpus
+
+    hosts = (T for _, T in _labeled_corpus((1, 2, 3), 8))
+    hosts = [*hosts, *(T for _, T in _random_corpus())]
+    hosts += [core.random_ktree(k, 300, s) for k in (1, 2, 3, 4) for s in (1, 2)]
+    for T in hosts:
+        inc = T._incidence
+        table = T._k_cliques
+        assert list(table) == core.k_cliques(T)
+        assert sorted(map(inc.clique, table.values())) == list(table)
+        assert all(inc.node(C) == j and inc.clique(j) == C for C, j in table.items())
+        assert sorted(table.values()) == list(range(1 + T.k * (T.n - T.k)))
+
+
+def _answer(f, *args):
+    """What a call gives: its value, or its exception's type and message."""
+    try:
+        return f(*args)
+    except KTreeError as exc:
+        return type(exc), str(exc)
+
+
+def test_clique_queries_answer_alike_before_and_after_the_table():
+    """Every clique query gives the same value, or the same refusal, on a
+    host whose clique table exists and on an equal host where it does not;
+    the queries never build the table."""
+    from ktrees.chartree import characteristic_tree
+
+    queries = (core.require_k_clique, core.clique_degree, core.adjacent_cliques,
+               characteristic_tree)
+    makers = (lambda: four_vertex(), lambda: core.random_ktree(3, 7, 2),
+              lambda: core.gen_star_type(1, 3), lambda: core.build_from_construction(2, []))
+    refused = 0
+    for make in makers:
+        cold, warm = make(), make()
+        core.k_cliques(warm)
+        k, n = cold.k, cold.n
+        probes = list(product(range(-1, n + 2), repeat=k))  # unsorted, repeats, ids off 1..n
+        probes += [list(C) for C in probes]
+        probes += [(), tuple(range(1, k)), tuple(range(1, k + 2))]
+        for C in probes:
+            for query in queries:
+                want = _answer(query, cold, C)
+                assert _answer(query, warm, C) == want, (query.__name__, C)
+                refused += type(want) is tuple and want[0] is NotAClique
+        assert "_k_cliques" not in cold.__dict__
+    assert refused > 1000
+
+
+def test_single_clique_queries_leave_the_table_unbuilt():
+    """A query at one clique of a large host builds no tuple per clique."""
+    from ktrees.chartree import local_mean_order_clique, verify_adjacent_reduction
+
+    T = core.gen_path_type(2, 2000)
+    for C in ((1, 2), (1000, 1001), (1999, 2000)):
+        local_mean_order_clique(T, C)
+        core.clique_degree(T, C)
+        core.adjacent_cliques(T, C)
+    cache = {}
+    verify_adjacent_reduction(T, (1000, 1001), (1000, 1002), cache)
+    verify_adjacent_reduction(T, (1001, 1002), (1000, 1001), cache)
+    assert "_k_cliques" not in T.__dict__
+
+
 def test_k_leaves():
     T = core.build_from_construction(2, [(3, (1, 2))])
     assert T.k_leaf_set() == (1, 2, 3)  # every vertex of K_{k+1}

@@ -9,7 +9,7 @@ from types import SimpleNamespace
 import pytest
 
 from ktrees import chartree, core, isomorphism as I, verify as V
-from ktrees.errors import SizeTooSmall, TooLarge
+from ktrees.errors import NotAClique, SizeTooSmall, TooLarge
 
 from conftest import enumerate_labeled_ktrees, ktree_classes
 
@@ -190,6 +190,16 @@ def double_fan(m):
     adds += [(h + 1, (h - 1, h))]
     adds += [(v, (h, v - 1)) for v in range(h + 2, 2 * h - 1)]
     return core.build_from_construction(2, adds)
+
+
+def test_rooted_code_refuses_a_non_clique():
+    """The root is validated before the walk: an id off the host, a
+    non-edge and a repeated vertex are refused, not coded."""
+    T = core.gen_path_type(2, 6)
+    for bad in ((1, 99), (1, 4), (2, 2), (1, 2, 3)):
+        with pytest.raises(NotAClique):
+            I.rooted_code(T, bad)
+    assert I.rooted_code(T, [2, 1]) == I.rooted_code(T, (1, 2))
 
 
 def test_canonical_code_limits_raise_too_large():
@@ -416,10 +426,12 @@ def test_centre_roots_agree_with_networkx_center():
                 G.add_edges_from((q, f) for f in itertools.combinations(q, k))
             (centre,) = nx.center(G)
             faces = [centre] if len(centre) == k else itertools.combinations(centre, k)
-            assert sorted(I._centre_roots(T)) == sorted(faces)
+            roots = map(T._incidence.clique, I._centre_roots(T))
+            assert sorted(roots) == sorted(faces)
 
 
 def test_centre_of_a_deep_host_is_found_without_recursion():
     # 2998 (k+1)-cliques in a chain: the centre is the face shared by the
     # 1499th and 1500th of them
-    assert I._centre_roots(core.gen_path_type(2, 3000)) == [(1500, 1501)]
+    T = core.gen_path_type(2, 3000)
+    assert [T._incidence.clique(r) for r in I._centre_roots(T)] == [(1500, 1501)]

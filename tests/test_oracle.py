@@ -195,6 +195,28 @@ def test_required_outside_the_host_is_rejected():
     assert O.SubKTreeSet(T, ()).poly() == IntPolynomial()
 
 
+def test_k_neighbours_in_a_sub_ktree_form_a_clique():
+    """The growth's attach test counts neighbours only: a vertex outside a
+    sub-k-tree S with exactly k neighbours in S sees a k-clique.  Checked
+    over every sub-k-tree found by the peel filter, on every class with
+    k <= 3 and n <= 8."""
+    cases = 0
+    for k in (1, 2, 3):
+        for n in range(k, 9):
+            for T in ktree_classes(k, n):
+                masks = T.masks
+                for S in range(1, 1 << T.n):
+                    if not _subset_is_sub_ktree(T, S):
+                        continue
+                    for v in range(1, T.n + 1):
+                        nb = masks[v] & S
+                        if S >> (v - 1) & 1 or nb.bit_count() != k:
+                            continue
+                        assert T.is_clique(core._mask_vertices(nb)), (k, n, S, v)
+                        cases += 1
+    assert cases > 5000
+
+
 def _seen_set_growth(T):
     """Reference growth with a set of seen members: from every k-clique,
     attach any outside vertex whose neighbours in the set form a k-clique."""

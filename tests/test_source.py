@@ -144,6 +144,30 @@ def test_oracle_members_are_grown_in_one_place():
     assert calls == 1, f"{calls} call sites of _grow_all"
 
 
+NODE_CALLERS = {"core._clique_node", "core.CliqueIncidence.__init__"}
+
+
+def _peeks_at_the_table(node):
+    """A read of the clique table that cannot build it: the table's name as
+    a string, or an instance `__dict__`."""
+    return (isinstance(node, ast.Constant) and node.value == "_k_cliques") or (
+        isinstance(node, ast.Attribute) and node.attr == "__dict__"
+    )
+
+
+def test_one_way_from_a_clique_to_its_node():
+    """A clique becomes its incidence node only in `core._clique_node`,
+    which alone reads the clique table without building it, so every query
+    validates and locates its clique the same way."""
+    callers, peekers = set(), set()
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        callers |= _callers(tree, path.stem, "node")
+        peekers |= _holders(tree, path.stem, _peeks_at_the_table)
+    assert callers == NODE_CALLERS, f".node( callers: {sorted(callers)}"
+    assert peekers == {"core._clique_node"}, f"table read in {sorted(peekers)}"
+
+
 CORPUS_CALLERS = {"verify._run_corpus", "verify._chunk_payloads"}
 
 
