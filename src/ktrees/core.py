@@ -11,7 +11,9 @@ clique-incidence index, through one helper, `_clique_node`.  The first
 `k_cliques(T)` builds the host's clique table, each sorted k-clique mapped
 to its node, and from then on the helper needs one lookup per clique.  The
 helper never builds the table, so a single query on a large host costs no
-tuple per clique.
+tuple per clique.  A host made by `KTree.from_parent`, a class level's
+parent plus one vertex, gets its table with its masks and index, each
+carried over from the parent's.
 """
 
 from __future__ import annotations
@@ -145,6 +147,16 @@ class CliqueIncidence:
             step_of[v] = s
         self._layout = None
 
+    def _with_step(self, build, j):
+        """A copy of this index plus one step: the last record of `build`,
+        attached at k-clique node j.  The layout is left to the first
+        walk."""
+        inc = object.__new__(CliqueIncidence)
+        inc.k, inc.base, inc.build, inc._layout = self.k, self.base, build, None
+        inc.step_of = self.step_of + array("i", [len(self.build)])
+        inc.attach_node = self.attach_node + array("i", [j])
+        return inc
+
     def node(self, C):
         """The node of the k-clique C, found from its latest-added vertex.
         C must be a k-clique of the host."""
@@ -272,6 +284,25 @@ class KTree:
         if present != (1 << n) - 1:
             raise BadVertexOrder("vertex ids do not cover 1..n")
         return cls(k, base, build, masks)
+
+    @classmethod
+    def from_parent(cls, P, C):
+        """P plus the vertex n + 1 attached at P's k-clique C, carried over
+        from P's structures, which it leaves as they are: P's masks plus the
+        new vertex's, P's incidence arrays plus the new step, and P's clique
+        table plus the step's k new faces, in sorted order."""
+        C, j = _clique_node(P, C)
+        k, v, s = P.k, P.n + 1, len(P.build)
+        masks = P.masks + [0]
+        for u in C:
+            masks[u] |= _bit(v)
+            masks[v] |= _bit(u)
+        T = cls(k, P.base, P.build + ((v, C),), masks)
+        T._incidence = P._incidence._with_step(T.build, j)
+        # v exceeds every vertex of C, so each new face stays sorted
+        faces = [(C[:t] + C[t + 1 :] + (v,), 1 + k * s + t) for t in range(k)]
+        T._k_cliques = dict(sorted([*P._k_cliques.items(), *faces]))
+        return T
 
     # -- basic queries ------------------------------------------------------
 
@@ -451,18 +482,25 @@ def kp1_cliques(T):
 
 def _clique_node(T, C, node=True):
     """C as a sorted tuple and its incidence node (None unless `node`);
-    NotAClique unless C is k distinct, pairwise adjacent vertices of T.
+    NotAClique unless C is k distinct, pairwise adjacent vertices of T,
+    each an int (a bool counts as the int it equals).
 
-    Once the host's clique table exists, a tuple found in it (by equality)
-    is valid and its node is one lookup away.  Anything else takes one pass
-    over C on the adjacency masks, then `CliqueIncidence.node`.  The table
-    is read only if it is there, never built.
+    Once the host's clique table exists, a tuple of ints found in it (by
+    equality) is valid and its node is one lookup away.  Anything else
+    takes one pass over C on the adjacency masks, then
+    `CliqueIncidence.node`.  The table is read only if it is there, never
+    built.
     """
     table = T.__dict__.get("_k_cliques")
     if table is not None and type(C) is tuple:
         j = table.get(C)
-        if j is not None:
+        # a float, Fraction or other number equal to an id also finds the
+        # clique, but makes the sum of C something other than an int
+        if j is not None and type(sum(C)) is int:
             return C, j
+    C = tuple(C)
+    if not all(isinstance(v, int) for v in C):
+        raise NotAClique(f"{C} has a vertex id that is not an int")
     C = tuple(sorted(C))
     if len(C) == T.k:
         masks = T.masks
@@ -491,15 +529,16 @@ def _common_mask(T, C):
     In a k-tree the (k+1)-cliques containing a k-clique C are exactly
     C + x for the vertices x of this mask.
     """
-    m = (1 << T.n) - 1
+    masks = T.masks
+    m = -1  # every bit set
     for v in C:
-        m &= T.masks[v]
+        m &= masks[v]
     return m
 
 
 def clique_degree(T, C):
     """Number of (k+1)-cliques containing C, with the class it implies."""
-    C = require_k_clique(T, C)
+    C = _clique_node(T, C, False)[0]
     deg = _common_mask(T, C).bit_count()
     if deg == 0:
         kind = ISOLATED
@@ -514,7 +553,7 @@ def clique_degree(T, C):
 
 def adjacent_cliques(T, C):
     """k-cliques sharing a (k+1)-clique with C, sorted; count k*deg(C)."""
-    C = require_k_clique(T, C)
+    C = _clique_node(T, C, False)[0]
     out = []
     for x in _mask_vertices(_common_mask(T, C)):
         for i in range(len(C)):

@@ -33,7 +33,8 @@ per root and ordering, every candidate rooted there refolds only v's
 ancestors and keeps a running minimum, and the fold is then dropped, so
 memory holds one fold and one code per candidate.  Only a candidate whose
 code is new in its level is built, so every level builds exactly its
-classes.
+classes, each carried over from its parent's masks, incidence arrays and
+clique table (`KTree.from_parent`) rather than rebuilt from its records.
 """
 
 from __future__ import annotations
@@ -49,13 +50,17 @@ from .errors import BadK, SizeTooSmall, TooLarge
 # Each entry is the last order whose levels k..n built in at most about 90 s,
 # the time of k = 2, n = 13, on 2 shared cores (Python 3.11); for k >= 3 the
 # next order took over 170 s.  Those times were taken when every candidate was
-# built.  Coded from its parent, iso_levels(k, CLASS_MAX_ORDER[k]) took, in
-# three runs on the same machine, 0.9 s at k = 1 (n = 14), 9.4-12.9 s at k = 2
-# (n = 13), 3.0-5.4 s at k = 3 (n = 12) and 2.6-3.6 s at k = 4 (n = 12), with
-# a peak RSS of 145 MB at k = 2; the caps still stand on the older times, and
-# k >= 5 has not been timed again.  Trees stop at n = 14, where a tree suite
-# costs far more per host than the enumeration.  From k = 10 on, coding the one
-# class of order k + 1 alone takes minutes, so no code is made above k = 9.
+# built.  Coded from its parent and extended from it, iso_levels(k,
+# CLASS_MAX_ORDER[k]) took, in fresh processes on the same machine, with n and
+# the process's peak RSS in parentheses, three runs each: 0.61-0.66 s at k = 1
+# (n = 14, 23 MB), 7.8-9.4 s at k = 2 (n = 13, 130 MB), 2.8-3.1 s at k = 3
+# (n = 12, 40 MB) and 2.5-2.7 s at k = 4 (n = 12, 21 MB); one run each: 2.9 s
+# at k = 5, 6.6 s at k = 6 and 17 s at k = 7 (n = 12), 18 s at k = 8 and 27 s
+# at k = 9 (n = 11), each at 14-15 MB.  The caps still stand on the older
+# times; no order past a cap has been timed again.  Trees stop at n = 14,
+# where a tree suite costs far more per host than the enumeration.  From
+# k = 10 on, coding the one class of order k + 1 alone takes minutes, so no
+# code is made above k = 9.
 CLASS_MAX_ORDER = {1: 14, 2: 13, 3: 12, 4: 12, 5: 12, 6: 12, 7: 12, 8: 11, 9: 11}
 
 
@@ -255,9 +260,9 @@ def canonical_code(T):
 
 
 def _extend(T, C):
-    """T plus one new vertex attached at clique C."""
-    adds = list(T.build) + [(T.n + 1, C)]
-    return KTree.from_parts(T.k, T.base, adds, validate=False)
+    """T plus one new vertex attached at clique C, carried over from T's
+    masks, incidence arrays and clique table."""
+    return KTree.from_parent(T, C)
 
 
 def _child_codes(T, cliques):

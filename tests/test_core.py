@@ -178,6 +178,38 @@ def _answer(f, *args):
         return type(exc), str(exc)
 
 
+def _structures(T):
+    """Everything a host carries, its lazy index and table included, as
+    plain values."""
+    inc = T._incidence
+    return (T.k, T.n, T.base, T.build, list(T.masks), list(inc.step_of),
+            list(inc.attach_node), list(inc.layout), core.k_cliques(T),
+            list(T._k_cliques.items()))
+
+
+def test_an_extension_equals_a_rebuild_and_leaves_its_parent_alone():
+    """`KTree.from_parent(P, C)` carries P's structures over to P + v@C:
+    they equal those of the same host rebuilt from its records, the table
+    exists from the start, and P's own structures do not change."""
+    from conftest import shuffled_host
+
+    cases = [(P, C) for k in (1, 2, 3) for n in range(k, 9)
+             for P in ktree_classes(k, n) for C in core.k_cliques(P)]
+    for k in (1, 2, 3, 4):
+        for s in (1, 2):
+            for P in (core.random_ktree(k, 200, s), shuffled_host(k, 60, s)):
+                sample = random.Random(s).sample(core.k_cliques(P), 12)
+                cases += [(P, C) for C in sample]
+    assert len(cases) > 1500
+    for P, C in cases:
+        before = _structures(P)
+        T = core.KTree.from_parent(P, list(reversed(C)))
+        assert "_k_cliques" in T.__dict__
+        want = core.KTree.from_parts(P.k, P.base, [*P.build, (P.n + 1, C)])
+        assert _structures(T) == _structures(want)
+        assert _structures(P) == before
+
+
 def test_clique_queries_answer_alike_before_and_after_the_table():
     """Every clique query gives the same value, or the same refusal, on a
     host whose clique table exists and on an equal host where it does not;
@@ -196,11 +228,21 @@ def test_clique_queries_answer_alike_before_and_after_the_table():
         probes = list(product(range(-1, n + 2), repeat=k))  # unsorted, repeats, ids off 1..n
         probes += [list(C) for C in probes]
         probes += [(), tuple(range(1, k)), tuple(range(1, k + 2))]
-        for C in probes:
+        # ids that are not ints, among them floats equal to a clique's ids
+        foreign = [tuple(map(float, C)) for C in core.k_cliques(warm)]
+        foreign += [tuple(map(str, C)) for C in core.k_cliques(warm)]
+        foreign += [(*C[:-1], None) for C in core.k_cliques(warm)]
+        # a bool stands for the int it equals
+        truthy = [(True, *C[1:]) for C in core.k_cliques(warm) if C[0] == 1]
+        assert truthy
+        for C, must_refuse in [*((C, None) for C in probes), *((C, True) for C in foreign),
+                               *((C, False) for C in truthy)]:
             for query in queries:
                 want = _answer(query, cold, C)
                 assert _answer(query, warm, C) == want, (query.__name__, C)
-                refused += type(want) is tuple and want[0] is NotAClique
+                no = type(want) is tuple and want[0] is NotAClique
+                refused += no
+                assert must_refuse in (None, no), (query.__name__, C)
         assert "_k_cliques" not in cold.__dict__
     assert refused > 1000
 

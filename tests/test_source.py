@@ -168,6 +168,20 @@ def test_one_way_from_a_clique_to_its_node():
     assert peekers == {"core._clique_node"}, f"table read in {sorted(peekers)}"
 
 
+def test_class_levels_extend_their_parents():
+    """A class representative is its parent plus one vertex, carried over
+    from the parent's structures by `KTree.from_parent`, never rebuilt from
+    its records; only `isomorphism._extend` makes one."""
+    rebuilders, extenders = set(), set()
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        if path.stem == "isomorphism":
+            rebuilders = _callers(tree, path.stem, "from_parts")
+        extenders |= _callers(tree, path.stem, "from_parent")
+    assert not rebuilders, f"isomorphism rebuilds hosts in {sorted(rebuilders)}"
+    assert extenders == {"isomorphism._extend"}, f"from_parent callers: {sorted(extenders)}"
+
+
 CORPUS_CALLERS = {"verify._run_corpus", "verify._chunk_payloads"}
 
 
