@@ -164,7 +164,7 @@ def _walk(T, f):
     chain = []
     a, b = inc.run(f)
     runs = [(a, b, 0)] if a < b else []  # (a, b, r): a..b-1 hang from r
-    bounds = 3 * m
+    bounds = 2 * m
     i = 0
     while f:
         s, t = divmod(f - 1, k)
@@ -237,6 +237,8 @@ def elimination_sequence(T, C, v):
     """Greedy-peel construction of the elimination sequence of v from C,
     verified against its two defining conditions before returning."""
     C = require_k_clique(T, C)
+    if not isinstance(v, int):
+        raise NotAClique(f"target {v!r} is not an int")
     if v in C:
         raise VertexInClique(f"target {v} lies inside {C}")
     if not 1 <= v <= T.n:
@@ -332,11 +334,9 @@ class ReductionReport(NamedTuple):
     """Outcome of checking that T'_C2 arises from T'_C1 by the partial
     move of `moved` from solo2 to the C1-node."""
 
-    clique1: tuple
-    clique2: tuple
     moved: tuple
     isomorphic: bool
-    detail: str = ""
+    detail: str
 
 
 class _Entry(NamedTuple):
@@ -412,7 +412,7 @@ def verify_adjacent_reduction(T, C1, C2, cache=None):
             far |= face
     moved = tuple(_mask_vertices(far & ~(m1 | x2)))
     detail = _move_detail(e1, e2, solo1, solo2, moved)
-    return ReductionReport(C1, C2, moved, not detail, detail)
+    return ReductionReport(moved, not detail, detail)
 
 
 def _move_detail(e1, e2, solo1, solo2, moved):

@@ -47,6 +47,11 @@ def _bit(v):
     return 1 << (v - 1)
 
 
+def _require_k(k):
+    if k < 1:
+        raise BadK(f"k must be at least 1, got {k}")
+
+
 def _mask_vertices(mask):
     """Sorted vertex ids of a bitmask."""
     out = []
@@ -128,11 +133,11 @@ class CliqueIncidence:
     `layout`, built on first read, lays the tree out in preorder from the
     base clique: a step comes first, then the steps below each of its k
     faces in turn, so the steps below any k-clique node fill one run of
-    positions, `run(j)`.  It is one packed array of (k + 4) * m ints:
-    the vertex v_s, the position of the step that made attach_s (-1 for the
-    base) and attach_node[s], each by position p in blocks of m; then, per
-    step s, k + 1 run bounds at 3m + (k+1)*s: the run starts of its faces
-    and the end of the run below s, so s itself sits one before the first.
+    positions, `run(j)`.  It is one packed array of (k + 3) * m ints:
+    the vertex v_s and the position of the step that made attach_s (-1 for
+    the base), each by position p in blocks of m; then, per step s, k + 1
+    run bounds at 2m + (k+1)*s: the run starts of its faces and the end of
+    the run below s, so s itself sits one before the first.
     """
 
     __slots__ = ("k", "base", "build", "attach_node", "step_of", "_layout")
@@ -186,14 +191,14 @@ class CliqueIncidence:
         """The positions [a, b) of the steps below k-clique node j."""
         if not j:
             return 0, len(self.build)
-        i = 3 * len(self.build) + j - 1 + (j - 1) // self.k
+        i = 2 * len(self.build) + j - 1 + (j - 1) // self.k
         lay = self.layout
         return lay[i], lay[i + 1]
 
     def _preorder(self):
         k, build, attach_node = self.k, self.build, self.attach_node
         m = len(build)
-        lay = array("i", [0]) * ((k + 4) * m)
+        lay = array("i", [0]) * ((k + 3) * m)
         # count the steps below every node, latest step first: a step's
         # faces are attached to only by later steps
         below = array("i", [0]) * (1 + k * m)
@@ -203,13 +208,12 @@ class CliqueIncidence:
         # place each step at its attachment's next free position; `below`
         # now holds that position for every node laid out so far
         below[0] = 0
-        bounds = 3 * m
+        bounds = 2 * m
         for s, (v, _) in enumerate(build):
             j = attach_node[s]
             p = below[j]
             lay[p] = v
             lay[m + p] = lay[bounds + (k + 1) * ((j - 1) // k)] - 1 if j else -1
-            lay[2 * m + p] = j
             e = bounds + (k + 1) * s
             q = p + 1
             for f in range(1 + k * s, 1 + k * s + k):
@@ -238,13 +242,14 @@ class KTree:
     # -- construction -----------------------------------------------------
 
     @classmethod
-    def from_parts(cls, k, base, adds, validate=True):
+    def from_parts(cls, k, base, adds):
         """Assemble a k-tree from a base clique and attachment records.
 
         `adds` is a sequence of (new_vertex, attachment) pairs; ids may be
-        arbitrary as long as they end up covering 1..n.  With validate=True
-        every attachment is checked to be a clique of the graph built so far.
+        arbitrary as long as they end up covering 1..n.  Every attachment is
+        checked to be a clique of the graph built so far.
         """
+        _require_k(k)
         base = tuple(sorted(base))
         if len(base) != k or len(set(base)) != k:
             raise BadVertexOrder(f"base must be {k} distinct vertices, got {base}")
@@ -270,12 +275,11 @@ class KTree:
                 raise AttachmentNotClique(
                     f"attachment {attach} for vertex {v} is not {k} present vertices"
                 )
-            if validate:
-                for u in attach:
-                    if masks[u] & amask != amask & ~_bit(u):
-                        raise AttachmentNotClique(
-                            f"attachment {attach} for vertex {v} is not a clique"
-                        )
+            for u in attach:
+                if masks[u] & amask != amask & ~_bit(u):
+                    raise AttachmentNotClique(
+                        f"attachment {attach} for vertex {v} is not a clique"
+                    )
             masks[v] = amask
             for u in attach:
                 masks[u] |= _bit(v)
@@ -418,8 +422,7 @@ def recognize_ktree(edges, k, n=None):
     is a clique; succeeds when k vertices remain.  Returns a KTree carrying the
     reconstructed build sequence and the adjacency masks read off the edges.
     """
-    if k < 1:
-        raise BadK(f"k must be at least 1, got {k}")
+    _require_k(k)
     pairs = list(edges)
     if any(starmap(eq, pairs)):
         raise FormatError(f"self-loop at {next(u for u, v in pairs if u == v)}")
@@ -615,6 +618,7 @@ def grow_ktree(k, picks):
     """The k-tree grown from the base 1..k by attaching vertex k + 1 + i at
     the picks[i]-th of the 1 + k*i k-cliques made so far.  Attaching v at C
     appends C - c + v for each c of C, in order."""
+    _require_k(k)  # before the picks are drawn, which k < 0 can fail
     cliques = [tuple(range(1, k + 1))]
     adds = []
     for v, i in enumerate(picks, k + 1):
@@ -622,7 +626,7 @@ def grow_ktree(k, picks):
         adds.append((v, C))
         # v exceeds every vertex of C, so each new clique stays sorted
         cliques += (C[:j] + C[j + 1 :] + (v,) for j in range(k))
-    return KTree.from_parts(k, cliques[0], adds, validate=False)
+    return KTree.from_parts(k, cliques[0], adds)
 
 
 def random_ktree(k, n, seed):
@@ -660,8 +664,7 @@ def parse_kt(text):
         n = int(lines[2].removeprefix("n "))
     except ValueError as exc:
         raise FormatError(f"bad k/n header: {exc}") from None
-    if k < 1:
-        raise BadK(f"k must be at least 1, got {k}")
+    _require_k(k)
     base_parts = lines[3].split()
     if base_parts[0] != "base":
         raise FormatError("fourth line must list the base clique")

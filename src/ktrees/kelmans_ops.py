@@ -16,7 +16,7 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from .errors import BadMoveSet, KTreeError, NotAdjacent, NotALeaf, SameVertex
-from .polynomials import _bfs_tree, _local_mean, _tree_at, as_tree_adj
+from .polynomials import _bfs_tree, _local_mean, as_tree_adj
 
 
 def _endpoints(graph, v, u):
@@ -37,7 +37,7 @@ def second_neighborhood(adj, v, u):
 def kelmans(graph, v, u):
     """Replace every edge vw, w in N2, by uw.  Graphs stay simple."""
     adj = _endpoints(graph, v, u)
-    return partial_kelmans(adj, v, u, second_neighborhood(adj, v, u))
+    return _move(adj, v, u, second_neighborhood(adj, v, u))
 
 
 def partial_kelmans(graph, v, u, moved):
@@ -50,6 +50,12 @@ def partial_kelmans(graph, v, u, moved):
     moved = frozenset(moved)
     if not moved <= second_neighborhood(adj, v, u):
         raise BadMoveSet(f"moved set {sorted(moved)} not within N2")
+    return _move(adj, v, u, moved)
+
+
+def _move(adj, v, u, moved):
+    """Move the edges vw, w in the frozenset `moved`, on the frozen copy
+    `adj`, in place."""
     adj[v] -= moved
     adj[u] |= moved
     for w in moved:
@@ -88,10 +94,11 @@ def path_with_leaf_predicate(tree, x):
     return x in adj and len(adj[x]) <= 1 and all(len(vs) <= 2 for vs in adj.values())
 
 
-def component_path_predicate(tree, v, u):
+def _component_path(adj, v, u):
     """Is the component of u in T - v a path with u as its leaf?  It is iff
-    no node of its walk from u is the parent of two others."""
-    up = _bfs_tree(_tree_at(tree, u), u, {v})
+    no node of its walk from u is the parent of two others.  `adj` is a
+    tree its checker has validated, with u among its vertices."""
+    up = _bfs_tree(adj, u, {v})
     return len(set(up)) == len(up)
 
 
@@ -119,7 +126,7 @@ def check_kelmans(tree, u, v):
     t_u, t_v = _local_mean(adj, u), _local_mean(adj, v)
     g_u, g_v = _local_mean(shifted, u), _local_mean(shifted, v)
     u_leaf, v_leaf, path = len(adj[u]) == 1, len(adj[v]) == 1, _is_path(adj)
-    u_path = component_path_predicate(adj, v, u)
+    u_path = _component_path(adj, v, u)
     return tuple(
         TheoremReport.at_least(claim, inst, lhs, rhs, predicted)
         for claim, lhs, rhs, predicted in (
@@ -145,7 +152,7 @@ def check_partial_kelmans_monotone(tree, u, v, moved):
     pred = not moved or (
         len(adj[u]) == 1
         and len(moved) == 1
-        and component_path_predicate(adj, v, next(iter(moved)))
+        and _component_path(adj, v, next(iter(moved)))
     )
     return TheoremReport.at_least(
         "mu(T'; v) >= mu(T; v)",

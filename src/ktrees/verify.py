@@ -572,7 +572,7 @@ def _merge(results):
 def _run_chunk(payload):
     cfg, specs = payload
     hosts = (
-        (inst_id, KTree.from_parts(k, base, build, validate=False))
+        (inst_id, KTree.from_parts(k, base, build))
         for inst_id, k, base, build in specs
     )
     return _merge(_check_hosts(SUITES[cfg.suite], cfg, hosts))

@@ -69,6 +69,11 @@ def test_elimination_sequence_examples():
         CT.elimination_sequence(four_vertex(), (1, 2), 2)
     with pytest.raises(NotAClique):
         CT.elimination_sequence(four_vertex(), (2, 4), 3)
+    with pytest.raises(NotAClique, match="not an int"):
+        CT.elimination_sequence(four_vertex(), (1, 2), 4.0)
+    # a bool is the int it equals: True is vertex 1, inside the clique
+    with pytest.raises(VertexInClique):
+        CT.elimination_sequence(four_vertex(), (1, 2), True)
 
 
 def test_characteristic_tree_examples():
@@ -260,16 +265,16 @@ def test_incidence_index_invariants():
             assert inc.step_of[v] == s
             for t in range(k):
                 assert v in cliques[1 + k * s + t]
-        # the preorder layout: vertex, parent position and attachment node
-        # by position, then k + 1 run bounds per step
+        # the preorder layout: vertex and parent position by position, then
+        # k + 1 run bounds per step
         lay = inc.layout
-        assert len(lay) == (k + 4) * m
-        pos = [lay[3 * m + (k + 1) * s] - 1 for s in range(m)]
+        assert len(lay) == (k + 3) * m
+        pos = [lay[2 * m + (k + 1) * s] - 1 for s in range(m)]
         assert sorted(pos) == list(range(m))
         for s, (v, _) in enumerate(T.build):
             j = inc.attach_node[s]
             p = pos[s]
-            assert lay[p] == v and lay[2 * m + p] == j
+            assert lay[p] == v
             assert lay[m + p] == (pos[(j - 1) // k] if j else -1) < p
         # the run of a node is exactly the steps whose attachment climbs to it
         for j in range(nk):
@@ -393,7 +398,7 @@ def reference_adjacent_reduction(T, C1, C2):
     moved = tuple(core._mask_vertices(far & ~(m1 | m2)))
     t1, t2 = CT.characteristic_tree(T, C1), CT.characteristic_tree(T, C2)
     detail = reference_move_detail(t1, t2, solo1, solo2, moved)
-    return CT.ReductionReport(C1, C2, moved, not detail, detail)
+    return CT.ReductionReport(moved, not detail, detail)
 
 
 def test_adjacent_reduction_matches_the_partial_move_reference():
@@ -408,6 +413,9 @@ def test_adjacent_reduction_matches_the_partial_move_reference():
                     assert rep == reference_adjacent_reduction(T, C1, C2)
                     pairs[bool(rep.moved)] += 1
     assert pairs == {False: 2042, True: 1700}
+    # the cliques are the caller's own arguments, so the report does not
+    # echo them back
+    assert CT.ReductionReport._fields == ("moved", "isomorphic", "detail")
 
 
 def test_adjacent_reduction_fails_when_the_move_drops_a_vertex():

@@ -397,6 +397,24 @@ def test_random_ktree_invariants(k, extra, seed):
             assert set(leaves) - set(C)
 
 
+@pytest.mark.parametrize("k", [0, -1])
+def test_constructors_refuse_k_below_1(k):
+    # a "0-tree" has no k-clique to list and no .kt text that parses back
+    builds = [
+        lambda: core.random_ktree(k, 3, 1),
+        lambda: core.gen_path_type(k, 3),
+        lambda: core.gen_star_type(k, 3),
+        lambda: core.KTree.from_parts(k, (), []),
+        lambda: core.grow_ktree(k, [0, 0]),
+    ]
+    for build in builds:
+        with pytest.raises(BadK, match=f"^k must be at least 1, got {k}$"):
+            build()
+    # the .kt reader refuses the header before it reads a base line
+    with pytest.raises(BadK, match=f"^k must be at least 1, got {k}$"):
+        core.parse_kt(f"ktree 1\nk {k}\nn 3\nnot-a-base\n")
+
+
 # -- text formats -----------------------------------------------------------------
 
 
@@ -582,7 +600,7 @@ def _reference_recognize(edges, k, n=None):
     rest = core._mask_vertices(alive)
     if not all(masks[v] & alive == alive & ~(1 << (v - 1)) for v in rest):
         raise NotKTree(f"residue {rest} is not K_{k}")
-    return core.KTree.from_parts(k, rest, peeled[::-1], validate=False)
+    return core.KTree.from_parts(k, rest, peeled[::-1])
 
 
 def _outcome(recognize, *args):

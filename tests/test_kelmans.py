@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from ktrees import core
 from ktrees import kelmans_ops as K
-from ktrees.errors import BadMoveSet, KTreeError, NotALeaf, NotATree, SameVertex
+from ktrees.errors import BadMoveSet, KTreeError, NotAdjacent, NotALeaf, SameVertex
 from ktrees.verify import tree_adjacency
 
 from conftest import trees_upto
@@ -155,15 +155,22 @@ def test_path_predicates():
     assert not K.path_with_leaf_predicate(STAR, 1)
     assert not K.path_with_leaf_predicate(STAR, 2)
     assert K.path_with_leaf_predicate({1: set()}, 1)
-    assert K.component_path_predicate(P4, 3, 2)  # component {1,2} is a path at u=2
-    assert K.component_path_predicate(STAR, 1, 2)  # single vertex
-    assert not K.component_path_predicate(STAR, 2, 1)  # center keeps a star
+    assert K._component_path(P4, 3, 2)  # component {1,2} is a path at u=2
+    assert K._component_path(STAR, 1, 2)  # single vertex
+    assert not K._component_path(STAR, 2, 1)  # center keeps a star
 
 
-def test_component_predicate_rejects_a_vertex_outside_the_tree():
+def test_checkers_reject_a_vertex_outside_the_tree():
     # a bad vertex is bad input (exit 2), not a crash from a bare KeyError
-    with pytest.raises(NotATree, match="vertex 9 not in the tree"):
-        K.component_path_predicate(P4, 3, 9)
+    for bad in ((9, 3), (3, 9)):
+        with pytest.raises(NotAdjacent):
+            K.check_kelmans(P4, *bad)
+        with pytest.raises(NotAdjacent):
+            K.check_partial_kelmans_monotone(P4, *bad, ())
+    with pytest.raises(NotALeaf):
+        K.check_leaf_dominates_neighbor(P4, 9, 3)
+    with pytest.raises(NotAdjacent):
+        K.check_leaf_dominates_neighbor(P4, 1, 9)
 
 
 def test_component_predicate_matches_the_component_on_small_trees():
@@ -179,7 +186,7 @@ def test_component_predicate_matches_the_component_on_small_trees():
                         todo.append(w)
                 sub = {x: adj[x] & comp for x in comp}
                 want = K.path_with_leaf_predicate(sub, u)
-                assert K.component_path_predicate(adj, v, u) == want, (adj, v, u)
+                assert K._component_path(adj, v, u) == want, (adj, v, u)
 
 
 def test_kelmans_suite_moves_once_and_validates_at_most_twice_per_pair(monkeypatch):
@@ -206,6 +213,47 @@ def test_kelmans_suite_moves_once_and_validates_at_most_twice_per_pair(monkeypat
     pairs = reports // 3
     assert calls["move"] == pairs
     assert 0 < calls["validate"] <= 2 * pairs
+
+
+def test_each_checker_validates_its_tree_once(monkeypatch):
+    from ktrees import polynomials
+
+    calls = []
+
+    def counted(mod):
+        real = mod.as_tree_adj
+        monkeypatch.setattr(
+            mod, "as_tree_adj", lambda tree: calls.append(1) or real(tree)
+        )
+
+    counted(K)
+    counted(polynomials)
+    p5 = tree_adjacency(core.gen_path_type(1, 5))
+    chain = {1: {2}, 2: {1, 3}, 3: {2, 4}, 4: {3}}
+    checks = [
+        lambda: K.check_kelmans(P4, 2, 3),
+        lambda: K.check_kelmans(STAR, 1, 2),
+        lambda: K.check_partial_kelmans_monotone(P4, 2, 3, ()),
+        # u is a leaf and one vertex moves: the equality case reads the
+        # component predicate
+        lambda: K.check_partial_kelmans_monotone(chain, 1, 2, {3}),
+        lambda: K.check_partial_kelmans_monotone(STAR, 2, 1, {3, 4}),
+        lambda: K.check_leaf_dominates_neighbor(p5, 1, 2),
+    ]
+    for check in checks:
+        calls.clear()
+        check()
+        assert len(calls) == 1
+
+
+def test_kelmans_freezes_its_graph_once(monkeypatch):
+    calls = []
+    real = K._endpoints
+    monkeypatch.setattr(
+        K, "_endpoints", lambda *args: calls.append(1) or real(*args)
+    )
+    K.kelmans(P4, 3, 2)
+    assert len(calls) == 1
 
 
 def test_all_checkers_consistent_small(small_trees):

@@ -298,6 +298,30 @@ def test_one_walk_over_a_tree_adjacency():
     assert walkers == TREE_WALKERS, f"tree walks in {sorted(walkers)}"
 
 
+def test_the_package_binds_only_its_modules_and_version():
+    """Library code imports from the modules; a re-export list in
+    `__init__` would be a second, drifting list of the public names."""
+    tree = ast.parse((SRC / "__init__.py").read_text(encoding="utf-8"))
+    modules = {path.stem for path in SRC.glob("*.py")} - {"__init__"}
+    bound = []
+    for node in tree.body:
+        if isinstance(node, ast.Expr) and isinstance(node.value, ast.Constant):
+            continue  # the docstring
+        if isinstance(node, ast.ImportFrom) and node.level == 1 and not node.module:
+            bound += [(a.name, a.asname or a.name) for a in node.names]
+        elif isinstance(node, ast.Assign):
+            bound += [(None, getattr(t, "id", None)) for t in node.targets]
+        else:
+            bound.append((None, type(node).__name__))
+    odd = [
+        name
+        for target, name in bound
+        if not (target == name and name in modules) and name != "__version__"
+    ]
+    assert not odd, f"__init__ binds {odd}"
+    assert any(name == "__version__" for _, name in bound)
+
+
 BENCH = SRC.parent.parent / "bench"
 
 # public names with no program caller, each kept for the reason given

@@ -380,7 +380,7 @@ def test_forced_predicates_give_pinned_violation_records(suite, monkeypatch):
     for mod, name in (
         (V, "path_with_leaf_predicate"),
         (V, "path_type_predicate"),
-        (kelmans_ops, "component_path_predicate"),
+        (kelmans_ops, "_component_path"),
         (kelmans_ops, "_is_path"),
     ):
         real = getattr(mod, name)
