@@ -14,6 +14,9 @@ helper never builds the table, so a single query on a large host costs no
 tuple per clique.  A host made by `KTree.from_parent`, a class level's
 parent plus one vertex, gets its table with its masks and index, each
 carried over from the parent's.
+
+`all_clique_pairs` reads the index alone for the exact local mean order
+of every k-clique at once, apart from `chartree`'s characteristic trees.
 """
 
 from __future__ import annotations
@@ -48,6 +51,9 @@ def _bit(v):
 
 
 def _require_k(k):
+    # a bool is an int to Python, but True is no order of a clique
+    if type(k) is not int:
+        raise BadK(f"k must be an int, got {k!r}")
     if k < 1:
         raise BadK(f"k must be at least 1, got {k}")
 
@@ -539,10 +545,8 @@ def _common_mask(T, C):
     return m
 
 
-def clique_degree(T, C):
-    """Number of (k+1)-cliques containing C, with the class it implies."""
-    C = _clique_node(T, C, False)[0]
-    deg = _common_mask(T, C).bit_count()
+def _clique_info(deg):
+    """The CliqueInfo of a k-clique in deg (k+1)-cliques."""
     if deg == 0:
         kind = ISOLATED
     elif deg == 1:
@@ -552,6 +556,12 @@ def clique_degree(T, C):
     else:
         kind = MAJOR
     return CliqueInfo(deg, kind)
+
+
+def clique_degree(T, C):
+    """Number of (k+1)-cliques containing C, with the class it implies."""
+    C = _clique_node(T, C, False)[0]
+    return _clique_info(_common_mask(T, C).bit_count())
 
 
 def adjacent_cliques(T, C):
@@ -564,11 +574,59 @@ def adjacent_cliques(T, C):
     return sorted(out)
 
 
+def all_clique_pairs(T):
+    """(phi_{T,C}(1), phi_{T,C}'(1)) for every k-clique node C of T's
+    clique-incidence index: the number of sub-k-trees containing C and the
+    sum of their orders, so mu(T; C) is the second over the first.
+
+    One backward and one forward pass over the steps, with no walk from any
+    clique.  For a k-clique C in the (k+1)-clique Q = C + x, the branch
+    B(C->Q) is x times the product of (1 + B(C'->Q')) over the faces C' of
+    Q that contain x and the other (k+1)-cliques Q' on C'; phi_{T,C} is x^k
+    times the product of (1 + B(C->Q)) over every Q on C.  Only the value
+    and slope at 1 of each product are kept, as an integer pair.
+
+    Backward, latest step first: the down product D(j) of node j is the
+    product over the steps s attached at j of (1 + B_s), where B_s is x
+    times the product of D over s's faces, whose steps all come after s.
+    Forward, earliest step first: the full product F(j) of node j also has
+    the factor of the step that made j.  For a face f of step s attached at
+    j, F(f) = D(f) (1 + B(f->Q_s)), and D(f) B(f->Q_s) is x times F(j)
+    without its factor (1 + B_s) times the D of every face of s, that is
+    F(j) B_s / (1 + B_s) = F(j) - F(j) / (1 + B_s).  So each face gains one
+    amount, and dividing the factor out is exact.
+    """
+    inc = T._incidence
+    k, attach = inc.k, inc.attach_node
+    count = [1] * (1 + k * len(attach))
+    total = [0] * len(count)
+    branch = []
+    for s in range(len(attach) - 1, -1, -1):
+        c, t = 1, 0
+        for f in range(1 + k * s, 1 + k * s + k):
+            c, t = c * count[f], t * count[f] + c * total[f]
+        t += c  # times x
+        branch.append((c, t))
+        j = attach[s]
+        count[j], total[j] = count[j] * (c + 1), count[j] * t + total[j] * (c + 1)
+    branch.reverse()
+    for s, (c, t) in enumerate(branch):
+        j = attach[s]
+        rc = count[j] // (c + 1)  # F(j) / (1 + B_s)
+        rt = (total[j] - rc * t) // (c + 1)
+        gc, gt = count[j] - rc, total[j] - rt
+        for f in range(1 + k * s, 1 + k * s + k):
+            count[f] += gc
+            total[f] += gt
+    return [(c, t + k * c) for c, t in zip(count, total)]
+
+
 # -- named families ----------------------------------------------------------
 
 
 def gen_path_type(k, n):
     """The canonical path-type k-tree: vertex j > k joins the previous k."""
+    _require_k(k)
     if n < k:
         raise SizeTooSmall(f"need n >= k, got n={n}, k={k}")
     adds = [(j, tuple(range(j - k, j))) for j in range(k + 1, n + 1)]
@@ -577,6 +635,7 @@ def gen_path_type(k, n):
 
 def gen_star_type(k, n_added):
     """Star-type k-tree: every added vertex joins the base clique."""
+    _require_k(k)
     if n_added < 0:
         raise SizeTooSmall("n_added must be >= 0")
     base = tuple(range(1, k + 1))
@@ -591,6 +650,7 @@ def gen_bristled_star(k, n):
     through the base when n > k).  The base clique ends with degree n, each
     {b_i}-clique with degree 2, and every other k-clique is an end clique.
     """
+    _require_k(k)
     if n < 3:
         raise SizeTooSmall(f"family needs n >= 3, got {n}")
     if k < 2:
@@ -631,6 +691,7 @@ def grow_ktree(k, picks):
 
 def random_ktree(k, n, seed):
     """Uniform attachment-clique choice at each growth step; deterministic."""
+    _require_k(k)
     if n < k:
         raise SizeTooSmall(f"need n >= k, got n={n}, k={k}")
     rng = _random.Random(seed)

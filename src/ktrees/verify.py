@@ -13,11 +13,16 @@ and end-clique dominance) yields one `TheoremReport` per comparison, and
 `_fold_reports` turns those into tallies and violation records.  The
 search's witness checker returns (violations, tallies, witnesses, near
 misses).  Every other checker returns (violations, tallies).
-`_argmax_classes` is the one place the argmax checkers get clique means,
-the argmax and each clique's degree class (at k = 1 the cliques are the
-vertices).  `_run_corpus` drives every suite and the search: one corpus,
-one host loop, one merge; `_report` validates the config, times the run
-and builds both reports.
+The argmax checkers get clique means, the argmax and each clique's degree
+class (at k = 1 the cliques are the vertices) from `_argmax_classes`: the
+means from one pass over the host's clique-incidence index
+(`core.all_clique_pairs`) and the degrees from its attachment counts.  The
+one exception is `nonmajor-max`, the suite the benchmark's tracing test
+pins: it takes one characteristic tree per clique (`all_clique_means`) and
+one `clique_degree` per clique, and shares only the argmax and its tally
+key (`_argmax_tail`).  `_run_corpus` drives every suite and the search:
+one corpus, one host loop, one merge; `_report` validates the config,
+times the run and builds both reports.
 """
 
 from __future__ import annotations
@@ -44,7 +49,9 @@ from .core import (
     END,
     MAJOR,
     KTree,
+    _clique_info,
     adjacent_cliques,
+    all_clique_pairs,
     clique_degree,
     gen_bristled_star,
     gen_double_broom,
@@ -318,20 +325,36 @@ def check_chartree_adjacency(T, cfg):
     return violations, tallies
 
 
-def _argmax_classes(T):
-    """Every clique mean, the argmax cliques and their mean, each clique's
-    CliqueInfo, and the tally key naming the classes in the argmax."""
-    means = all_clique_means(T)
+def _argmax_tail(T, means, infos):
+    """`means` and `infos`, the argmax cliques and their mean between them,
+    and the tally key naming the classes in the argmax."""
     arg, best = argmax_cliques(T, means)
-    infos = {C: clique_degree(T, C) for C in means}
     key = "argmax:" + "+".join(sorted({infos[C].kind for C in arg}))
     return means, arg, best, infos, key
 
 
+def _argmax_classes(T):
+    """Every clique mean and each clique's CliqueInfo, both from one pass
+    over the host's clique-incidence index and in `k_cliques` order, then
+    `_argmax_tail`.  The degree of node j is the number of steps attached
+    at j, plus the step that made j unless j is the base clique."""
+    pairs = all_clique_pairs(T)
+    degree = Counter(T._incidence.attach_node)
+    means, infos = {}, {}
+    for C, j in T._k_cliques.items():
+        count, total = pairs[j]
+        means[C] = Fraction(total, count)
+        infos[C] = _clique_info(degree[j] + (j > 0))
+    return _argmax_tail(T, means, infos)
+
+
 def check_nonmajor_max(T, cfg):
     """Maximum sits at a non-major clique; every major clique has a better
-    neighbor."""
-    means, arg, best, infos, key = _argmax_classes(T)
+    neighbor.  Its means come from `all_clique_means`, one characteristic
+    tree per clique, and its degrees from `clique_degree`."""
+    means = all_clique_means(T)
+    infos = {C: clique_degree(T, C) for C in means}
+    means, arg, best, infos, key = _argmax_tail(T, means, infos)
     violations = []
     tallies = Counter([key])
     if all(infos[C].kind == MAJOR for C in arg):

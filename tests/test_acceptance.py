@@ -61,24 +61,35 @@ def _random_corpus():
 @pytest.fixture(scope="module")
 def reduction_results():
     """Shared sweep for criteria 1 and 2: every clique of every corpus host,
-    characteristic-tree polynomial and mean against the brute-force oracle."""
+    characteristic-tree polynomial and mean against the brute-force oracle.
+    It also holds the one-pass pairs and the argmax suites' means and
+    degrees against the characteristic tree and `clique_degree`."""
     mean_mismatches = []
     poly_mismatches = []
+    pass_mismatches = []
     instances = 0
     cliques = 0
     t0 = time.perf_counter()
     for inst, T in list(_labeled_corpus((1, 2, 3), 8)) + list(_random_corpus()):
         instances += 1
         full = oracle.enumerate_sub_ktrees(T, cap=16)
-        for C in core.k_cliques(T):
+        pairs = core.all_clique_pairs(T)
+        means, _, _, infos, _ = V._argmax_classes(T)
+        for C, j in T._k_cliques.items():
             cliques += 1
             fast_poly = CT.local_poly_clique(T, C)
+            count, total = count_and_total(fast_poly)
+            fast_mu = Fraction(total, count)
+            if (
+                pairs[j] != (count, total)
+                or means[C] != fast_mu
+                or infos[C] != core.clique_degree(T, C)
+            ):
+                pass_mismatches.append((inst, C))
             slow = full.restricted(C)
             if fast_poly != slow.poly():
                 poly_mismatches.append((inst, C))
                 continue
-            count, total = count_and_total(fast_poly)
-            fast_mu = Fraction(total, count)
             if fast_mu != slow.mean():
                 mean_mismatches.append((inst, C))
     elapsed = time.perf_counter() - t0
@@ -88,6 +99,7 @@ def reduction_results():
         "elapsed": elapsed,
         "mean_mismatches": mean_mismatches,
         "poly_mismatches": poly_mismatches,
+        "pass_mismatches": pass_mismatches,
     }
 
 
@@ -116,6 +128,15 @@ def test_criterion_02_local_poly_identity(reduction_results):
         f"{r['cliques']} cliques compared",
     )
     assert ok, (line, r["poly_mismatches"][:5])
+
+
+def test_one_pass_pairs_and_degrees_on_the_criterion_1_corpus(reduction_results):
+    """`core.all_clique_pairs` gives each clique the characteristic tree's
+    (count, total) pair, and the argmax suites' means and degree classes
+    are the characteristic tree's and `clique_degree`'s, the trivial hosts
+    (degree 0) and k = 1 included."""
+    r = reduction_results
+    assert r["cliques"] and not r["pass_mismatches"], r["pass_mismatches"][:5]
 
 
 def test_criterion_03_max_at_nonmajor():

@@ -1,6 +1,7 @@
 """k-tree construction, recognition, cliques, generators, and text formats."""
 
 import random
+import re
 import tracemalloc
 from itertools import product
 
@@ -413,6 +414,24 @@ def test_constructors_refuse_k_below_1(k):
     # the .kt reader refuses the header before it reads a base line
     with pytest.raises(BadK, match=f"^k must be at least 1, got {k}$"):
         core.parse_kt(f"ktree 1\nk {k}\nn 3\nnot-a-base\n")
+
+
+@pytest.mark.parametrize("k", [2.0, "2", True])
+def test_constructors_refuse_k_that_is_not_an_int(k):
+    # 2.0 and "2" used to fail deep inside with a bare TypeError, and True
+    # built a host whose k was True
+    builds = [
+        lambda: core.random_ktree(k, 3, 1),
+        lambda: core.gen_path_type(k, 3),
+        lambda: core.gen_star_type(k, 3),
+        lambda: core.gen_bristled_star(k, 3),
+        lambda: core.KTree.from_parts(k, (1, 2), []),
+        lambda: core.grow_ktree(k, [0, 0]),
+        lambda: core.recognize_ktree([(1, 2)], k),
+    ]
+    for build in builds:
+        with pytest.raises(BadK, match=f"^k must be an int, got {re.escape(repr(k))}$"):
+            build()
 
 
 # -- text formats -----------------------------------------------------------------

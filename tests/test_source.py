@@ -433,3 +433,33 @@ def test_module_regexes_compile_on_python_3_10():
                 if ops & newer:
                     found.append(f"{path.name}:{name}")
     assert not found, f"patterns needing Python 3.11: {found}"
+
+
+PASS_FORBIDDEN = {"_walk", "characteristic_tree", "_phi_pair", "_phi_poly"}
+
+
+def test_one_pass_and_characteristic_trees_stay_apart():
+    """`core.all_clique_pairs` and the characteristic-tree path check each
+    other, so neither may lean on the other: the pass walks no tree and
+    folds no tree polynomial, and `chartree` never names the pass."""
+    core = ast.parse((SRC / "core.py").read_text(encoding="utf-8"))
+    leaning = sorted(
+        name
+        for name in PASS_FORBIDDEN
+        if "core.all_clique_pairs" in _callers(core, "core", name)
+    )
+    assert not leaning, f"all_clique_pairs calls {leaning}"
+    assert any(getattr(node, "name", None) == "all_clique_pairs" for node in core.body)
+    chartree = ast.parse((SRC / "chartree.py").read_text(encoding="utf-8"))
+    assert "all_clique_pairs" not in _identifiers(chartree)
+
+
+def test_only_the_pinned_suite_walks_a_tree_per_clique():
+    """`nonmajor-max` keeps one characteristic tree and one `clique_degree`
+    per clique, the calls the benchmark counts; the other argmax suites take
+    their means and degrees from the one pass."""
+    tree = ast.parse((SRC / "verify.py").read_text(encoding="utf-8"))
+    for name in ("all_clique_means", "clique_degree"):
+        assert "verify.check_nonmajor_max" in _callers(tree, "verify", name), name
+        assert "verify._argmax_classes" not in _callers(tree, "verify", name), name
+    assert "verify._argmax_classes" in _callers(tree, "verify", "all_clique_pairs")
