@@ -1,6 +1,5 @@
 """Characteristic 1-trees: elimination sequences, the clique-to-tree
-reduction of local mean orders, the adjacent-clique relation, and the
-adjacent cliques with a strictly better mean.
+reduction of local mean orders and the adjacent-clique relation.
 
 For a k-tree T and a k-clique C, the characteristic tree T'_C lives on
 {C-node} union (V(T) \\ V(C)).  It is read off one walk from C over the
@@ -39,8 +38,7 @@ Its per-host `cache` is opaque: it maps each validated, sorted clique to
 the clique's mask, its common-neighbour mask, T'_C as a parent array
 indexed by vertex, and the children of the C-node and of each of its
 children.  Each clique is walked once, with no `CharTree` built, and
-validated only on its first miss.  Clique degrees and adjacent cliques also
-come from `core`, read off one common-neighbour mask.
+validated only on its first miss.
 """
 
 from __future__ import annotations
@@ -55,7 +53,6 @@ from .core import (
     _common_mask,
     _mask_vertices,
     _peel_k_leaves,
-    adjacent_cliques,
     k_cliques,
     require_k_clique,
 )
@@ -446,11 +443,3 @@ def _move_detail(e1, e2, solo1, solo2, moved):
     if exp == e2.par:
         return ""
     return "edge sets differ under the canonical relabeling"
-
-
-# -- strictly better neighbours ------------------------------------------------
-
-
-def better_neighbors(T, C, means):
-    """The adjacent cliques of C whose mean in `means` exceeds C's, sorted."""
-    return [D for D in adjacent_cliques(T, C) if means[D] > means[C]]

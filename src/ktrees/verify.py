@@ -8,21 +8,31 @@ representative per isomorphism class: every checked claim is invariant
 under relabeling, so each labeling of a class gives the same verdict.
 
 A checker has one of three shapes.  An inequality with a predicted
-equality case (the Jamison ratio, the global bound, the Kelmans moves, leaf
-and end-clique dominance) yields one `TheoremReport` per comparison, and
+equality case (the Jamison ratio, the global bound, the Kelmans moves and
+leaf dominance) yields one `TheoremReport` per comparison, and
 `_fold_reports` turns those into tallies and violation records.  The
 search's witness checker returns (violations, tallies, witnesses, near
 misses).  Every other checker returns (violations, tallies).
-The argmax checkers get clique means, the argmax and each clique's degree
-class (at k = 1 the cliques are the vertices) from `_argmax_classes`: the
-means from one pass over the host's clique-incidence index
-(`core.all_clique_pairs`) and the degrees from its attachment counts.  The
-one exception is `nonmajor-max`, the suite the benchmark's tracing test
-pins: it takes one characteristic tree per clique (`all_clique_means`) and
-one `clique_degree` per clique, and shares only the argmax and its tally
-key (`_argmax_tail`).  `_run_corpus` drives every suite and the search:
-one corpus, one host loop, one merge; `_report` validates the config,
-times the run and builds both reports.
+
+The argmax checkers (at k = 1 the cliques are the vertices) make every
+decision on a host table, `_HostTable`, indexed by the k-clique nodes of
+the host's clique-incidence index: the argmax, the best end and degree-2
+nodes, which nodes have a strictly better neighbour (the k + 1 nodes of a
+step are mutually adjacent), and end-clique dominance, which compares each
+end clique with the other nodes of its one step.  Each node holds its
+exact pair (count, total), a floor key (total << 64) // count and its
+degree class.  A lower key means a strictly lower mean, so only equal keys
+are compared exactly, by cross-multiplying; no float and no `Fraction`
+enters a decision.  `Fraction`s and clique tuples are built only for
+report fields, where cliques are sorted by tuple.
+`_argmax_classes` builds the table from one pass over the index
+(`core.all_clique_pairs`) and its attachment counts.  `nonmajor-max`, the
+suite the benchmark's tracing test pins, builds it from one characteristic
+tree per clique (`all_clique_means`) and one `clique_degree` per clique.
+
+`_run_corpus` drives every suite and the search: one corpus, one host
+loop, one merge; `_report` validates the config, times the run and builds
+both reports.
 """
 
 from __future__ import annotations
@@ -32,14 +42,15 @@ import json
 import os
 import random as _random
 import time
+from bisect import insort
 from collections import Counter
 from fractions import Fraction
+from functools import cmp_to_key
 from typing import NamedTuple
 
 from .chartree import (
     all_clique_means,
     argmax_cliques,
-    better_neighbors,
     local_mean_order_clique,
     local_poly_clique,
     verify_adjacent_reduction,
@@ -50,7 +61,6 @@ from .core import (
     MAJOR,
     KTree,
     _clique_info,
-    adjacent_cliques,
     all_clique_pairs,
     clique_degree,
     gen_bristled_star,
@@ -206,6 +216,18 @@ def iter_corpus(cfg):
 # -- per-instance checkers -----------------------------------------------------
 
 
+def _violation(rep):
+    """The violation record of a TheoremReport that is not ok."""
+    return {
+        "claim": rep.claim,
+        "detail": rep.instance,
+        "lhs": fraction_str(rep.lhs),
+        "rhs": fraction_str(rep.rhs),
+        "equality": rep.equality,
+        "predicted_equality": rep.predicted_equality,
+    }
+
+
 def _fold_reports(reports, equality):
     """(violations, tallies) of TheoremReports: each report is tallied under
     the key `equality` or as `strict`, and each one that is not ok becomes a
@@ -215,16 +237,7 @@ def _fold_reports(reports, equality):
     for rep in reports:
         tallies[equality if rep.equality else "strict"] += 1
         if not rep.ok:
-            violations.append(
-                {
-                    "claim": rep.claim,
-                    "detail": rep.instance,
-                    "lhs": fraction_str(rep.lhs),
-                    "rhs": fraction_str(rep.rhs),
-                    "equality": rep.equality,
-                    "predicted_equality": rep.predicted_equality,
-                }
-            )
+            violations.append(_violation(rep))
     return violations, tallies
 
 
@@ -325,98 +338,205 @@ def check_chartree_adjacency(T, cfg):
     return violations, tallies
 
 
-def _argmax_tail(T, means, infos):
-    """`means` and `infos`, the argmax cliques and their mean between them,
-    and the tally key naming the classes in the argmax."""
-    arg, best = argmax_cliques(T, means)
-    key = "argmax:" + "+".join(sorted({infos[C].kind for C in arg}))
-    return means, arg, best, infos, key
+class _HostTable(NamedTuple):
+    """One host's k-clique nodes (of its clique-incidence index `inc`) as
+    the argmax suites read them: per node, the pair (count, total) whose
+    quotient is its mean, the floor key (total << 64) // count and the
+    CliqueInfo; and `arg`, the nodes of greatest mean.
+
+    A lower key means a strictly lower mean, so only nodes of equal key are
+    compared exactly, by cross-multiplying.  Scaling a pair changes neither
+    its key nor any comparison, so reduced and unreduced pairs order alike.
+    Clique tuples are left to the reports (`inc.clique`)."""
+
+    inc: object
+    pairs: list
+    keys: list
+    infos: list
+    arg: list
+
+    @classmethod
+    def of(cls, inc, pairs, infos):
+        keys = [(total << 64) // count for count, total in pairs]
+        table = cls(inc, pairs, keys, infos, [])
+        return table._replace(arg=table.top(range(len(pairs))))
+
+    def compare(self, i, j):
+        """The sign of node i's mean minus node j's."""
+        a, b = self.keys[i], self.keys[j]
+        if a == b:
+            p, q = self.pairs[i], self.pairs[j]
+            if p == q:  # as between the faces of a k-leaf's step
+                return 0
+            a, b = p[1] * q[0], q[1] * p[0]
+        return (a > b) - (a < b)
+
+    def top(self, nodes):
+        """The nodes of greatest mean among `nodes`, in their order."""
+        keys = self.keys
+        high = max(keys[j] for j in nodes)
+        tied = [j for j in nodes if keys[j] == high]
+        if len(tied) > 1:
+            best = max(tied, key=cmp_to_key(self.compare))
+            tied = [j for j in tied if not self.compare(j, best)]
+        return tied
+
+    def best(self, kind):
+        """A node of greatest mean among those of the given kind, or None."""
+        nodes = [j for j, info in enumerate(self.infos) if info.kind == kind]
+        return self.top(nodes)[0] if nodes else None
+
+    def argmax_key(self):
+        """The tally key naming the classes in the argmax."""
+        return "argmax:" + "+".join(sorted({self.infos[j].kind for j in self.arg}))
+
+    def faces(self, s):
+        """The k + 1 nodes of step s, which are mutually adjacent: its
+        attachment, then the k faces it made."""
+        low = 1 + self.inc.k * s
+        return (self.inc.attach_node[s], *range(low, low + self.inc.k))
+
+    def better(self, nodes):
+        """The nodes among `nodes` with an adjacent node of strictly greater
+        mean, read off the steps that hold them: node j is in the steps
+        attached at j and, unless j is the base clique, the step that made
+        j."""
+        wanted = set(nodes)
+        held = {s for s, a in enumerate(self.inc.attach_node) if a in wanted}
+        held.update((j - 1) // self.inc.k for j in wanted if j)
+        found = set()
+        for s in held:
+            faces = self.faces(s)
+            for j in faces:
+                if j in wanted and j not in found:
+                    if any(self.compare(i, j) > 0 for i in faces):
+                        found.add(j)
+        return found
+
+    def sorted_cliques(self, nodes):
+        """(clique, node) for each of `nodes`, sorted by clique."""
+        return sorted((self.inc.clique(j), j) for j in nodes)
+
+
+def _mean(table, j):
+    """Node j's mean as a `Fraction`, for a report field."""
+    count, total = table.pairs[j]
+    return Fraction(total, count)
 
 
 def _argmax_classes(T):
-    """Every clique mean and each clique's CliqueInfo, both from one pass
-    over the host's clique-incidence index and in `k_cliques` order, then
-    `_argmax_tail`.  The degree of node j is the number of steps attached
-    at j, plus the step that made j unless j is the base clique."""
+    """The host table of T: every pair from one pass over the host's
+    clique-incidence index, and every degree from its attachment counts.
+    The degree of node j is the number of steps attached at j, plus the step
+    that made j unless j is the base clique."""
+    inc = T._incidence
     pairs = all_clique_pairs(T)
-    degree = Counter(T._incidence.attach_node)
-    means, infos = {}, {}
-    for C, j in T._k_cliques.items():
-        count, total = pairs[j]
-        means[C] = Fraction(total, count)
-        infos[C] = _clique_info(degree[j] + (j > 0))
-    return _argmax_tail(T, means, infos)
+    degree = [1] * len(pairs)
+    degree[0] = 0
+    for j in inc.attach_node:
+        degree[j] += 1
+    info = {d: _clique_info(d) for d in set(degree)}
+    return _HostTable.of(inc, pairs, [info[d] for d in degree])
 
 
 def check_nonmajor_max(T, cfg):
     """Maximum sits at a non-major clique; every major clique has a better
     neighbor.  Its means come from `all_clique_means`, one characteristic
-    tree per clique, and its degrees from `clique_degree`."""
+    tree per clique, and its degrees from `clique_degree`; the argmax and
+    the neighbour test read the host table those make."""
     means = all_clique_means(T)
-    infos = {C: clique_degree(T, C) for C in means}
-    means, arg, best, infos, key = _argmax_tail(T, means, infos)
+    pairs, infos = [None] * len(means), [None] * len(means)
+    for C, j in T._k_cliques.items():
+        m = means[C]
+        pairs[j], infos[j] = (m.denominator, m.numerator), clique_degree(T, C)
+    table = _HostTable.of(T._incidence, pairs, infos)
     violations = []
-    tallies = Counter([key])
-    if all(infos[C].kind == MAJOR for C in arg):
+    tallies = Counter([table.argmax_key()])
+    if all(infos[j].kind == MAJOR for j in table.arg):
+        arg = table.sorted_cliques(table.arg)
         violations.append(
             {
                 "claim": "argmax contains a clique of degree <= 2",
-                "detail": f"argmax={arg} degrees={[infos[C].degree for C in arg]}",
-                "lhs": fraction_str(best),
+                "detail": f"argmax={[C for C, _ in arg]} "
+                f"degrees={[infos[j].degree for _, j in arg]}",
+                "lhs": fraction_str(means[arg[0][0]]),
             }
         )
-    for C, info in infos.items():
-        if info.kind == MAJOR:
-            tallies["major_cliques"] += 1
-            if not better_neighbors(T, C, means):
-                violations.append(
-                    {
-                        "claim": "major clique has a strictly better neighbor",
-                        "detail": f"C={C} mu={fraction_str(means[C])}",
-                    }
-                )
+    majors = [j for j, info in enumerate(infos) if info.kind == MAJOR]
+    if majors:
+        tallies["major_cliques"] = len(majors)
+    better = table.better(majors)
+    for C, _ in table.sorted_cliques(j for j in majors if j not in better):
+        violations.append(
+            {
+                "claim": "major clique has a strictly better neighbor",
+                "detail": f"C={C} mu={fraction_str(means[C])}",
+            }
+        )
     return violations, tallies
 
 
 def check_end_clique_dominance(T, cfg):
-    """End cliques dominate their neighbors, with the exact equality cases."""
-    means, _, _, infos, _ = _argmax_classes(T)
+    """End cliques dominate their neighbors, with the exact equality cases.
+    An end clique lies in one step, so its neighbors are that step's other
+    faces; each pair is tallied as `equality` or `strict`, and only a pair
+    that fails builds its means, ordered by clique as `adjacent_cliques`
+    orders them."""
+    table = _argmax_classes(T)
+    inc, infos = table.inc, table.infos
     pt = path_type_predicate(T)
     leafset = set(T.k_leaf_set())
-    for C1, info in infos.items():
-        if info.kind != END:
-            continue
-        c1_has_leaf = any(v in leafset for v in C1)
-        for C2 in adjacent_cliques(T, C1):
-            yield TheoremReport.at_least(
-                "mu(T;C1) >= mu(T;C2) for end C1, equality iff "
-                "C2 end or path-type with k-leaf in C1",
-                f"C1={C1} C2={C2}",
-                means[C1],
-                means[C2],
-                infos[C2].kind == END or (pt and c1_has_leaf),
+    tallies = Counter()
+    failed = []
+    for s in range(len(inc.attach_node)):
+        faces = table.faces(s)
+        for j in faces:
+            if infos[j].kind != END:
+                continue
+            leafy = pt and any(v in leafset for v in inc.clique(j))
+            for i in faces:
+                if i == j:
+                    continue
+                sign = table.compare(j, i)
+                tallies["strict" if sign else "equality"] += 1
+                predicted = infos[i].kind == END or leafy
+                if sign < 0 or (not sign) != predicted:
+                    failed.append((inc.clique(j), inc.clique(i), j, i, predicted))
+    claim = (
+        "mu(T;C1) >= mu(T;C2) for end C1, equality iff "
+        "C2 end or path-type with k-leaf in C1"
+    )
+    violations = [
+        _violation(
+            TheoremReport.at_least(
+                claim, f"C1={C1} C2={C2}", _mean(table, j), _mean(table, i), predicted
             )
+        )
+        for C1, C2, j, i, predicted in sorted(failed)
+    ]
+    return violations, tallies
 
 
 def check_double_broom(T, cfg):
     """The double broom of parameter n (order 2n + 5) has its maximum local
     mean order at a degree-2 vertex for n >= 7 and at a leaf for n <= 2."""
     n = (T.n - 5) // 2
-    _, cliques, _, info_of, _ = _argmax_classes(T)
-    infos = [info_of[C] for C in cliques]
-    arg = [v for (v,) in cliques]
+    table = _argmax_classes(T)
+    arg = table.sorted_cliques(table.arg)
+    infos = [table.infos[j] for _, j in arg]
+    vertices = [v for (v,), _ in arg]
     degset = sorted({info.degree for info in infos})
     violations = []
     if n >= 7 and any(info.kind != DEGREE2 for info in infos):
         violations.append(
             {
                 "claim": "argmax vertex has degree 2 for n >= 7",
-                "detail": f"argmax={arg} degrees={degset}",
+                "detail": f"argmax={vertices} degrees={degset}",
             }
         )
     if n in (1, 2) and any(info.kind != END for info in infos):
         violations.append(
-            {"claim": "argmax is a leaf for n in {1,2}", "detail": f"argmax={arg}"}
+            {"claim": "argmax is a leaf for n in {1,2}", "detail": f"argmax={vertices}"}
         )
     return violations, Counter([f"n={n}:argmax_degrees={degset}"])
 
@@ -425,10 +545,12 @@ def check_bristled_star(T, cfg):
     """Every maximizer of the bristled star of parameter n (order k + 2n) is
     an end clique."""
     n = (T.n - T.k) // 2
-    _, arg, _, infos, _ = _argmax_classes(T)
-    degrees = sorted({infos[C].degree for C in arg})
+    table = _argmax_classes(T)
+    infos = [table.infos[j] for j in table.arg]
+    degrees = sorted({info.degree for info in infos})
     violations = []
-    if any(infos[C].kind != END for C in arg):
+    if any(info.kind != END for info in infos):
+        arg = [C for C, _ in table.sorted_cliques(table.arg)]
         violations.append(
             {
                 "claim": "all maximizers are end cliques",
@@ -442,27 +564,29 @@ def check_degree2_witness(T, cfg):
     """A host whose maximum is attained only at degree-2 cliques is a
     witness; one of order at most cfg.cap is re-checked by the oracle, and a
     disagreement is a violation.  The near miss is (gap, record), the gap
-    being the best degree-2 mean minus the best end mean."""
-    means, arg, best, infos, key = _argmax_classes(T)
-    bests = {
-        kind: max((m for C, m in means.items() if infos[C].kind == kind), default=None)
-        for kind in (END, DEGREE2)
-    }
-    host = {"k": T.k, "n": T.n, "build": _build_str(T)}
+    being the best degree-2 mean minus the best end mean; the record holds
+    the host and both means, and `_near_record` formats the few that a
+    search report keeps."""
+    table = _argmax_classes(T)
     violations, witnesses, near = [], [], []
-    if None not in bests.values():
-        gap = bests[DEGREE2] - bests[END]
+    end, deg2 = table.best(END), table.best(DEGREE2)
+    if end is not None and deg2 is not None:
+        best_end, best_deg2 = _mean(table, end), _mean(table, deg2)
         record = {
-            **host,
-            "best_end": fraction_str(bests[END]),
-            "best_degree2": fraction_str(bests[DEGREE2]),
-            "gap": fraction_str(gap),
-            "gap_decimal": format_decimal(gap),
+            "k": T.k,
+            "n": T.n,
+            "build": (T.base, T.build),
+            "best_end": best_end,
+            "best_degree2": best_deg2,
         }
-        near.append((gap, record))
-    if all(infos[C].kind == DEGREE2 for C in arg):
+        near.append((best_deg2 - best_end, record))
+    if all(table.infos[j].kind == DEGREE2 for j in table.arg):
+        arg = [C for C, _ in table.sorted_cliques(table.arg)]
+        best = _mean(table, table.arg[0])
         entry = {
-            **host,
+            "k": T.k,
+            "n": T.n,
+            "build": _build_str(T.base, T.build),
             "argmax": [list(C) for C in arg],
             "mu": fraction_str(best),
             "mu_decimal": format_decimal(best),
@@ -481,7 +605,20 @@ def check_degree2_witness(T, cfg):
                 }
             )
         witnesses.append(entry)
-    return violations, Counter([key]), witnesses, near
+    return violations, Counter([table.argmax_key()]), witnesses, near
+
+
+def _near_record(miss):
+    """The report record of a (gap, record) near miss."""
+    gap, record = miss
+    return {
+        **record,
+        "build": _build_str(*record["build"]),
+        "best_end": fraction_str(record["best_end"]),
+        "best_degree2": fraction_str(record["best_degree2"]),
+        "gap": fraction_str(gap),
+        "gap_decimal": format_decimal(gap),
+    }
 
 
 def _double_brooms(ks, ns):
@@ -531,9 +668,7 @@ SUITES = {
     "local-mean-reduction": Suite(check_local_mean_reduction, oracle_hosts=True),
     "chartree-adjacency": Suite(check_chartree_adjacency),
     "nonmajor-max": Suite(check_nonmajor_max),
-    "end-clique-dominance": Suite(
-        check_end_clique_dominance, equality_key="equality"
-    ),
+    "end-clique-dominance": Suite(check_end_clique_dominance),
     "double-broom": Suite(check_double_broom, trees=True, family=_double_brooms),
     "bristled-star": Suite(
         check_bristled_star, family=_bristled_stars, least=3, least_k=2
@@ -574,6 +709,11 @@ def _check_hosts(suite, cfg, hosts):
         yield found
 
 
+def _near_rank(miss):
+    """Near misses rank by largest gap, ties broken by id."""
+    return -miss[0], miss[1]["instance"]
+
+
 def _merge(results):
     """Sum Founds: records in corpus order, tallies and counts added, and the
     NEAR_MISSES near misses of largest gap kept, ties broken by id."""
@@ -585,10 +725,10 @@ def _merge(results):
         witnesses += r.witnesses
         tallies.update(r.tallies)
         instances += r.instances
-        if r.near_misses:
-            near += r.near_misses
-            near.sort(key=lambda m: (-m[0], m[1]["instance"]))
-            del near[NEAR_MISSES:]
+        for miss in r.near_misses:
+            if len(near) < NEAR_MISSES or _near_rank(miss) < _near_rank(near[-1]):
+                insort(near, miss, key=_near_rank)
+                del near[NEAR_MISSES:]
     return Found(violations, tallies, witnesses, near, instances)
 
 
@@ -692,14 +832,14 @@ def search_degree2_witness(
     config = dict(k=k, max_n=max_n, mode=mode, budget=budget, seed=seed, cap=cap)
 
     def shape(classes, near):
-        return {"classes": classes, "near_misses": [record for _, record in near]}
+        return {"classes": classes, "near_misses": list(map(_near_record, near))}
 
     return _report(cfg, SCHEMA_SEARCH, config, shape)
 
 
-def _build_str(T):
-    parts = ["base " + ",".join(map(str, T.base))]
-    parts += [f"{v}<-({','.join(map(str, att))})" for v, att in T.build]
+def _build_str(base, build):
+    parts = ["base " + ",".join(map(str, base))]
+    parts += [f"{v}<-({','.join(map(str, att))})" for v, att in build]
     return "; ".join(parts)
 
 

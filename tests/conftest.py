@@ -1,7 +1,8 @@
 """Shared corpora for the test suite, cached per session, every labeled
 build of a k-tree as an independent reference for the class corpora, the
-branch form of a tree's local mean as an independent reference, and a
-polynomial's value and slope at 1."""
+branch form of a tree's local mean as an independent reference, the
+`Fraction` form of the argmax suites' decisions as the reference for
+`verify`'s host table, and a polynomial's value and slope at 1."""
 
 import itertools
 import math
@@ -12,6 +13,7 @@ from functools import lru_cache
 import pytest
 
 from ktrees import core
+from ktrees.chartree import argmax_cliques
 from ktrees.polynomials import _bfs_tree, _phi_pair
 from ktrees.isomorphism import enumerate_ktrees_up_to_iso
 
@@ -85,3 +87,33 @@ def branch_mean(adj, u, v):
     delta = side(u, v)[1]
     beta, theta = side(v, u)
     return (1 + delta + 2 * beta + beta * (delta + theta)) / (1 + beta)
+
+
+def better_neighbors(T, C, means):
+    """The adjacent cliques of C whose mean in `means` exceeds C's, sorted."""
+    return [D for D in core.adjacent_cliques(T, C) if means[D] > means[C]]
+
+
+def table_disagreements(T, table, means):
+    """Where `verify`'s host table of T departs from the same decisions made
+    over the `Fraction`s `means` (clique to mean): its argmax against
+    `argmax_cliques`, its best end and degree-2 nodes against `max` over the
+    cliques of that kind under `clique_degree`, and its better-neighbour
+    flags against `better_neighbors`."""
+    bad = []
+    clique = table.inc.clique
+    arg, _ = argmax_cliques(T, means)
+    if sorted(map(clique, table.arg)) != arg:
+        bad.append(("argmax", arg))
+    kinds = {C: core.clique_degree(T, C).kind for C in means}
+    for kind in (core.END, core.DEGREE2):
+        j = table.best(kind)
+        got = None if j is None else means[clique(j)]
+        want = max((m for C, m in means.items() if kinds[C] == kind), default=None)
+        if got != want:
+            bad.append((kind, got, want))
+    found = table.better(range(len(table.pairs)))
+    for C, j in T._k_cliques.items():
+        if (j in found) != bool(better_neighbors(T, C, means)):
+            bad.append(("better", C))
+    return bad

@@ -29,6 +29,7 @@ from conftest import (
     count_and_total,
     enumerate_labeled_ktrees,
     ktree_classes,
+    table_disagreements,
     trees_upto,
 )
 
@@ -62,8 +63,8 @@ def _random_corpus():
 def reduction_results():
     """Shared sweep for criteria 1 and 2: every clique of every corpus host,
     characteristic-tree polynomial and mean against the brute-force oracle.
-    It also holds the one-pass pairs and the argmax suites' means and
-    degrees against the characteristic tree and `clique_degree`."""
+    It also holds the one-pass pairs and the argmax suites' host table
+    against the characteristic tree and `clique_degree`."""
     mean_mismatches = []
     poly_mismatches = []
     pass_mismatches = []
@@ -73,17 +74,15 @@ def reduction_results():
     for inst, T in list(_labeled_corpus((1, 2, 3), 8)) + list(_random_corpus()):
         instances += 1
         full = oracle.enumerate_sub_ktrees(T, cap=16)
-        pairs = core.all_clique_pairs(T)
-        means, _, _, infos, _ = V._argmax_classes(T)
+        table = V._argmax_classes(T)
+        means = {}
         for C, j in T._k_cliques.items():
             cliques += 1
             fast_poly = CT.local_poly_clique(T, C)
             count, total = count_and_total(fast_poly)
-            fast_mu = Fraction(total, count)
-            if (
-                pairs[j] != (count, total)
-                or means[C] != fast_mu
-                or infos[C] != core.clique_degree(T, C)
+            fast_mu = means[C] = Fraction(total, count)
+            if table.pairs[j] != (count, total) or table.infos[j] != core.clique_degree(
+                T, C
             ):
                 pass_mismatches.append((inst, C))
             slow = full.restricted(C)
@@ -92,6 +91,8 @@ def reduction_results():
                 continue
             if fast_mu != slow.mean():
                 mean_mismatches.append((inst, C))
+        if bad := table_disagreements(T, table, means):
+            pass_mismatches.append((inst, bad))
     elapsed = time.perf_counter() - t0
     return {
         "instances": instances,
@@ -132,9 +133,11 @@ def test_criterion_02_local_poly_identity(reduction_results):
 
 def test_one_pass_pairs_and_degrees_on_the_criterion_1_corpus(reduction_results):
     """`core.all_clique_pairs` gives each clique the characteristic tree's
-    (count, total) pair, and the argmax suites' means and degree classes
-    are the characteristic tree's and `clique_degree`'s, the trivial hosts
-    (degree 0) and k = 1 included."""
+    (count, total) pair, and the argmax suites' host table gives it
+    `clique_degree`'s degree class, the trivial hosts (degree 0) and k = 1
+    included.  The table's argmax, best end and degree-2 cliques and
+    better-neighbour flags are the ones the characteristic tree's
+    `Fraction`s give."""
     r = reduction_results
     assert r["cliques"] and not r["pass_mismatches"], r["pass_mismatches"][:5]
 
@@ -299,8 +302,8 @@ def test_criterion_08_end_clique_taxonomy():
         corpus.append(core.build_from_construction(k, [(k + 1, tuple(range(1, k + 1)))]))
     for T in corpus:
         hosts += 1
-        bad.extend(rep for rep in V.check_end_clique_dominance(T, None)
-                   if not rep.ok)
+        violations, _ = V.check_end_clique_dominance(T, None)
+        bad.extend(violations)
     ok = not bad and hosts > 10
     line = _emit(
         8,

@@ -1,7 +1,9 @@
 """The one-pass clique-incidence recursion `core.all_clique_pairs` against
 the characteristic-tree path, the brute-force oracle and `clique_degree`,
-and the argmax suites that read it."""
+and the host table the argmax suites read against the same decisions made
+over `Fraction`s."""
 
+import math
 import random
 from fractions import Fraction
 
@@ -11,7 +13,7 @@ from hypothesis import given, settings, strategies as st
 from ktrees import chartree as CT
 from ktrees import core, oracle, verify as V
 
-from conftest import ktree_classes
+from conftest import ktree_classes, table_disagreements
 
 
 def pair_means(T):
@@ -60,7 +62,51 @@ def test_pairs_equal_the_characteristic_tree_means_on_random_hosts(k, extra, see
 @pytest.mark.parametrize("k", [1, 2, 3, 4])
 def test_argmax_degrees_equal_clique_degree(k):
     for T in (core.gen_path_type(k, k), *(core.random_ktree(k, 500, s) for s in (1, 2))):
-        means, _, _, infos, _ = V._argmax_classes(T)
-        assert list(infos) == list(means) == core.k_cliques(T)
-        assert infos == {C: core.clique_degree(T, C) for C in core.k_cliques(T)}
+        table = V._argmax_classes(T)
+        assert table.infos == [
+            core.clique_degree(T, table.inc.clique(j)) for j in range(len(table.infos))
+        ]
+        assert table_disagreements(T, table, CT.all_clique_means(T)) == []
 
+
+def _order(p, q):
+    """The host table's order of two pairs: -1, 0 or 1."""
+    info = core.CliqueInfo(1, core.END)
+    table = V._HostTable.of(None, [p, q], [info, info])
+    sign = table.compare(0, 1)
+    assert table.compare(1, 0) == -sign
+    assert table.arg == [j for j, r in enumerate((sign, -sign)) if r >= 0]
+    return sign
+
+
+def _sign(x):
+    return (x > 0) - (x < 0)
+
+
+# counts of up to several thousand bits, as on hosts of order 10,000
+COUNTS = st.integers(0, 6000).flatmap(lambda b: st.integers(1 << b, (2 << b) - 1))
+TOTALS = st.integers(0, 6000).flatmap(lambda b: st.integers(0, (2 << b) - 1))
+
+
+@settings(max_examples=300, deadline=None)
+@given(COUNTS, TOTALS, COUNTS, TOTALS)
+def test_floor_keys_and_ties_order_pairs_as_fractions(c1, t1, c2, t2):
+    assert _order((c1, t1), (c2, t2)) == _sign(Fraction(t1, c1) - Fraction(t2, c2))
+
+
+@settings(max_examples=200, deadline=None)
+@given(COUNTS, TOTALS, st.integers(1, 1 << 200))
+def test_reduced_and_unreduced_pairs_of_one_mean_tie(c, t, scale):
+    g = math.gcd(c, t)
+    assert _order((c // g, t // g), (c * scale, t * scale)) == 0
+    assert _order((c, t), (c, t)) == 0
+
+
+@settings(max_examples=200, deadline=None)
+@given(COUNTS, TOTALS, st.integers(65, 300), st.sampled_from((-1, 1)))
+def test_means_apart_by_less_than_2_to_the_minus_64_are_ordered(c, t, e, d):
+    # (t 2^e + d) / (c 2^e) lies 1 / (c 2^e) < 2^-64 from t / c
+    t = max(t, 1)
+    near = (c << e, (t << e) + d)
+    assert _order(near, (c, t)) == d
+    assert _order((c, t), near) == -d

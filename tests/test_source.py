@@ -457,9 +457,25 @@ def test_one_pass_and_characteristic_trees_stay_apart():
 def test_only_the_pinned_suite_walks_a_tree_per_clique():
     """`nonmajor-max` keeps one characteristic tree and one `clique_degree`
     per clique, the calls the benchmark counts; the other argmax suites take
-    their means and degrees from the one pass."""
+    their means and degrees from the one pass.  Both build the one host
+    table, and neither asks for a clique's neighbours."""
     tree = ast.parse((SRC / "verify.py").read_text(encoding="utf-8"))
     for name in ("all_clique_means", "clique_degree"):
         assert "verify.check_nonmajor_max" in _callers(tree, "verify", name), name
         assert "verify._argmax_classes" not in _callers(tree, "verify", name), name
     assert "verify._argmax_classes" in _callers(tree, "verify", "all_clique_pairs")
+    builders = {"verify._argmax_classes", "verify.check_nonmajor_max"}
+    assert builders <= _callers(tree, "verify", "of")
+    for name in ("better_neighbors", "adjacent_cliques"):
+        assert not builders & _callers(tree, "verify", name), name
+
+
+def test_the_host_table_names_no_fraction():
+    """Argmax decisions compare integer keys and pairs: the host table, its
+    comparison helpers and `_argmax_classes` never name `Fraction`, which
+    the checkers build only for report fields."""
+    tree = ast.parse((SRC / "verify.py").read_text(encoding="utf-8"))
+    held = {node.name: node for node in tree.body if hasattr(node, "name")}
+    for name in ("_HostTable", "_argmax_classes"):
+        assert "Fraction" not in _identifiers(held[name]), name
+    assert "Fraction" in _identifiers(tree)  # the rule reads the right names

@@ -401,12 +401,12 @@ def test_witness_above_the_cap_is_not_rechecked(monkeypatch):
     def degree2_argmax_once(T):
         # the first host above the cap with a degree-2 clique reads as a
         # degree-2-only maximizer
-        means, arg, best, infos, key = real(T)
-        deg2 = [C for C in means if infos[C].kind == DEGREE2]
+        table = real(T)
+        deg2 = [j for j, info in enumerate(table.infos) if info.kind == DEGREE2]
         if T.n > 6 and deg2 and not faked:
             faked.append(T.n)
-            arg, best = deg2[:1], means[deg2[0]]
-        return means, arg, best, infos, key
+            table = table._replace(arg=deg2[:1])
+        return table
 
     monkeypatch.setattr(V, "_argmax_classes", degree2_argmax_once)
     report = V.search_degree2_witness(2, 7, cap=6)
