@@ -374,9 +374,9 @@ class _HostTable(NamedTuple):
     def top(self, nodes):
         """The nodes of greatest mean among `nodes`, in their order."""
         keys = self.keys
-        high = max(keys[j] for j in nodes)
+        high = max(map(keys.__getitem__, nodes))
         tied = [j for j in nodes if keys[j] == high]
-        if len(tied) > 1:
+        if len({self.pairs[j] for j in tied}) > 1:  # only unequal pairs can differ
             best = max(tied, key=cmp_to_key(self.compare))
             tied = [j for j in tied if not self.compare(j, best)]
         return tied
@@ -418,9 +418,9 @@ class _HostTable(NamedTuple):
         return sorted((self.inc.clique(j), j) for j in nodes)
 
 
-def _mean(table, j):
-    """Node j's mean as a `Fraction`, for a report field."""
-    count, total = table.pairs[j]
+def _mean(pair):
+    """A (count, total) pair's mean as a `Fraction`, for a report field."""
+    count, total = pair
     return Fraction(total, count)
 
 
@@ -483,7 +483,7 @@ def check_end_clique_dominance(T, cfg):
     that fails builds its means, ordered by clique as `adjacent_cliques`
     orders them."""
     table = _argmax_classes(T)
-    inc, infos = table.inc, table.infos
+    inc, pairs, infos = table.inc, table.pairs, table.infos
     pt = path_type_predicate(T)
     leafset = set(T.k_leaf_set())
     tallies = Counter()
@@ -501,7 +501,9 @@ def check_end_clique_dominance(T, cfg):
                 tallies["strict" if sign else "equality"] += 1
                 predicted = infos[i].kind == END or leafy
                 if sign < 0 or (not sign) != predicted:
-                    failed.append((inc.clique(j), inc.clique(i), j, i, predicted))
+                    failed.append(
+                        (inc.clique(j), inc.clique(i), pairs[j], pairs[i], predicted)
+                    )
     claim = (
         "mu(T;C1) >= mu(T;C2) for end C1, equality iff "
         "C2 end or path-type with k-leaf in C1"
@@ -509,10 +511,10 @@ def check_end_clique_dominance(T, cfg):
     violations = [
         _violation(
             TheoremReport.at_least(
-                claim, f"C1={C1} C2={C2}", _mean(table, j), _mean(table, i), predicted
+                claim, f"C1={C1} C2={C2}", _mean(p), _mean(q), predicted
             )
         )
-        for C1, C2, j, i, predicted in sorted(failed)
+        for C1, C2, p, q, predicted in sorted(failed)
     ]
     return violations, tallies
 
@@ -565,24 +567,24 @@ def check_degree2_witness(T, cfg):
     witness; one of order at most cfg.cap is re-checked by the oracle, and a
     disagreement is a violation.  The near miss is (gap, record), the gap
     being the best degree-2 mean minus the best end mean; the record holds
-    the host and both means, and `_near_record` formats the few that a
-    search report keeps."""
+    the host and both (count, total) pairs, and `_near_record` formats the
+    few that a search report keeps."""
     table = _argmax_classes(T)
     violations, witnesses, near = [], [], []
     end, deg2 = table.best(END), table.best(DEGREE2)
     if end is not None and deg2 is not None:
-        best_end, best_deg2 = _mean(table, end), _mean(table, deg2)
+        (c1, t1), (c2, t2) = table.pairs[end], table.pairs[deg2]
         record = {
             "k": T.k,
             "n": T.n,
             "build": (T.base, T.build),
-            "best_end": best_end,
-            "best_degree2": best_deg2,
+            "best_end": (c1, t1),
+            "best_degree2": (c2, t2),
         }
-        near.append((best_deg2 - best_end, record))
+        near.append((Fraction(t2 * c1 - t1 * c2, c1 * c2), record))
     if all(table.infos[j].kind == DEGREE2 for j in table.arg):
         arg = [C for C, _ in table.sorted_cliques(table.arg)]
-        best = _mean(table, table.arg[0])
+        best = _mean(table.pairs[table.arg[0]])
         entry = {
             "k": T.k,
             "n": T.n,
@@ -614,8 +616,8 @@ def _near_record(miss):
     return {
         **record,
         "build": _build_str(*record["build"]),
-        "best_end": fraction_str(record["best_end"]),
-        "best_degree2": fraction_str(record["best_degree2"]),
+        "best_end": fraction_str(_mean(record["best_end"])),
+        "best_degree2": fraction_str(_mean(record["best_degree2"])),
         "gap": fraction_str(gap),
         "gap_decimal": format_decimal(gap),
     }
