@@ -136,6 +136,10 @@ class CliqueIncidence:
     the step that added v, or -1 for a base vertex.  Every k-clique node but
     0 was made by step (j - 1) // k.
 
+    `verify` and `isomorphism` read the tree's adjacency only through
+    `nodes`, `faces` and `holders`.  The holders are built on each call and
+    never stored, since a class level keeps every host's index alive.
+
     `layout`, built on first read, lays the tree out in preorder from the
     base clique: a step comes first, then the steps below each of its k
     faces in turn, so the steps below any k-clique node fill one run of
@@ -167,6 +171,25 @@ class CliqueIncidence:
         inc.step_of = self.step_of + array("i", [len(self.build)])
         inc.attach_node = self.attach_node + array("i", [j])
         return inc
+
+    @property
+    def nodes(self):
+        """The k-clique node ids."""
+        return range(1 + self.k * len(self.build))
+
+    def faces(self, s):
+        """The k + 1 nodes of step s, which are mutually adjacent: its
+        attachment, then the k faces it made."""
+        low = 1 + self.k * s
+        return (self.attach_node[s], *range(low, low + self.k))
+
+    def holders(self):
+        """Per node, the steps that hold it, as many as its degree: the step
+        that made it (none for the base clique), then those attached at it."""
+        out = [[]] + [[s] for s in range(len(self.build)) for _ in range(self.k)]
+        for s, j in enumerate(self.attach_node):
+            out[j].append(s)
+        return out
 
     def node(self, C):
         """The node of the k-clique C, found from its latest-added vertex.
@@ -366,8 +389,7 @@ class KTree:
         """The clique table: every k-clique, sorted, mapped to its incidence
         node."""
         inc = self._incidence
-        nodes = range(1 + self.k * len(self.build))
-        return dict(sorted(zip(map(inc.clique, nodes), nodes)))
+        return dict(sorted(zip(map(inc.clique, inc.nodes), inc.nodes)))
 
     def k_leaf_set(self):
         return tuple(v for v in self.vertices if self.degree(v) == self.k)

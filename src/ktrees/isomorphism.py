@@ -14,9 +14,10 @@ contain them) has a centre that every isomorphism fixes.  The canonical
 code is the minimum rooted code over the centre's k-cliques and their
 orderings, at most (k+1) * k! of them, so two k-trees are isomorphic iff
 their canonical codes are equal.  The tree's neighbour lists are read off
-the host's shared incidence index (`core.CliqueIncidence`), the same index
-whose walk from C (`chartree._walk`) gives the rooted structure, so no code
-peels the host.  A vertex's label reads the k-clique it joins: the clique
+the nodes and step faces of the host's shared incidence index
+(`core.CliqueIncidence.nodes` and `faces`), the same index whose walk
+from C (`chartree._walk`) gives the rooted structure, so no code peels the
+host.  A vertex's label reads the k-clique it joins: the clique
 of its chain node for a vertex on the walk's chain, and its own build
 record's attachment, already sorted, for every other.  The centre is the
 middle of a longest path, found by two breadth-first sweeps; the sweep
@@ -177,28 +178,21 @@ def rooted_code(T, C):
 
 def rooted_code_set(T):
     """Every rooted code of T, over all root cliques and orderings."""
-    return frozenset(_codes(T, range(1 + T.k * len(T.build))))
-
-
-def _faces(inc, s):
-    """The k-clique nodes of step s: attach_s, then the faces it made."""
-    k = inc.k
-    return (inc.attach_node[s], *range(1 + k * s, 1 + k * s + k))
+    return frozenset(_codes(T, T._incidence.nodes))
 
 
 def _incidence_tree(inc):
     """Neighbour lists of the clique-incidence tree: a k-clique node j as
-    j, step s as K + s, where K = 1 + k*m is the number of k-cliques.
+    j, step s as K + s, where K is the number of k-cliques.
 
     Its nodes are the k-cliques and the (k+1)-cliques (the steps) of the
     host's incidence index (`core.CliqueIncidence`), each step joined to
     its k+1 faces.
     """
-    m = len(inc.attach_node)
-    K = 1 + inc.k * m
+    K, m = len(inc.nodes), len(inc.build)
     nbrs = [[] for _ in range(K + m)]
     for s in range(m):
-        for j in _faces(inc, s):
+        for j in inc.faces(s):
             nbrs[j].append(K + s)
             nbrs[K + s].append(j)
     return nbrs
@@ -236,8 +230,7 @@ def _root_nodes(inc, x):
     """The root k-clique nodes of incidence node x (numbered as by
     `_incidence_tree`): x itself if it is a k-clique, else the k+1 faces
     of its step."""
-    K = 1 + inc.k * len(inc.attach_node)
-    return (x,) if x < K else _faces(inc, x - K)
+    return (x,) if x in inc.nodes else inc.faces(x - len(inc.nodes))
 
 
 def _centre_roots(T):

@@ -7,28 +7,25 @@ build failure, not a logged warning.  Exhaustive corpora check one
 representative per isomorphism class: every checked claim is invariant
 under relabeling, so each labeling of a class gives the same verdict.
 
-A checker has one of three shapes.  An inequality with a predicted
-equality case (the Jamison ratio, the global bound, the Kelmans moves and
-leaf dominance) yields one `TheoremReport` per comparison, and
-`_fold_reports` turns those into tallies and violation records.  The
-search's witness checker returns (violations, tallies, witnesses, near
-misses).  Every other checker returns (violations, tallies).
+Every checker returns the fields of a `Found` for its host; one that
+checks `TheoremReport`s folds them into those with `_fold_reports`.
 
 The argmax checkers (at k = 1 the cliques are the vertices) make every
 decision on a host table, `_HostTable`, indexed by the k-clique nodes of
 the host's clique-incidence index: the argmax, the best end and degree-2
-nodes, which nodes have a strictly better neighbour (the k + 1 nodes of a
-step are mutually adjacent), and end-clique dominance, which compares each
-end clique with the other nodes of its one step.  Each node holds its
-exact pair (count, total), a floor key (total << 64) // count and its
-degree class.  A lower key means a strictly lower mean, so only equal keys
-are compared exactly, by cross-multiplying; no float and no `Fraction`
-enters a decision.  `Fraction`s and clique tuples are built only for
-report fields, where cliques are sorted by tuple.
-`_argmax_classes` builds the table from one pass over the index
-(`core.all_clique_pairs`) and its attachment counts.  `nonmajor-max`, the
-suite the benchmark's tracing test pins, builds it from one characteristic
-tree per clique (`all_clique_means`) and one `clique_degree` per clique.
+nodes, which nodes have a strictly better neighbour (a face of a step
+that holds them: the index's `holders` and `faces`), and end-clique
+dominance, which compares each end clique with the other faces of its one
+step.  Each node holds its exact pair (count, total), a floor key
+(total << 64) // count and its degree class.  A lower key means a
+strictly lower mean, so only equal keys are compared exactly, by
+cross-multiplying; no float and no `Fraction` enters a decision.
+`Fraction`s and clique tuples are built only for report fields, where
+cliques are sorted by tuple.  `_argmax_classes` builds the table from one
+pass over the index (`core.all_clique_pairs`) and its holders.
+`nonmajor-max`, the suite the benchmark's tracing test pins, builds it
+from one characteristic tree per clique (`all_clique_means`) and one
+`clique_degree` per clique.
 
 `_run_corpus` drives every suite and the search: one corpus, one host
 loop, one merge; `_report` validates the config, times the run and builds
@@ -244,46 +241,59 @@ def _fold_reports(reports, equality):
 def check_jamison_ratio(T, cfg):
     adj = tree_adjacency(T)
     claim = "phi'/(1+phi) <= phi/2 with path-leaf tightness"
+    reps = []
     for u in sorted(adj):
         lhs, rhs, tight = jamison_ratio_check(adj, u)
         pred = path_with_leaf_predicate(adj, u)
-        yield TheoremReport(claim, f"u={u}", lhs, rhs, lhs <= rhs, tight, pred)
+        reps.append(TheoremReport(claim, f"u={u}", lhs, rhs, lhs <= rhs, tight, pred))
+    return _fold_reports(reps, "tight")
 
 
 def check_global_mean_bound(T, cfg):
     adj = tree_adjacency(T)
-    yield TheoremReport.at_least(
+    rep = TheoremReport.at_least(
         "mu(T) >= (n+2)/3, equality exactly on paths",
         f"n={T.n}",
         global_mean_order_tree(adj),
         Fraction(T.n + 2, 3),
         path_type_predicate(T),
     )
+    return _fold_reports([rep], "equality")
 
 
 def check_kelmans_suite(T, cfg):
     adj = tree_adjacency(T)
-    for u in sorted(adj):
-        for v in sorted(adj[u]):
-            yield from check_kelmans(adj, u, v)
+    reports = (
+        rep
+        for u in sorted(adj)
+        for v in sorted(adj[u])
+        for rep in check_kelmans(adj, u, v)
+    )
+    return _fold_reports(reports, "equality")
 
 
 def check_partial_kelmans_suite(T, cfg):
     adj = tree_adjacency(T)
-    for u in sorted(adj):
-        for v in sorted(adj[u]):
-            others = sorted(adj[v] - {u})
-            for r in range(len(others) + 1):
-                for W in itertools.combinations(others, r):
-                    yield check_partial_kelmans_monotone(adj, u, v, W)
+    # every W of v's neighbours other than u, by size; u is one of adj[v]
+    reports = (
+        check_partial_kelmans_monotone(adj, u, v, W)
+        for u in sorted(adj)
+        for v in sorted(adj[u])
+        for r in range(len(adj[v]))
+        for W in itertools.combinations(sorted(adj[v] - {u}), r)
+    )
+    return _fold_reports(reports, "equality")
 
 
 def check_leaf_dominance(T, cfg):
     adj = tree_adjacency(T)
-    for v in sorted(adj):
-        if len(adj[v]) == 1:
-            (u,) = adj[v]
-            yield check_leaf_dominates_neighbor(adj, v, u)
+    reports = (
+        check_leaf_dominates_neighbor(adj, v, u)
+        for v in sorted(adj)
+        if len(adj[v]) == 1
+        for u in adj[v]
+    )
+    return _fold_reports(reports, "equality")
 
 
 def check_local_mean_reduction(T, cfg):
@@ -347,7 +357,8 @@ class _HostTable(NamedTuple):
     A lower key means a strictly lower mean, so only nodes of equal key are
     compared exactly, by cross-multiplying.  Scaling a pair changes neither
     its key nor any comparison, so reduced and unreduced pairs order alike.
-    Clique tuples are left to the reports (`inc.clique`)."""
+    Adjacency is read off `inc` (`faces`, `holders`); clique tuples are left
+    to the reports (`inc.clique`)."""
 
     inc: object
     pairs: list
@@ -390,28 +401,15 @@ class _HostTable(NamedTuple):
         """The tally key naming the classes in the argmax."""
         return "argmax:" + "+".join(sorted({self.infos[j].kind for j in self.arg}))
 
-    def faces(self, s):
-        """The k + 1 nodes of step s, which are mutually adjacent: its
-        attachment, then the k faces it made."""
-        low = 1 + self.inc.k * s
-        return (self.inc.attach_node[s], *range(low, low + self.inc.k))
-
     def better(self, nodes):
         """The nodes among `nodes` with an adjacent node of strictly greater
-        mean, read off the steps that hold them: node j is in the steps
-        attached at j and, unless j is the base clique, the step that made
-        j."""
-        wanted = set(nodes)
-        held = {s for s, a in enumerate(self.inc.attach_node) if a in wanted}
-        held.update((j - 1) // self.inc.k for j in wanted if j)
-        found = set()
-        for s in held:
-            faces = self.faces(s)
-            for j in faces:
-                if j in wanted and j not in found:
-                    if any(self.compare(i, j) > 0 for i in faces):
-                        found.add(j)
-        return found
+        mean: a face of one of the steps that hold them."""
+        holders, faces = self.inc.holders(), self.inc.faces
+        return {
+            j
+            for j in nodes
+            if any(self.compare(i, j) > 0 for s in holders[j] for i in faces(s))
+        }
 
     def sorted_cliques(self, nodes):
         """(clique, node) for each of `nodes`, sorted by clique."""
@@ -426,17 +424,12 @@ def _mean(pair):
 
 def _argmax_classes(T):
     """The host table of T: every pair from one pass over the host's
-    clique-incidence index, and every degree from its attachment counts.
-    The degree of node j is the number of steps attached at j, plus the step
-    that made j unless j is the base clique."""
+    clique-incidence index, and every degree as the number of steps that
+    hold its node."""
     inc = T._incidence
-    pairs = all_clique_pairs(T)
-    degree = [1] * len(pairs)
-    degree[0] = 0
-    for j in inc.attach_node:
-        degree[j] += 1
+    degree = list(map(len, inc.holders()))
     info = {d: _clique_info(d) for d in set(degree)}
-    return _HostTable.of(inc, pairs, [info[d] for d in degree])
+    return _HostTable.of(inc, all_clique_pairs(T), [info[d] for d in degree])
 
 
 def check_nonmajor_max(T, cfg):
@@ -488,8 +481,8 @@ def check_end_clique_dominance(T, cfg):
     leafset = set(T.k_leaf_set())
     tallies = Counter()
     failed = []
-    for s in range(len(inc.attach_node)):
-        faces = table.faces(s)
+    for s in range(len(inc.build)):
+        faces = inc.faces(s)
         for j in faces:
             if infos[j].kind != END:
                 continue
@@ -644,29 +637,23 @@ class Suite(NamedTuple):
     within the enumeration cap.
 
     The checker returns the fields of a `Found` for a host, at least
-    (violations, tallies), or, when `equality_key` is set, yields
-    TheoremReports that `_fold_reports` tallies under that key."""
+    (violations, tallies)."""
 
     checker: object
     trees: bool = False
     family: object = None
     least: int = 1
     least_k: int = 1
-    equality_key: str = None
     random_id: str = "k{k}-n{n}-r{s}"
     oracle_hosts: bool = False
 
 
 SUITES = {
-    "jamison-ratio": Suite(check_jamison_ratio, trees=True, equality_key="tight"),
-    "global-mean-bound": Suite(
-        check_global_mean_bound, trees=True, equality_key="equality"
-    ),
-    "kelmans": Suite(check_kelmans_suite, trees=True, equality_key="equality"),
-    "partial-kelmans": Suite(
-        check_partial_kelmans_suite, trees=True, equality_key="equality"
-    ),
-    "leaf-dominance": Suite(check_leaf_dominance, trees=True, equality_key="equality"),
+    "jamison-ratio": Suite(check_jamison_ratio, trees=True),
+    "global-mean-bound": Suite(check_global_mean_bound, trees=True),
+    "kelmans": Suite(check_kelmans_suite, trees=True),
+    "partial-kelmans": Suite(check_partial_kelmans_suite, trees=True),
+    "leaf-dominance": Suite(check_leaf_dominance, trees=True),
     "local-mean-reduction": Suite(check_local_mean_reduction, oracle_hosts=True),
     "chartree-adjacency": Suite(check_chartree_adjacency),
     "nonmajor-max": Suite(check_nonmajor_max),
@@ -701,10 +688,7 @@ def _check_hosts(suite, cfg, hosts):
     """Yield a Found for each (instance_id, KTree) pair, with the instance
     id stamped on each of its records."""
     for inst_id, T in hosts:
-        found = suite.checker(T, cfg)
-        if suite.equality_key:
-            found = _fold_reports(found, suite.equality_key)
-        found = Found(*found)
+        found = Found(*suite.checker(T, cfg))
         records = (r for _, r in found.near_misses)
         for item in itertools.chain(found.violations, found.witnesses, records):
             item["instance"] = inst_id

@@ -1,7 +1,8 @@
 """The one-pass clique-incidence recursion `core.all_clique_pairs` against
 the characteristic-tree path, the brute-force oracle and `clique_degree`,
-and the host table the argmax suites read against the same decisions made
-over `Fraction`s."""
+the index's adjacency readers against the adjacency masks, and the host
+table the argmax suites read against the same decisions made over
+`Fraction`s."""
 
 import math
 import random
@@ -22,12 +23,26 @@ def pair_means(T):
     return {C: Fraction(pairs[j][1], pairs[j][0]) for C, j in T._k_cliques.items()}
 
 
+def assert_readers_match_masks(T):
+    """The index's readers against the mask path: `nodes` are the clique
+    table's nodes, a node has as many holders as its degree, and the faces
+    of its holders, less the node, are its adjacent cliques."""
+    inc = T._incidence
+    assert list(inc.nodes) == sorted(T._k_cliques.values())
+    holders = inc.holders()
+    for C, j in T._k_cliques.items():
+        assert len(holders[j]) == core.clique_degree(T, C).degree, C
+        near = [inc.clique(i) for s in holders[j] for i in inc.faces(s) if i != j]
+        assert sorted(near) == core.adjacent_cliques(T, C), C
+
+
 def test_pairs_equal_the_characteristic_tree_means_on_every_small_class():
     classes = 0
     for k in (1, 2, 3, 4):
         for n in range(k, 10):
             for T in ktree_classes(k, n):
                 assert pair_means(T) == CT.all_clique_means(T), (k, n, T.build)
+                assert_readers_match_masks(T)
                 classes += 1
     assert classes == 400
 
@@ -67,6 +82,7 @@ def test_argmax_degrees_equal_clique_degree(k):
             core.clique_degree(T, table.inc.clique(j)) for j in range(len(table.infos))
         ]
         assert table_disagreements(T, table, CT.all_clique_means(T)) == []
+        assert_readers_match_masks(T)
 
 
 def _order(p, q):

@@ -479,3 +479,30 @@ def test_the_host_table_names_no_fraction():
     for name in ("_HostTable", "_argmax_classes"):
         assert "Fraction" not in _identifiers(held[name]), name
     assert "Fraction" in _identifiers(tree)  # the rule reads the right names
+
+
+INDEX_ARRAYS = {"attach_node", "step_of", "layout"}
+
+
+def test_the_incidence_tree_adjacency_has_one_home():
+    """`verify` and `isomorphism` read the clique-incidence tree through
+    `CliqueIncidence.nodes`, `faces` and `holders`, never through the index's
+    arrays, and only `core` defines a `faces`, so the node numbering is known
+    to `core` and to `chartree`'s walk alone."""
+    for name in ("verify", "isomorphism"):
+        tree = ast.parse((SRC / f"{name}.py").read_text(encoding="utf-8"))
+        spelled = sorted(_identifiers(tree) & INDEX_ARRAYS)
+        assert not spelled, f"{name} spells {spelled}"
+    definers = set()
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        definers |= {
+            path.stem
+            for node in ast.walk(tree)
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+            and node.name.lstrip("_") == "faces"
+        }
+    assert definers == {"core"}, f"faces defined in {sorted(definers)}"
+    # the guard sees these names where they are used
+    chartree = ast.parse((SRC / "chartree.py").read_text(encoding="utf-8"))
+    assert INDEX_ARRAYS <= _identifiers(chartree)
