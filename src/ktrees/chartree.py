@@ -35,10 +35,11 @@ adjacency.
 The adjacent-clique check takes its moved vertices from the adjacency
 masks of `core`, apart from both trees, and compares two integer lists.
 Its per-host `cache` is opaque: it maps each validated, sorted clique to
-the clique's mask, its common-neighbour mask, T'_C as a parent array
-indexed by vertex, and the children of the C-node and of each of its
-children.  Each clique is walked once, with no `CharTree` built, and
-validated only on its first miss.
+the clique's mask, T'_C as a parent array indexed by vertex, and the
+children of the C-node and of each of its children.  Each clique is walked
+once, with no `CharTree` built, and validated only on its first miss; two
+cliques are adjacent when the one vertex of C2 outside C1 is joined to all
+of C1, read off the host's masks.
 """
 
 from __future__ import annotations
@@ -50,7 +51,6 @@ from typing import NamedTuple
 from .core import (
     _bit,
     _clique_node,
-    _common_mask,
     _mask_vertices,
     _peel_k_leaves,
     k_cliques,
@@ -338,12 +338,11 @@ class ReductionReport(NamedTuple):
 
 class _Entry(NamedTuple):
     """What the pair check keeps of one k-clique C of a host: no tree, only
-    masks, a parent array indexed by vertex and the children near the
+    C's mask, a parent array indexed by vertex and the children near the
     C-node."""
 
     clique: tuple  # sorted C
     mask: int
-    common: int  # the common-neighbour mask of C
     par: array  # par[v]: v's parent in T'_C, 0 for the C-node; -1 on C and at 0
     kids: dict  # 0 and each child c of the C-node -> the children of c
 
@@ -374,7 +373,7 @@ def _clique_entry(T, C, cache):
                     if not p:
                         kids[v] = []
             mask = T.clique_mask(C)
-            e = cache[C] = _Entry(C, mask, _common_mask(T, C), par, kids)
+            e = cache[C] = _Entry(C, mask, par, kids)
     return e
 
 
@@ -394,11 +393,11 @@ def verify_adjacent_reduction(T, C1, C2, cache=None):
     e1 = _clique_entry(T, C1, cache)
     e2 = _clique_entry(T, C2, cache)
     C1, C2, m1, m2 = e1.clique, e2.clique, e1.mask, e2.mask
-    x2 = m2 & ~m1
-    if x2.bit_count() != 1 or not x2 & e1.common:
-        raise NotAdjacentCliques(f"{C1} and {C2} do not span a (k+1)-clique")
-    solo1, solo2 = (m1 & ~m2).bit_length(), x2.bit_length()
     masks = T.masks
+    x2 = m2 & ~m1
+    solo1, solo2 = (m1 & ~m2).bit_length(), x2.bit_length()
+    if x2.bit_count() != 1 or masks[solo2] & m1 != m1:
+        raise NotAdjacentCliques(f"{C1} and {C2} do not span a (k+1)-clique")
     far = 0
     for x in C1:
         if x != solo1:

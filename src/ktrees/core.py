@@ -274,11 +274,16 @@ class KTree:
     def from_parts(cls, k, base, adds):
         """Assemble a k-tree from a base clique and attachment records.
 
-        `adds` is a sequence of (new_vertex, attachment) pairs; ids may be
-        arbitrary as long as they end up covering 1..n.  Every attachment is
-        checked to be a clique of the graph built so far.
+        `adds` is a sequence of (new_vertex, attachment) pairs; ids are ints
+        in any order, as long as they end up covering 1..n.  Every attachment
+        is checked to be a clique of the graph built so far.
         """
         _require_k(k)
+        base = tuple(base)
+        # ids are exact ints: a bool is an int to Python, but would be
+        # written out as True
+        if not all(type(v) is int for v in base):
+            raise BadVertexOrder(f"base {base} has a vertex id that is not an int")
         base = tuple(sorted(base))
         if len(base) != k or len(set(base)) != k:
             raise BadVertexOrder(f"base must be {k} distinct vertices, got {base}")
@@ -294,13 +299,18 @@ class KTree:
             masks[v] = base_mask & ~_bit(v)
         build = []
         for v, attach in adds:
+            if type(v) is not int or not 1 <= v <= n or present & _bit(v):
+                raise BadVertexOrder(f"new vertex {v!r} invalid or repeated")
+            attach = tuple(attach)
+            if not all(type(u) is int and u >= 1 for u in attach):
+                raise AttachmentNotClique(
+                    f"attachment {attach} for vertex {v}: ids must be ints >= 1"
+                )
             attach = tuple(sorted(attach))
-            if not 1 <= v <= n or present & _bit(v):
-                raise BadVertexOrder(f"new vertex {v} invalid or repeated")
             amask = 0
             for u in attach:
                 amask |= _bit(u)
-            if amask.bit_count() != k or amask & present != amask:
+            if len(attach) != k or amask.bit_count() != k or amask & present != amask:
                 raise AttachmentNotClique(
                     f"attachment {attach} for vertex {v} is not {k} present vertices"
                 )
@@ -353,16 +363,9 @@ class KTree:
         return bool(self.masks[u] & _bit(v))
 
     def edges(self):
-        out = []
-        for v in self.vertices:
-            m = self.masks[v]
-            while m:
-                low = m & -m
-                u = low.bit_length()
-                if u > v:
-                    out.append((v, u))
-                m ^= low
-        return out
+        return [
+            (v, u) for v in self.vertices for u in _mask_vertices(self.masks[v]) if u > v
+        ]
 
     @property
     def edge_count(self):
@@ -511,10 +514,10 @@ def kp1_cliques(T):
     return list(T._kp1_cliques)
 
 
-def _clique_node(T, C, node=True):
-    """C as a sorted tuple and its incidence node (None unless `node`);
-    NotAClique unless C is k distinct, pairwise adjacent vertices of T,
-    each an int (a bool counts as the int it equals).
+def _clique_node(T, C):
+    """C as a sorted tuple and its incidence node; NotAClique unless C is
+    k distinct, pairwise adjacent vertices of T, each an int (a bool counts
+    as the int it equals).
 
     Once the host's clique table exists, a tuple of ints found in it (by
     equality) is valid and its node is one lookup away.  Anything else
@@ -545,13 +548,13 @@ def _clique_node(T, C, node=True):
             common &= masks[v] | b
         else:
             if m.bit_count() == T.k and common & m == m:
-                return C, T._incidence.node(C) if node else None
+                return C, T._incidence.node(C)
     raise NotAClique(f"{C} is not a {T.k}-clique of the host")
 
 
 def require_k_clique(T, C):
     """C as a sorted tuple; NotAClique unless it is a k-clique of T."""
-    return _clique_node(T, C, False)[0]
+    return _clique_node(T, C)[0]
 
 
 def _common_mask(T, C):
@@ -582,13 +585,13 @@ def _clique_info(deg):
 
 def clique_degree(T, C):
     """Number of (k+1)-cliques containing C, with the class it implies."""
-    C = _clique_node(T, C, False)[0]
+    C = _clique_node(T, C)[0]
     return _clique_info(_common_mask(T, C).bit_count())
 
 
 def adjacent_cliques(T, C):
     """k-cliques sharing a (k+1)-clique with C, sorted; count k*deg(C)."""
-    C = _clique_node(T, C, False)[0]
+    C = _clique_node(T, C)[0]
     out = []
     for x in _mask_vertices(_common_mask(T, C)):
         for i in range(len(C)):
@@ -698,12 +701,17 @@ def gen_double_broom(n):
 
 def grow_ktree(k, picks):
     """The k-tree grown from the base 1..k by attaching vertex k + 1 + i at
-    the picks[i]-th of the 1 + k*i k-cliques made so far.  Attaching v at C
-    appends C - c + v for each c of C, in order."""
+    the picks[i]-th of the 1 + k*i k-cliques made so far; NotAClique for a
+    pick outside 0..k*i.  Attaching v at C appends C - c + v for each c of
+    C, in order."""
     _require_k(k)  # before the picks are drawn, which k < 0 can fail
     cliques = [tuple(range(1, k + 1))]
     adds = []
     for v, i in enumerate(picks, k + 1):
+        if not (isinstance(i, int) and 0 <= i < len(cliques)):
+            raise NotAClique(
+                f"pick {i!r} is not one of the {len(cliques)} k-cliques made so far"
+            )
         C = cliques[i]
         adds.append((v, C))
         # v exceeds every vertex of C, so each new clique stays sorted

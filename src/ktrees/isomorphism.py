@@ -34,8 +34,9 @@ per root and ordering, every candidate rooted there refolds only v's
 ancestors and keeps a running minimum, and the fold is then dropped, so
 memory holds one fold and one code per candidate.  Only a candidate whose
 code is new in its level is built, so every level builds exactly its
-classes, each carried over from its parent's masks, incidence arrays and
-clique table (`KTree.from_parent`) rather than rebuilt from its records.
+classes.  `_levels` builds each with `KTree.from_parent`, carried over from
+its parent's masks, incidence arrays and clique table rather than rebuilt
+from its records.
 """
 
 from __future__ import annotations
@@ -89,12 +90,6 @@ def _head(offsets, cmem):
     if offsets and offsets[-1] > 255:
         raise TooLarge(f"ancestor offset {offsets[-1]} exceeds one code byte")
     return bytes([len(offsets), *offsets, len(cmem)])
-
-
-def _rooted_structure(T, C):
-    """`_rooted_at` the k-clique C, given in any vertex order and located
-    through `core`."""
-    return _rooted_at(T, *_clique_node(T, C))
 
 
 def _rooted_at(T, C, r):
@@ -172,7 +167,7 @@ def _codes(T, roots):
 
 def rooted_code(T, C):
     """Code of T rooted at clique C, its vertices ordered ascending."""
-    _, up, labels, _ = _rooted_structure(T, C)
+    _, up, labels, _ = _rooted_at(T, *_clique_node(T, C))
     return _fold(up, labels, {v: i + 1 for i, v in enumerate(sorted(C))})[1][0]
 
 
@@ -252,15 +247,9 @@ def canonical_code(T):
     return header + min(_codes(T, _centre_roots(T)))
 
 
-def _extend(T, C):
-    """T plus one new vertex attached at clique C, carried over from T's
-    masks, incidence arrays and clique table."""
-    return KTree.from_parent(T, C)
-
-
 def _child_codes(T, cliques):
-    """`canonical_code(_extend(T, C))` for each C in cliques, in order,
-    without building the children.
+    """`canonical_code(KTree.from_parent(T, C))` for each C in cliques, in
+    order, without building the children.
 
     The child's incidence tree is T's plus one step at C and that step's k
     new leaf faces, two edges further from T's centre than C.  Every leaf
@@ -333,7 +322,7 @@ def _levels(k, n):
             cliques = k_cliques(T)
             for C, code in zip(cliques, _child_codes(T, cliques)):
                 if code not in classes:
-                    classes[code] = _extend(T, C)
+                    classes[code] = KTree.from_parent(T, C)
         level = list(classes.values())
         yield m, level
 

@@ -5,9 +5,10 @@ to N2 = N(v) \\ N[u]; the partial variant moves only a chosen W subseteq N2.
 Each checker returns a TheoremReport whose `consistent` flag says whether
 exact equality occurred precisely when the stated condition predicts it.
 A checker validates its tree once with `as_tree_adj` (integer labels, as on
-every tree read off a `KTree`) and folds every mean over the adjacency it
-validated; `check_kelmans` gives the three reports on a full move from one
-move.
+every tree read off a `KTree`), moves on a copy of the adjacency it
+validated (`_move`, with no second check of the endpoints or the moved set)
+and folds every mean over those two; `check_kelmans` gives the three
+reports on a full move from one move.
 """
 
 from __future__ import annotations
@@ -121,7 +122,7 @@ def check_kelmans(tree, u, v):
     adj = as_tree_adj(tree)
     if u not in adj or v not in adj[u]:
         raise NotAdjacent(f"{u} and {v} must be adjacent")
-    shifted = kelmans(adj, v, u)
+    shifted = _move(dict(adj), v, u, second_neighborhood(adj, v, u))
     inst = _describe(adj, (("u", u), ("v", v)))
     t_u, t_v = _local_mean(adj, u), _local_mean(adj, v)
     g_u, g_v = _local_mean(shifted, u), _local_mean(shifted, v)
@@ -157,7 +158,7 @@ def check_partial_kelmans_monotone(tree, u, v, moved):
     return TheoremReport.at_least(
         "mu(T'; v) >= mu(T; v)",
         _describe(adj, (("u", u), ("v", v), ("W", sorted(moved)))),
-        _local_mean(partial_kelmans(adj, v, u, moved), v),
+        _local_mean(_move(dict(adj), v, u, moved), v),
         _local_mean(adj, v),
         pred,
     )

@@ -88,12 +88,12 @@ _KEEP = bytes.maketrans(b"01", b"\0\1")  # ASCII digits to the bytes 0 and 1
 
 def _required_mask(T, required):
     """Mask of the vertices of `required`; NotASubKTree unless each is one
-    of the host's vertices 1..n."""
+    of the host's vertices 1..n, an int."""
     n = T.n
     req = 0
     for v in required:
-        if not 1 <= v <= n:
-            raise NotASubKTree(f"vertex {v} is not a vertex 1..{n} of the host")
+        if not isinstance(v, int) or not 1 <= v <= n:
+            raise NotASubKTree(f"vertex {v!r} is not a vertex 1..{n} of the host")
         req |= 1 << (v - 1)
     return req
 
@@ -306,10 +306,11 @@ def enumerate_sub_ktrees(T, cap=DEFAULT_CAP):
 
 
 def is_sub_ktree(T, S):
-    """Does the vertex set S induce a sub-k-tree of T?"""
-    S = sorted(set(S))
-    if not S or any(not 1 <= v <= T.n for v in S):
+    """Does the vertex set S, of int ids, induce a sub-k-tree of T?"""
+    S = tuple(S)
+    if not S or any(not isinstance(v, int) or not 1 <= v <= T.n for v in S):
         return False
+    S = sorted(set(S))
     if len(S) < T.k:
         return False
     idx = {v: i + 1 for i, v in enumerate(S)}

@@ -368,6 +368,9 @@ def test_adjacent_reduction_rejects_non_adjacent():
         CT.verify_adjacent_reduction(T, (1, 2), (1, 2))
     with pytest.raises(NotAdjacentCliques):
         CT.verify_adjacent_reduction(T, (1, 2), (4, 5))
+    # one vertex apart, but 4 is not joined to 1: no common (k+1)-clique
+    with pytest.raises(NotAdjacentCliques):
+        CT.verify_adjacent_reduction(T, (1, 2), (2, 4))
 
 
 def reference_move_detail(t1, t2, solo1, solo2, moved):

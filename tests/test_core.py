@@ -63,6 +63,43 @@ def test_build_rejects_out_of_order_ids():
         core.build_from_construction(2, [(4, (1, 2))])
 
 
+@pytest.mark.parametrize(
+    "base, adds, error",
+    [
+        ((1.5, 2), [(3, (1, 2))], BadVertexOrder),
+        (("a", 2), [], BadVertexOrder),
+        ((1, None), [], BadVertexOrder),
+        ((True, 2), [(3, (1, 2))], BadVertexOrder),
+        (None, [(3.0, (1, 2))], BadVertexOrder),
+        (None, [("3", (1, 2))], BadVertexOrder),
+        (None, [(3, (0, 1))], AttachmentNotClique),
+        (None, [(3, (-1, 2))], AttachmentNotClique),
+        (None, [(3, (1, 2.0))], AttachmentNotClique),
+        (None, [(3, ("a", 1))], AttachmentNotClique),
+        (None, [(3, (1, 4))], AttachmentNotClique),
+        (None, [(3, (1, 1, 2))], AttachmentNotClique),
+        (None, [(3, (True, 2))], AttachmentNotClique),
+    ],
+)
+def test_from_parts_refuses_ids_that_are_not_ints_in_1_to_n(base, adds, error):
+    # (0, 1) used to raise "negative shift count", 1.5 or "a" a bare TypeError,
+    # and True built a host whose .kt text says "True"
+    with pytest.raises(error):
+        core.KTree.from_parts(2, base or (1, 2), adds)
+    if base is None:  # build_from_construction inherits the refusal
+        with pytest.raises(error):
+            core.build_from_construction(2, adds)
+
+
+@pytest.mark.parametrize("picks", [[0, -2], [3], [0, 3], [1.0], ["0"], [0, 0, 99]])
+def test_grow_ktree_refuses_a_pick_outside_the_cliques_so_far(picks):
+    # [0, -2] used to attach vertex 4 at a clique counted from the end, and
+    # [3] raised IndexError
+    with pytest.raises(NotAClique, match="^pick "):
+        core.grow_ktree(2, picks)
+    core.grow_ktree(2, [0, 2, 4])  # the last clique of each step is allowed
+
+
 # -- recognition ----------------------------------------------------------------
 
 

@@ -84,7 +84,7 @@ def test_centre_code_agrees_with_all_roots_reference():
 
 
 def reference_rooted_structure(T, C):
-    """`_rooted_structure` with every label read per vertex: the k-clique
+    """`_rooted_at` with every label read per vertex: the k-clique
     node j that the vertex joins, found from its neighbours among C and the
     vertices before it, and its attachment `inc.clique(j)`."""
     inc = T._incidence
@@ -115,7 +115,7 @@ def test_rooted_structure_matches_the_per_vertex_clique_reference():
         for n in range(k, 9):
             for T in ktree_classes(k, n):
                 for C in core.k_cliques(T):
-                    got = I._rooted_structure(T, C)
+                    got = I._rooted_at(T, *core._clique_node(T, C))
                     assert got == reference_rooted_structure(T, C)
                     roots += 1
     assert roots > 1000
@@ -288,7 +288,7 @@ def reference_levels(k, n):
         classes = {}  # canonical code -> first candidate with it
         for T in level:
             for C in core.k_cliques(T):
-                cand = I._extend(T, C)
+                cand = core.KTree.from_parent(T, C)
                 classes.setdefault(I.canonical_code(cand), cand)
         level = list(classes.values())
         yield m, level
@@ -308,7 +308,7 @@ def test_child_codes_equal_the_codes_of_built_children(k, n):
     for _, level in I.iso_levels(k, n - 1):
         for P in level:
             cliques = core.k_cliques(P)
-            want = [I.canonical_code(I._extend(P, C)) for C in cliques]
+            want = [I.canonical_code(core.KTree.from_parent(P, C)) for C in cliques]
             assert I._child_codes(P, cliques) == want
             candidates += len(cliques)
     assert candidates > 30
@@ -318,7 +318,7 @@ def test_child_codes_hold_one_fold_at_a_time():
     """Each child of K_7 has one root and 6! orderings; keeping every fold
     until the last child is coded would hold 7 * 720 of them (about 5 MB),
     where folding root by root holds one (a few kB)."""
-    P = I._extend(core.build_from_construction(6, []), tuple(range(1, 7)))
+    P = core.KTree.from_parent(core.build_from_construction(6, []), tuple(range(1, 7)))
     cliques = core.k_cliques(P)
     tracemalloc.start()
     try:
@@ -327,19 +327,19 @@ def test_child_codes_hold_one_fold_at_a_time():
     finally:
         tracemalloc.stop()
     assert len(set(got)) == 1 and len(got) == 7
-    assert got[0] == I.canonical_code(I._extend(P, cliques[0]))
+    assert got[0] == I.canonical_code(core.KTree.from_parent(P, cliques[0]))
     assert peak < 500_000
 
 
 def test_levels_build_only_the_classes_they_keep(monkeypatch):
     built = []
-    extend = I._extend
+    extend = core.KTree.from_parent
 
-    def counted(T, C):
+    def counted(cls, T, C):
         built.append(T.n + 1)
         return extend(T, C)
 
-    monkeypatch.setattr(I, "_extend", counted)
+    monkeypatch.setattr(core.KTree, "from_parent", classmethod(counted))
     sizes = {m: len(level) for m, level in I.iso_levels(2, 9)}
     assert sorted(built) == [m for m in range(3, 10) for _ in range(sizes[m])]
     assert len(built) == 1 + 1 + 2 + 5 + 12 + 39 + 136
@@ -368,14 +368,14 @@ def test_child_codes_keep_the_code_limits():
         # the new vertex's own offset
         for C in [(1, 2), (2, 3), (1, h - 1), (h - 1, h), (h, h + 1), (h, n)]:
             got = outcome(child_code, P, C)
-            assert got == outcome(I.canonical_code, I._extend(P, C))
+            assert got == outcome(I.canonical_code, core.KTree.from_parent(P, C))
             seen.append((m, C, got is TooLarge))
     assert (256, (258, 514), True) in seen
     assert {too for *_, too in seen} == {True, False}
     # k is checked before any of the 256! orderings of a clique is tried
     P = core.gen_star_type(256, 1)
     assert outcome(child_code, P, P.base) is TooLarge
-    assert outcome(I.canonical_code, I._extend(P, P.base)) is TooLarge
+    assert outcome(I.canonical_code, core.KTree.from_parent(P, P.base)) is TooLarge
 
 
 def test_codes_refuse_k_above_nine_before_any_ordering(monkeypatch):

@@ -204,7 +204,7 @@ def test_kelmans_suite_moves_once_and_validates_at_most_twice_per_pair(monkeypat
 
         monkeypatch.setattr(mod, name, wrapper)
 
-    counted(K, "kelmans", "move")
+    counted(K, "_move", "move")
     counted(K, "as_tree_adj", "validate")
     counted(polynomials, "as_tree_adj", "validate")
     report = run_suite(SuiteConfig(suite="kelmans", max_n=8))
@@ -254,6 +254,23 @@ def test_kelmans_freezes_its_graph_once(monkeypatch):
     )
     K.kelmans(P4, 3, 2)
     assert len(calls) == 1
+
+
+def test_checkers_move_without_freezing_the_graph_again(monkeypatch):
+    """A checker moves on the adjacency it validated; `kelmans` and
+    `partial_kelmans` would freeze the graph again and re-check the
+    endpoints (`_endpoints`)."""
+    calls = []
+    real = K._endpoints
+    monkeypatch.setattr(
+        K, "_endpoints", lambda *args: calls.append(args[1:]) or real(*args)
+    )
+    K.check_kelmans(P4, 2, 3)
+    K.check_kelmans(STAR, 1, 2)
+    K.check_partial_kelmans_monotone(P4, 2, 3, ())
+    K.check_partial_kelmans_monotone(STAR, 2, 1, {3, 4})
+    K.check_leaf_dominates_neighbor(P4, 1, 2)
+    assert calls == []
 
 
 def test_all_checkers_consistent_small(small_trees):

@@ -63,10 +63,14 @@ def test_local_poly_examples():
 
 
 def test_local_rejects_non_sub_ktree():
-    with pytest.raises(NotASubKTree):
-        O.local_members(four_vertex(), (2, 4))
-    with pytest.raises(NotASubKTree):
-        O.local_members(four_vertex(), (2,))  # too small for k=2
+    T = four_vertex()
+    assert O.is_sub_ktree(T, (1, 2, 3))
+    # (2,) is too small for k=2; ("a", 1) used to raise a bare TypeError, and
+    # 1.0 equals a vertex id but is no vertex
+    for S in ((2, 4), (2,), ("a", 1), (1.0, 2.0, 3.0), (1, 2, None), (1, 2, [3])):
+        assert not O.is_sub_ktree(T, S)
+        with pytest.raises(NotASubKTree):
+            O.local_members(T, S)
 
 
 def test_all_clique_means_examples():
@@ -187,7 +191,7 @@ def test_enumeration_finds_every_sub_ktree():
 def test_required_outside_the_host_is_rejected():
     T = four_vertex()
     full = O.enumerate_sub_ktrees(T)
-    for bad in ((0,), (T.n + 1,), (1, -2)):
+    for bad in ((0,), (T.n + 1,), (1, -2), ("x",), (1, 2.0), (None,), (1.5,)):
         with pytest.raises(NotASubKTree):
             full.restricted(bad)
     with pytest.raises(KTreeError):

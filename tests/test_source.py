@@ -171,7 +171,7 @@ def test_one_way_from_a_clique_to_its_node():
 def test_class_levels_extend_their_parents():
     """A class representative is its parent plus one vertex, carried over
     from the parent's structures by `KTree.from_parent`, never rebuilt from
-    its records; only `isomorphism._extend` makes one."""
+    its records; only `isomorphism._levels` makes one."""
     rebuilders, extenders = set(), set()
     for path in sorted(SRC.glob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"))
@@ -179,7 +179,7 @@ def test_class_levels_extend_their_parents():
             rebuilders = _callers(tree, path.stem, "from_parts")
         extenders |= _callers(tree, path.stem, "from_parent")
     assert not rebuilders, f"isomorphism rebuilds hosts in {sorted(rebuilders)}"
-    assert extenders == {"isomorphism._extend"}, f"from_parent callers: {sorted(extenders)}"
+    assert extenders == {"isomorphism._levels"}, f"from_parent callers: {sorted(extenders)}"
 
 
 CORPUS_CALLERS = {"verify._run_corpus", "verify._chunk_payloads"}
