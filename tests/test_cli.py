@@ -334,11 +334,15 @@ def test_bad_arguments_exit_2(capsys):
     assert run(capsys, "verify", "--suite", "nonmajor-max", "--no-dedupe")[0] == 2
 
 
+BAD_STDERR = json.loads(
+    (Path(__file__).resolve().parent / "data" / "bad_input_stderr.json").read_text()
+)
 FOUR_KT = "ktree 1\nk 2\nn 4\nbase 1 2\nadd 3 1 2\nadd 4 1 3\n"
 P4_KT = "ktree 1\nk 1\nn 4\nbase 1\nadd 2 1\nadd 3 2\nadd 4 3\n"
 
 # ("kt" | "edges", file text, flags) run `validate` on the file; ("host", file
-# text, command, flags) run the command on it; any other spec is the argv
+# text, command, flags) run the command on it; any other spec is the argv.
+# Each case's whole stderr is pinned in data/bad_input_stderr.json.
 BAD_INPUTS = {
     "oracle-clique-repeated": ("host", FOUR_KT, "oracle", "--clique", "3,2,3,2"),
     "oracle-pair-repeated": ("host", FOUR_KT, "oracle", "--clique", "2,2"),
@@ -443,7 +447,11 @@ def test_bad_input_exits_2(case, tmp_path, capsys):
         argv = list(spec)
     code, _, err = run(capsys, *argv)
     assert code == 2
-    assert err.startswith("error:")
+    assert err == BAD_STDERR["bad_inputs"][case]
+
+
+def test_every_bad_input_has_a_pinned_stderr():
+    assert sorted(BAD_STDERR["bad_inputs"]) == sorted(BAD_INPUTS)
 
 
 @pytest.mark.parametrize(
@@ -456,10 +464,11 @@ def test_bad_input_exits_2(case, tmp_path, capsys):
     ],
 )
 def test_negative_cap_exits_2(argv, p4_kt, capsys):
+    pinned = BAD_STDERR["negative_cap"][" ".join(argv)]
     argv = [p4_kt if a == "P4" else a for a in argv]
     code, out, err = run(capsys, *argv, "--cap", "-1")
     assert code == 2
-    assert err.startswith("error:") and "--cap" in err
+    assert err == pinned
     assert out == ""
 
 
