@@ -37,7 +37,7 @@ masks of `core`, apart from both trees, and compares two integer lists.
 Its per-host `cache` is opaque: it maps each validated, sorted clique to
 the clique's mask, T'_C as a parent array indexed by vertex, and the
 children of the C-node and of each of its children.  Each clique is walked
-once, with no `CharTree` built, and validated only on its first miss; two
+once, with no `CharTree` built, and validated on every cache miss; two
 cliques are adjacent when the one vertex of C2 outside C1 is joined to all
 of C1, read off the host's masks.
 """
@@ -53,6 +53,8 @@ from .core import (
     _clique_node,
     _mask_vertices,
     _peel_k_leaves,
+    _require_ids,
+    _table_hit,
     k_cliques,
     require_k_clique,
 )
@@ -234,8 +236,7 @@ def elimination_sequence(T, C, v):
     """Greedy-peel construction of the elimination sequence of v from C,
     verified against its two defining conditions before returning."""
     C = require_k_clique(T, C)
-    if not isinstance(v, int):
-        raise NotAClique(f"target {v!r} is not an int")
+    (v,) = _require_ids((v,), "target", NotAClique)
     if v in C:
         raise VertexInClique(f"target {v} lies inside {C}")
     if not 1 <= v <= T.n:
@@ -350,17 +351,15 @@ class _Entry(NamedTuple):
 def _clique_entry(T, C, cache):
     """The entry of the k-clique C, stored in `cache` under its sorted tuple.
 
-    Only a validated clique is ever stored, so a hit needs no check.  An
-    unsorted C misses and is looked up again in sorted form; an invalid one
-    misses twice and raises NotAClique.  A miss walks from C once and keeps
-    the parent of every vertex and the children next to the C-node.
+    Only a validated clique is stored, so a hit (`core._table_hit`) needs no
+    other check; anything else is read by `_clique_node` first.  A miss walks
+    from C once and keeps each vertex's parent and the children near the C-node.
     """
-    e = cache.get(C) if type(C) is tuple else None
+    e = _table_hit(cache, C)
     if e is None:
-        C = tuple(sorted(C))
+        C, j = _clique_node(T, C)
         e = cache.get(C)
         if e is None:
-            C, j = _clique_node(T, C)
             verts, up, _ = _walk(T, j)
             labels = (0, *verts)
             par = array("i", [-1]) * (T.n + 1)

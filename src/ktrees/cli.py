@@ -134,10 +134,7 @@ def cmd_oracle(args):
 
 def _cap(text):
     """A non-negative --cap; argparse passes the KTreeError on to `main`."""
-    cap = int(text)
-    if cap < 0:
-        raise KTreeError(f"--cap must be at least 0, got {cap}")
-    return cap
+    return core._require_int(int(text), "--cap", 0)
 
 
 def _parse_ks(spec):

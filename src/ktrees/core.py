@@ -24,8 +24,9 @@ from __future__ import annotations
 import random as _random
 import re
 from array import array
-from functools import cached_property
-from itertools import combinations, starmap
+from collections.abc import Iterable
+from functools import cached_property, partial
+from itertools import chain, combinations, starmap
 from operator import eq
 from typing import NamedTuple
 
@@ -35,6 +36,7 @@ from .errors import (
     BadVertexOrder,
     Disconnected,
     FormatError,
+    KTreeError,
     NotAClique,
     NotKTree,
     SizeTooSmall,
@@ -50,12 +52,52 @@ def _bit(v):
     return 1 << (v - 1)
 
 
-def _require_k(k):
-    # a bool is an int to Python, but True is no order of a clique
-    if type(k) is not int:
-        raise BadK(f"k must be an int, got {k!r}")
-    if k < 1:
-        raise BadK(f"k must be at least 1, got {k}")
+# -- argument readers, which every public function calls first ----------------
+# Ids, sizes, caps and seeds are ints; a bool, though an int to Python, is refused.
+
+
+def _require_int(x, name, lo=None, error=KTreeError):
+    """x, an int (never a bool) of at least lo; `error` otherwise."""
+    if type(x) is not int:
+        raise error(f"{name} must be an int, got {x!r}")
+    if lo is not None and x < lo:
+        raise error(f"{name} must be at least {lo}, got {x}")
+    return x
+
+
+_require_k = partial(_require_int, name="k", lo=1, error=BadK)
+
+
+def _require_ids(ids, what, error, among=None, where=None):
+    """The collection `ids` as a tuple of ints (never bools), each one of
+    `among` (named `where`) if given; `error` naming each `what` otherwise."""
+    if not isinstance(ids, (tuple, Iterable)):  # a tuple skips the ABC check
+        raise error(f"{what} values must come as a collection, got {ids!r}")
+    ids = tuple(ids)
+    for v in ids:
+        if type(v) is not int:
+            raise error(f"{what} {v!r} is not an integer")
+        if among is not None and v not in among:
+            raise error(f"{what} {v} must belong to {where}")
+    return ids
+
+
+def _require_pairs(items, what, error):
+    """`items` as a tuple of pairs, each a tuple or list of two; `error` else."""
+    if not isinstance(items, Iterable):
+        raise error(f"{what}s must come as a collection, got {items!r}")
+    items = tuple(items)
+    for pair in items:
+        if type(pair) not in (tuple, list) or len(pair) != 2:
+            raise error(f"{what} {pair!r} is not a pair")
+    return items
+
+
+def _require_text(text, what):
+    """`text` if it is a str; FormatError naming `what` otherwise."""
+    if not isinstance(text, str):
+        raise FormatError(f"{what} must be text, got {text!r}")
+    return text
 
 
 def _mask_vertices(mask):
@@ -279,33 +321,25 @@ class KTree:
         is checked to be a clique of the graph built so far.
         """
         _require_k(k)
-        base = tuple(base)
-        # ids are exact ints: a bool is an int to Python, but would be
-        # written out as True
-        if not all(type(v) is int for v in base):
-            raise BadVertexOrder(f"base {base} has a vertex id that is not an int")
+        adds = _require_pairs(adds, "record", BadVertexOrder)
+        n = k + len(adds)
+        hosted, where = range(1, n + 1), f"1..{n}"
+        base = _require_ids(base, "base vertex", BadVertexOrder, hosted, where)
         base = tuple(sorted(base))
         if len(base) != k or len(set(base)) != k:
             raise BadVertexOrder(f"base must be {k} distinct vertices, got {base}")
-        n = k + len(adds)
         masks = [0] * (n + 1)
-        present = 0
-        for v in base:
-            if not 1 <= v <= n:
-                raise BadVertexOrder(f"vertex {v} outside 1..{n}")
-            present |= _bit(v)
-        base_mask = present
+        present = base_mask = sum(map(_bit, base))
         for v in base:
             masks[v] = base_mask & ~_bit(v)
         build = []
         for v, attach in adds:
-            if type(v) is not int or not 1 <= v <= n or present & _bit(v):
+            _require_int(v, "new vertex", 1, BadVertexOrder)
+            if v > n or present & _bit(v):
                 raise BadVertexOrder(f"new vertex {v!r} invalid or repeated")
-            attach = tuple(attach)
-            if not all(type(u) is int and u >= 1 for u in attach):
-                raise AttachmentNotClique(
-                    f"attachment {attach} for vertex {v}: ids must be ints >= 1"
-                )
+            attach = _require_ids(
+                attach, "attachment vertex", AttachmentNotClique, hosted, where
+            )
             attach = tuple(sorted(attach))
             amask = 0
             for u in attach:
@@ -438,11 +472,11 @@ class KTree:
 
 def build_from_construction(k, adds):
     """Grow a k-tree from base 1..k; new ids must run k+1..n in order."""
-    expected = k + 1
-    for v, _ in adds:
+    _require_k(k)
+    adds = _require_pairs(adds, "record", BadVertexOrder)
+    for expected, (v, _) in enumerate(adds, k + 1):
         if v != expected:
             raise BadVertexOrder(f"expected vertex {expected}, got {v}")
-        expected += 1
     return KTree.from_parts(k, range(1, k + 1), adds)
 
 
@@ -453,8 +487,16 @@ def recognize_ktree(edges, k, n=None):
     is a clique; succeeds when k vertices remain.  Returns a KTree carrying the
     reconstructed build sequence and the adjacency masks read off the edges.
     """
+    pairs = _require_pairs(edges, "edge", FormatError)
+    _require_ids(chain.from_iterable(pairs), "edge end", FormatError)
+    return _recognize(pairs, k, n)
+
+
+def _recognize(pairs, k, n):
+    """`recognize_ktree` of pairs of ints, as read or as `_edge_pairs` parses."""
     _require_k(k)
-    pairs = list(edges)
+    if n is not None:
+        _require_int(n, "n", error=FormatError)
     if any(starmap(eq, pairs)):
         raise FormatError(f"self-loop at {next(u for u, v in pairs if u == v)}")
     if pairs:
@@ -514,28 +556,35 @@ def kp1_cliques(T):
     return list(T._kp1_cliques)
 
 
+def _table_hit(table, C):
+    """table[C] if C is a tuple of ints (never bools) that `table`, keyed by
+    sorted cliques of ints, holds; else None, and nothing is refused."""
+    if type(C) is tuple:
+        try:
+            j = table.get(C)
+            # a float or Fraction equal to an id also finds the clique, but its
+            # sum is no int; a bool can equal only vertex 1, which sorts first
+            if j is not None and type(sum(C)) is int and C[0] is not True:
+                return j
+        except TypeError:  # an unhashable id, which the full check refuses
+            pass
+    return None
+
+
 def _clique_node(T, C):
     """C as a sorted tuple and its incidence node; NotAClique unless C is
-    k distinct, pairwise adjacent vertices of T, each an int (a bool counts
-    as the int it equals).
+    k distinct, pairwise adjacent vertices of T, each an int (never a bool).
 
-    Once the host's clique table exists, a tuple of ints found in it (by
-    equality) is valid and its node is one lookup away.  Anything else
+    Once the host's clique table exists, a tuple of ints found in it
+    (`_table_hit`) is valid and its node is one lookup away.  Anything else
     takes one pass over C on the adjacency masks, then
     `CliqueIncidence.node`.  The table is read only if it is there, never
     built.
     """
     table = T.__dict__.get("_k_cliques")
-    if table is not None and type(C) is tuple:
-        j = table.get(C)
-        # a float, Fraction or other number equal to an id also finds the
-        # clique, but makes the sum of C something other than an int
-        if j is not None and type(sum(C)) is int:
-            return C, j
-    C = tuple(C)
-    if not all(isinstance(v, int) for v in C):
-        raise NotAClique(f"{C} has a vertex id that is not an int")
-    C = tuple(sorted(C))
+    if table is not None and (j := _table_hit(table, C)) is not None:
+        return C, j
+    C = tuple(sorted(_require_ids(C, "clique vertex", NotAClique)))
     if len(C) == T.k:
         masks = T.masks
         m = 0
@@ -651,9 +700,7 @@ def all_clique_pairs(T):
 
 def gen_path_type(k, n):
     """The canonical path-type k-tree: vertex j > k joins the previous k."""
-    _require_k(k)
-    if n < k:
-        raise SizeTooSmall(f"need n >= k, got n={n}, k={k}")
+    _require_int(n, "n", _require_k(k), SizeTooSmall)
     adds = [(j, tuple(range(j - k, j))) for j in range(k + 1, n + 1)]
     return build_from_construction(k, adds)
 
@@ -661,8 +708,7 @@ def gen_path_type(k, n):
 def gen_star_type(k, n_added):
     """Star-type k-tree: every added vertex joins the base clique."""
     _require_k(k)
-    if n_added < 0:
-        raise SizeTooSmall("n_added must be >= 0")
+    _require_int(n_added, "n_added", 0, SizeTooSmall)
     base = tuple(range(1, k + 1))
     adds = [(k + i, base) for i in range(1, n_added + 1)]
     return build_from_construction(k, adds)
@@ -676,8 +722,7 @@ def gen_bristled_star(k, n):
     {b_i}-clique with degree 2, and every other k-clique is an end clique.
     """
     _require_k(k)
-    if n < 3:
-        raise SizeTooSmall(f"family needs n >= 3, got {n}")
+    _require_int(n, "n", 3, SizeTooSmall)
     if k < 2:
         raise SizeTooSmall("family needs k >= 2 so companions drop a base vertex")
     base = tuple(range(1, k + 1))
@@ -691,9 +736,7 @@ def gen_bristled_star(k, n):
 
 def gen_double_broom(n):
     """Tree of order 2n+5: path P_{2n+1} with two pendant edges at each end."""
-    if n < 1:
-        raise SizeTooSmall("need n >= 1")
-    m = 2 * n + 1
+    m = 2 * _require_int(n, "n", 1, SizeTooSmall) + 1
     adds = [(j, (j - 1,)) for j in range(2, m + 1)]
     adds += [(m + 1, (1,)), (m + 2, (1,)), (m + 3, (m,)), (m + 4, (m,))]
     return build_from_construction(1, adds)
@@ -707,8 +750,8 @@ def grow_ktree(k, picks):
     _require_k(k)  # before the picks are drawn, which k < 0 can fail
     cliques = [tuple(range(1, k + 1))]
     adds = []
-    for v, i in enumerate(picks, k + 1):
-        if not (isinstance(i, int) and 0 <= i < len(cliques)):
+    for v, i in enumerate(_require_ids(picks, "pick", NotAClique), k + 1):
+        if not 0 <= i < len(cliques):
             raise NotAClique(
                 f"pick {i!r} is not one of the {len(cliques)} k-cliques made so far"
             )
@@ -721,10 +764,8 @@ def grow_ktree(k, picks):
 
 def random_ktree(k, n, seed):
     """Uniform attachment-clique choice at each growth step; deterministic."""
-    _require_k(k)
-    if n < k:
-        raise SizeTooSmall(f"need n >= k, got n={n}, k={k}")
-    rng = _random.Random(seed)
+    _require_int(n, "n", _require_k(k), SizeTooSmall)
+    rng = _random.Random(_require_int(seed, "seed"))
     return grow_ktree(k, (rng.randrange(1 + k * i) for i in range(n - k)))
 
 
@@ -745,6 +786,7 @@ def _ints(tokens, line):
 
 def parse_kt(text):
     """Parse the line-oriented .kt construction format."""
+    text = _require_text(text, ".kt input")
     lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
     if not lines or lines[0].split() != ["ktree", str(KT_VERSION)]:
         raise FormatError("first line must be 'ktree 1'")
@@ -833,4 +875,4 @@ def _edge_pairs(text):
 
 def parse_edge_list(text, k, n=None):
     """Parse 'u v' lines and recognize the result as a k-tree."""
-    return recognize_ktree(_edge_pairs(text), k, n=n)
+    return _recognize(_edge_pairs(_require_text(text, "an edge list")), k, n)

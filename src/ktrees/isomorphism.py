@@ -45,7 +45,7 @@ from bisect import bisect_left, insort
 from itertools import permutations
 
 from .chartree import _joined, _walk
-from .core import KTree, _clique_node, build_from_construction, k_cliques
+from .core import KTree, _clique_node, _require_int, build_from_construction, k_cliques
 from .errors import BadK, SizeTooSmall, TooLarge
 
 # The largest order of a class enumeration, per k; any other k is refused.
@@ -68,7 +68,8 @@ CLASS_MAX_ORDER = {1: 14, 2: 13, 3: 12, 4: 12, 5: 12, 6: 12, 7: 12, 8: 11, 9: 11
 
 def require_class_order(k, n):
     """Refuse a class enumeration that `CLASS_MAX_ORDER` does not admit."""
-    top = CLASS_MAX_ORDER.get(k)
+    _require_int(n, "n")
+    top = CLASS_MAX_ORDER.get(_require_int(k, "k", error=BadK))
     if top is None:
         raise BadK(f"class enumeration takes k in 1..{max(CLASS_MAX_ORDER)}, got {k}")
     if n > top:
@@ -167,8 +168,9 @@ def _codes(T, roots):
 
 def rooted_code(T, C):
     """Code of T rooted at clique C, its vertices ordered ascending."""
-    _, up, labels, _ = _rooted_at(T, *_clique_node(T, C))
-    return _fold(up, labels, {v: i + 1 for i, v in enumerate(sorted(C))})[1][0]
+    C, j = _clique_node(T, C)
+    _, up, labels, _ = _rooted_at(T, C, j)
+    return _fold(up, labels, {v: i + 1 for i, v in enumerate(C)})[1][0]
 
 
 def rooted_code_set(T):
@@ -337,12 +339,11 @@ def iso_levels(k, n):
     extending representatives alone reaches every class.  A candidate is
     coded from P's rooted structures (`_child_codes`), with the bytes
     `canonical_code` would give it, and only a candidate that is kept is
-    built.  The order range is checked, against `CLASS_MAX_ORDER` too,
-    before the first level is built.
+    built.  k and n are read, and the order range checked against
+    `CLASS_MAX_ORDER`, on the call itself, before the generator is made.
     """
-    if n < k:
-        raise SizeTooSmall(f"need n >= k, got n={n}")
     require_class_order(k, n)
+    _require_int(n, "n", k, SizeTooSmall)
     return _levels(k, n)
 
 

@@ -16,29 +16,29 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import NamedTuple
 
-from .errors import BadMoveSet, KTreeError, NotAdjacent, NotALeaf, SameVertex
-from .polynomials import _bfs_tree, _local_mean, as_tree_adj
+from .core import _require_ids
+from .errors import BadMoveSet, KTreeError, NotAdjacent, NotALeaf, NotATree, SameVertex
+from .polynomials import _bfs_tree, _local_mean, _tree_at, as_tree_adj
 
 
 def _endpoints(graph, v, u):
-    """A frozen copy of the graph, once v and u are two of its vertices."""
+    """The frozen graph and its N2, once v and u are two of its vertices."""
     adj = {w: frozenset(vs) for w, vs in graph.items()}
     if u == v:
         raise SameVertex(f"cannot move from {v} to itself")
-    if u not in adj or v not in adj:
-        raise KTreeError(f"vertices {u}, {v} must belong to the graph")
-    return adj
+    return adj, second_neighborhood(adj, v, u)
 
 
 def second_neighborhood(adj, v, u):
-    """N2 = N(v) minus the closed neighborhood of u."""
+    """N2 = N(v) minus the closed neighborhood of u, for vertices v, u of `adj`."""
+    _require_ids((v, u), "vertex", KTreeError, adj, "the graph")
     return adj[v] - adj[u] - {u}
 
 
 def kelmans(graph, v, u):
     """Replace every edge vw, w in N2, by uw.  Graphs stay simple."""
-    adj = _endpoints(graph, v, u)
-    return _move(adj, v, u, second_neighborhood(adj, v, u))
+    adj, n2 = _endpoints(graph, v, u)
+    return _move(adj, v, u, n2)
 
 
 def partial_kelmans(graph, v, u, moved):
@@ -47,9 +47,9 @@ def partial_kelmans(graph, v, u, moved):
     The result shares the frozen neighbour sets of every vertex but v, u
     and the moved ones, which are rebuilt; `graph` is left as it was.
     """
-    adj = _endpoints(graph, v, u)
-    moved = frozenset(moved)
-    if not moved <= second_neighborhood(adj, v, u):
+    adj, n2 = _endpoints(graph, v, u)
+    moved = frozenset(_require_ids(moved, "moved vertex", BadMoveSet))
+    if not moved <= n2:
         raise BadMoveSet(f"moved set {sorted(moved)} not within N2")
     return _move(adj, v, u, moved)
 
@@ -92,6 +92,7 @@ class TheoremReport(NamedTuple):
 def path_with_leaf_predicate(tree, x):
     """Is the tree a path with x as one of its ends (K_1 counts)?"""
     adj = as_tree_adj(tree)
+    (x,) = _require_ids((x,), "vertex", NotATree)
     return x in adj and len(adj[x]) <= 1 and all(len(vs) <= 2 for vs in adj.values())
 
 
@@ -119,10 +120,8 @@ def check_kelmans(tree, u, v):
     u is a leaf or T is a path with v a leaf; mu(T;v) >= mu(G;u), equality
     iff u's component in T - v is a path with u as its leaf; mu(G;v) >=
     mu(T;v), equality iff v is a leaf or T is a path with u a leaf."""
-    adj = as_tree_adj(tree)
-    if u not in adj or v not in adj[u]:
-        raise NotAdjacent(f"{u} and {v} must be adjacent")
-    shifted = _move(dict(adj), v, u, second_neighborhood(adj, v, u))
+    adj = _tree_at(tree, u, v, error=NotAdjacent)
+    shifted = _move(dict(adj), v, u, adj[v] - adj[u] - {u})
     inst = _describe(adj, (("u", u), ("v", v)))
     t_u, t_v = _local_mean(adj, u), _local_mean(adj, v)
     g_u, g_v = _local_mean(shifted, u), _local_mean(shifted, v)
@@ -144,10 +143,8 @@ def check_partial_kelmans_monotone(tree, u, v, moved):
     Equality iff nothing moved, or u is a leaf and the single moved branch
     is a path hanging at v by its leaf.
     """
-    adj = as_tree_adj(tree)
-    if u not in adj or v not in adj[u]:
-        raise NotAdjacent(f"{u} and {v} must be adjacent")
-    moved = frozenset(moved)
+    adj = _tree_at(tree, u, v, error=NotAdjacent)
+    moved = frozenset(_require_ids(moved, "moved vertex", BadMoveSet))
     if not moved <= adj[v] - {u}:
         raise BadMoveSet("moved set must lie in N(v) minus u")
     pred = not moved or (
@@ -167,11 +164,10 @@ def check_partial_kelmans_monotone(tree, u, v, moved):
 def check_leaf_dominates_neighbor(tree, v, u):
     """mu(T; v) >= mu(T; u) for a leaf v and its neighbor u; equality iff
     T is a path."""
-    adj = as_tree_adj(tree)
-    if v not in adj or len(adj[v]) != 1:
+    adj = _tree_at(tree, v, error=NotALeaf)
+    if len(adj[v]) != 1:
         raise NotALeaf(f"{v} is not a leaf")
-    if u not in adj[v]:
-        raise NotAdjacent(f"{u} is not the neighbor of leaf {v}")
+    _require_ids((u,), "vertex", NotAdjacent, adj[v], f"the neighbour of leaf {v}")
     return TheoremReport.at_least(
         "mu(T; v) >= mu(T; u)",
         _describe(adj, (("v", v), ("u", u))),

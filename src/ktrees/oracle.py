@@ -71,7 +71,7 @@ from functools import cached_property
 from itertools import compress, repeat
 from operator import and_, rshift
 
-from .core import _mask_vertices, recognize_ktree
+from .core import _mask_vertices, _require_ids, _require_int, recognize_ktree
 from .errors import KTreeError, NotASubKTree, TooLarge
 from .polynomials import IntPolynomial
 
@@ -89,11 +89,9 @@ _KEEP = bytes.maketrans(b"01", b"\0\1")  # ASCII digits to the bytes 0 and 1
 def _required_mask(T, required):
     """Mask of the vertices of `required`; NotASubKTree unless each is one
     of the host's vertices 1..n, an int."""
-    n = T.n
     req = 0
-    for v in required:
-        if not isinstance(v, int) or not 1 <= v <= n:
-            raise NotASubKTree(f"vertex {v!r} is not a vertex 1..{n} of the host")
+    hosted = range(1, T.n + 1)
+    for v in _require_ids(required, "required vertex", NotASubKTree, hosted, "the host"):
         req |= 1 << (v - 1)
     return req
 
@@ -292,7 +290,7 @@ def _host_set(T, cap):
     """The full SubKTreeSet of T, grown only if T is not the host in the
     slot.  The cap is checked on every call, before the slot is read."""
     global _last
-    if T.n > min(cap, MAX_ORDER):
+    if T.n > min(_require_int(cap, "cap", 0), MAX_ORDER):
         raise TooLarge(f"order {T.n} exceeds enumeration cap {min(cap, MAX_ORDER)}")
     if _last is None or _last.host is not T:
         _last = None  # free the previous host's members before growing these
@@ -307,10 +305,10 @@ def enumerate_sub_ktrees(T, cap=DEFAULT_CAP):
 
 def is_sub_ktree(T, S):
     """Does the vertex set S, of int ids, induce a sub-k-tree of T?"""
-    S = tuple(S)
-    if not S or any(not isinstance(v, int) or not 1 <= v <= T.n for v in S):
+    try:
+        S = _mask_vertices(_required_mask(T, S))
+    except NotASubKTree:
         return False
-    S = sorted(set(S))
     if len(S) < T.k:
         return False
     idx = {v: i + 1 for i, v in enumerate(S)}
@@ -325,7 +323,7 @@ def is_sub_ktree(T, S):
 def local_members(T, S, cap=DEFAULT_CAP):
     """Members containing S, after checking that S is itself a sub-k-tree."""
     if not is_sub_ktree(T, S):
-        raise NotASubKTree(f"{tuple(S)} does not induce a sub-k-tree")
+        raise NotASubKTree(f"{S!r} does not induce a sub-k-tree")
     return enumerate_sub_ktrees(T, cap=cap).restricted(S)
 
 

@@ -23,6 +23,7 @@ from decimal import Decimal, ROUND_HALF_EVEN, localcontext
 from fractions import Fraction
 from itertools import zip_longest
 
+from .core import _require_ids
 from .errors import NotATree
 
 
@@ -96,9 +97,8 @@ def as_tree_adj(tree):
     """Normalize to {node: frozenset(nbrs)} and verify it is a tree with
     integer labels."""
     adj = {u: frozenset(vs) for u, vs in tree.items()}
+    _require_ids(adj, "node label", NotATree)
     for u, vs in adj.items():
-        if not isinstance(u, int):
-            raise NotATree(f"node label {u!r} is not an integer")
         for v in vs:
             if v == u or v not in adj or u not in adj[v]:
                 raise NotATree(f"adjacency is not symmetric at ({u}, {v})")
@@ -173,11 +173,14 @@ def _phi_pair(up):
     return count[0], total[0]
 
 
-def _tree_at(tree, u):
-    """`as_tree_adj(tree)`, checked to contain the vertex u."""
-    adj = as_tree_adj(tree)
-    if u not in adj:
-        raise NotATree(f"vertex {u} not in the tree")
+def _tree_at(tree, *path, error=NotATree):
+    """`as_tree_adj(tree)`, checked to hold the walk `path`, each vertex a
+    neighbour of the one before; `error` otherwise."""
+    adj = among = as_tree_adj(tree)
+    where = "the tree"
+    for u in path:
+        _require_ids((u,), "vertex", error, among, where)
+        among, where = adj[u], f"the neighbours of {u}"
     return adj
 
 

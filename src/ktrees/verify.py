@@ -58,6 +58,8 @@ from .core import (
     MAJOR,
     KTree,
     _clique_info,
+    _require_ids,
+    _require_int,
     all_clique_pairs,
     clique_degree,
     gen_bristled_star,
@@ -125,9 +127,13 @@ class SuiteConfig(NamedTuple):
     def validate(self):
         """Check the config against its suite's row and return the validated
         copy.  A tree suite runs at k = 1, so the copy's ks are (1,)."""
-        suite = SUITES.get(self.suite)
+        suite = SUITES.get(self.suite) if isinstance(self.suite, str) else None
         if suite is None:
             raise UnknownSuite(f"no suite named {self.suite!r}; try {suite_names()}")
+        for name, lo in (("min_n", None), ("max_n", None), ("trials", None),
+                         ("seed", None), ("cap", 0), ("jobs", 1)):
+            _require_int(getattr(self, name), name, lo)
+        _require_ids(self.ks, "k", BadK)
         if not self.ks or min(self.ks) < suite.least_k or max(self.ks) > K_GUARD:
             raise BadK(
                 f"suite {self.suite!r} needs at least one k and every k in "
@@ -140,10 +146,6 @@ class SuiteConfig(NamedTuple):
                     "checked twice"
                 )
         cfg = self._replace(ks=(1,)) if suite.trees else self
-        if cfg.jobs < 1:
-            raise KTreeError(f"jobs must be at least 1, got {cfg.jobs}")
-        if cfg.cap < 0:
-            raise KTreeError(f"cap must be at least 0, got {cfg.cap}")
         if cfg.mode not in ("exhaustive", "random"):
             raise UnknownSuite(f"unknown mode {cfg.mode!r}")
         if suite.family and cfg.mode == "random":
@@ -796,13 +798,15 @@ def search_degree2_witness(
     corpus certifies absence only at those sizes.  Its tallies are the
     argmax classes and the near-miss records.
     """
-    if k < 2:
+    if _require_int(k, "k", error=BadK) < 2:
         raise BadK(
             "search requires k >= 2; for trees the double-broom suite already "
             "exhibits degree-2 maximizers"
         )
     if mode == "exhaustive" and budget is not None:
         raise KTreeError(f"exhaustive mode takes no budget, got budget={budget}")
+    if mode == "random" and (budget is None or _require_int(budget, "budget") < 1):
+        raise TooLarge(f"random mode takes a positive budget, got budget={budget}")
     cfg = SuiteConfig(
         suite="degree2-witness",
         ks=(k,),

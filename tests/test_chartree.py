@@ -71,8 +71,8 @@ def test_elimination_sequence_examples():
         CT.elimination_sequence(four_vertex(), (2, 4), 3)
     with pytest.raises(NotAClique, match="not an int"):
         CT.elimination_sequence(four_vertex(), (1, 2), 4.0)
-    # a bool is the int it equals: True is vertex 1, inside the clique
-    with pytest.raises(VertexInClique):
+    # a bool is no vertex id, though True equals vertex 1 of the clique
+    with pytest.raises(NotAClique):
         CT.elimination_sequence(four_vertex(), (1, 2), True)
 
 

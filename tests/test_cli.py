@@ -413,6 +413,13 @@ BAD_INPUTS = {
     "search-exhaustive-budget": ("search", "--k", "2", "--max-n", "6", "--budget", "5"),
     "search-exhaustive-budget-0": ("search", "--k", "2", "--max-n", "6", "--budget", "0"),
     "search-exhaustive-seed": ("search", "--k", "2", "--max-n", "6", "--seed", "3"),
+    "search-random-no-budget": ("search", "--k", "2", "--max-n", "6", "--mode", "random"),
+    "search-random-budget-0": (
+        "search", "--k", "2", "--max-n", "6", "--mode", "random", "--budget", "0",
+    ),
+    "search-random-budget-negative": (
+        "search", "--k", "2", "--max-n", "6", "--mode", "random", "--budget", "-3",
+    ),
     "verify-family-order-1e15": (
         "verify", "--suite", "double-broom", "--min-n", "1000000000000000",
         "--max-n", "1000000000000000",

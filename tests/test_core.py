@@ -270,11 +270,12 @@ def test_clique_queries_answer_alike_before_and_after_the_table():
         foreign = [tuple(map(float, C)) for C in core.k_cliques(warm)]
         foreign += [tuple(map(str, C)) for C in core.k_cliques(warm)]
         foreign += [(*C[:-1], None) for C in core.k_cliques(warm)]
-        # a bool stands for the int it equals
+        # a bool is refused like any id that is not an int, though True
+        # equals vertex 1 and finds its clique in the table
         truthy = [(True, *C[1:]) for C in core.k_cliques(warm) if C[0] == 1]
         assert truthy
         for C, must_refuse in [*((C, None) for C in probes), *((C, True) for C in foreign),
-                               *((C, False) for C in truthy)]:
+                               *((C, True) for C in truthy)]:
             for query in queries:
                 want = _answer(query, cold, C)
                 assert _answer(query, warm, C) == want, (query.__name__, C)

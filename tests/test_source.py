@@ -86,7 +86,7 @@ def test_no_self_recursion():
     assert set(recursive) <= RECURSION_ALLOWED, f"self-recursive: {recursive}"
 
 
-PEEL_CALLERS = {"core.recognize_ktree", "chartree.elimination_sequence"}
+PEEL_CALLERS = {"core._recognize", "chartree.elimination_sequence"}
 
 
 def _holders(tree, module, hit):
@@ -506,3 +506,36 @@ def test_the_incidence_tree_adjacency_has_one_home():
     # the guard sees these names where they are used
     chartree = ast.parse((SRC / "chartree.py").read_text(encoding="utf-8"))
     assert INDEX_ARRAYS <= _identifiers(chartree)
+
+
+INT_READERS = {"core._require_int", "core._require_ids", "core._table_hit"}
+
+
+def _names_int(node):
+    """`int`, alone or in a tuple."""
+    kinds = node.elts if isinstance(node, ast.Tuple) else [node]
+    return any(getattr(kind, "id", None) == "int" for kind in kinds)
+
+
+def _int_type_test(node):
+    """`isinstance(x, int)`, or a comparison of `type(x)` with `int`."""
+    if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "isinstance":
+        return len(node.args) == 2 and _names_int(node.args[1])
+    return (
+        isinstance(node, ast.Compare)
+        and isinstance(node.left, ast.Call)
+        and getattr(node.left.func, "id", None) == "type"
+        and any(map(_names_int, node.comparators))
+    )
+
+
+def test_ints_are_read_only_by_the_readers():
+    """Ids, sizes, caps and seeds are read by the argument readers of `core`,
+    which refuse a bool; an entry point that spells its own int test grows
+    a second boundary, with a bool policy of its own."""
+    found = set()
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        found |= _holders(tree, path.stem, _int_type_test)
+    assert found <= INT_READERS, f"int type tests in {sorted(found - INT_READERS)}"
+    assert found, "the guard found no int test at all; the search is broken"

@@ -207,6 +207,40 @@ def test_validate_returns_a_copy_and_leaves_its_receiver():
     assert broom.validate().ks == (1,)
 
 
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("ks", (2.0,)), ("ks", (True,)), ("ks", 2), ("min_n", None), ("max_n", 6.5),
+        ("trials", 2.5), ("seed", 1.5), ("cap", None), ("cap", True), ("jobs", True),
+    ],
+)
+def test_every_int_field_of_a_config_is_read_as_an_int(field, value):
+    # jobs=True and seed=1.5 used to run and be echoed in the report, the
+    # others to raise a bare TypeError
+    cfg = V.SuiteConfig(suite="nonmajor-max", max_n=5)._replace(**{field: value})
+    with pytest.raises(KTreeError, match="^k " if field == "ks" else f"^{field} must be"):
+        V.run_suite(cfg)
+
+
+@pytest.mark.parametrize(
+    "kw",
+    [
+        dict(k=2.0), dict(k=True), dict(max_n=6.5), dict(cap=None), dict(jobs=True),
+        dict(mode="random", budget=2.5), dict(mode="random", budget=True),
+        dict(mode="random", budget=2, seed=1.5),
+    ],
+)
+def test_the_search_reads_its_ints_as_ints(kw):
+    with pytest.raises(KTreeError):
+        V.search_degree2_witness(**{"k": 2, "max_n": 6, **kw})
+
+
+@pytest.mark.parametrize("budget", [None, 0, -3])
+def test_random_search_names_its_budget(budget):
+    with pytest.raises(KTreeError, match=f"positive budget, got budget={budget}$"):
+        V.search_degree2_witness(2, 6, mode="random", budget=budget)
+
+
 def test_class_corpora_and_class_levels_read_one_order_table():
     from ktrees.isomorphism import CLASS_MAX_ORDER, iso_levels
 
