@@ -277,7 +277,7 @@ def _verify_elimination(T, seq):
     """Check both defining conditions of an elimination sequence."""
     C, labels = seq.clique, seq.labels
     vs = set(C) | set(labels)
-    sub = {x: set(T.neighbors(x)) & vs for x in vs}
+    sub = {x: set(_mask_vertices(T.masks[x])) & vs for x in vs}
     # reversed labels must peel as simplicial k-leaves down to C
     remaining = dict(sub)
     for x in reversed(labels):

@@ -387,13 +387,22 @@ class KTree:
     def vertices(self):
         return range(1, self.n + 1)
 
+    def _vertices(self, *vs):
+        """vs, each an int id of the host (never a bool); KTreeError otherwise.
+        The public queries read their ids here; the package's own loops read
+        `masks` directly."""
+        return _require_ids(vs, "vertex", KTreeError, self.vertices, "the host")
+
     def neighbors(self, v):
+        (v,) = self._vertices(v)
         return tuple(_mask_vertices(self.masks[v]))
 
     def degree(self, v):
+        (v,) = self._vertices(v)
         return self.masks[v].bit_count()
 
     def has_edge(self, u, v):
+        u, v = self._vertices(u, v)
         return bool(self.masks[u] & _bit(v))
 
     def edges(self):
@@ -429,7 +438,8 @@ class KTree:
         return dict(sorted(zip(map(inc.clique, inc.nodes), inc.nodes)))
 
     def k_leaf_set(self):
-        return tuple(v for v in self.vertices if self.degree(v) == self.k)
+        masks, k = self.masks, self.k
+        return tuple(v for v in self.vertices if masks[v].bit_count() == k)
 
     @cached_property
     def _incidence(self):
@@ -461,7 +471,7 @@ class KTree:
         leaves = self.k_leaf_set()
         if n >= k + 2:
             ok = len(leaves) >= 2 and all(
-                not self.has_edge(a, b) for a, b in combinations(leaves, 2)
+                not self.masks[a] & _bit(b) for a, b in combinations(leaves, 2)
             )
             table["k_leaves_independent"] = (ok, True)
         return table

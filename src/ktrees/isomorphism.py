@@ -11,10 +11,17 @@ which is why the labels carry the attachment data.
 
 The clique-incidence tree (k-cliques joined to the (k+1)-cliques that
 contain them) has a centre that every isomorphism fixes.  The canonical
-code is the minimum rooted code over the centre's k-cliques and their
-orderings, at most (k+1) * k! of them, so two k-trees are isomorphic iff
-their canonical codes are equal.  The tree's neighbour lists are read off
-the nodes and step faces of the host's shared incidence index
+code is the minimum rooted code over the centre's k-cliques that lie in
+the most (k+1)-cliques (one clique, or some faces of a centre step), each
+under the orderings along which the vertex degree never falls (the
+clique sorted by degree, permuted within each run of equal degree).  An
+isomorphism maps the centre, clique counts and degrees onto themselves,
+so it maps these (root, ordering) pairs onto the other host's, and two
+k-trees are isomorphic iff their canonical codes are equal.  This is the
+first step of individualisation-refinement (McKay and Piperno, "Practical
+graph isomorphism, II", 2014): at most (k+1) * k! pairs, and far fewer
+when the degrees differ.  The incidence tree's neighbour lists are read
+off the nodes and step faces of the host's shared incidence index
 (`core.CliqueIncidence.nodes` and `faces`), the same index whose walk
 from C (`chartree._walk`) gives the rooted structure, so no code peels the
 host.  A vertex's label reads the k-clique it joins: the clique
@@ -29,20 +36,24 @@ before, so a corpus over a range of orders builds every level once;
 `enumerate_ktrees_up_to_iso` is its last level.  A candidate P + v@C is
 coded from its parent P without being built (`_child_codes`): its centre
 is P's or one hop from it, so its roots are cliques of P, and rooted at
-each it is P's rooted structure plus v as one new leaf.  P is folded once
-per root and ordering, every candidate rooted there refolds only v's
-ancestors and keeps a running minimum, and the fold is then dropped, so
-memory holds one fold and one code per candidate.  Only a candidate whose
-code is new in its level is built, so every level builds exactly its
-classes.  `_levels` builds each with `KTree.from_parent`, carried over from
-its parent's masks, incidence arrays and clique table rather than rebuilt
-from its records.
+each it is P's rooted structure plus v as one new leaf.  Its clique
+counts are P's plus one at C, and its degrees P's plus one at each vertex
+of C, so its roots and orderings are read off P before it exists.  P is
+folded once per root and per ordering that some candidate rooted there
+admits; each candidate admitting it refolds only v's ancestors and keeps
+a running minimum, and the fold is then dropped, so memory holds one fold
+and one code per candidate.  Only a candidate whose code is new in its
+level is built, so every level builds exactly its classes.  `_levels`
+builds each with `KTree.from_parent`, carried over from its parent's
+masks, incidence arrays and clique table rather than rebuilt from its
+records.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left, insort
-from itertools import permutations
+from functools import partial
+from itertools import groupby, permutations, product
 
 from .chartree import _joined, _walk
 from .core import KTree, _clique_node, _require_int, build_from_construction, k_cliques
@@ -52,14 +63,18 @@ from .errors import BadK, SizeTooSmall, TooLarge
 # Each entry is the last order whose levels k..n built in at most about 90 s,
 # the time of k = 2, n = 13, on 2 shared cores (Python 3.11); for k >= 3 the
 # next order took over 170 s.  Those times were taken when every candidate was
-# built.  Coded from its parent and extended from it, iso_levels(k,
+# built.  Coded from its parent at every centre root and all k! orderings,
+# then at the kept roots and degree orderings only, iso_levels(k,
 # CLASS_MAX_ORDER[k]) took, in fresh processes on the same machine, with n and
-# the process's peak RSS in parentheses, three runs each: 0.61-0.66 s at k = 1
-# (n = 14, 23 MB), 7.8-9.4 s at k = 2 (n = 13, 130 MB), 2.8-3.1 s at k = 3
-# (n = 12, 40 MB) and 2.5-2.7 s at k = 4 (n = 12, 21 MB); one run each: 2.9 s
-# at k = 5, 6.6 s at k = 6 and 17 s at k = 7 (n = 12), 18 s at k = 8 and 27 s
-# at k = 9 (n = 11), each at 14-15 MB.  The caps still stand on the older
-# times; no order past a cap has been timed again.  Trees stop at n = 14,
+# the process's peak RSS in parentheses, three alternating runs each:
+# 0.60-0.70 -> 0.67-0.69 s at k = 1 (n = 14, 27 MB), 7.6-7.9 -> 6.3-6.6 s at
+# k = 2 (n = 13, 146 MB), 2.7-2.9 -> 1.2-1.3 s at k = 3 (n = 12, 44-46 MB) and
+# 2.5-2.6 -> 0.45-0.54 s at k = 4 (n = 12, 24-25 MB); one run each: 2.7 ->
+# 0.22 s at k = 5, 4.8 -> 0.26 s at k = 6 and 13 -> 0.86 s at k = 7 (n = 12),
+# 16 -> 3.9 s at k = 8 and 20 -> 20 s at k = 9 (n = 11), at 17-20 MB.  At
+# k = 9 each child of K_10 ties all 9 degrees on its one root, so all 9!
+# orderings stay.  The caps still stand on the older times; no order past a
+# cap has been timed again.  Trees stop at n = 14,
 # where a tree suite costs far more per host than the enumeration.  From
 # k = 10 on, coding the one class of order k + 1 alone takes minutes, so no
 # code is made above k = 9.
@@ -77,9 +92,10 @@ def require_class_order(k, n):
 
 
 def _require_codable(k, n):
-    """Codes spend two bytes on n, and a host is coded under all k!
-    orderings of a root clique; refuse n that would not fit and k above
-    the largest k that `CLASS_MAX_ORDER` admits, before any ordering."""
+    """Codes spend two bytes on n, and a host whose degrees tie on a root
+    clique is coded under all k! orderings of it; refuse n that would not
+    fit and k above the largest k that `CLASS_MAX_ORDER` admits, before
+    any ordering."""
     top = max(CLASS_MAX_ORDER)
     if k > top or n > 65535:
         raise TooLarge(f"codes need k <= {top} and n <= 65535, got k={k}, n={n}")
@@ -155,15 +171,42 @@ def _grow(up, folded, i, stem):
     return b"(R" + b"".join(kids) + b")"
 
 
-def _codes(T, roots):
-    """Rooted codes of T over the given root clique nodes and all the
-    orderings of their cliques."""
+def _codes(T, roots, orderings):
+    """Rooted codes of T over the given root clique nodes, each under the
+    orderings of its clique that `orderings` yields."""
     clique = T._incidence.clique
     for r in roots:
         C = clique(r)
         _, up, labels, _ = _rooted_at(T, C, r)
-        for order in permutations(C):
+        for order in orderings(C):
             yield _fold(up, labels, {v: i + 1 for i, v in enumerate(order)})[1][0]
+
+
+def _orderings(R, deg):
+    """The orderings of clique R along which the degree `deg[v]` never
+    falls: R sorted by degree, permuted within each run of equal degree.
+    The largest run's permutations are drawn lazily, innermost; the other
+    runs' are held, a few dozen at most, since none is larger (all k! of a
+    clique whose degrees tie would be 362,880 tuples at k = 9)."""
+    by_degree = sorted(R, key=deg.__getitem__)
+    runs = [tuple(run) for _, run in groupby(by_degree, key=deg.__getitem__)]
+    big = max(range(len(runs)), key=lambda i: len(runs[i]))
+    for parts in product(*map(permutations, runs[:big] + runs[big + 1 :])):
+        head, tail = sum(parts[:big], ()), sum(parts[big:], ())
+        for middle in permutations(runs[big]):
+            yield head + middle + tail
+
+
+def _admits(deg, order):
+    """Whether the degree `deg[v]` never falls along `order`."""
+    return all(deg[a] <= deg[b] for a, b in zip(order, order[1:]))
+
+
+def _busiest(roots, counts):
+    """The roots that lie in the most (k+1)-cliques, `counts[i]` of them
+    for `roots[i]`."""
+    top = max(counts)
+    return [r for r, count in zip(roots, counts) if count == top]
 
 
 def rooted_code(T, C):
@@ -175,7 +218,7 @@ def rooted_code(T, C):
 
 def rooted_code_set(T):
     """Every rooted code of T, over all root cliques and orderings."""
-    return frozenset(_codes(T, T._incidence.nodes))
+    return frozenset(_codes(T, T._incidence.nodes, permutations))
 
 
 def _incidence_tree(inc):
@@ -230,23 +273,27 @@ def _root_nodes(inc, x):
     return (x,) if x in inc.nodes else inc.faces(x - len(inc.nodes))
 
 
-def _centre_roots(T):
-    """The k-clique nodes at the centre of the clique-incidence tree."""
-    inc = T._incidence
-    return _root_nodes(inc, _centre(_incidence_tree(inc)))
-
-
 def canonical_code(T):
     """Equal for two k-trees iff they are isomorphic.
 
-    The code spends one byte on k and on each ancestor offset and two bytes
-    on n; a host beyond those limits, or with k above 9, raises TooLarge.
+    The least rooted code over the centre cliques in the most
+    (k+1)-cliques, each under the orderings along which the degree never
+    falls.  The code spends one byte on k and on each ancestor offset and
+    two bytes on n; a host beyond those limits, or with k above 9, raises
+    TooLarge.  Only the kept roots are walked, so a host whose ancestor
+    offsets pass one byte only at a centre clique that is not kept is
+    coded, not refused.
     """
     _require_codable(T.k, T.n)
     header = bytes([T.k]) + T.n.to_bytes(2, "big")
     if T.n == T.k:
         return header
-    return header + min(_codes(T, _centre_roots(T)))
+    inc = T._incidence
+    nbrs = _incidence_tree(inc)
+    roots = _root_nodes(inc, _centre(nbrs))
+    roots = _busiest(roots, [len(nbrs[r]) for r in roots])
+    deg = [m.bit_count() for m in T.masks]
+    return header + min(_codes(T, roots, partial(_orderings, deg=deg)))
 
 
 def _child_codes(T, cliques):
@@ -261,10 +308,16 @@ def _child_codes(T, cliques):
     the child is a clique R of T, and the child rooted at R is T rooted at
     R with v = n + 1 appended: v's parent is the deepest vertex of C - R
     (the C-node if C = R), its offsets are measured from there, and C & R
-    is its attachment inside R.  So the children are grouped by root, T is
-    folded once per root and ordering, and each child of that root refolds
-    only v's ancestors (`_grow`) and keeps its least code so far; a fold is
-    dropped once its children have read it.
+    is its attachment inside R.  In the child, R lies in T's count of
+    (k+1)-cliques, plus one if R = C, and a vertex of R has its degree in
+    T, plus one if it lies in C; so the child's kept roots are read off T,
+    and its orderings of R off its degree key: each vertex of R ranked by
+    its child degree, so that children whose degrees sort R into the same
+    runs share a key.  The children are grouped by root and, within a
+    root, by degree key; T is folded once per root and per ordering that
+    some key admits, and each child whose key admits it refolds only v's
+    ancestors (`_grow`) and keeps its least code so far; a fold is dropped
+    once its children have read it.
     """
     k, n = T.k, T.n + 1
     _require_codable(k, n)
@@ -284,15 +337,17 @@ def _child_codes(T, cliques):
     by_root = {}  # root node -> the children rooted there, by index
     for c, C in enumerate(cliques):
         j = _clique_node(T, C)[1]
-        for r in _root_nodes(inc, centre if dist[j] < radius else hop[j]):
+        roots = _root_nodes(inc, centre if dist[j] < radius else hop[j])
+        for r in _busiest(roots, [len(nbrs[r]) + (r == j) for r in roots]):
             by_root.setdefault(r, []).append(c)
+    deg = [m.bit_count() for m in T.masks]
     best = [None] * len(cliques)
     for r, children in by_root.items():
         R = inc.clique(r)
         verts, up, labels, depth = _rooted_at(T, R, r)
         pos = dict(zip(verts, range(1, len(up))))
         rset = set(R)
-        leaves = []  # per child: v's parent position, label head and C & R
+        groups = {}  # degree key -> per child: v's parent position, head, C & R
         for c in children:
             C = cliques[c]
             out = [u for u in C if u not in rset]
@@ -303,14 +358,25 @@ def _child_codes(T, cliques):
                 i, d = 0, 1
             cmem = [u for u in C if u in rset]
             head = b"(" + _head(sorted(d - depth[u] for u in out), cmem)
-            leaves.append((c, i, head, cmem))
-        for order in permutations(R):
-            cindex = {v: i + 1 for i, v in enumerate(order)}
-            folded = _fold(up, labels, cindex)
-            for c, i, head, cmem in leaves:
-                code = _grow(up, folded, i, head + bytes(sorted(cindex[u] for u in cmem)))
-                if best[c] is None or code < best[c]:
-                    best[c] = code
+            degree = [deg[u] + (u in C) for u in R]
+            key = tuple(map(sorted(degree).index, degree))
+            groups.setdefault(key, []).append((c, i, head, cmem))
+        keys = [dict(zip(R, key)) for key in groups]  # rank by vertex
+        groups = list(groups.values())
+        for g, key in enumerate(keys):
+            earlier, later = keys[:g], list(zip(keys[g:], groups[g:]))
+            for order in _orderings(R, key):
+                if earlier and any(_admits(e, order) for e in earlier):
+                    continue  # folded already, under an earlier key
+                cindex = {v: i + 1 for i, v in enumerate(order)}
+                folded = _fold(up, labels, cindex)
+                for e, leaves in later:
+                    if e is not key and not _admits(e, order):
+                        continue
+                    for c, i, head, cmem in leaves:
+                        code = _grow(up, folded, i, head + bytes(sorted(cindex[u] for u in cmem)))
+                        if best[c] is None or code < best[c]:
+                            best[c] = code
     header = bytes([k]) + n.to_bytes(2, "big")
     return [header + code for code in best]
 

@@ -58,6 +58,7 @@ from .core import (
     MAJOR,
     KTree,
     _clique_info,
+    _mask_vertices,
     _require_ids,
     _require_int,
     all_clique_pairs,
@@ -98,7 +99,7 @@ def tree_adjacency(T):
     """Adjacency mapping of a 1-tree."""
     if T.k != 1:
         raise NotATree(f"host has k={T.k}, not a tree")
-    return {v: frozenset(T.neighbors(v)) for v in T.vertices}
+    return {v: frozenset(_mask_vertices(T.masks[v])) for v in T.vertices}
 
 
 def path_type_predicate(T):

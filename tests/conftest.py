@@ -1,8 +1,10 @@
 """Shared corpora for the test suite, cached per session, every labeled
 build of a k-tree as an independent reference for the class corpora, the
-branch form of a tree's local mean as an independent reference, the
-`Fraction` form of the argmax suites' decisions as the reference for
-`verify`'s host table, and a polynomial's value and slope at 1."""
+canonical code over every centre root and ordering as the reference for
+the pruned coder, the branch form of a tree's local mean as an
+independent reference, the `Fraction` form of the argmax suites'
+decisions as the reference for `verify`'s host table, and a polynomial's
+value and slope at 1."""
 
 import itertools
 import math
@@ -12,7 +14,7 @@ from functools import lru_cache
 
 import pytest
 
-from ktrees import core
+from ktrees import core, isomorphism
 from ktrees.chartree import argmax_cliques
 from ktrees.polynomials import _bfs_tree, _phi_pair
 from ktrees.isomorphism import enumerate_ktrees_up_to_iso
@@ -33,6 +35,30 @@ def shuffled_host(k, n, seed):
     edges = [(perm[u - 1], perm[v - 1]) for u, v in core.random_ktree(k, n, seed).edges()]
     rng.shuffle(edges)
     return core.recognize_ktree(edges, k, n)
+
+
+def centre_roots(T):
+    """The k-clique nodes at the centre of T's clique-incidence tree: the
+    centre itself, or the k+1 faces of a centre step."""
+    inc = T._incidence
+    return isomorphism._root_nodes(inc, isomorphism._centre(isomorphism._incidence_tree(inc)))
+
+
+def reference_canonical_code(T):
+    """The canonical code with no root or ordering cut: the least rooted
+    code over every k-clique at the centre and all k! orderings of each.
+    It names the same classes as `canonical_code`, in other bytes."""
+    header = bytes([T.k]) + T.n.to_bytes(2, "big")
+    if T.n == T.k:
+        return header
+    codes = []
+    for r in centre_roots(T):
+        C = T._incidence.clique(r)
+        _, up, labels, _ = isomorphism._rooted_at(T, C, r)
+        for order in itertools.permutations(C):
+            cindex = {v: i + 1 for i, v in enumerate(order)}
+            codes.append(isomorphism._fold(up, labels, cindex)[1][0])
+    return header + min(codes)
 
 
 def labeled_count(k, n):

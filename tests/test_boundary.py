@@ -148,3 +148,42 @@ def test_a_bool_is_never_read_as_the_int_it_equals(f, args, param):
     except KTreeError:
         return
     assert out is False, out
+
+
+# the host's public vertex queries: valid ids and what they answer
+QUERIES = [
+    ("neighbors", (1,), (2, 3, 4)),
+    ("degree", (4,), 2),
+    ("has_edge", (1, 2), True),
+    ("has_edge", (4, 2), False),
+]
+QUERY_CASES = [
+    pytest.param(name, args, i, id=f"KTree.{name}-{i}")
+    for name, args, _ in QUERIES[:3]
+    for i in range(len(args))
+]
+
+
+@pytest.mark.parametrize("name, args, want", QUERIES)
+def test_vertex_queries_answer_valid_ids(name, args, want):
+    assert getattr(FOUR, name)(*args) == want
+
+
+@pytest.mark.parametrize("name, args, i", QUERY_CASES)
+@settings(max_examples=30, derandomize=True, database=None, deadline=None)
+@given(bad=st.one_of(GARBAGE, st.integers(5, 9)))
+def test_vertex_queries_refuse_a_bad_id(name, args, i, bad):
+    """A host's vertex queries read their ids as the functions do: an id
+    off the host, a bool or garbage in any argument is refused."""
+    args = list(args)
+    args[i] = bad
+    with pytest.raises(KTreeError):
+        getattr(FOUR, name)(*args)
+
+
+def test_has_edge_refuses_an_id_off_the_host_on_either_side():
+    for u, v in ((1, 9), (9, 1)):
+        with pytest.raises(KTreeError, match="vertex 9 must belong to the host"):
+            FOUR.has_edge(u, v)
+    with pytest.raises(KTreeError, match="vertex 'a' is not an integer"):
+        FOUR.degree("a")

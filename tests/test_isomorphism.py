@@ -4,6 +4,7 @@ import hashlib
 import itertools
 import random
 import tracemalloc
+from collections import Counter
 from types import SimpleNamespace
 
 import pytest
@@ -11,7 +12,13 @@ import pytest
 from ktrees import chartree, core, isomorphism as I, verify as V
 from ktrees.errors import NotAClique, SizeTooSmall, TooLarge
 
-from conftest import enumerate_labeled_ktrees, ktree_classes
+from conftest import (
+    centre_roots,
+    enumerate_labeled_ktrees,
+    ktree_classes,
+    reference_canonical_code,
+    shuffled_host,
+)
 
 
 def brute_isomorphic(T1, T2):
@@ -81,6 +88,24 @@ def test_centre_code_agrees_with_all_roots_reference():
                     same += want
             assert same == 2 * len(hosts)  # itself and its relabeled twin
     assert pairs > 10000
+
+
+def test_codes_partition_hosts_as_the_reference_does():
+    """Cutting roots and orderings loses no class and merges none: over
+    every class with k = 1..3 and n <= 9 and seeded relabelled hosts with
+    k <= 4 and n <= 40, each with a relabelled twin, two codes are equal
+    exactly when their reference codes are."""
+    rng = random.Random(31)
+    hosts = [T for k in (1, 2, 3) for n in range(k, 10) for T in ktree_classes(k, n)]
+    hosts += [
+        shuffled_host(k, rng.randint(k, 40), rng.randrange(10**9))
+        for k in (1, 2, 3, 4)
+        for _ in range(12)
+    ]
+    hosts += [relabeled(T, rng) for T in hosts]
+    pairs = {(I.canonical_code(T), reference_canonical_code(T)) for T in hosts}
+    assert len({a for a, _ in pairs}) == len(pairs) == len({b for _, b in pairs})
+    assert len(pairs) <= len(hosts) // 2  # every twin matches its host
 
 
 def reference_rooted_structure(T, C):
@@ -181,14 +206,15 @@ def test_class_enumeration_agrees_with_labeled_dedup():
         assert len(labeled) == len(ktree_classes(k, n))
 
 
-def double_fan(m):
-    """Two fans back to back: hub 1 over 3..m+2, hub m+2 over m+3..2m+2,
-    each fan vertex joined to its hub and the vertex before it.  Rooted at
-    the centre (m+1, m+2), hub 1 is about m levels above v = 3."""
+def double_fan(m, tail=None):
+    """Two fans back to back: hub 1 over 3..m+2, hub m+2 over the next
+    `tail` vertices (m of them by default), each fan vertex joined to its
+    hub and the vertex before it.  Rooted at (m+1, m+2), hub 1 is about m
+    levels above v = 3."""
     h = m + 2
     adds = [(3, (1, 2))] + [(v, (1, v - 1)) for v in range(4, h + 1)]
     adds += [(h + 1, (h - 1, h))]
-    adds += [(v, (h, v - 1)) for v in range(h + 2, 2 * h - 1)]
+    adds += [(v, (h, v - 1)) for v in range(h + 2, h + (m if tail is None else tail) + 1)]
     return core.build_from_construction(2, adds)
 
 
@@ -281,15 +307,16 @@ def test_corpus_builds_each_level_once(monkeypatch):
 
 def reference_levels(k, n):
     """Class levels as built before candidates were coded from their
-    parents: every candidate is built, then coded from scratch."""
+    parents: every candidate is built, then coded from scratch by the
+    reference coder, over every centre root and ordering."""
     level = [core.build_from_construction(k, [])]
     yield k, level
     for m in range(k + 1, n + 1):
-        classes = {}  # canonical code -> first candidate with it
+        classes = {}  # reference code -> first candidate with it
         for T in level:
             for C in core.k_cliques(T):
                 cand = core.KTree.from_parent(T, C)
-                classes.setdefault(I.canonical_code(cand), cand)
+                classes.setdefault(reference_canonical_code(cand), cand)
         level = list(classes.values())
         yield m, level
 
@@ -331,6 +358,31 @@ def test_child_codes_hold_one_fold_at_a_time():
     assert peak < 500_000
 
 
+def test_orderings_are_those_along_which_the_degree_never_falls():
+    R = (1, 2, 3, 4, 5)
+    for deg in ([0, 3, 1, 3, 1, 2], [0, 2, 2, 2, 2, 2], [0, 5, 4, 3, 2, 1]):
+        got = list(I._orderings(R, deg))
+        want = [
+            order
+            for order in itertools.permutations(R)
+            if all(deg[a] <= deg[b] for a, b in zip(order, order[1:]))
+        ]
+        assert sorted(got) == want
+
+
+def test_orderings_of_a_tied_root_are_drawn_one_at_a_time():
+    """A root whose 9 degrees tie admits all 9! orderings; they are drawn
+    lazily, never held (all of them would take about 46 MB)."""
+    tracemalloc.start()
+    try:
+        first = list(itertools.islice(I._orderings(range(1, 10), [5] * 10), 3))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert first[0] == tuple(range(1, 10)) and len(set(first)) == 3
+    assert peak < 100_000
+
+
 def test_levels_build_only_the_classes_they_keep(monkeypatch):
     built = []
     extend = core.KTree.from_parent
@@ -343,6 +395,30 @@ def test_levels_build_only_the_classes_they_keep(monkeypatch):
     sizes = {m: len(level) for m, level in I.iso_levels(2, 9)}
     assert sorted(built) == [m for m in range(3, 10) for _ in range(sizes[m])]
     assert len(built) == 1 + 1 + 2 + 5 + 12 + 39 + 136
+
+
+def test_class_enumeration_codes_only_at_kept_roots_and_orderings(monkeypatch):
+    """Candidates are coded only at the centre cliques in the most
+    (k+1)-cliques and along the orderings where the degree never falls.
+    The bounds are the counts measured with that rule; every centre root
+    and ordering took 1,670 folds and 11,078 grows at (2, 10), and 906 and
+    5,082 at (3, 9)."""
+    calls = Counter()
+
+    def counted(name, f):
+        def call(*args):
+            calls[name] += 1
+            return f(*args)
+
+        return call
+
+    monkeypatch.setattr(I, "_fold", counted("fold", I._fold))
+    monkeypatch.setattr(I, "_grow", counted("grow", I._grow))
+    for (k, n), most in {(2, 10): (730, 4082), (3, 9): (267, 861)}.items():
+        calls.clear()
+        for _ in I.iso_levels(k, n):
+            pass
+        assert calls["fold"] <= most[0] and calls["grow"] <= most[1], dict(calls)
 
 
 def test_child_codes_keep_the_code_limits():
@@ -362,16 +438,22 @@ def test_child_codes_keep_the_code_limits():
 
     seen = []
     for m in (255, 256, 257):
-        P = double_fan(m)
+        P = double_fan(m, m + 1)
         h, n = m + 2, P.n
-        # the far ends move the centre; (h, n) at m = 256 overflows only in
-        # the new vertex's own offset
         for C in [(1, 2), (2, 3), (1, h - 1), (h - 1, h), (h, h + 1), (h, n)]:
             got = outcome(child_code, P, C)
             assert got == outcome(I.canonical_code, core.KTree.from_parent(P, C))
             seen.append((m, C, got is TooLarge))
-    assert (256, (258, 514), True) in seen
     assert {too for *_, too in seen} == {True, False}
+    # at m = 256 the child at (1, 2) is rooted only at (257, 258), where P's
+    # offsets reach 255 and fit, but v hangs one level below 2 and lies 256
+    # levels below hub 1: it overflows only in the new vertex's own offset
+    assert (256, (1, 2), True) in seen
+    P = double_fan(256, 257)
+    assert I.rooted_code(P, (257, 258))
+    assert [P._incidence.clique(r) for r in centre_roots(core.KTree.from_parent(P, (1, 2)))] == [
+        (257, 258)
+    ]
     # k is checked before any of the 256! orderings of a clique is tried
     P = core.gen_star_type(256, 1)
     assert outcome(child_code, P, P.base) is TooLarge
@@ -410,7 +492,7 @@ def test_codes_are_pinned_for_every_small_class():
             for T in ktree_classes(k, n):
                 digest.update(I.canonical_code(T))
     assert digest.hexdigest() == (
-        "13b066673d403283126195b3a51c2c2616da109d93b7050911208eb59a072bee"
+        "52a0c42b08d97d73c99665e2991cf945fc17b67f306f1cbdaad62d0c86eb13c3"
     )
 
 
@@ -426,7 +508,7 @@ def test_centre_roots_agree_with_networkx_center():
                 G.add_edges_from((q, f) for f in itertools.combinations(q, k))
             (centre,) = nx.center(G)
             faces = [centre] if len(centre) == k else itertools.combinations(centre, k)
-            roots = map(T._incidence.clique, I._centre_roots(T))
+            roots = map(T._incidence.clique, centre_roots(T))
             assert sorted(roots) == sorted(faces)
 
 
@@ -434,4 +516,4 @@ def test_centre_of_a_deep_host_is_found_without_recursion():
     # 2998 (k+1)-cliques in a chain: the centre is the face shared by the
     # 1499th and 1500th of them
     T = core.gen_path_type(2, 3000)
-    assert [T._incidence.clique(r) for r in I._centre_roots(T)] == [(1500, 1501)]
+    assert [T._incidence.clique(r) for r in centre_roots(T)] == [(1500, 1501)]
