@@ -3,23 +3,20 @@ reduction of local mean orders and the adjacent-clique relation.
 
 For a k-tree T and a k-clique C, the characteristic tree T'_C lives on
 {C-node} union (V(T) \\ V(C)).  It is read off one walk from C over the
-host's clique-incidence index (`core.CliqueIncidence`, built once per
-host), from C's node as `core._clique_node` gives it: one dict lookup once
-the host's clique table exists (`k_cliques(T)` has been read, as on the
-all-clique path), else the mask check.  A single query never builds the
-table.  Entering a (k+1)-clique through one of its faces adds the vertex
-outside that face, and its parent is the vertex that made the face, or the
-C-node when the face is C.  That is the latest-added vertex of its
-attachment outside C in any construction order from C (`isomorphism`
-reads the same walk).  The walk climbs from C to the base clique and
-copies the rest as whole runs of the index's preorder layout, at most
-three per chain step, so T'_C comes out parents first with no per-vertex
-loop beyond the chain.  It returns the k-clique node that each chain
-vertex joins; every other vertex joins its own attachment, read from the
-host's build records where a reader needs it (`construction_from`,
-`isomorphism`).  The C-to-v path then spells the unique elimination
-sequence of v, which `elimination_sequence` derives independently (greedy
-peel) and checks against its defining conditions.
+host's clique-incidence index (`core.CliqueIncidence.walk`; the index is
+built once per host), from C's node as `core._clique_node` gives it: one
+dict lookup once the host's clique table exists (`k_cliques(T)` has been
+read, as on the all-clique path), else the mask check.  A single query
+never builds the table.  Entering a (k+1)-clique through one of its faces
+adds the vertex outside that face, and its parent is the vertex that made
+the face, or the C-node when the face is C.  That is the latest-added
+vertex of its attachment outside C in any construction order from C
+(`isomorphism` reads the same walk).  The walk comes out parents first,
+and the index's `joined` gives the k-clique each vertex joins where a
+reader needs it (`construction_from`, `isomorphism`).  The C-to-v path
+then spells the unique elimination sequence of v, which
+`elimination_sequence` derives independently (greedy peel) and checks
+against its defining conditions.
 
 A `CharTree` stores T'_C as the data the folds read: `labels`, the C-node
 (0) followed by the vertices in walk order, and `up`, the position of each
@@ -123,94 +120,6 @@ class CharTree(NamedTuple):
         return "\n".join(lines) + "\n"
 
 
-# -- the walk over the clique-incidence index ----------------------------------
-
-
-def _walk(T, f):
-    """Walk the clique-incidence tree of T from k-clique node f (the
-    caller has validated the clique and located its node).
-
-    Returns (vertices, up, chain): the vertices outside C in walk order
-    (the chain, then the copied runs), parents first; the parent position
-    of every node of T'_C (the C-node at position 0, `up[0] = -1`); and the
-    k-clique node `chain[i]` that chain vertex i (`vertices[i]`) joins.
-    Every later vertex v joins its own attachment, `build[step_of[v]][1]`
-    of the incidence index, so the walk keeps no node per vertex.
-
-    Entering a (k+1)-clique Q through its face F adds the one vertex x of Q
-    outside F, and every other face of Q contains x.  So a vertex's parent
-    is the vertex added on entering the (k+1)-clique that made its face, or
-    the C-node when that face is C.
-
-    The (k+1)-cliques on the index path from C up to the base clique are
-    entered through a face they made, so each adds the attachment vertex
-    missing from that face, and they form a chain below the C-node.  Every
-    other step s is entered through attach_s and adds v_s, under the same
-    parent as in the index's preorder layout (`CliqueIncidence.layout`),
-    except that a step whose attachment is C or on the chain hangs from the
-    C-node or that chain vertex.  Those steps are copied as whole runs of
-    the layout, after the chain: the run below C, and at most three per
-    chain step s, entered through its face t: the run below its faces
-    before t, the steps beside s at attach_s laid out before s, and one run
-    from the start of face t + 1's run to the end of attach_s's run, which
-    holds the steps below s's later faces and then those beside s after it.
-    """
-    inc = T._incidence
-    k, build, attach_node = inc.k, inc.build, inc.attach_node
-    lay = inc.layout
-    m = len(build)
-    verts = []
-    chain = []
-    a, b = inc.run(f)
-    runs = [(a, b, 0)] if a < b else []  # (a, b, r): a..b-1 hang from r
-    bounds = 2 * m
-    i = 0
-    while f:
-        s, t = divmod(f - 1, k)
-        i += 1
-        verts.append(build[s][1][t])
-        chain.append(f)
-        e = bounds + (k + 1) * s  # s's bounds: its faces' run starts, its end
-        a = lay[e]
-        f = attach_node[s]
-        if f:
-            # inc.run(f), inlined: a call per chain step slows small walks
-            j = bounds + f - 1 + (f - 1) // k
-            c, g = lay[j], lay[j + 1]
-        else:
-            c, g = 0, m
-        # below s's earlier faces, beside s before it, and below its later
-        # faces then beside it after it; empty runs are dropped, so a deep
-        # chain holds no more runs than vertices
-        x = lay[e + t]
-        if a < x:
-            runs.append((a, x, i))
-        if c < a - 1:
-            runs.append((c, a - 1, i))
-        x = lay[e + t + 1]
-        if x < g:
-            runs.append((x, g, i))
-    up = [-1, *range(i)]
-    for a, b, r in runs:
-        if b - a == 1:  # one step, which hangs from r
-            verts.append(lay[a])
-            up.append(r)
-        else:
-            d = len(up) - a
-            verts += lay[a:b]
-            up += [q + d if q >= a else r for q in lay[m + a : m + b]]
-    return verts, up, chain
-
-
-def _joined(inc, verts, chain):
-    """The sorted k-clique that each vertex of a walk joins: a chain vertex
-    its chain node's clique, every later vertex its own build record's
-    attachment."""
-    build, step_of = inc.build, inc.step_of
-    later = map(step_of.__getitem__, verts[len(chain) :])
-    return [*map(inc.clique, chain), *(build[s][1] for s in later)]
-
-
 def construction_from(T, C):
     """A construction order of T starting at C: list of (vertex, attachment).
 
@@ -218,14 +127,15 @@ def construction_from(T, C):
     the sorted k-clique it joins.
     """
     C, j = _clique_node(T, C)
-    verts, _, chain = _walk(T, j)
-    return list(zip(verts, _joined(T._incidence, verts, chain)))
+    inc = T._incidence
+    verts, _, chain = inc.walk(j)
+    return list(zip(verts, inc.joined(verts, chain)))
 
 
 def characteristic_tree(T, C):
     """The characteristic 1-tree T'_C; K_1 for the trivial host."""
     C, j = _clique_node(T, C)
-    verts, up, _ = _walk(T, j)
+    verts, up, _ = T._incidence.walk(j)
     return CharTree(C, (0, *verts), tuple(up))
 
 
@@ -360,7 +270,7 @@ def _clique_entry(T, C, cache):
         C, j = _clique_node(T, C)
         e = cache.get(C)
         if e is None:
-            verts, up, _ = _walk(T, j)
+            verts, up, _ = T._incidence.walk(j)
             labels = (0, *verts)
             par = array("i", [-1]) * (T.n + 1)
             kids = {0: []}

@@ -171,6 +171,10 @@ class CliqueIncidence:
     (k+1)-cliques that contain them), as flat integer arrays read off the
     construction records.
 
+    The index is internal, reached only as `T._incidence`; its methods take
+    node ids and steps that the package made, unchecked.  Only this class
+    knows its numbering and its layout; other modules call its methods.
+
     The (k+1)-cliques are the steps s = 0..m-1 (m = n - k): step s adds v_s
     at attach_s and makes Q_s = attach_s + v_s.  k-clique node 0 is the base
     clique, and node 1 + k*s + t is the face Q_s - attach_s[t], which
@@ -178,9 +182,10 @@ class CliqueIncidence:
     the step that added v, or -1 for a base vertex.  Every k-clique node but
     0 was made by step (j - 1) // k.
 
-    `verify` and `isomorphism` read the tree's adjacency only through
-    `nodes`, `faces` and `holders`.  The holders are built on each call and
-    never stored, since a class level keeps every host's index alive.
+    `nodes`, `faces` and `holders` give the tree's adjacency; the holders
+    are built on each call and never stored, since a class level keeps
+    every host's index alive.  `walk` and `joined` read characteristic
+    trees, and `centre` the centre of the tree.
 
     `layout`, built on first read, lays the tree out in preorder from the
     base clique: a step comes first, then the steps below each of its k
@@ -293,6 +298,145 @@ class CliqueIncidence:
                 q, below[f] = q + below[f], q
             lay[e] = below[j] = q
         return lay
+
+    def walk(self, f):
+        """Walk the tree from k-clique node f: the characteristic tree T'_C
+        of its clique C, whose nodes are the C-node and the vertices outside
+        C.
+
+        Returns (vertices, up, chain): the vertices outside C in walk order
+        (the chain, then the copied runs), parents first; the parent position
+        of every node of T'_C (the C-node at position 0, `up[0] = -1`); and the
+        k-clique node `chain[i]` that chain vertex i (`vertices[i]`) joins.
+        Every later vertex v joins its own attachment, `build[step_of[v]][1]`,
+        so the walk keeps no node per vertex; `joined` reads both.
+
+        Entering a (k+1)-clique Q through its face F adds the one vertex x of Q
+        outside F, and every other face of Q contains x.  So a vertex's parent
+        is the vertex added on entering the (k+1)-clique that made its face, or
+        the C-node when that face is C.
+
+        The (k+1)-cliques on the index path from C up to the base clique are
+        entered through a face they made, so each adds the attachment vertex
+        missing from that face, and they form a chain below the C-node.  Every
+        other step s is entered through attach_s and adds v_s, under the same
+        parent as in the preorder `layout`, except that a step whose
+        attachment is C or on the chain hangs from the C-node or that chain
+        vertex.  Those steps are copied as whole runs of the layout, after the
+        chain: the run below C, and at most three per chain step s, entered
+        through its face t: the run below its faces before t, the steps beside
+        s at attach_s laid out before s, and one run from the start of face
+        t + 1's run to the end of attach_s's run, which holds the steps below
+        s's later faces and then those beside s after it.
+        """
+        k, build, attach_node = self.k, self.build, self.attach_node
+        lay = self.layout
+        m = len(build)
+        verts = []
+        chain = []
+        a, b = self.run(f)
+        runs = [(a, b, 0)] if a < b else []  # (a, b, r): a..b-1 hang from r
+        bounds = 2 * m
+        i = 0
+        while f:
+            s, t = divmod(f - 1, k)
+            i += 1
+            verts.append(build[s][1][t])
+            chain.append(f)
+            e = bounds + (k + 1) * s  # s's bounds: its faces' run starts, its end
+            a = lay[e]
+            f = attach_node[s]
+            if f:
+                # self.run(f), inlined: a call per chain step slows small walks
+                j = bounds + f - 1 + (f - 1) // k
+                c, g = lay[j], lay[j + 1]
+            else:
+                c, g = 0, m
+            # below s's earlier faces, beside s before it, and below its later
+            # faces then beside it after it; empty runs are dropped, so a deep
+            # chain holds no more runs than vertices
+            x = lay[e + t]
+            if a < x:
+                runs.append((a, x, i))
+            if c < a - 1:
+                runs.append((c, a - 1, i))
+            x = lay[e + t + 1]
+            if x < g:
+                runs.append((x, g, i))
+        up = [-1, *range(i)]
+        for a, b, r in runs:
+            if b - a == 1:  # one step, which hangs from r
+                verts.append(lay[a])
+                up.append(r)
+            else:
+                d = len(up) - a
+                verts += lay[a:b]
+                up += [q + d if q >= a else r for q in lay[m + a : m + b]]
+        return verts, up, chain
+
+    def joined(self, verts, chain):
+        """The sorted k-clique that each vertex of a walk joins: a chain vertex
+        its chain node's clique, every later vertex its own build record's
+        attachment."""
+        build = self.build
+        later = map(self.step_of.__getitem__, verts[len(chain) :])
+        return [*map(self.clique, chain), *(build[s][1] for s in later)]
+
+    def centre(self):
+        """The centre of the tree, which every isomorphism fixes, as k-clique
+        nodes: (roots, grown, degree).  `roots` is the centre, or the k + 1
+        faces of a centre step; `grown[j]` the same once one more step is
+        attached at node j; `degree[j]` the number of steps that hold j.
+
+        The centre is the middle of a longest path: a sweep from any node
+        ends at one end a of such a path, and a sweep from a at the other.
+        Every leaf is a k-clique, so the path has even length and one middle.
+        A step attached at j adds leaves two edges further out than j.  Every
+        leaf lies at most the radius from the centre, at its parity, so the
+        centre moves, one hop towards j, only if j lies at the radius.  On
+        the one node of K_k, the new step is the centre; of its alike faces,
+        `grown[0]` gives node 0.  The sweeps number step s as node s and
+        k-clique node j as m + j.
+        """
+        m = len(self.build)
+        holders = self.holders()
+        nbrs = [[m + j for j in self.faces(s)] for s in range(m)] + holders
+        a = _bfs(nbrs, m)[0][-1]
+        order, parent = _bfs(nbrs, a)
+        path = [order[-1]]
+        while path[-1] != a:
+            path.append(parent[path[-1]])
+        centre = path[len(path) // 2]
+        order, parent = _bfs(nbrs, centre)
+        dist = [0] * len(nbrs)
+        hop = list(range(len(nbrs)))
+        for y in order[1:]:
+            x = parent[y]
+            dist[y] = dist[x] + 1
+            if x != centre:
+                hop[y] = hop[x]
+        radius = dist[order[-1]]
+
+        def roots(x):
+            return (x - m,) if x >= m else self.faces(x)
+
+        mid = roots(centre)
+        grown = [mid if d < radius else roots(h) for d, h in zip(dist[m:], hop[m:])]
+        return mid, grown, list(map(len, holders))
+
+
+def _bfs(nbrs, x):
+    """The nodes of a tree, given as neighbour lists, in breadth-first order
+    from x, and the parent of each (x is its own)."""
+    parent = [-1] * len(nbrs)
+    parent[x] = x
+    order = [x]
+    for y in order:
+        for z in nbrs[y]:
+            if parent[z] < 0:
+                parent[z] = y
+                order.append(z)
+    return order, parent
 
 
 class KTree:

@@ -20,15 +20,14 @@ so it maps these (root, ordering) pairs onto the other host's, and two
 k-trees are isomorphic iff their canonical codes are equal.  This is the
 first step of individualisation-refinement (McKay and Piperno, "Practical
 graph isomorphism, II", 2014): at most (k+1) * k! pairs, and far fewer
-when the degrees differ.  The incidence tree's neighbour lists are read
-off the nodes and step faces of the host's shared incidence index
-(`core.CliqueIncidence.nodes` and `faces`), the same index whose walk
-from C (`chartree._walk`) gives the rooted structure, so no code peels the
-host.  A vertex's label reads the k-clique it joins: the clique
-of its chain node for a vertex on the walk's chain, and its own build
-record's attachment, already sorted, for every other.  The centre is the
-middle of a longest path, found by two breadth-first sweeps; the sweep
-from the centre then gives the distances that `_child_codes` reads.
+when the degrees differ.  The host's shared incidence index
+(`core.CliqueIncidence`) gives both halves, so no code peels the host and
+this module knows neither its numbering nor its layout: `centre()` gives
+the centre's root cliques, the roots of each child's centre and every
+clique count, and the walk from C (`walk`, with `joined`) gives the
+rooted structure.  A vertex's label reads the k-clique it joins: the
+clique of its chain node for a vertex on the walk's chain, and its own
+build record's attachment, already sorted, for every other.
 
 Class enumeration keeps one canonical code per class and level.
 `iso_levels` yields the levels k..n in turn, each built once from the one
@@ -55,7 +54,6 @@ from bisect import bisect_left, insort
 from functools import partial
 from itertools import groupby, permutations, product
 
-from .chartree import _joined, _walk
 from .core import KTree, _clique_node, _require_int, build_from_construction, k_cliques
 from .errors import BadK, SizeTooSmall, TooLarge
 
@@ -101,6 +99,11 @@ def _require_codable(k, n):
         raise TooLarge(f"codes need k <= {top} and n <= 65535, got k={k}, n={n}")
 
 
+def _header(k, n):
+    """A code's header: k in one byte, then n in two."""
+    return bytes([k]) + n.to_bytes(2, "big")
+
+
 def _head(offsets, cmem):
     """A vertex's label head: its sorted ancestor offsets, each in one byte,
     and the size of its attachment inside the root clique."""
@@ -116,12 +119,12 @@ def _rooted_at(T, C, r):
     the sorted root clique and r its incidence node."""
     _require_codable(T.k, T.n)
     inc = T._incidence
-    verts, up, chain = _walk(T, r)
+    verts, up, chain = inc.walk(r)
     cset = set(C)
     depth = [0]  # by position
     at_depth = [0] * (T.n + 1)  # by vertex
     labels = [None]
-    for i, (v, attach) in enumerate(zip(verts, _joined(inc, verts, chain)), 1):
+    for i, (v, attach) in enumerate(zip(verts, inc.joined(verts, chain)), 1):
         d = depth[up[i]] + 1
         cmem = [u for u in attach if u in cset]
         head = _head(sorted(d - at_depth[u] for u in attach if u not in cset), cmem)
@@ -212,65 +215,12 @@ def _busiest(roots, counts):
 def rooted_code(T, C):
     """Code of T rooted at clique C, its vertices ordered ascending."""
     C, j = _clique_node(T, C)
-    _, up, labels, _ = _rooted_at(T, C, j)
-    return _fold(up, labels, {v: i + 1 for i, v in enumerate(C)})[1][0]
+    return next(_codes(T, (j,), lambda R: (R,)))
 
 
 def rooted_code_set(T):
     """Every rooted code of T, over all root cliques and orderings."""
     return frozenset(_codes(T, T._incidence.nodes, permutations))
-
-
-def _incidence_tree(inc):
-    """Neighbour lists of the clique-incidence tree: a k-clique node j as
-    j, step s as K + s, where K is the number of k-cliques.
-
-    Its nodes are the k-cliques and the (k+1)-cliques (the steps) of the
-    host's incidence index (`core.CliqueIncidence`), each step joined to
-    its k+1 faces.
-    """
-    K, m = len(inc.nodes), len(inc.build)
-    nbrs = [[] for _ in range(K + m)]
-    for s in range(m):
-        for j in inc.faces(s):
-            nbrs[j].append(K + s)
-            nbrs[K + s].append(j)
-    return nbrs
-
-
-def _bfs(nbrs, x):
-    """The nodes in breadth-first order from x, and the parent of each
-    (x is its own)."""
-    parent = [-1] * len(nbrs)
-    parent[x] = x
-    order = [x]
-    for y in order:
-        for z in nbrs[y]:
-            if parent[z] < 0:
-                parent[z] = y
-                order.append(z)
-    return order, parent
-
-
-def _centre(nbrs):
-    """The centre node of the clique-incidence tree: the middle of a
-    longest path.  A sweep from any node ends at one end a of such a path,
-    and a sweep from a ends at the other.  A step has k+1 faces, so every
-    leaf is a k-clique, every leaf-to-leaf path has even length, and the
-    middle is one node."""
-    a = _bfs(nbrs, 0)[0][-1]
-    order, parent = _bfs(nbrs, a)
-    path = [order[-1]]
-    while path[-1] != a:
-        path.append(parent[path[-1]])
-    return path[len(path) // 2]
-
-
-def _root_nodes(inc, x):
-    """The root k-clique nodes of incidence node x (numbered as by
-    `_incidence_tree`): x itself if it is a k-clique, else the k+1 faces
-    of its step."""
-    return (x,) if x in inc.nodes else inc.faces(x - len(inc.nodes))
 
 
 def canonical_code(T):
@@ -285,13 +235,11 @@ def canonical_code(T):
     coded, not refused.
     """
     _require_codable(T.k, T.n)
-    header = bytes([T.k]) + T.n.to_bytes(2, "big")
+    header = _header(T.k, T.n)
     if T.n == T.k:
         return header
-    inc = T._incidence
-    nbrs = _incidence_tree(inc)
-    roots = _root_nodes(inc, _centre(nbrs))
-    roots = _busiest(roots, [len(nbrs[r]) for r in roots])
+    roots, _, degree = T._incidence.centre()
+    roots = _busiest(roots, [degree[r] for r in roots])
     deg = [m.bit_count() for m in T.masks]
     return header + min(_codes(T, roots, partial(_orderings, deg=deg)))
 
@@ -300,13 +248,10 @@ def _child_codes(T, cliques):
     """`canonical_code(KTree.from_parent(T, C))` for each C in cliques, in
     order, without building the children.
 
-    The child's incidence tree is T's plus one step at C and that step's k
-    new leaf faces, two edges further from T's centre than C.  Every leaf
-    of T lies at most the radius r from the centre, at the parity of r, so
-    the child keeps T's centre unless C lies at distance r; then its centre
-    is the node one hop from T's centre toward C.  Either way every root of
-    the child is a clique R of T, and the child rooted at R is T rooted at
-    R with v = n + 1 appended: v's parent is the deepest vertex of C - R
+    The child's incidence tree is T's plus one step at C, so its centre is
+    T's or one hop from it toward C, as the index's `centre()` gives it.
+    Every root of the child is a clique R of T, and the child rooted at R
+    is T rooted at R with v = n + 1 appended: v's parent is the deepest vertex of C - R
     (the C-node if C = R), its offsets are measured from there, and C & R
     is its attachment inside R.  In the child, R lies in T's count of
     (k+1)-cliques, plus one if R = C, and a vertex of R has its degree in
@@ -322,23 +267,12 @@ def _child_codes(T, cliques):
     k, n = T.k, T.n + 1
     _require_codable(k, n)
     inc = T._incidence
-    nbrs = _incidence_tree(inc)
-    centre = _centre(nbrs)
-    # each node's distance from the centre, and the first hop on the way
-    order, parent = _bfs(nbrs, centre)
-    dist = [0] * len(nbrs)
-    hop = list(range(len(nbrs)))
-    for y in order[1:]:
-        x = parent[y]
-        dist[y] = dist[x] + 1
-        if x != centre:
-            hop[y] = hop[x]
-    radius = dist[order[-1]]
+    _, grown, degree = inc.centre()
     by_root = {}  # root node -> the children rooted there, by index
     for c, C in enumerate(cliques):
         j = _clique_node(T, C)[1]
-        roots = _root_nodes(inc, centre if dist[j] < radius else hop[j])
-        for r in _busiest(roots, [len(nbrs[r]) + (r == j) for r in roots]):
+        roots = grown[j]
+        for r in _busiest(roots, [degree[r] + (r == j) for r in roots]):
             by_root.setdefault(r, []).append(c)
     deg = [m.bit_count() for m in T.masks]
     best = [None] * len(cliques)
@@ -377,7 +311,7 @@ def _child_codes(T, cliques):
                         code = _grow(up, folded, i, head + bytes(sorted(cindex[u] for u in cmem)))
                         if best[c] is None or code < best[c]:
                             best[c] = code
-    header = bytes([k]) + n.to_bytes(2, "big")
+    header = _header(k, n)
     return [header + code for code in best]
 
 

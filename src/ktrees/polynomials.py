@@ -24,7 +24,7 @@ from fractions import Fraction
 from itertools import zip_longest
 
 from .core import _require_ids
-from .errors import NotATree
+from .errors import KTreeError, NotATree
 
 
 class IntPolynomial:
@@ -34,7 +34,10 @@ class IntPolynomial:
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs=()):
-        coeffs = list(coeffs)
+        try:
+            coeffs = list(coeffs)
+        except TypeError:
+            raise KTreeError(f"coefficients {coeffs!r} are not a collection") from None
         while coeffs and coeffs[-1] == 0:
             coeffs.pop()
         self.coeffs = tuple(coeffs)

@@ -95,16 +95,23 @@ NEAR_MISSES = 8  # near misses a search report keeps
 _CHUNK = 400  # hosts per payload of a parallel run
 
 
+def _require(kind, x):
+    """x if it is a `kind`; KTreeError otherwise."""
+    if not isinstance(x, kind):
+        raise KTreeError(f"expected a {kind.__name__}, got {x!r}")
+    return x
+
+
 def tree_adjacency(T):
     """Adjacency mapping of a 1-tree."""
-    if T.k != 1:
+    if _require(KTree, T).k != 1:
         raise NotATree(f"host has k={T.k}, not a tree")
     return {v: frozenset(_mask_vertices(T.masks[v])) for v in T.vertices}
 
 
 def path_type_predicate(T):
     """Exactly two k-leaves, or small enough that the notion is vacuous."""
-    if T.n <= T.k + 1:
+    if _require(KTree, T).n <= T.k + 1:
         return True
     return len(T.k_leaf_set()) == 2
 
@@ -191,7 +198,7 @@ def iter_corpus(cfg):
     from max(min_n, k + 1)..max_n and the host seed s = seed + i; its id is
     the suite's `random_id` with k, n and s filled in.
     """
-    suite = SUITES[cfg.suite]
+    suite = SUITES[_require(SuiteConfig, cfg).suite]
     if suite.family:
         ns = range(max(cfg.min_n, suite.least), cfg.max_n + 1)
         yield from suite.family(cfg.ks, ns)
@@ -773,7 +780,7 @@ def _report(cfg, schema=SCHEMA_VERIFY, config=None, shape=None):
 
 def run_suite(cfg):
     """Run one suite and return the versioned JSON-ready report."""
-    return _report(cfg)
+    return _report(_require(SuiteConfig, cfg))
 
 
 # -- the open-problem search ---------------------------------------------------

@@ -40,8 +40,7 @@ def shuffled_host(k, n, seed):
 def centre_roots(T):
     """The k-clique nodes at the centre of T's clique-incidence tree: the
     centre itself, or the k+1 faces of a centre step."""
-    inc = T._incidence
-    return isomorphism._root_nodes(inc, isomorphism._centre(isomorphism._incidence_tree(inc)))
+    return T._incidence.centre()[0]
 
 
 def reference_canonical_code(T):

@@ -12,7 +12,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from ktrees import chartree, core, isomorphism, kelmans_ops, oracle, polynomials
+from ktrees import chartree, core, isomorphism, kelmans_ops, oracle, polynomials, verify
 from ktrees.errors import KTreeError
 
 MODULES = (core, chartree, oracle, isomorphism, polynomials, kelmans_ops)
@@ -104,6 +104,24 @@ CASES = [
     if p not in HOSTS and p not in NO_GARBAGE
 ]
 
+# `verify`'s entry points, with valid arguments; each argument, the host
+# too, gets the garbage.  Its `check_*` suite rows stay outside: the driver
+# calls them with hosts and configs it has already read.
+VERIFY_CALLS = [
+    (verify.run_suite, {"cfg": verify.SuiteConfig("nonmajor-max", max_n=5)}),
+    (verify.iter_corpus, {"cfg": verify.SuiteConfig("nonmajor-max", max_n=5)}),
+    (verify.tree_adjacency, {"T": core.gen_path_type(1, 4)}),
+    (verify.path_type_predicate, {"T": FOUR}),
+    (verify.search_degree2_witness, {"k": 2, "max_n": 5, "mode": "exhaustive",
+                                     "budget": None, "seed": 0, "cap": 9, "jobs": 1}),
+]
+VERIFY_IDS = [f"verify.{f.__name__}" for f, _ in VERIFY_CALLS]
+CASES += [
+    pytest.param(f, args, p, id=f"verify.{f.__name__}-{p}")
+    for f, args in VERIFY_CALLS
+    for p in inspect.signature(f).parameters
+]
+
 
 def test_the_boundary_covers_every_module():
     assert {m for m, _, _ in FUNCTIONS} == {m.__name__.rsplit(".", 1)[-1] for m in MODULES}
@@ -113,6 +131,11 @@ def test_the_boundary_covers_every_module():
 @pytest.mark.parametrize("module, name, f", FUNCTIONS, ids=[f"{m}.{n}" for m, n, _ in FUNCTIONS])
 def test_valid_arguments_are_accepted(module, name, f):
     _call(f, _arguments(module, name, f))
+
+
+@pytest.mark.parametrize("f, args", VERIFY_CALLS, ids=VERIFY_IDS)
+def test_valid_arguments_are_accepted_by_verify(f, args):
+    _call(f, args)
 
 
 @pytest.mark.parametrize("f, args, param", CASES)
@@ -187,3 +210,9 @@ def test_has_edge_refuses_an_id_off_the_host_on_either_side():
             FOUR.has_edge(u, v)
     with pytest.raises(KTreeError, match="vertex 'a' is not an integer"):
         FOUR.degree("a")
+
+
+def test_a_polynomial_refuses_coefficients_that_are_not_a_collection():
+    assert polynomials.IntPolynomial((1, 2, 0)).coeffs == (1, 2)
+    with pytest.raises(KTreeError, match="coefficients 5 are not a collection"):
+        polynomials.IntPolynomial(5)

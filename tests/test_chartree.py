@@ -233,7 +233,7 @@ def walk_maps(T, C):
     chain vertex joins its chain node, every later vertex the node of its
     own build record's attachment."""
     inc = T._incidence
-    verts, up, chain = CT._walk(T, inc.node(C))
+    verts, up, chain = inc.walk(inc.node(C))
     assert len(up) == len(verts) + 1 == T.n - T.k + 1
     assert up[0] == -1 and all(0 <= p < i for i, p in enumerate(up) if i)
     assert len(chain) <= len(verts) and up[1 : len(chain) + 1] == list(range(len(chain)))

@@ -517,3 +517,29 @@ def test_centre_of_a_deep_host_is_found_without_recursion():
     # 1499th and 1500th of them
     T = core.gen_path_type(2, 3000)
     assert [T._incidence.clique(r) for r in centre_roots(T)] == [(1500, 1501)]
+
+
+def test_the_centre_of_a_child_is_read_off_its_parent():
+    """`centre()`'s `grown[j]` is the centre of the host with one step
+    attached at node j, found by the child's own sweeps, and `degree[j]`
+    the clique count of node j.  The child of K_k is K_(k+1), whose centre
+    is its new step: of its alike faces, `grown` gives the one in K_k."""
+    rng = random.Random(43)
+    hosts = [T for k in (1, 2, 3) for n in range(k, 8) for T in ktree_classes(k, n)]
+    hosts += [
+        core.random_ktree(k, rng.randint(k, 20), rng.randrange(10**9))
+        for k in (1, 2, 3, 4)
+        for _ in range(10)
+    ]
+    moved = 0
+    for T in hosts:
+        inc = T._incidence
+        roots, grown, degree = inc.centre()
+        for j in inc.nodes:
+            C = inc.clique(j)
+            child = core.KTree.from_parent(T, C)._incidence.centre()[0]
+            assert grown[j] == (child if T.n > T.k else (0,)), (T, j)
+            assert set(grown[j]) <= set(child)
+            assert degree[j] == core.clique_degree(T, C).degree
+            moved += grown[j] != roots
+    assert moved > 100

@@ -435,7 +435,7 @@ def test_module_regexes_compile_on_python_3_10():
     assert not found, f"patterns needing Python 3.11: {found}"
 
 
-PASS_FORBIDDEN = {"_walk", "characteristic_tree", "_phi_pair", "_phi_poly"}
+PASS_FORBIDDEN = {"walk", "characteristic_tree", "_phi_pair", "_phi_poly"}
 
 
 def test_one_pass_and_characteristic_trees_stay_apart():
@@ -485,14 +485,18 @@ INDEX_ARRAYS = {"attach_node", "step_of", "layout"}
 
 
 def test_the_incidence_tree_adjacency_has_one_home():
-    """`verify` and `isomorphism` read the clique-incidence tree through
-    `CliqueIncidence.nodes`, `faces` and `holders`, never through the index's
-    arrays, and only `core` defines a `faces`, so the node numbering is known
-    to `core` and to `chartree`'s walk alone."""
-    for name in ("verify", "isomorphism"):
+    """`chartree`, `verify` and `isomorphism` read the clique-incidence tree
+    through the methods of `CliqueIncidence` (`nodes`, `faces`, `holders`,
+    `walk`, `joined`, `centre`), never through the index's arrays, and only
+    `core` defines a `faces`, so the node numbering and the layout are
+    known to `core` alone; `isomorphism` takes its walk from `core`, not
+    from `chartree`."""
+    for name in ("chartree", "verify", "isomorphism"):
         tree = ast.parse((SRC / f"{name}.py").read_text(encoding="utf-8"))
         spelled = sorted(_identifiers(tree) & INDEX_ARRAYS)
         assert not spelled, f"{name} spells {spelled}"
+    isomorphism = ast.parse((SRC / "isomorphism.py").read_text(encoding="utf-8"))
+    assert "chartree" not in _imported_modules(isomorphism)
     definers = set()
     for path in sorted(SRC.glob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"))
@@ -504,8 +508,8 @@ def test_the_incidence_tree_adjacency_has_one_home():
         }
     assert definers == {"core"}, f"faces defined in {sorted(definers)}"
     # the guard sees these names where they are used
-    chartree = ast.parse((SRC / "chartree.py").read_text(encoding="utf-8"))
-    assert INDEX_ARRAYS <= _identifiers(chartree)
+    core = ast.parse((SRC / "core.py").read_text(encoding="utf-8"))
+    assert INDEX_ARRAYS <= _identifiers(core)
 
 
 INT_READERS = {"core._require_int", "core._require_ids", "core._table_hit"}
