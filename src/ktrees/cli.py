@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-import traceback
 from pathlib import Path
 
 from . import chartree, core, oracle, polynomials, verify
@@ -146,8 +145,8 @@ def _parse_ks(spec):
             ks = [int(x) for x in spec.split(",")]
     except ValueError:
         raise BadK(f"bad k spec {spec!r}; expected e.g. 2 or 1-3 or 2,3") from None
-    if ks[255:]:  # bounded before expanding; no suite takes k above 255
-        raise BadK(f"k spec {spec!r} names more than 255 values")
+    if ks[verify.K_GUARD:]:  # bounded before expanding; no suite takes k above it
+        raise BadK(f"k spec {spec!r} names more than {verify.K_GUARD} values")
     return tuple(ks)
 
 
@@ -258,7 +257,7 @@ def build_parser():
     sp = sub.add_parser("verify", help="run a verification suite")
     sp.add_argument("--suite", required=True, choices=verify.suite_names())
     sp.add_argument("--k", default="2",
-                    help="at most 255 k values, e.g. 2 or 1-3 or 2,3")
+                    help=f"at most {verify.K_GUARD} k values, e.g. 2 or 1-3 or 2,3")
     sp.add_argument("--min-n", type=int, default=0)
     sp.add_argument("--max-n", type=int, default=6)
     sp.add_argument("--trials", type=int, default=0)
@@ -285,6 +284,7 @@ def main(argv=None):
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Exception:  # a crash is neither a verdict nor bad input
+        import traceback  # loaded only on a crash
         traceback.print_exc()
         return 3
 

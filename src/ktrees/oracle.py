@@ -34,29 +34,31 @@ The child's frontier is `(front | masks[v]) & ~(S | v)` and its k-leaf mask
 common neighbours above C's highest vertex.  Only frontier vertices above
 the top k-leaf, or adjacent to it, can pass, so no other is tested.
 
-Restriction.  A `SubKTreeSet` builds on first use one membership column per
-vertex, an int whose bit i, counted from member 0 at the top, is 1 iff
-member i contains the vertex.  The columns are the member masks transposed
-through one array of 64-bit words per 64 vertices: byte b of every word is
-one slice of the raw array, and each of its bits is translated to ASCII
-digits and parsed base 2.  One level mask per order, 0 where no member has
-that order, is built the same way from the member orders, read one byte
-each, so hosts have at most 255 vertices here.  The members containing a vertex set are the
-AND of its columns, the selector; a restricted set keeps its selector and
-its per-order counts, the bits the selector shares with each level, and
-spells its masks only when they are read, so polynomials, means and sizes
-count bits, never members.  The all-clique means read each clique's counts
-off its selector the same way.
+Restriction.  A `SubKTreeSet` is its host's members and a selector, an int
+whose bit i, counted from member 0 at the top, is 1 iff the set keeps
+member i.  The full set builds on first use one membership column per
+vertex, whose bit i is 1 iff member i contains the vertex: the member masks
+transposed through one array of 64-bit words per 64 vertices (byte b of
+every word is one slice of the raw array, and each of its bits is
+translated to ASCII digits and parsed base 2).  Member orders are bit
+planes, the columns added up as one-bit numbers, so any host order fits.
+`restricted` ANDs a vertex set's columns into the selector and shares the
+full set's columns and planes.  A mean is the selector's bit count and the
+sum over j of its bits in plane j, shifted by j; a polynomial counts its
+bits in each order's level mask, an AND of the planes and their
+complements.  So sets count bits, never members, and spell out their
+masks only when they are read.
 
 Entry points.  `enumerate_sub_ktrees` gives every member; a caller keeps
 those that contain a vertex set with `.restricted(S)`, and reads a
 polynomial or a mean off a set (`.poly()`, `.mean()`).  `local_members`
 gives the members that contain a vertex set it has checked to be a
-sub-k-tree, and `oracle_all_clique_means` the mean at every k-clique.
+sub-k-tree, and `oracle_all_clique_means` the mean at every k-clique, read
+off the set restricted to it.
 
 One enumeration per host.  Every entry point reads the full set of its host
 from one slot, `_host_set`, which grows the members (and later builds the
-columns and levels) once per host object.  The slot is keyed by identity,
+columns and planes) once per host object.  The slot is keyed by identity,
 never by `KTree.__eq__`, so an equal host parsed again is grown again, and
 it holds only the most recent host: a set per host would keep every member
 of a corpus, and their columns, alive at once.  Nothing is stored on the host.
@@ -76,13 +78,10 @@ from .errors import KTreeError, NotASubKTree, TooLarge
 from .polynomials import IntPolynomial
 
 DEFAULT_CAP = 16
-MAX_ORDER = 255  # member orders are read one byte each
 
 _WORD = (1 << 64) - 1
 # _DIGIT[j][b] is bit j of the byte b as an ASCII digit
 _DIGIT = tuple(bytes(48 | (b >> j) & 1 for b in range(256)) for j in range(8))
-# _LEVEL[o][b] is the ASCII digit 1 iff the byte b is o
-_LEVEL = tuple(b"0" * o + b"1" + b"0" * (255 - o) for o in range(256))
 _KEEP = bytes.maketrans(b"01", b"\0\1")  # ASCII digits to the bytes 0 and 1
 
 
@@ -97,26 +96,26 @@ def _required_mask(T, required):
 
 
 class SubKTreeSet:
-    """All sub-k-trees of a host, as bitmasks in ascending order, optionally
-    filtered.
+    """Sub-k-trees of a host: the host's members, as bitmasks in ascending
+    order, and a selector whose bit i, counted from member 0 at the top, is
+    1 iff the set keeps member i.
 
-    A full set holds its `masks`, and its selector is -1.  A restricted set
-    holds the host's members, columns and level masks, its selector (bit i,
-    counted from member 0 at the top, is 1 iff the set keeps member i) and
-    its per-order counts, read off the selector when the set is made.  Its
-    masks are spelled out only when first read, so a restricted set that
-    only counts never copies them.
+    `SubKTreeSet(host, masks)` keeps every member; `restricted` makes the
+    sets that keep fewer, and they share this set's columns and planes.
+    Sizes, polynomials and means count bits of the selector, so the kept
+    masks are spelled out only when first read.
     """
 
-    def __init__(self, host, masks, selector=-1, tables=None):
+    def __init__(self, host, masks):
         self.host = host
         self._all = masks
-        self._sel = selector
-        if selector == -1:
-            self.masks = masks
-        if tables is not None:
-            self._columns, self._levels = tables
-            self.counts = self._counts(selector)
+        self._sel = (1 << len(masks)) - 1
+        self._of = None  # `restricted` sets the full set it restricted
+
+    @property
+    def _full(self):
+        """The full set, whose columns, planes and levels this set reads."""
+        return self if self._of is None else self._of
 
     @cached_property
     def masks(self):
@@ -132,7 +131,7 @@ class SubKTreeSet:
         return [tuple(_mask_vertices(m)) for m in self.masks]
 
     def __len__(self):
-        return len(self._all) if self._sel == -1 else sum(self.counts)
+        return self._sel.bit_count()
 
     @cached_property
     def _columns(self):
@@ -159,56 +158,59 @@ class SubKTreeSet:
         return cols
 
     @cached_property
+    def _planes(self):
+        """Bit j of every member order, j = 0..bit_length(n) - 1: the
+        columns added up as one-bit numbers, bit i of plane j counted from
+        member 0 at the top."""
+        planes = [0] * self.host.n.bit_length()
+        for carry in self._columns[1:]:
+            j = 0
+            while carry:
+                planes[j], carry = planes[j] ^ carry, planes[j] & carry
+                j += 1
+        return planes
+
+    @cached_property
     def _levels(self):
         """Level mask of each order o = 0..n: bit i, counted from member 0 at
         the top, is 1 iff member i has order o; 0 if no member has."""
-        orders = bytes(map(int.bit_count, self._all))
-        return [int(orders.translate(_LEVEL[o]), 2) if o in orders else 0
-                for o in range(self.host.n + 1)]
-
-    def _selector(self, req):
-        """The selector of this set ANDed with the columns of the vertices of
-        the non-empty mask `req`: bit i is 1 iff the set keeps member i and
-        member i contains all of them."""
-        cols = self._columns
-        sel = self._sel
-        while req:
-            low = req & -req
-            req ^= low
-            sel &= cols[low.bit_length()]
-        return sel
-
-    def _counts(self, sel):
-        """counts[o] is the number of members of order o that `sel` keeps,
-        o = 0..n."""
-        return [(sel & level).bit_count() for level in self._levels]
+        levels = [self._sel]  # read on the full set, which keeps every member
+        for plane in self._planes:  # levels[o] for o < 2^j; bit j splits each in two
+            levels = [lv & ~plane for lv in levels] + [lv & plane for lv in levels]
+        return levels[: self.host.n + 1]
 
     @cached_property
     def counts(self):
         """counts[o] is the number of members of order o, o = 0..n."""
-        return self._counts(self._sel)
+        sel = self._sel
+        return [(sel & level).bit_count() for level in self._full._levels]
 
     def restricted(self, required):
         """Members containing every vertex of `required`."""
         req = _required_mask(self.host, required)
         if not req:
             return self
-        tables = (self._columns, self._levels)
-        return SubKTreeSet(self.host, self._all, self._selector(req), tables)
+        sel, cols = self._sel, self._full._columns
+        while req:
+            low = req & -req
+            req ^= low
+            sel &= cols[low.bit_length()]
+        out = SubKTreeSet(self.host, self._all)
+        out._sel, out._of = sel, self._full
+        return out
 
     def poly(self):
         """Generating polynomial: coefficient of x^i counts members of order i."""
         return IntPolynomial(self.counts)
 
     def mean(self):
-        if not len(self):
+        """Mean order: the kept members' order bits, plane by plane, over
+        their number."""
+        size = len(self)
+        if not size:
             raise KTreeError("the mean order of an empty set of sub-k-trees")
-        return _mean(self.counts)
-
-
-def _mean(counts):
-    """Mean order of a non-empty set with counts[o] members of order o."""
-    return Fraction(sum(o * c for o, c in enumerate(counts)), sum(counts))
+        planes = enumerate(self._full._planes)
+        return Fraction(sum((self._sel & p).bit_count() << j for j, p in planes), size)
 
 
 def _clique_seeds(T):
@@ -290,8 +292,8 @@ def _host_set(T, cap):
     """The full SubKTreeSet of T, grown only if T is not the host in the
     slot.  The cap is checked on every call, before the slot is read."""
     global _last
-    if T.n > min(_require_int(cap, "cap", 0), MAX_ORDER):
-        raise TooLarge(f"order {T.n} exceeds enumeration cap {min(cap, MAX_ORDER)}")
+    if T.n > _require_int(cap, "cap", 0):
+        raise TooLarge(f"order {T.n} exceeds enumeration cap {cap}")
     if _last is None or _last.host is not T:
         _last = None  # free the previous host's members before growing these
         _last = SubKTreeSet(T, _grow_all(T))
@@ -330,8 +332,4 @@ def local_members(T, S, cap=DEFAULT_CAP):
 def oracle_all_clique_means(T, cap=DEFAULT_CAP):
     """Exact map clique -> mean order over all sub-k-trees containing it."""
     full = _host_set(T, cap)
-    out = {}
-    for C in _cliques(T):
-        # members containing C, counted by order
-        out[C] = _mean(full._counts(full._selector(_required_mask(T, C))))
-    return out
+    return {C: full.restricted(C).mean() for C in _cliques(T)}

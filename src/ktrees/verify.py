@@ -78,7 +78,7 @@ from .kelmans_ops import (
     check_partial_kelmans_monotone,
     path_with_leaf_predicate,
 )
-from .oracle import DEFAULT_CAP, MAX_ORDER, enumerate_sub_ktrees, oracle_all_clique_means
+from .oracle import DEFAULT_CAP, enumerate_sub_ktrees, oracle_all_clique_means
 from .polynomials import (
     fraction_str,
     format_decimal,
@@ -171,10 +171,10 @@ class SuiteConfig(NamedTuple):
             raise SizeTooSmall(
                 f"suite {cfg.suite!r} has no host of order {lo}..{cfg.max_n}"
             )
-        if suite.oracle_hosts and cfg.max_n > min(cfg.cap, MAX_ORDER):
+        if suite.oracle_hosts and cfg.max_n > cfg.cap:
             raise TooLarge(
                 f"suite {cfg.suite!r} enumerates every host; order {cfg.max_n} "
-                f"exceeds enumeration cap {min(cfg.cap, MAX_ORDER)}"
+                f"exceeds enumeration cap {cfg.cap}"
             )
         if suite.family:
             if cfg.max_n > FAMILY_GUARD:
@@ -192,13 +192,14 @@ class SuiteConfig(NamedTuple):
 
 
 def iter_corpus(cfg):
-    """Yield (instance_id, KTree) pairs for a validated config.
+    """Yield (instance_id, KTree) pairs of the copy of cfg that `validate` returns.
 
     Random draw i takes k = ks[i % len(ks)], an order n drawn uniformly
     from max(min_n, k + 1)..max_n and the host seed s = seed + i; its id is
     the suite's `random_id` with k, n and s filled in.
     """
-    suite = SUITES[_require(SuiteConfig, cfg).suite]
+    cfg = _require(SuiteConfig, cfg).validate()
+    suite = SUITES[cfg.suite]
     if suite.family:
         ns = range(max(cfg.min_n, suite.least), cfg.max_n + 1)
         yield from suite.family(cfg.ks, ns)

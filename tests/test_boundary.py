@@ -138,6 +138,16 @@ def test_valid_arguments_are_accepted_by_verify(f, args):
     _call(f, args)
 
 
+# configs that `SuiteConfig.validate` refuses; the corpus reads only its copy
+BAD_CONFIGS = [verify.SuiteConfig("nope"), verify.SuiteConfig("nonmajor-max", ks=None)]
+
+
+@pytest.mark.parametrize("cfg", BAD_CONFIGS, ids=["unknown-suite", "ks-none"])
+def test_the_corpus_refuses_a_config_that_fails_validation(cfg):
+    with pytest.raises(KTreeError):
+        list(verify.iter_corpus(cfg))
+
+
 @pytest.mark.parametrize("f, args, param", CASES)
 @settings(max_examples=30, derandomize=True, database=None, deadline=None,
           suppress_health_check=[HealthCheck.too_slow])

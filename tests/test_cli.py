@@ -42,7 +42,8 @@ def run(capsys, *argv):
 def test_cli_import_leaves_the_process_pool_unloaded():
     """Only --jobs > 1 starts a pool; importing multiprocessing costs every
     other run about half its start-up.  The records are named tuples, so
-    neither `dataclasses` nor the `inspect` it imports loads either."""
+    neither `dataclasses` nor the `inspect` it imports loads either, and
+    `traceback` loads only when a crash prints one."""
     src = Path(verify.__file__).resolve().parents[1]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, (str(src), os.environ.get("PYTHONPATH")))
@@ -50,7 +51,7 @@ def test_cli_import_leaves_the_process_pool_unloaded():
     code = (
         "import sys, ktrees.cli\n"
         "print(sorted({'multiprocessing', 'concurrent.futures.process', 'dataclasses',"
-        " 'inspect'} & set(sys.modules)))"
+        " 'inspect', 'traceback'} & set(sys.modules)))"
     )
     out = subprocess.run(
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True

@@ -140,9 +140,13 @@ def test_cap_guard():
     with pytest.raises(TooLarge):
         O.enumerate_sub_ktrees(T)
     assert len(O.enumerate_sub_ktrees(T, cap=17)) > 0
-    # member orders are one byte each, whatever the cap
-    with pytest.raises(TooLarge):
-        O.enumerate_sub_ktrees(core.gen_path_type(1, 256), cap=300)
+    # the cap alone bounds the order: the planes hold any member order
+    T = core.gen_path_type(1, 300)
+    full = O.enumerate_sub_ktrees(T, cap=300)
+    assert len(full) == 45_150 and full.mean() == Fraction(302, 3)
+    mid = full.restricted((150,))
+    assert len(mid) == 150 * 151 and mid.mean() == Fraction(301, 2)
+    assert mid.masks == _filtered(full.masks, (150,))
 
 
 def _subset_is_sub_ktree(T, S):
@@ -359,11 +363,13 @@ def per_vertex_clique_means(T):
     """`oracle_all_clique_means` as it was, kept as a reference: each
     clique's order total is one column AND and bit count per vertex."""
     full = O.enumerate_sub_ktrees(T)
-    cols = full._columns[1:]
+    cols = full._columns
     out = {}
     for C in O._cliques(T):
-        sel = full._selector(O._required_mask(T, C))
-        out[C] = Fraction(sum((sel & col).bit_count() for col in cols), sel.bit_count())
+        sel = (1 << len(full)) - 1
+        for v in C:
+            sel &= cols[v]
+        out[C] = Fraction(sum((sel & col).bit_count() for col in cols[1:]), sel.bit_count())
     return out
 
 
@@ -382,6 +388,28 @@ def test_member_orders_fill_one_byte():
     assert full.poly().coeffs[-1] == 1 and count_and_total(full.poly())[0] == len(full)
     mid = full.restricted((127, 128))
     assert len(mid) == 127 * 128 and mid.mean() == Fraction(257, 2)
+
+
+def test_order_planes_give_the_levels_of_a_plain_histogram():
+    """The planes hold each member's order bit by bit; the level masks read
+    off them equal a plain histogram of the member orders, on hosts that
+    straddle 64-vertex words and on one host above 255 vertices."""
+    hosts = [core.gen_path_type(1, n) for n in (63, 64, 65, 127, 128, 129, 256, 300)]
+    hosts += [core.gen_path_type(2, 130), core.gen_path_type(3, 70)]
+    for T in hosts:
+        full = O.enumerate_sub_ktrees(T, cap=T.n)
+        top = len(full) - 1
+        levels = [0] * (T.n + 1)
+        planes = [0] * T.n.bit_length()
+        for i, m in enumerate(full.masks):
+            order = m.bit_count()
+            levels[order] |= 1 << (top - i)
+            for j in range(len(planes)):
+                if order >> j & 1:
+                    planes[j] |= 1 << (top - i)
+        assert full._planes == planes, (T.k, T.n)
+        assert full._levels == levels, (T.k, T.n)
+        assert full.counts == [level.bit_count() for level in levels]
 
 
 @pytest.fixture

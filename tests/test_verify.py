@@ -343,12 +343,11 @@ def test_oracle_suite_refuses_an_order_above_the_cap_before_any_host():
             suite="local-mean-reduction", ks=(2,), max_n=8, cap=8, **mode
         ).validate()
         V.SuiteConfig(suite="degree2-witness", ks=(2,), max_n=9, cap=8, **mode).validate()
-    for max_n, cap in ((40, V.DEFAULT_CAP), (256, 300)):  # the cap stops at MAX_ORDER
+    random = dict(suite="local-mean-reduction", mode="random", trials=1, seed=1)
+    for max_n, cap in ((40, V.DEFAULT_CAP), (301, 300)):
         with pytest.raises(TooLarge):
-            V.SuiteConfig(
-                suite="local-mean-reduction", max_n=max_n, cap=cap, mode="random",
-                trials=1, seed=1,
-            ).validate()
+            V.SuiteConfig(max_n=max_n, cap=cap, **random).validate()
+    V.SuiteConfig(max_n=256, cap=300, **random).validate()  # no order limit but the cap
 
 
 # the first violation of each inequality suite when one equality predicate
