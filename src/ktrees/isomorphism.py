@@ -29,53 +29,80 @@ rooted structure.  A vertex's label reads the k-clique it joins: the
 clique of its chain node for a vertex on the walk's chain, and its own
 build record's attachment, already sorted, for every other.
 
-Class enumeration keeps one canonical code per class and level.
-`iso_levels` yields the levels k..n in turn, each built once from the one
-before, so a corpus over a range of orders builds every level once;
-`enumerate_ktrees_up_to_iso` is its last level.  A candidate P + v@C is
-coded from its parent P without being built (`_child_codes`): its centre
-is P's or one hop from it, so its roots are cliques of P, and rooted at
-each it is P's rooted structure plus v as one new leaf.  Its clique
-counts are P's plus one at C, and its degrees P's plus one at each vertex
-of C, so its roots and orderings are read off P before it exists.  P is
-folded once per root and per ordering that some candidate rooted there
-admits; each candidate admitting it refolds only v's ancestors and keeps
-a running minimum, and the fold is then dropped, so memory holds one fold
-and one code per candidate.  Only a candidate whose code is new in its
-level is built, so every level builds exactly its classes.  `_levels`
-builds each with `KTree.from_parent`, carried over from its parent's
-masks, incidence arrays and clique table rather than rebuilt from its
-records.
+Class enumeration is canonical augmentation (McKay, "Isomorph-free
+exhaustive generation", J. Algorithms 1998), with an invariant ranking of
+k-leaves in place of a canonical one.  `iso_levels` yields the levels
+k..n in turn, each made once from the one before, so a corpus over a
+range of orders makes every level once; `enumerate_ktrees_up_to_iso` is
+its last level.  A candidate P + v@C is a representative P with a new
+vertex v joined to its k-clique C.  Its k-leaves are v and P's k-leaves
+outside C, each ranked by the sorted degrees of its k neighbours, all read
+off P (`_leaf_rank`); L is the set of best-ranked leaves.  A candidate
+whose v is not in L is skipped unseen, since its class is reached by
+deleting a leaf of L instead.  If every leaf of L shares v's
+neighbourhood (v alone, or v and its twins), deleting any of them gives
+P, so the class is reached from P alone: it is kept once among P's own
+children, told apart by their sorted leaf keys, and coded only where two
+of them share those keys.  Otherwise the class may be reached from
+several parents, and is kept by its code in a set that the level holds
+for these classes alone.  Before any of P's children is coded, those
+whose cliques meet each twin class of P (`_twins`) in as many vertices
+are merged: permuting twins is an automorphism of P, which maps one
+clique onto the other, so their children are isomorphic.
+
+A candidate is coded from its parent P without being built
+(`_child_codes`): its centre is P's or one hop from it, so its roots are
+cliques of P, and rooted at each it is P's rooted structure plus v as one
+new leaf.  Its clique counts are P's plus one at C, and its degrees P's
+plus one at each vertex of C, so its roots and orderings are read off P
+before it exists.  P is folded once per root and per ordering that some
+candidate rooted there admits; each candidate admitting it refolds only
+v's ancestors and keeps a running minimum, and the fold is then dropped,
+so memory holds one fold and one code per candidate.  Only the candidate
+that is kept for its class is built, so every level builds exactly its
+classes.  `_levels` builds each with `KTree.from_parent`, carried over
+from its parent's masks, incidence arrays and clique table rather than
+rebuilt from its records.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left, insort
+from collections import Counter
 from functools import partial
 from itertools import groupby, permutations, product
+from operator import itemgetter
 
-from .core import KTree, _clique_node, _require_int, build_from_construction, k_cliques
+from .core import (
+    KTree,
+    _clique_node,
+    _mask_vertices,
+    _require_int,
+    build_from_construction,
+    k_cliques,
+)
 from .errors import BadK, SizeTooSmall, TooLarge
 
 # The largest order of a class enumeration, per k; any other k is refused.
 # Each entry is the last order whose levels k..n built in at most about 90 s,
-# the time of k = 2, n = 13, on 2 shared cores (Python 3.11); for k >= 3 the
-# next order took over 170 s.  Those times were taken when every candidate was
-# built.  Coded from its parent at every centre root and all k! orderings,
-# then at the kept roots and degree orderings only, iso_levels(k,
-# CLASS_MAX_ORDER[k]) took, in fresh processes on the same machine, with n and
-# the process's peak RSS in parentheses, three alternating runs each:
-# 0.60-0.70 -> 0.67-0.69 s at k = 1 (n = 14, 27 MB), 7.6-7.9 -> 6.3-6.6 s at
-# k = 2 (n = 13, 146 MB), 2.7-2.9 -> 1.2-1.3 s at k = 3 (n = 12, 44-46 MB) and
-# 2.5-2.6 -> 0.45-0.54 s at k = 4 (n = 12, 24-25 MB); one run each: 2.7 ->
-# 0.22 s at k = 5, 4.8 -> 0.26 s at k = 6 and 13 -> 0.86 s at k = 7 (n = 12),
-# 16 -> 3.9 s at k = 8 and 20 -> 20 s at k = 9 (n = 11), at 17-20 MB.  At
-# k = 9 each child of K_10 ties all 9 degrees on its one root, so all 9!
-# orderings stay.  The caps still stand on the older times; no order past a
-# cap has been timed again.  Trees stop at n = 14,
-# where a tree suite costs far more per host than the enumeration.  From
-# k = 10 on, coding the one class of order k + 1 alone takes minutes, so no
-# code is made above k = 9.
+# the time of k = 2, n = 13, on 2 shared cores (Python 3.11), when every
+# candidate was built; for k >= 3 the next order took over 170 s.  No order
+# past a cap has been timed since, and a cap is raised only with a new
+# measurement.  Coding every candidate from its parent, then only candidates
+# whose new vertex is a best-ranked k-leaf, that no twin swap merges and that
+# an invariant cannot tell apart, iso_levels(k, CLASS_MAX_ORDER[k]) took, in
+# fresh processes on the same machine, with n and the process's peak RSS in
+# parentheses, three alternating runs each: 0.69-0.84 -> 0.42-0.50 s at k = 1
+# (n = 14, 22 MB), 6.1-7.1 -> 3.7-4.5 s at k = 2 (n = 13, 130 -> 124 MB),
+# 1.24-1.35 -> 0.68-0.77 s at k = 3 (n = 12, 40 -> 39 MB) and 0.46-0.47 ->
+# 0.20-0.22 s at k = 4 (n = 12, 21 MB); one run each, at 14-16 MB: 0.21 ->
+# 0.08 s at k = 5, 0.25 -> 0.05 s at k = 6 and 0.85 -> 0.10 s at k = 7
+# (n = 12), 3.6 -> 0.07 s at k = 8 and 23 -> 0.00 s at k = 9 (n = 11).  At
+# k = 9 every vertex of K_10 is a twin of the others, so its ten children
+# are merged into one and none is coded, where each took all 9! orderings
+# of its one root.  Trees stop at n = 14, where a tree suite costs far more
+# per host than the enumeration.  From k = 10 on, coding K_(k+1), whose
+# degrees all tie, takes minutes, so no code is made above k = 9.
 CLASS_MAX_ORDER = {1: 14, 2: 13, 3: 12, 4: 12, 5: 12, 6: 12, 7: 12, 8: 11, 9: 11}
 
 
@@ -258,7 +285,8 @@ def _child_codes(T, cliques):
     T, plus one if it lies in C; so the child's kept roots are read off T,
     and its orderings of R off its degree key: each vertex of R ranked by
     its child degree, so that children whose degrees sort R into the same
-    runs share a key.  The children are grouped by root and, within a
+    runs share a key.  The key depends on C only through C & R, so it is
+    made once per C & R.  The children are grouped by root and, within a
     root, by degree key; T is folded once per root and per ordering that
     some key admits, and each child whose key admits it refolds only v's
     ancestors (`_grow`) and keeps its least code so far; a fold is dropped
@@ -281,6 +309,7 @@ def _child_codes(T, cliques):
         verts, up, labels, depth = _rooted_at(T, R, r)
         pos = dict(zip(verts, range(1, len(up))))
         rset = set(R)
+        key_of = {}  # C & R -> the degree key of the children that share it
         groups = {}  # degree key -> per child: v's parent position, head, C & R
         for c in children:
             C = cliques[c]
@@ -290,10 +319,12 @@ def _child_codes(T, cliques):
                 i, d = pos[p], depth[p] + 1
             else:
                 i, d = 0, 1
-            cmem = [u for u in C if u in rset]
+            cmem = tuple(u for u in C if u in rset)
             head = b"(" + _head(sorted(d - depth[u] for u in out), cmem)
-            degree = [deg[u] + (u in C) for u in R]
-            key = tuple(map(sorted(degree).index, degree))
+            key = key_of.get(cmem)
+            if key is None:
+                degree = [deg[u] + (u in cmem) for u in R]
+                key_of[cmem] = key = tuple(map(sorted(degree).index, degree))
             groups.setdefault(key, []).append((c, i, head, cmem))
         keys = [dict(zip(R, key)) for key in groups]  # rank by vertex
         groups = list(groups.values())
@@ -315,17 +346,100 @@ def _child_codes(T, cliques):
     return [header + code for code in best]
 
 
-def _levels(k, n):
-    level = [build_from_construction(k, [])]
-    yield k, level
-    for m in range(k + 1, n + 1):
-        classes = {}  # canonical code -> first candidate with it, built
-        for T in level:
-            cliques = k_cliques(T)
-            for C, code in zip(cliques, _child_codes(T, cliques)):
-                if code not in classes:
-                    classes[code] = KTree.from_parent(T, C)
-        level = list(classes.values())
+_TIE = object()  # the best-ranked k-leaves of a child differ in neighbourhood
+
+
+def _leaf_rank(deg, leaves, C):
+    """How the child P + v@C ranks its new vertex v among its k-leaves.
+
+    `deg` holds P's degrees and `leaves` P's k-leaves, each as (its bit,
+    its neighbour mask, its neighbours, its key in P).  The child's k-leaves
+    are v and P's k-leaves outside C.  A leaf's key is the sorted child
+    degrees (P's, plus one on C) of its k neighbours, and L is the set of
+    leaves of greatest key.  Returns None if v is not in L, `_TIE` if some
+    leaf of L has a neighbourhood other than C, and otherwise the child's
+    leaf keys, sorted: an invariant of the child.
+    """
+    key = tuple(sorted(deg[u] + 1 for u in C))
+    cmask = 0
+    for u in C:
+        cmask |= 1 << (u - 1)
+    ranked = [key]
+    tie = False
+    for bit, nmask, nbrs, own in leaves:
+        if bit & cmask:
+            continue  # a vertex of C gains v and is no k-leaf of the child
+        if own > key:
+            return None  # a key in the child is at least the key in P
+        if nmask & cmask:
+            own = tuple(sorted(deg[w] + (w in C) for w in nbrs))
+            if own > key:
+                return None
+        tie = tie or (own == key and nmask != cmask)
+        ranked.append(own)
+    return _TIE if tie else tuple(sorted(ranked))
+
+
+def _twins(P):
+    """Per vertex of P, the least vertex of its twin class: the vertices
+    with its closed neighbourhood if there are others, else those with its
+    open neighbourhood.  No vertex has twins of both kinds: if a shares
+    u's closed neighbourhood and c its open one, a lies in N(c) = N(u), so
+    c lies in N[a] = N[u], yet c is not adjacent to u.  So the classes are
+    disjoint, and any permutation within each is an automorphism of P:
+    two cliques that meet every class in as many vertices are mapped onto
+    each other by one, and their children are isomorphic."""
+    closed, opened = {}, {}
+    for u in P.vertices:
+        closed.setdefault(P.masks[u] | 1 << (u - 1), []).append(u)
+        opened.setdefault(P.masks[u], []).append(u)
+    twin = list(range(P.n + 1))
+    for group in [*closed.values(), *opened.values()]:
+        if len(group) > 1:
+            for u in group:
+                twin[u] = group[0]
+    return twin
+
+
+def _levels(level, n):
+    """Yield `level`, one representative per class of some order, and each
+    level after it up to order n, each made from the one before it."""
+    yield level[0].n, level
+    for m in range(level[0].n + 1, n + 1):
+        ties = set()  # codes of this level's classes whose L holds non-twins
+        out = []
+        for P in level:
+            cliques = k_cliques(P)
+            deg = [mask.bit_count() for mask in P.masks]
+            leaves = []
+            for u in P.k_leaf_set():
+                nbrs = _mask_vertices(P.masks[u])
+                key = tuple(sorted(deg[w] for w in nbrs))
+                leaves.append((1 << (u - 1), P.masks[u], nbrs, key))
+            # best keys first: most candidates are skipped at the first leaf
+            leaves.sort(key=itemgetter(3), reverse=True)
+            kept = [
+                (C, rank) for C in cliques if (rank := _leaf_rank(deg, leaves, C)) is not None
+            ]
+            shared = Counter(rank for _, rank in kept)
+            if any(rank is _TIE or shared[rank] > 1 for _, rank in kept):
+                # before coding, keep one child per clique orbit that twins give
+                twin, orbits = _twins(P), {}
+                for C, rank in kept:
+                    orbits.setdefault(tuple(sorted(twin[u] for u in C)), (C, rank))
+                kept = orbits.values()
+                shared = Counter(rank for _, rank in kept)
+            coded = [C for C, rank in kept if rank is _TIE or shared[rank] > 1]
+            codes = dict(zip(coded, _child_codes(P, coded))) if coded else {}
+            siblings = set()  # codes of P's children whose L is v and its twins
+            for C, rank in kept:
+                if C in codes:
+                    seen = ties if rank is _TIE else siblings
+                    if codes[C] in seen:
+                        continue
+                    seen.add(codes[C])
+                out.append(KTree.from_parent(P, C))
+        level = out
         yield m, level
 
 
@@ -333,18 +447,30 @@ def iso_levels(k, n):
     """Yield (m, one representative per isomorphism class of order m) for
     m = k..n, building each level once from the one before it.
 
-    At each level every representative P is extended at every clique C,
-    and a candidate is kept iff its canonical code is new.  Every class at
-    level m+1 has a parent class at level m (delete any k-leaf), so
-    extending representatives alone reaches every class.  A candidate is
-    coded from P's rooted structures (`_child_codes`), with the bytes
-    `canonical_code` would give it, and only a candidate that is kept is
-    built.  k and n are read, and the order range checked against
+    Each representative P of a level is extended at each k-clique C to a
+    candidate P + v@C, ranked as the module docstring says.  Every class
+    is reached: a k-tree X of order m + 1 has a best-ranked k-leaf w, and
+    X - w is isomorphic to some representative P, by a map that takes w's
+    neighbourhood to a clique C of P.  So P + v@C is isomorphic to X with
+    v in w's place, and since the ranking reads only degrees, v is
+    best-ranked there and the candidate is not skipped; the twin merge
+    drops a candidate only for an isomorphic child of P that stays, with
+    the same rank.  No class is kept
+    twice: whether every best-ranked leaf of X shares one neighbourhood is
+    a property of X's class.  If it does, every leaf of L is a twin of the
+    others, so deleting any gives the same class, and every candidate of
+    X's class that is not skipped comes from that class's one
+    representative P; P's children are told apart by their sorted leaf
+    keys, an invariant, and by their codes where the keys agree.  If it
+    does not, the level's set of codes of such classes keeps the first.  A
+    candidate is coded from P's rooted structures (`_child_codes`), with
+    the bytes `canonical_code` would give it, and only a candidate that is
+    kept is built.  k and n are read, and the order range checked against
     `CLASS_MAX_ORDER`, on the call itself, before the generator is made.
     """
     require_class_order(k, n)
     _require_int(n, "n", k, SizeTooSmall)
-    return _levels(k, n)
+    return _levels([build_from_construction(k, [])], n)
 
 
 def enumerate_ktrees_up_to_iso(k, n):

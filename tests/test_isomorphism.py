@@ -194,10 +194,12 @@ def test_codes_agree_with_networkx_on_sampled_pairs():
 def test_class_counts_match_known_sequences():
     trees = [len(ktree_classes(1, n)) for n in range(1, 11)]
     assert trees == [1, 1, 1, 2, 3, 6, 11, 23, 47, 106]
-    two_trees = [len(ktree_classes(2, n)) for n in range(2, 11)]
-    assert two_trees == [1, 1, 1, 2, 5, 12, 39, 136, 529]
-    three_trees = [len(ktree_classes(3, n)) for n in range(3, 10)]
-    assert three_trees == [1, 1, 1, 2, 5, 15, 58]  # OEIS A078792
+    two_trees = [len(level) for _, level in I.iso_levels(2, 12)]
+    assert two_trees == [1, 1, 1, 2, 5, 12, 39, 136, 529, 2171, 9368]  # OEIS A054581
+    # OEIS A078792 to n = 9; 275 and 1,505 at n = 10 and 11 are the counts
+    # the enumeration gave when it coded every candidate
+    three_trees = [len(level) for _, level in I.iso_levels(3, 11)]
+    assert three_trees == [1, 1, 1, 2, 5, 15, 58, 275, 1505]
 
 
 def test_class_enumeration_agrees_with_labeled_dedup():
@@ -323,10 +325,69 @@ def reference_levels(k, n):
 
 @pytest.mark.parametrize("k, n", [(1, 10), (2, 10), (3, 9), (4, 9)])
 def test_levels_match_the_build_every_candidate_reference(k, n):
-    def builds(levels):
-        return [(m, [(T.base, T.build) for T in level]) for m, level in levels]
+    """Each level holds one host of every class the reference finds and no
+    other: the sorted reference codes of its hosts equal the reference's,
+    which has one code per class, so none is missing and none repeats.
+    The representatives themselves, and their order, may differ."""
 
-    assert builds(I.iso_levels(k, n)) == builds(reference_levels(k, n))
+    def codes(levels):
+        return [(m, sorted(map(reference_canonical_code, level))) for m, level in levels]
+
+    assert codes(I.iso_levels(k, n)) == codes(reference_levels(k, n))
+
+
+@pytest.mark.parametrize("k, m", [(1, 10), (2, 8), (3, 8), (4, 8)])
+def test_a_relabelled_level_extends_to_the_same_classes(k, m):
+    """Which candidates are skipped depends only on invariants, so any
+    representatives of a level, relabelled and in any order, extend to one
+    host of each class of the next order."""
+    rng = random.Random(43 + k)
+    level = list(ktree_classes(k, m))
+    shuffled = [relabeled(T, rng) for T in level]
+    rng.shuffle(shuffled)
+
+    def next_codes(level):
+        _, (_, grown) = I._levels(level, m + 1)
+        return sorted(map(I.canonical_code, grown))
+
+    want = sorted(map(I.canonical_code, ktree_classes(k, m + 1)))
+    assert next_codes(shuffled) == next_codes(level) == want
+
+
+def test_twin_classes_are_the_swaps_that_keep_the_host():
+    """Two vertices share a twin class exactly when swapping them is an
+    automorphism, on seeded hosts with k = 1..3 and on star types, where
+    every added vertex is a twin of the others."""
+    rng = random.Random(47)
+    hosts = [
+        core.random_ktree(k, n, rng.randrange(10**9)) for k in (1, 2, 3) for n in range(k, 13)
+    ]
+    hosts += [core.gen_star_type(k, m) for k in (1, 2, 3) for m in (1, 2, 5)]
+    for T in hosts:
+        twin = I._twins(T)
+        edges = {frozenset(e) for e in T.edges()}
+        for u, w in itertools.combinations(T.vertices, 2):
+            swap = {u: w, w: u}
+            kept = {frozenset(swap.get(x, x) for x in e) for e in edges} == edges
+            assert kept == (twin[u] == twin[w]), (T, u, w)
+
+
+def test_children_that_twins_swap_are_not_coded(monkeypatch):
+    """All ten children of K_10 are one class, since its vertices are
+    twins; none is coded, where each would take all 9! orderings of its
+    root.  At k = 8 one child of order 11 is coded."""
+    calls = []
+    child_codes = I._child_codes
+
+    def counted(T, cliques):
+        calls.extend(cliques)
+        return child_codes(T, cliques)
+
+    monkeypatch.setattr(I, "_child_codes", counted)
+    assert [len(level) for _, level in I.iso_levels(9, 11)] == [1, 1, 1]
+    assert calls == []
+    assert [len(level) for _, level in I.iso_levels(8, 11)] == [1, 1, 1, 2]
+    assert len(calls) == 1
 
 
 @pytest.mark.parametrize("k, n", [(1, 9), (2, 9), (3, 8), (4, 8)])
@@ -398,11 +459,14 @@ def test_levels_build_only_the_classes_they_keep(monkeypatch):
 
 
 def test_class_enumeration_codes_only_at_kept_roots_and_orderings(monkeypatch):
-    """Candidates are coded only at the centre cliques in the most
-    (k+1)-cliques and along the orderings where the degree never falls.
-    The bounds are the counts measured with that rule; every centre root
-    and ordering took 1,670 folds and 11,078 grows at (2, 10), and 906 and
-    5,082 at (3, 9)."""
+    """Only candidates whose new vertex is a best-ranked k-leaf and that an
+    invariant cannot tell apart are coded, only at the centre cliques in
+    the most (k+1)-cliques and along the orderings where the degree never
+    falls.  The bounds are the counts measured with those rules.  Coding
+    every candidate took 2,747 candidates, 730 folds and 4,082 grows at
+    (2, 10), and 337, 267 and 861 at (3, 9); every centre root and
+    ordering as well took 1,670 folds and 11,078 grows at (2, 10), and 906
+    and 5,082 at (3, 9)."""
     calls = Counter()
 
     def counted(name, f):
@@ -412,13 +476,20 @@ def test_class_enumeration_codes_only_at_kept_roots_and_orderings(monkeypatch):
 
         return call
 
+    def coded(T, cliques):
+        calls["coded"] += len(cliques)
+        return child_codes(T, cliques)
+
+    child_codes = I._child_codes
     monkeypatch.setattr(I, "_fold", counted("fold", I._fold))
     monkeypatch.setattr(I, "_grow", counted("grow", I._grow))
-    for (k, n), most in {(2, 10): (730, 4082), (3, 9): (267, 861)}.items():
+    monkeypatch.setattr(I, "_child_codes", coded)
+    for (k, n), most in {(2, 10): (550, 376, 887), (3, 9): (91, 137, 271)}.items():
         calls.clear()
         for _ in I.iso_levels(k, n):
             pass
-        assert calls["fold"] <= most[0] and calls["grow"] <= most[1], dict(calls)
+        got = (calls["coded"], calls["fold"], calls["grow"])
+        assert all(a <= b for a, b in zip(got, most)), dict(calls)
 
 
 def test_child_codes_keep_the_code_limits():
@@ -484,15 +555,16 @@ def test_codes_refuse_k_above_nine_before_any_ordering(monkeypatch):
 
 
 def test_codes_are_pinned_for_every_small_class():
-    """The code bytes of every class with k = 1..3 and n <= 9, in enumeration
-    order; any change to the code format or to the centre shows here."""
+    """The code bytes of every class with k = 1..3 and n <= 9, sorted within
+    each order, so the choice of representatives does not show; any change
+    to the code format, to the centre or to the set of classes does."""
     digest = hashlib.sha256()
     for k in (1, 2, 3):
         for n in range(k, 10):
-            for T in ktree_classes(k, n):
-                digest.update(I.canonical_code(T))
+            for code in sorted(map(I.canonical_code, ktree_classes(k, n))):
+                digest.update(code)
     assert digest.hexdigest() == (
-        "52a0c42b08d97d73c99665e2991cf945fc17b67f306f1cbdaad62d0c86eb13c3"
+        "3677368438ef757d25c14a579afabc12686ef5f4a049344af560d8a8872d8334"
     )
 
 
